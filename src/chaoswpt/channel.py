@@ -7,6 +7,7 @@ One channel draw applies to a whole frame (block fading).  The magnitude
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +42,25 @@ def sample_rayleigh(rng: np.random.Generator, size: int | None = None):
 
 
 def path_gain(r: float, alpha: float) -> float:
-    """Power attenuation r**-alpha of a link of distance r."""
+    """Power attenuation r**-alpha of a link of distance r.
+
+    Raises ValueError when the gain overflows, underflows to 0 or is NaN:
+    such a link cannot be simulated in float64.
+    """
     if r <= 0:
         raise ValueError(f"distance must be > 0, got {r}")
     if alpha <= 0:
         raise ValueError(f"path-loss exponent must be > 0, got {alpha}")
-    return float(r) ** -float(alpha)
+    try:
+        gain = float(r) ** -float(alpha)
+    except OverflowError:
+        gain = math.inf
+    if not 0.0 < gain < math.inf:
+        raise ValueError(
+            f"path gain r**-alpha is not a finite positive float for r={r!r}, "
+            f"alpha={alpha!r}"
+        )
+    return gain
 
 
 def apply_channel(samples, draw: ChannelDraw, p_t: float) -> np.ndarray:

@@ -7,6 +7,12 @@ The chip source is the degree-xi Chebyshev map on [-1, 1],
 iterated from an initial state x0.  Orbits of this map distribute their
 samples according to the arcsine law f(x) = 1/(pi*sqrt(1-x^2)), which is
 what every closed-form moment in :mod:`chaoswpt.analytic` relies on.
+
+The map is evaluated as the exact polynomial it equals on [-1, 1]:
+T_2(x) = 2x^2 - 1, and the three-term recurrence
+T_{n+1}(x) = 2x T_n(x) - T_{n-1}(x) for higher degrees.  The map is chaotic,
+so a float orbit computed this way parts from one computed through
+arccos/cos after a few dozen chips, but both follow the same arcsine law.
 """
 
 from __future__ import annotations
@@ -64,25 +70,53 @@ def _validate_degree(xi: int) -> int:
     return int(xi)
 
 
-def chebyshev_step(x, xi: int = 2):
+def _step_scalar(x: float, xi: int) -> float:
+    """T_xi(x) for a float already in [-1, 1], with the array path's operations."""
+    t = x * x * 2.0 - 1.0
+    if xi == 2:
+        return t
+    two_x, prev = x + x, x
+    for _ in range(xi - 2):
+        prev, t = t, two_x * t - prev
+    return min(1.0, max(-1.0, t))
+
+
+def chebyshev_step(x, xi: int = 2, out=None):
     """One application of the degree-``xi`` Chebyshev map.
 
-    Accepts a scalar or an ndarray.  Values straying beyond [-1, 1] by at
-    most ``DOMAIN_TOL`` (floating-point dust) are clamped; anything worse
-    raises a domain error.
+    Accepts a scalar or an ndarray; ``out`` (an array of x's shape, which may
+    be ``x`` itself) receives the result in place.  Values straying beyond
+    [-1, 1] by at most ``DOMAIN_TOL`` (floating-point dust) are clamped;
+    anything worse raises a domain error.  The map is evaluated as the exact
+    polynomial T_xi (see the module docstring), never through arccos/cos.
     """
     xi = _validate_degree(xi)
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + DOMAIN_TOL):
-        bad = np.asarray(arr)[np.abs(arr) > 1.0 + DOMAIN_TOL]
-        raise ValueError(
-            f"chebyshev_step domain error: |x| > 1 + {DOMAIN_TOL:g} (got {bad.flat[0]!r})"
-        )
-    arr = np.clip(arr, -1.0, 1.0)
-    out = np.cos(xi * np.arccos(arr))
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    if arr.size:
+        hi, lo = arr.max(), arr.min()
+        if hi > 1.0 + DOMAIN_TOL or lo < -1.0 - DOMAIN_TOL:
+            bad = hi if hi > 1.0 + DOMAIN_TOL else lo
+            raise ValueError(
+                f"chebyshev_step domain error: |x| > 1 + {DOMAIN_TOL:g} (got {float(bad)!r})"
+            )
+        if hi > 1.0 or lo < -1.0:
+            arr = np.clip(arr, -1.0, 1.0)
+    if arr.ndim == 0 and out is None:
+        return _step_scalar(float(arr), xi)
+    if out is None:
+        out = np.empty_like(arr)
+    if xi == 2:
+        # 2x^2 - 1 stays inside [-1, 1] for every float x in [-1, 1]
+        np.multiply(arr, arr, out=out)
+        out *= 2.0
+        out -= 1.0
+        return out
+    two_x = arr + arr
+    prev, t = arr, arr * arr * 2.0 - 1.0
+    for _ in range(xi - 2):
+        prev, t = t, two_x * t - prev
+    # the recurrence can overshoot +/-1 by a few ulp
+    return np.clip(t, -1.0, 1.0, out=out)
 
 
 def map_fixed_points(xi: int = 2) -> np.ndarray:
@@ -120,20 +154,21 @@ def _validate_seed_state(x0: float, xi: int) -> float:
 def generate_sequence(x0: float, n: int, xi: int = 2) -> ChaoticSequence:
     """Iterate the map ``n`` times; the returned orbit starts at ``x0``.
 
-    Deterministic: the same (x0, n, xi) always yields the bit-identical
-    orbit.  Degenerate seeds (0, +/-1, or anything within FIXED_POINT_TOL
-    of a fixed point) are rejected.
+    Each step is the same polynomial, with the same float operations, as
+    ``chebyshev_step`` on an array, so the orbit is bit-identical to the one
+    the Monte-Carlo kernel iterates from ``x0``.  Deterministic: the same
+    (x0, n, xi) always yields the bit-identical orbit.  Degenerate seeds
+    (0, +/-1, or anything within FIXED_POINT_TOL of a fixed point) are
+    rejected.
     """
     xi = _validate_degree(xi)
     if n <= 0:
         raise ValueError(f"sequence length must be a positive integer, got {n}")
     x0 = _validate_seed_state(x0, xi)
     out = np.empty(int(n))
-    x = x0
-    acos, cos = math.acos, math.cos
-    for i in range(int(n)):
-        out[i] = x
-        x = cos(xi * acos(x))
+    out[0] = x = x0
+    for i in range(1, int(n)):
+        out[i] = x = _step_scalar(x, xi)
     return ChaoticSequence(samples=out, map_degree=xi, seed_state=x0)
 
 
@@ -157,22 +192,33 @@ def theoretical_moment(order: int) -> float:
     raise ValueError(f"only moment orders 2 and 4 are tabulated, got {order}")
 
 
+def _angle_to_state(u, v):
+    # cos(pi*(u + 2v/2^53)) to first order in the sub-ulp term; sin(pi*u) >= 0
+    x = np.cos(np.pi * u)
+    return x - np.sqrt(1.0 - x * x) * (2.0 * np.pi * 2.0 ** -53) * v
+
+
 def draw_initial_state(rng: np.random.Generator, size: int | None = None):
     """Seed state(s) drawn from the stationary density via x = cos(pi*U).
 
     U = 0 would land exactly on x = 1 (a fixed point), so it is redrawn.
+    A float U carries only 53 random bits and the degree-2 map doubles the
+    angle pi*U every step, so by step 53 an orbit seeded with cos(pi*U)
+    alone would have used them up and sit near +/-1 (mean square 0.545
+    instead of 0.5).  A second uniform V widens the angle to
+    pi*(U + 2V/2^53), which keeps every later step's angle uniform.
     """
     if size is None:
         u = rng.random()
         while u == 0.0:
             u = rng.random()
-        return float(np.cos(np.pi * u))
+        return float(_angle_to_state(u, rng.random()))
     u = rng.random(size)
     bad = u == 0.0
     while np.any(bad):
         u[bad] = rng.random(int(bad.sum()))
         bad = u == 0.0
-    return np.cos(np.pi * u)
+    return _angle_to_state(u, rng.random(size))
 
 
 def frame_chip_source(rng: np.random.Generator, xi: int = 2):

@@ -1,8 +1,9 @@
 """Monte-Carlo estimation of harvested DC over the chaotic WPT chain.
 
 The simulator never materializes whole chip blocks: frames are processed in
-vectorized batches, streaming the per-frame chip sum, chip power, fourth
-power and peak as the orbit is iterated.  Per-frame harvested-power samples
+vectorized batches, streaming only the per-frame statistics the receiver mode
+needs as the orbit is iterated: the chip sum in full mode, or the chip power,
+fourth power and peak in bypass mode.  Per-frame harvested-power samples
 then feed the streaming accumulator, so memory stays flat no matter how many
 frames are requested.
 """
@@ -38,6 +39,12 @@ _BATCH = 1 << 16
 PSI_MODES = ("full", "bypass")
 
 
+def _require_int(name: str, value) -> None:
+    # bool is an int subclass, but True is no spreading factor
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One Monte-Carlo operating point."""
@@ -52,7 +59,9 @@ class RunConfig:
     circuit: EhCircuit = field(default_factory=EhCircuit)
 
     def __post_init__(self) -> None:
-        if self.beta < 1 or int(self.beta) != self.beta:
+        for name in ("beta", "n_frames", "seed", "xi"):
+            _require_int(name, getattr(self, name))
+        if self.beta < 1:
             raise ValueError(f"beta must be a positive integer, got {self.beta}")
         if self.r <= 0:
             raise ValueError(f"distance must be > 0, got {self.r}")
@@ -65,9 +74,9 @@ class RunConfig:
         if self.n_frames < 100:
             warnings.warn(f"n_frames={self.n_frames} gives a very noisy estimate",
                           stacklevel=3)
-        if not 0 <= int(self.seed) < 2**64 or int(self.seed) != self.seed:
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.xi < 2 or int(self.xi) != self.xi:
+        if self.xi < 2:
             raise ValueError(f"map degree must be an integer >= 2, got {self.xi}")
 
     def closed_form(self) -> ClosedFormInputs:
@@ -93,6 +102,14 @@ class RunResult:
         return (self.estimate.mean - self.z_analytic) / self.estimate.std_error
 
 
+def _fixed_point_mask(x0: np.ndarray, fps: np.ndarray) -> np.ndarray:
+    """True where x0 is 0 or within FIXED_POINT_TOL of one of the fixed points."""
+    bad = x0 == 0.0
+    for fp in fps:
+        bad |= np.abs(x0 - fp) < FIXED_POINT_TOL
+    return bad
+
+
 def _draw_clean_states(rng: np.random.Generator, size: int, xi: int) -> np.ndarray:
     """Initial chip states, redrawn away from the map's fixed points.
 
@@ -103,33 +120,41 @@ def _draw_clean_states(rng: np.random.Generator, size: int, xi: int) -> np.ndarr
     fps = map_fixed_points(xi)
     x0 = draw_initial_state(rng, size=size)
     while True:
-        bad = np.min(np.abs(x0[:, None] - fps[None, :]), axis=1) < FIXED_POINT_TOL
-        bad |= x0 == 0.0
+        bad = _fixed_point_mask(x0, fps)
         n_bad = int(np.count_nonzero(bad))
         if n_bad == 0:
             return x0
         x0[bad] = draw_initial_state(rng, size=n_bad)
 
 
-def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int) -> tuple[np.ndarray, ...]:
-    """Iterate the chaotic map beta steps for a batch of frames at once.
+def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int,
+                       psi_mode: str) -> tuple[np.ndarray, ...]:
+    """Iterate the chaotic map over a batch of beta-chip frames at once.
 
-    Returns per-frame (chip sum, sum of squares, sum of fourth powers,
-    peak squared chip) without ever storing the chips.
+    Returns only what ``psi_mode`` needs, per frame and without ever storing
+    the chips: ``(chip sum,)`` in full mode, ``(sum of squares, sum of fourth
+    powers, peak squared chip)`` in bypass mode.  x0 is the first chip, so
+    the map takes beta - 1 steps.
     """
     x = np.array(x0, dtype=float)
-    v = np.zeros_like(x)
-    e2 = np.zeros_like(x)
-    e4 = np.zeros_like(x)
-    m2 = np.zeros_like(x)
-    for _ in range(beta):
-        x2 = x * x
-        v += x
+    if psi_mode == "full":
+        v = x.copy()
+        for _ in range(beta - 1):
+            chebyshev_step(x, xi, out=x)
+            v += x
+        return (v,)
+    x2 = x * x
+    e2 = x2.copy()
+    e4 = x2 * x2
+    m2 = x2.copy()
+    for _ in range(beta - 1):
+        chebyshev_step(x, xi, out=x)
+        np.multiply(x, x, out=x2)
         e2 += x2
-        e4 += x2 * x2
         np.maximum(m2, x2, out=m2)
-        x = chebyshev_step(x, xi)
-    return v, e2, e4, m2
+        x2 *= x2
+        e4 += x2
+    return e2, e4, m2
 
 
 def run_once(config: RunConfig) -> RunResult:
@@ -152,8 +177,9 @@ def run_once(config: RunConfig) -> RunResult:
         d = rng.integers(0, 2, size=m) * 2 - 1
         h = sample_rayleigh(rng, size=m)
         c2 = gain * h * h  # squared amplitude scale per frame
-        v, e2, e4, m2 = _orbit_batch_stats(x0, config.beta, config.xi)
+        stats = _orbit_batch_stats(x0, config.beta, config.xi, config.psi_mode)
         if config.psi_mode == "full":
+            (v,) = stats
             # the rectifier sees one integrated value per symbol
             y2 = c2 * ((1 + d) * v) ** 2
             w = a * y2 + b * y2 * y2
@@ -162,6 +188,7 @@ def run_once(config: RunConfig) -> RunResult:
             power_count += m
         else:
             # raw chip stream: both symbol halves carry identical powers
+            e2, e4, m2 = stats
             w = a * c2 * 2.0 * e2 + b * c2 * c2 * 2.0 * e4
             peak_power = max(peak_power, float(np.max(c2 * m2)))
             power_sum += float(np.sum(c2 * 2.0 * e2))
@@ -313,6 +340,9 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = 100_000,
     normalized ratio divides by the ensemble-mean power that the closed-form
     bounds are stated against.
     """
+    for name, value in (("beta", beta), ("n_frames", n_frames), ("seed", seed),
+                        ("xi", xi)):
+        _require_int(name, value)
     bound = papr_analytic(psi_mode, beta)  # validates mode and beta
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
@@ -326,13 +356,15 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = 100_000,
         remaining -= m
         x0 = _draw_clean_states(rng, m, xi)
         d = rng.integers(0, 2, size=m) * 2 - 1
-        v, e2, _, m2 = _orbit_batch_stats(x0, beta, xi)
+        stats = _orbit_batch_stats(x0, beta, xi, psi_mode)
         if psi_mode == "full":
+            (v,) = stats
             y2 = ((1 + d) * v) ** 2
             peak = max(peak, float(np.max(y2)))
             power_sum += float(np.sum(y2))
             power_count += m
         else:
+            e2, _, m2 = stats
             peak = max(peak, float(np.max(m2)))
             power_sum += float(np.sum(2.0 * e2))
             power_count += m * 2 * beta

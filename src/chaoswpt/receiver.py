@@ -68,11 +68,16 @@ def empirical_papr(stream, mean_power: float | None = None) -> float:
     stream = np.asarray(stream, dtype=float)
     if stream.size == 0:
         raise ValueError("empirical_papr needs a nonempty stream")
-    power = stream * stream
-    denom = float(power.mean()) if mean_power is None else float(mean_power)
-    if denom <= 0.0:
+    peak = float(np.max(np.abs(stream)))
+    if mean_power is not None:
+        if float(mean_power) <= 0.0:
+            raise ValueError("mean power must be > 0; PAPR undefined")
+        return peak * peak / float(mean_power)
+    if peak == 0.0:
         raise ValueError("stream has zero mean power; PAPR undefined")
-    return float(power.max()) / denom
+    # scaled to a unit peak, so the powers of a tiny stream cannot underflow
+    unit = stream / peak
+    return 1.0 / float(np.mean(unit * unit))
 
 
 def empirical_papr_per_symbol(frames) -> float:

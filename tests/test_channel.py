@@ -91,3 +91,10 @@ def test_power_bookkeeping():
     rx = np.sqrt(p_t) * h[:, None] * np.sqrt(g) * x
     measured = float(np.mean(rx * rx))
     assert measured == pytest.approx(p_t * g / 2.0, rel=0.01)
+
+
+@pytest.mark.parametrize("r, alpha", [(1e-300, 4.0), (20.0, 1e3), (float("nan"), 4.0)])
+def test_path_gain_rejects_unrepresentable_gains(r, alpha):
+    # 1e-300**-4 overflows, 20**-1000 underflows to 0, nan is no distance
+    with pytest.raises(ValueError, match=r"r=.*alpha="):
+        path_gain(r, alpha)

@@ -151,3 +151,40 @@ def test_chaotic_sequence_validation():
         ChaoticSequence(samples=np.array([0.3, 1.7]), map_degree=2, seed_state=0.3)
     with pytest.raises(ValueError):
         ChaoticSequence(samples=np.array([]), map_degree=2, seed_state=0.3)
+
+
+@pytest.mark.parametrize("xi", [2, 3, 5, 7])
+def test_step_polynomial_matches_trig_form(xi):
+    xs = np.linspace(-1.0, 1.0, 1001)
+    assert np.max(np.abs(chebyshev_step(xs, xi) - np.cos(xi * np.arccos(xs)))) < 1e-12
+
+
+@pytest.mark.parametrize("xi", [2, 3])
+def test_step_in_place(xi):
+    xs = np.linspace(-0.9, 0.9, 7)
+    expected = chebyshev_step(xs, xi)
+    out = chebyshev_step(xs, xi, out=xs)
+    assert out is xs
+    assert np.array_equal(xs, expected)
+
+
+@pytest.mark.parametrize("xi", [2, 3])
+def test_generate_sequence_steps_like_the_array_path(xi):
+    # bit-identical, so the orbit agrees over all 200 chaotic steps
+    x0 = np.array([0.123456, -0.7, 0.91])
+    x = x0.copy()
+    orbits = [generate_sequence(float(a), 200, xi).samples for a in x0]
+    for k in range(200):
+        assert np.array_equal(x, [orbit[k] for orbit in orbits])
+        chebyshev_step(x, xi, out=x)
+
+
+def test_orbits_stay_stationary_where_the_seed_bits_run_out():
+    # a 53-bit U seeds the angle pi*U, and the degree-2 map doubles it every
+    # step; step 53 must still follow the arcsine law (E[x^2] = 1/2)
+    n = 1 << 18
+    x = draw_initial_state(np.random.default_rng(11), size=n)
+    for _ in range(53):
+        chebyshev_step(x, 2, out=x)
+    se = math.sqrt(0.375 - 0.25) / math.sqrt(n)
+    assert abs(float(np.mean(x * x)) - 0.5) < 5 * se

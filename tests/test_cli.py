@@ -214,3 +214,21 @@ def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--format", "xml"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("expr, key", [
+    ("beta=2.0", "beta"), ("n_frames=1e5", "n_frames"), ("beta=true", "beta"),
+])
+def test_integer_keys_reject_floats_and_bools(capsys, expr, key):
+    assert main(["run", *FAST, "--set", expr]) == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", ["r=1e-300", "alpha=1e3"])
+def test_unrepresentable_path_gain_exits_one(capsys, expr):
+    assert main(["run", *FAST, "--set", expr]) == 1
+    err = capsys.readouterr().err
+    assert "r=" in err and "alpha=" in err
+    assert "Traceback" not in err

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaoswpt.channel import ChannelDraw, apply_channel, sample_rayleigh
-from chaoswpt.chaos import generate_sequence
+from chaoswpt import montecarlo
+from chaoswpt.chaos import (
+    FIXED_POINT_TOL,
+    draw_initial_state,
+    generate_sequence,
+    map_fixed_points,
+)
 from chaoswpt.harvester import DcAccumulator, DcEstimate, EhCircuit
 from chaoswpt.montecarlo import (
     PSI_MODES,
@@ -14,6 +20,8 @@ from chaoswpt.montecarlo import (
     SweepResult,
     SweepRow,
     _draw_clean_states,
+    _fixed_point_mask,
+    _orbit_batch_stats,
     fit_scaling,
     measure_papr,
     run_once,
@@ -41,6 +49,28 @@ def test_run_config_validation():
         RunConfig(beta=1, r=1.0, seed=2**64)
     with pytest.raises(ValueError):
         RunConfig(beta=1, r=1.0, xi=1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("beta", 2.0), ("beta", True), ("n_frames", 1e5), ("n_frames", False),
+    ("xi", 3.0), ("seed", 4.0), ("seed", True),
+])
+def test_run_config_integer_fields_reject_bools_and_floats(field, value):
+    kw = {"beta": 2, "r": 20.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**kw)
+
+
+def test_run_config_accepts_numpy_integers():
+    cfg = RunConfig(beta=np.int64(3), r=20.0, n_frames=np.int32(500),
+                    seed=np.uint64(2**64 - 1), xi=np.int8(2))
+    assert cfg.beta == 3
+
+
+@pytest.mark.parametrize("value", [2.0, True])
+def test_measure_papr_rejects_non_integer_beta(value):
+    with pytest.raises(ValueError, match="beta"):
+        measure_papr(value, "full", n_frames=200)
 
 
 def test_run_config_warns_on_tiny_runs():
@@ -112,6 +142,61 @@ def test_bypass_mode_matches_composed_pipeline():
     ref = _reference_path(cfg)
     assert fast.estimate.mean == pytest.approx(ref.mean, rel=1e-12)
     assert fast.estimate.std_error == pytest.approx(ref.std_error, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", PSI_MODES)
+def test_orbit_batch_stats_match_sequence_sums_for_degree_three(mode):
+    x0 = _draw_clean_states(np.random.default_rng(5), 300, 3)
+    chips = np.array([generate_sequence(float(a), 6, 3).samples for a in x0])
+    stats = _orbit_batch_stats(x0, 6, 3, mode)
+    if mode == "full":
+        expected = (chips.sum(axis=1),)
+    else:
+        expected = ((chips ** 2).sum(axis=1), (chips ** 4).sum(axis=1),
+                    (chips ** 2).max(axis=1))
+    assert len(stats) == len(expected)
+    for got, want in zip(stats, expected):
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("mode", PSI_MODES)
+def test_kernel_steps_beta_minus_one_times_per_batch(monkeypatch, mode):
+    # the kernel must call the step through montecarlo's own name
+    real = montecarlo.chebyshev_step
+    sizes = []
+
+    def counting(x, xi=2, out=None):
+        sizes.append(x.size)
+        return real(x, xi, out=out)
+
+    monkeypatch.setattr(montecarlo, "chebyshev_step", counting)
+    n = montecarlo._BATCH + 10  # one full batch and a short one
+    for beta in (1, 2, 5):
+        sizes.clear()
+        run_once(RunConfig(beta=beta, r=20.0, psi_mode=mode, n_frames=n, seed=1))
+        assert sizes == [montecarlo._BATCH] * (beta - 1) + [10] * (beta - 1)
+    sizes.clear()
+    measure_papr(3, mode, n_frames=500, seed=1)
+    assert sizes == [500, 500]
+
+
+@pytest.mark.parametrize("xi", [2, 3, 5])
+def test_fixed_point_mask_matches_broadcast_form(xi):
+    rng = np.random.default_rng(xi)
+    x0 = draw_initial_state(rng, size=100_000)
+    fps = map_fixed_points(xi)
+    # plant exact hits, near misses on both sides of the band, and zeros
+    offsets = [0.0, 0.5 * FIXED_POINT_TOL, -0.5 * FIXED_POINT_TOL,
+               2 * FIXED_POINT_TOL, -2 * FIXED_POINT_TOL]
+    planted = np.clip([fp + o for fp in fps for o in offsets], -1.0, 1.0)
+    idx = rng.choice(x0.size, size=planted.size + 5, replace=False)
+    x0[idx[:planted.size]] = planted
+    x0[idx[planted.size:]] = 0.0
+    broadcast = np.min(np.abs(x0[:, None] - fps[None, :]), axis=1) < FIXED_POINT_TOL
+    broadcast |= x0 == 0.0
+    mask = _fixed_point_mask(x0, fps)
+    assert np.array_equal(mask, broadcast)
+    assert np.count_nonzero(mask) >= 3 * len(fps) + 5
 
 
 def test_run_result_deviation_fields():

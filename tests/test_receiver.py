@@ -105,3 +105,9 @@ def test_papr_bound_on_modulated_frames():
     frames = modulate(random_bits(2000, rng), 4, frame_chip_source(rng, 2))
     stream = np.concatenate([f.samples for f in frames])
     assert empirical_papr(stream, mean_power=0.5) <= 2.0
+
+
+def test_papr_of_a_tiny_stream_does_not_underflow():
+    # the chip's power, 2.8e-316, is subnormal; the ratio must still be 2
+    assert empirical_papr([0.0, 1.6760909542958822e-158]) == 2.0
+    assert empirical_papr([0.0, 0.125 * 1.6760909542958822e-158]) == 2.0
