@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
 import sys
 
 from .analytic import ClosedFormInputs, beta_crossover, z_with_correlator, z_without_correlator
+from .channel import path_gain
 from .distcheck import verify_distributions
 from .harvester import EhCircuit, rho_params
 from .montecarlo import RunConfig, measure_papr, run_once, sweep_beta
@@ -165,15 +167,23 @@ def _load_config(args) -> dict:
 def _transmit_watts(circuit_cfg: dict) -> float:
     watts = circuit_cfg.get("p_t_watts")
     if watts is not None:
-        if not isinstance(watts, (int, float)) or watts <= 0:
-            raise ConfigError(f"p_t_watts must be > 0, got {watts!r}")
+        if (isinstance(watts, bool) or not isinstance(watts, (int, float))
+                or not 0 < watts < math.inf):
+            raise ConfigError(f"p_t_watts must be a finite number > 0, got {watts!r}")
         return float(watts)
     dbm = circuit_cfg.get("p_t_dbm")
     if dbm is None:
         raise ConfigError("one of circuit.p_t_dbm or circuit.p_t_watts is required")
-    if not isinstance(dbm, (int, float)):
+    if isinstance(dbm, bool) or not isinstance(dbm, (int, float)):
         raise ConfigError(f"p_t_dbm must be a number, got {dbm!r}")
-    return 10.0 ** ((float(dbm) - 30.0) / 10.0)
+    try:
+        watts = 10.0 ** ((float(dbm) - 30.0) / 10.0)
+    except OverflowError:
+        watts = math.inf
+    if not 0.0 < watts < math.inf:
+        raise ConfigError(f"p_t_dbm must give a finite positive power in watts, "
+                          f"got {dbm!r}")
+    return watts
 
 
 def _circuit(config: dict) -> EhCircuit:
@@ -235,30 +245,59 @@ def _cmd_run(config: dict, args) -> int:
     return 0
 
 
+def _sweep_axis(sw: dict, key: str, check) -> tuple[list, dict]:
+    """The values of one sweep axis, and the error of each invalid one."""
+    values = sw[key]
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"sweep.{key} must be a nonempty JSON list, got {values!r}")
+    errors = {}
+    for i, value in enumerate(values):
+        try:
+            check(value)
+        except ValueError as exc:
+            errors[i] = exc
+    return values, errors
+
+
 def _cmd_sweep(config: dict, args) -> int:
     base = _run_config(config)
     sw = config["sweep"]
+    betas, beta_err = _sweep_axis(
+        sw, "betas", lambda b: dataclasses.replace(base, beta=b))
+    distances, r_err = _sweep_axis(
+        sw, "distances", lambda r: (dataclasses.replace(base, r=r),
+                                    path_gain(r, base.alpha)))
+    modes, mode_err = _sweep_axis(
+        sw, "modes", lambda m: dataclasses.replace(base, psi_mode=m))
+
+    def valid(values, errors):
+        return [v for i, v in enumerate(values) if i not in errors]
+
+    grid = valid(betas, beta_err), valid(distances, r_err), valid(modes, mode_err)
+    # every cell on valid axis values runs in one call, so in parallel
+    points = iter(sweep_beta(*grid, base).rows if all(grid) else ())
     failures = 0
     rows = []
-    for beta in sw["betas"]:
-        for r in sw["distances"]:
-            for mode in sw["modes"]:
-                try:
-                    (point,) = sweep_beta([beta], [r], [mode], base).rows
-                except Exception as exc:  # marker row, keep the sweep going
-                    failures += 1
-                    print(f"chaoswpt: sweep point beta={beta} r={r} mode={mode} "
-                          f"failed: {exc}", file=sys.stderr)
-                    rows.append({
-                        "beta": beta, "r": r, "mode": mode,
-                        "z_empirical": math.nan, "z_stderr": math.nan,
-                        "z_analytic": math.nan, "rel_dev": math.nan,
-                        "papr_analytic": math.nan,
-                    })
+    for i, beta in enumerate(betas):
+        for j, r in enumerate(distances):
+            for k, mode in enumerate(modes):
+                exc = beta_err.get(i) or r_err.get(j) or mode_err.get(k)
+                if exc is None:
+                    point = next(points)
+                    rows.append(_sweep_row(point.beta, point.r, point.psi_mode,
+                                           point.estimate, point.z_analytic,
+                                           point.papr_bound))
                     continue
-                rows.append(_sweep_row(point.beta, point.r, point.psi_mode,
-                                       point.estimate, point.z_analytic,
-                                       point.papr_bound))
+                # marker row, keep the sweep going
+                failures += 1
+                print(f"chaoswpt: sweep point beta={beta} r={r} mode={mode} "
+                      f"failed: {exc}", file=sys.stderr)
+                rows.append({
+                    "beta": beta, "r": r, "mode": mode,
+                    "z_empirical": math.nan, "z_stderr": math.nan,
+                    "z_analytic": math.nan, "rel_dev": math.nan,
+                    "papr_analytic": math.nan,
+                })
     _emit(rows, SWEEP_HEADER, args, config)
     return 2 if failures else 0
 

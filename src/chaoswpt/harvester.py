@@ -14,11 +14,20 @@ which is the convention under which the closed forms in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["EhCircuit", "DcEstimate", "DcAccumulator", "harvest_dc", "rho_params"]
+
+
+def _require_real(name: str, value) -> None:
+    """Reject anything but a finite real number (str, bool, None, NaN, +/-inf)."""
+    # bool is an int subclass, but True is no resistance
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,8 @@ class EhCircuit:
     p_t: float = 1.0  # watts
 
     def __post_init__(self) -> None:
+        for name in ("k2", "k4", "r_ant", "p_t"):
+            _require_real(f"EhCircuit.{name}", getattr(self, name))
         for name in ("k2", "r_ant", "p_t"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"EhCircuit.{name} must be > 0, got {getattr(self, name)}")

@@ -11,15 +11,17 @@ frames are requested.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._parallel import fork_map
 from .analytic import ClosedFormInputs, papr_analytic, z_with_correlator, z_without_correlator
 from .channel import path_gain, sample_rayleigh
 from .chaos import FIXED_POINT_TOL, chebyshev_step, draw_initial_state, map_fixed_points
-from .harvester import DcAccumulator, DcEstimate, EhCircuit, rho_params
+from .harvester import DcAccumulator, DcEstimate, EhCircuit, _require_real, rho_params
 
 __all__ = [
     "RunConfig",
@@ -61,6 +63,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name in ("beta", "n_frames", "seed", "xi"):
             _require_int(name, getattr(self, name))
+        for name in ("r", "alpha"):
+            _require_real(name, getattr(self, name))
         if self.beta < 1:
             raise ValueError(f"beta must be a positive integer, got {self.beta}")
         if self.r <= 0:
@@ -170,30 +174,42 @@ def run_once(config: RunConfig) -> RunResult:
     power_count = 0
 
     remaining = config.n_frames
-    while remaining > 0:
-        m = min(remaining, _BATCH)
-        remaining -= m
-        x0 = _draw_clean_states(rng, m, config.xi)
-        d = rng.integers(0, 2, size=m) * 2 - 1
-        h = sample_rayleigh(rng, size=m)
-        c2 = gain * h * h  # squared amplitude scale per frame
-        stats = _orbit_batch_stats(x0, config.beta, config.xi, config.psi_mode)
-        if config.psi_mode == "full":
-            (v,) = stats
-            # the rectifier sees one integrated value per symbol
-            y2 = c2 * ((1 + d) * v) ** 2
-            w = a * y2 + b * y2 * y2
-            peak_power = max(peak_power, float(np.max(y2)))
-            power_sum += float(np.sum(y2))
-            power_count += m
-        else:
-            # raw chip stream: both symbol halves carry identical powers
-            e2, e4, m2 = stats
-            w = a * c2 * 2.0 * e2 + b * c2 * c2 * 2.0 * e4
-            peak_power = max(peak_power, float(np.max(c2 * m2)))
-            power_sum += float(np.sum(c2 * 2.0 * e2))
-            power_count += m * 2 * config.beta
-        acc.add_moments(m, float(np.sum(w)), float(np.sum(w * w)))
+    # a gain near the float64 limit can overflow the rectifier polynomial;
+    # that is reported below as an error, not as a warning and an inf row
+    with np.errstate(over="ignore", invalid="ignore"):
+        while remaining > 0:
+            m = min(remaining, _BATCH)
+            remaining -= m
+            x0 = _draw_clean_states(rng, m, config.xi)
+            d = rng.integers(0, 2, size=m) * 2 - 1
+            h = sample_rayleigh(rng, size=m)
+            c2 = gain * h * h  # squared amplitude scale per frame
+            stats = _orbit_batch_stats(x0, config.beta, config.xi, config.psi_mode)
+            if config.psi_mode == "full":
+                (v,) = stats
+                # the rectifier sees one integrated value per symbol
+                y2 = c2 * ((1 + d) * v) ** 2
+                w = a * y2 + b * y2 * y2
+                peak_power = max(peak_power, float(np.max(y2)))
+                power_sum += float(np.sum(y2))
+                power_count += m
+            else:
+                # raw chip stream: both symbol halves carry identical powers
+                e2, e4, m2 = stats
+                w = a * c2 * 2.0 * e2 + b * c2 * c2 * 2.0 * e4
+                peak_power = max(peak_power, float(np.max(c2 * m2)))
+                power_sum += float(np.sum(c2 * 2.0 * e2))
+                power_count += m * 2 * config.beta
+            acc.add_moments(m, float(np.sum(w)), float(np.sum(w * w)))
+        estimate = acc.result()
+    # one frame has no standard error: it is NaN by definition
+    if not (math.isfinite(estimate.mean)
+            and (estimate.n_frames == 1 or math.isfinite(estimate.std_error))):
+        raise ValueError(
+            f"harvested DC overflows float64 for r={config.r!r}, "
+            f"alpha={config.alpha!r} (mean {estimate.mean}, standard error "
+            f"{estimate.std_error})"
+        )
 
     inputs = config.closed_form()
     if config.psi_mode == "full":
@@ -202,7 +218,7 @@ def run_once(config: RunConfig) -> RunResult:
         z = z_without_correlator(inputs)
     mean_power = power_sum / power_count
     papr_emp = peak_power / mean_power if mean_power > 0 else float("nan")
-    return RunResult(config=config, estimate=acc.result(), z_analytic=z,
+    return RunResult(config=config, estimate=estimate, z_analytic=z,
                      papr_empirical=papr_emp,
                      papr_bound=papr_analytic(config.psi_mode, config.beta))
 
@@ -257,26 +273,27 @@ def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
     """Cartesian sweep over spreading factors, distances and receiver modes.
 
     ``base`` supplies everything that is not swept (alpha, circuit, n_frames,
-    seed, map degree); its own beta/r/psi_mode are ignored.
+    seed, map degree); its own beta/r/psi_mode are ignored.  The cells run
+    in parallel (see ``_parallel.fork_map``); each owns its seed, so the rows
+    equal those of a serial run.
     """
     betas = [int(b) for b in betas]
     distances = [float(r) for r in distances]
     modes = list(modes)
     if not betas or not distances or not modes:
         raise ValueError("sweep needs at least one beta, one distance and one mode")
-    rows = []
-    for beta in betas:
-        for r in distances:
-            for mode in modes:
-                cfg = RunConfig(beta=beta, r=r, alpha=base.alpha, psi_mode=mode,
-                                n_frames=base.n_frames, xi=base.xi,
-                                circuit=base.circuit,
-                                seed=_subseed(base.seed, beta, r, mode))
-                res = run_once(cfg)
-                rows.append(SweepRow(beta=beta, r=r, psi_mode=mode,
-                                     estimate=res.estimate,
-                                     z_analytic=res.z_analytic,
-                                     papr_bound=res.papr_bound))
+    cfgs = [RunConfig(beta=beta, r=r, alpha=base.alpha, psi_mode=mode,
+                      n_frames=base.n_frames, xi=base.xi, circuit=base.circuit,
+                      seed=_subseed(base.seed, beta, r, mode))
+            for beta in betas for r in distances for mode in modes]
+    # costliest cells first, so that no process is left with a long one last
+    order = sorted(range(len(cfgs)), key=lambda i: -cfgs[i].beta)
+    results = dict(zip(order, fork_map(run_once, [cfgs[i] for i in order])))
+    rows = [SweepRow(beta=cfg.beta, r=cfg.r, psi_mode=cfg.psi_mode,
+                     estimate=results[i].estimate,
+                     z_analytic=results[i].z_analytic,
+                     papr_bound=results[i].papr_bound)
+            for i, cfg in enumerate(cfgs)]
     return SweepResult(rows=rows)
 
 

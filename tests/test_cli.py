@@ -158,6 +158,33 @@ def test_sweep_keeps_going_past_bad_points(capsys):
     assert float(rows[1]["z_empirical"]) > 0
 
 
+def test_sweep_marks_every_cell_on_an_invalid_axis_value(capsys):
+    code = main(["sweep", *FAST,
+                 "--set", "sweep.betas=[2,0]",
+                 "--set", 'sweep.distances=[20.0,"x"]',
+                 "--set", 'sweep.modes=["full","half"]'])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("failed") == 7
+    assert "Traceback" not in captured.err
+    _, rows = _csv_rows(captured.out)
+    assert [(r["beta"], r["r"], r["mode"]) for r in rows] == [
+        (b, r, m) for b in ("2", "0") for r in ("20", "x") for m in ("full", "half")]
+    assert float(rows[0]["z_empirical"]) > 0
+    assert all(r["z_empirical"] == "nan" for r in rows[1:])
+
+
+@pytest.mark.parametrize("expr, key", [
+    ('sweep.betas="ab"', "sweep.betas"), ("sweep.distances=20", "sweep.distances"),
+    ('sweep.modes="full"', "sweep.modes"), ("sweep.betas=[]", "sweep.betas"),
+])
+def test_sweep_axes_must_be_json_lists(capsys, expr, key):
+    assert main(["sweep", *FAST, "--set", expr]) == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
 def test_papr_command_rows(capsys):
     assert main(["papr", "--set", "beta=3", *FAST]) == 0
     _, rows = _csv_rows(capsys.readouterr().out)
@@ -226,9 +253,24 @@ def test_integer_keys_reject_floats_and_bools(capsys, expr, key):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("expr", ["r=1e-300", "alpha=1e3"])
+# r=1e-50: the path gain is finite, the rectifier polynomial overflows
+@pytest.mark.parametrize("expr", ["r=1e-300", "alpha=1e3", "r=1e-50"])
 def test_unrepresentable_path_gain_exits_one(capsys, expr):
     assert main(["run", *FAST, "--set", expr]) == 1
     err = capsys.readouterr().err
     assert "r=" in err and "alpha=" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr, key", [
+    ("r=abc", "r must"), ('k2="x"', "EhCircuit.k2"), ("alpha=NaN", "alpha must"),
+    ("r=Infinity", "r must"), ("r=null", "r must"), ("k4=true", "EhCircuit.k4"),
+    ("r_ant=-Infinity", "EhCircuit.r_ant"), ("p_t_watts=NaN", "p_t_watts"),
+    ("p_t_watts=true", "p_t_watts"),
+    ("p_t_dbm=5000", "p_t_dbm"), ("p_t_dbm=-5000", "p_t_dbm"),
+])
+def test_real_keys_reject_non_finite_values(capsys, expr, key):
+    assert main(["run", *FAST, "--set", expr]) == 1
+    err = capsys.readouterr().err
+    assert key in err
     assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +40,13 @@ def test_circuit_validation():
         EhCircuit(r_ant=0.0)
     with pytest.raises(ValueError):
         EhCircuit(p_t=-1.0)
+
+
+@pytest.mark.parametrize("value", ["1", True, None, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["k2", "k4", "r_ant", "p_t"])
+def test_circuit_rejects_non_finite_reals(field, value):
+    with pytest.raises(ValueError, match=f"EhCircuit.{field} must be a finite real"):
+        EhCircuit(**{field: value})
 
 
 def test_estimate_validation():

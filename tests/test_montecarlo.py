@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,34 @@ def test_run_config_accepts_numpy_integers():
     cfg = RunConfig(beta=np.int64(3), r=20.0, n_frames=np.int32(500),
                     seed=np.uint64(2**64 - 1), xi=np.int8(2))
     assert cfg.beta == 3
+
+
+@pytest.mark.parametrize("value", ["20", True, None, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["r", "alpha"])
+def test_run_config_real_fields_reject_non_finite_reals(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite real"):
+        RunConfig(beta=2, **{"r": 20.0, field: value})
+
+
+def test_run_config_accepts_numpy_and_integer_reals():
+    cfg = RunConfig(beta=2, r=np.float32(20.0), alpha=3)
+    assert cfg.closed_form().r == 20.0
+
+
+def test_run_once_rejects_an_overflowing_harvest():
+    # the gain 1e200 is a finite float, the rectifier's quartic term is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"r=1e-50, alpha=4\.0"):
+            run_once(RunConfig(beta=2, r=1e-50, n_frames=500))
+
+
+def test_one_frame_run_is_not_an_overflow():
+    with pytest.warns(UserWarning):
+        cfg = RunConfig(beta=2, r=20.0, n_frames=1)
+    est = run_once(cfg).estimate
+    assert math.isfinite(est.mean)
+    assert math.isnan(est.std_error)  # one frame has no spread
 
 
 @pytest.mark.parametrize("value", [2.0, True])
