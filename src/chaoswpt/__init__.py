@@ -1,41 +1,23 @@
-"""Chaotic-waveform wireless power transfer: simulation and closed forms."""
+"""Chaotic-waveform wireless power transfer: simulation and closed forms.
+
+The names below are the documented API (see README.md); everything else is
+reachable through its submodule.
+"""
 
 from .analytic import (
-    ClosedFormInputs,
-    PdfOracle,
     beta_crossover,
-    closed_form_inputs,
     make_oracle,
     oracle_cdf,
     oracle_moment,
-    oracle_normalization,
     papr_analytic,
     pdf_eval,
     z_with_correlator,
     z_without_correlator,
 )
-from .channel import ChannelDraw, apply_channel, path_gain, sample_rayleigh
-from .chaos import (
-    ChaoticSequence,
-    chebyshev_step,
-    draw_initial_state,
-    frame_chip_source,
-    generate_sequence,
-    invariant_pdf,
-    map_fixed_points,
-    theoretical_moment,
-)
-from .distcheck import (
-    FamilyReport,
-    ks_statistic,
-    sample_family,
-    verify_distributions,
-    verify_family,
-)
-from .harvester import DcAccumulator, DcEstimate, EhCircuit, harvest_dc, rho_params
+from .chaos import generate_sequence
+from .distcheck import verify_distributions
+from .harvester import DcEstimate, EhCircuit, harvest_dc
 from .montecarlo import (
-    FitResult,
-    PaprMeasurement,
     RunConfig,
     RunResult,
     SweepResult,
@@ -45,67 +27,30 @@ from .montecarlo import (
     run_once,
     sweep_beta,
 )
-from .receiver import (
-    CorrelatorConfig,
-    correlate,
-    empirical_papr,
-    empirical_papr_per_symbol,
-)
-from .waveform import DcskFrame, modulate, random_bits
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChaoticSequence",
-    "chebyshev_step",
-    "draw_initial_state",
-    "frame_chip_source",
-    "generate_sequence",
-    "invariant_pdf",
-    "map_fixed_points",
-    "theoretical_moment",
-    "DcskFrame",
-    "modulate",
-    "random_bits",
-    "ChannelDraw",
-    "apply_channel",
-    "path_gain",
-    "sample_rayleigh",
-    "CorrelatorConfig",
-    "correlate",
-    "empirical_papr",
-    "empirical_papr_per_symbol",
-    "DcAccumulator",
-    "DcEstimate",
-    "EhCircuit",
-    "harvest_dc",
-    "rho_params",
-    "ClosedFormInputs",
-    "closed_form_inputs",
-    "papr_analytic",
-    "z_with_correlator",
-    "z_without_correlator",
-    "beta_crossover",
-    "PdfOracle",
-    "make_oracle",
-    "pdf_eval",
-    "oracle_cdf",
-    "oracle_normalization",
-    "oracle_moment",
-    "FamilyReport",
-    "ks_statistic",
-    "sample_family",
-    "verify_family",
-    "verify_distributions",
     "RunConfig",
     "RunResult",
     "SweepRow",
     "SweepResult",
-    "PaprMeasurement",
-    "FitResult",
+    "DcEstimate",
+    "EhCircuit",
     "run_once",
     "sweep_beta",
     "fit_scaling",
     "measure_papr",
+    "verify_distributions",
+    "generate_sequence",
+    "harvest_dc",
+    "z_with_correlator",
+    "z_without_correlator",
+    "papr_analytic",
+    "beta_crossover",
+    "make_oracle",
+    "pdf_eval",
+    "oracle_cdf",
+    "oracle_moment",
     "__version__",
 ]

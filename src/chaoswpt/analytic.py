@@ -19,7 +19,7 @@ from scipy import integrate
 from scipy.special import erf
 
 from .channel import path_gain
-from .harvester import EhCircuit, rho_params
+from .harvester import EhCircuit, _require_int, _require_real, rho_params
 
 __all__ = [
     "ClosedFormInputs",
@@ -68,7 +68,10 @@ class ClosedFormInputs:
     rho2: float
 
     def __post_init__(self) -> None:
-        if self.beta < 1 or int(self.beta) != self.beta:
+        _require_int("beta", self.beta)
+        for name in ("r", "alpha", "rho1", "rho2"):
+            _require_real(name, getattr(self, name))
+        if self.beta < 1:
             raise ValueError(f"beta must be a positive integer, got {self.beta}")
         if self.r <= 0:
             raise ValueError(f"distance must be > 0, got {self.r}")
@@ -82,8 +85,7 @@ class ClosedFormInputs:
 
 def closed_form_inputs(circuit: EhCircuit, beta: int, r: float, alpha: float) -> ClosedFormInputs:
     rho1, rho2 = rho_params(circuit)
-    return ClosedFormInputs(beta=int(beta), r=float(r), alpha=float(alpha),
-                            rho1=rho1, rho2=rho2)
+    return ClosedFormInputs(beta=beta, r=r, alpha=alpha, rho1=rho1, rho2=rho2)
 
 
 def papr_analytic(psi_mode: str, beta: int) -> float:

@@ -27,11 +27,10 @@ import math
 import os
 import sys
 
-from .analytic import ClosedFormInputs, beta_crossover, z_with_correlator, z_without_correlator
-from .channel import path_gain
+from .analytic import beta_crossover, closed_form_inputs, z_with_correlator, z_without_correlator
 from .distcheck import verify_distributions
-from .harvester import EhCircuit, rho_params
-from .montecarlo import RunConfig, measure_papr, run_once, sweep_beta
+from .harvester import EhCircuit, _require_real, rho_params
+from .montecarlo import RunConfig, RunResult, measure_papr, run_once, sweep_beta
 
 ENV_SEED = "CHAOSWPT_SEED"
 
@@ -167,15 +166,14 @@ def _load_config(args) -> dict:
 def _transmit_watts(circuit_cfg: dict) -> float:
     watts = circuit_cfg.get("p_t_watts")
     if watts is not None:
-        if (isinstance(watts, bool) or not isinstance(watts, (int, float))
-                or not 0 < watts < math.inf):
+        _require_real("p_t_watts", watts)
+        if watts <= 0:
             raise ConfigError(f"p_t_watts must be a finite number > 0, got {watts!r}")
         return float(watts)
     dbm = circuit_cfg.get("p_t_dbm")
     if dbm is None:
         raise ConfigError("one of circuit.p_t_dbm or circuit.p_t_watts is required")
-    if isinstance(dbm, bool) or not isinstance(dbm, (int, float)):
-        raise ConfigError(f"p_t_dbm must be a number, got {dbm!r}")
+    _require_real("p_t_dbm", dbm)
     try:
         watts = 10.0 ** ((float(dbm) - 30.0) / 10.0)
     except OverflowError:
@@ -217,13 +215,13 @@ def _emit(rows: list[dict], header: tuple[str, ...], args, config: dict) -> None
             fh.write(text)
 
 
-def _sweep_row(beta: int, r: float, mode: str, estimate, z: float,
-               papr_bound: float) -> dict:
-    rel = abs(estimate.mean - z) / z if z != 0 else math.nan
+def _sweep_row(res: RunResult) -> dict:
+    # the library's rel_dev is signed; the output column is its magnitude
     return {
-        "beta": beta, "r": r, "mode": mode,
-        "z_empirical": estimate.mean, "z_stderr": estimate.std_error,
-        "z_analytic": z, "rel_dev": rel, "papr_analytic": papr_bound,
+        "beta": res.beta, "r": res.r, "mode": res.psi_mode,
+        "z_empirical": res.estimate.mean, "z_stderr": res.estimate.std_error,
+        "z_analytic": res.z_analytic, "rel_dev": abs(res.rel_dev),
+        "papr_analytic": res.papr_bound,
     }
 
 
@@ -237,11 +235,7 @@ def _run_config(config: dict) -> RunConfig:
 
 
 def _cmd_run(config: dict, args) -> int:
-    cfg = _run_config(config)
-    res = run_once(cfg)
-    row = _sweep_row(cfg.beta, cfg.r, cfg.psi_mode, res.estimate,
-                     res.z_analytic, res.papr_bound)
-    _emit([row], SWEEP_HEADER, args, config)
+    _emit([_sweep_row(run_once(_run_config(config)))], SWEEP_HEADER, args, config)
     return 0
 
 
@@ -265,8 +259,7 @@ def _cmd_sweep(config: dict, args) -> int:
     betas, beta_err = _sweep_axis(
         sw, "betas", lambda b: dataclasses.replace(base, beta=b))
     distances, r_err = _sweep_axis(
-        sw, "distances", lambda r: (dataclasses.replace(base, r=r),
-                                    path_gain(r, base.alpha)))
+        sw, "distances", lambda r: dataclasses.replace(base, r=r))
     modes, mode_err = _sweep_axis(
         sw, "modes", lambda m: dataclasses.replace(base, psi_mode=m))
 
@@ -283,21 +276,14 @@ def _cmd_sweep(config: dict, args) -> int:
             for k, mode in enumerate(modes):
                 exc = beta_err.get(i) or r_err.get(j) or mode_err.get(k)
                 if exc is None:
-                    point = next(points)
-                    rows.append(_sweep_row(point.beta, point.r, point.psi_mode,
-                                           point.estimate, point.z_analytic,
-                                           point.papr_bound))
+                    rows.append(_sweep_row(next(points)))
                     continue
                 # marker row, keep the sweep going
                 failures += 1
                 print(f"chaoswpt: sweep point beta={beta} r={r} mode={mode} "
                       f"failed: {exc}", file=sys.stderr)
-                rows.append({
-                    "beta": beta, "r": r, "mode": mode,
-                    "z_empirical": math.nan, "z_stderr": math.nan,
-                    "z_analytic": math.nan, "rel_dev": math.nan,
-                    "papr_analytic": math.nan,
-                })
+                rows.append({"beta": beta, "r": r, "mode": mode,
+                             **dict.fromkeys(SWEEP_HEADER[3:], math.nan)})
     _emit(rows, SWEEP_HEADER, args, config)
     return 2 if failures else 0
 
@@ -325,15 +311,11 @@ def _cmd_crossover(config: dict, args) -> int:
         raise ConfigError("crossover needs both distances: set crossover.r_c "
                           "and crossover.r_nc")
     circuit = _circuit(config)
-    rho1, rho2 = rho_params(circuit)
     alpha = config["channel"]["alpha"]
-    bound = beta_crossover(r_c, r_nc, alpha, rho1, rho2)
+    bound = beta_crossover(r_c, r_nc, alpha, *rho_params(circuit))
     beta_min = max(1, math.floor(bound) + 1)
-    z_c = z_with_correlator(ClosedFormInputs(beta=beta_min, r=r_c, alpha=alpha,
-                                             rho1=rho1, rho2=rho2))
-    z_nc = z_without_correlator(ClosedFormInputs(beta=beta_min, r=r_nc,
-                                                 alpha=alpha, rho1=rho1,
-                                                 rho2=rho2))
+    z_c = z_with_correlator(closed_form_inputs(circuit, beta_min, r_c, alpha))
+    z_nc = z_without_correlator(closed_form_inputs(circuit, beta_min, r_nc, alpha))
     header = ("r_c", "r_nc", "bound", "beta_min",
               "z_with_correlator", "z_without_correlator")
     rows = [{"r_c": float(r_c), "r_nc": float(r_nc), "bound": bound,
@@ -409,10 +391,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         return _COMMANDS[args.command](config, args)
-    except ConfigError as exc:
-        print(f"chaoswpt: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"chaoswpt: error: {exc}", file=sys.stderr)
         return 1
 

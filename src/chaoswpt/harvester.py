@@ -22,12 +22,30 @@ import numpy as np
 __all__ = ["EhCircuit", "DcEstimate", "DcAccumulator", "harvest_dc", "rho_params"]
 
 
+def _require_int(name: str, value) -> None:
+    # bool is an int subclass, but True is no spreading factor
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_real(name: str, value) -> None:
     """Reject anything but a finite real number (str, bool, None, NaN, +/-inf)."""
     # bool is an int subclass, but True is no resistance
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+    ok = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    try:
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _square(x: float) -> float:
+    # a float ** that overflows raises, where a product gives inf
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -48,6 +66,17 @@ class EhCircuit:
         # k4 = 0 models a purely linear rectifier and is a meaningful limit
         if self.k4 < 0:
             raise ValueError(f"EhCircuit.k4 must be >= 0, got {self.k4}")
+        # the scales the rectifier and the closed forms multiply by must be
+        # usable floats; a linear rectifier (k4 = 0) makes the quartic ones 0
+        (a, b), (rho1, rho2) = _scales(self), rho_params(self)
+        if not (all(0.0 < v < math.inf for v in (a, rho1))
+                and all(0.0 < v < math.inf or v == self.k4 == 0 for v in (b, rho2))):
+            raise ValueError(
+                f"EhCircuit.k2={self.k2!r}, EhCircuit.k4={self.k4!r}, "
+                f"EhCircuit.r_ant={self.r_ant!r} and EhCircuit.p_t={self.p_t!r} give "
+                f"a scale that overflows or underflows to 0: k2*r_ant={a!r}, "
+                f"k4*r_ant**2={b!r}, rho1={rho1!r}, rho2={rho2!r}"
+            )
 
 
 @dataclass
@@ -63,6 +92,11 @@ class DcEstimate:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
 
 
+def _scales(circuit: EhCircuit) -> tuple[float, float]:
+    """(k2*R_ant, k4*R_ant**2): the rectifier's weights on y**2 and y**4."""
+    return circuit.k2 * circuit.r_ant, circuit.k4 * _square(circuit.r_ant)
+
+
 def rho_params(circuit: EhCircuit) -> tuple[float, float]:
     """Lumped gains (rho1, rho2) = (k2*R*P_t, k4*R^2*P_t^2).
 
@@ -71,7 +105,7 @@ def rho_params(circuit: EhCircuit) -> tuple[float, float]:
     """
     return (
         circuit.k2 * circuit.r_ant * circuit.p_t,
-        circuit.k4 * circuit.r_ant**2 * circuit.p_t**2,
+        circuit.k4 * _square(circuit.r_ant) * _square(circuit.p_t),
     )
 
 
@@ -100,8 +134,7 @@ class DcAccumulator:
             frames = frames[:, None]
         if frames.ndim != 2 or frames.size == 0:
             raise ValueError("frame batch must be a nonempty 1-D or 2-D array")
-        a = self.circuit.k2 * self.circuit.r_ant
-        b = self.circuit.k4 * self.circuit.r_ant**2
+        a, b = _scales(self.circuit)
         p2 = frames * frames
         w = a * p2.sum(axis=1) + b * (p2 * p2).sum(axis=1)
         self._n += w.size

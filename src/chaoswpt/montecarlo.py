@@ -10,6 +10,7 @@ frames are requested.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -18,10 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import fork_map
-from .analytic import ClosedFormInputs, papr_analytic, z_with_correlator, z_without_correlator
+from .analytic import (ClosedFormInputs, closed_form_inputs, papr_analytic,
+                       z_with_correlator, z_without_correlator)
 from .channel import path_gain, sample_rayleigh
 from .chaos import FIXED_POINT_TOL, chebyshev_step, draw_initial_state, map_fixed_points
-from .harvester import DcAccumulator, DcEstimate, EhCircuit, _require_real, rho_params
+from .harvester import (DcAccumulator, DcEstimate, EhCircuit, _require_int, _require_real,
+                        _scales)
 
 __all__ = [
     "RunConfig",
@@ -39,12 +42,6 @@ __all__ = [
 _BATCH = 1 << 16
 
 PSI_MODES = ("full", "bypass")
-
-
-def _require_int(name: str, value) -> None:
-    # bool is an int subclass, but True is no spreading factor
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,28 +79,41 @@ class RunConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.xi < 2:
             raise ValueError(f"map degree must be an integer >= 2, got {self.xi}")
+        if not 0.0 < self._gain() < math.inf:
+            raise ValueError(f"p_t*r**-alpha overflows or underflows to 0 for "
+                             f"p_t={self.circuit.p_t!r}, r={self.r!r}, alpha={self.alpha!r}")
+
+    def _gain(self) -> float:
+        return self.circuit.p_t * path_gain(self.r, self.alpha)
 
     def closed_form(self) -> ClosedFormInputs:
-        rho1, rho2 = rho_params(self.circuit)
-        return ClosedFormInputs(beta=self.beta, r=self.r, alpha=self.alpha,
-                                rho1=rho1, rho2=rho2)
+        return closed_form_inputs(self.circuit, self.beta, self.r, self.alpha)
 
 
 @dataclass(frozen=True)
 class RunResult:
-    config: RunConfig
+    """One operating point: the Monte-Carlo estimate and its closed form."""
+
+    beta: int
+    r: float
+    psi_mode: str
     estimate: DcEstimate
     z_analytic: float
-    papr_empirical: float
     papr_bound: float
 
     @property
     def rel_dev(self) -> float:
+        """Signed (empirical - analytic) / analytic."""
         return (self.estimate.mean - self.z_analytic) / self.z_analytic
 
     @property
     def excess_sigma(self) -> float:
+        """Signed deviation in units of the estimate's standard error."""
         return (self.estimate.mean - self.z_analytic) / self.estimate.std_error
+
+
+#: a sweep row is one run's result
+SweepRow = RunResult
 
 
 def _fixed_point_mask(x0: np.ndarray, fps: np.ndarray) -> np.ndarray:
@@ -161,94 +171,72 @@ def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int,
     return e2, e4, m2
 
 
+def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
+                   psi_mode: str):
+    """Yield ``(m, d, stats)`` for each batch of at most _BATCH frames.
+
+    Draws m seed states, then m data bits d, and reduces the orbits to the
+    mode's statistics; a caller's own draws for the batch follow the yield.
+    """
+    remaining = n_frames
+    while remaining > 0:
+        m = min(remaining, _BATCH)
+        remaining -= m
+        x0 = _draw_clean_states(rng, m, xi)
+        d = rng.integers(0, 2, size=m) * 2 - 1
+        yield m, d, _orbit_batch_stats(x0, beta, xi, psi_mode)
+
+
 def run_once(config: RunConfig) -> RunResult:
     """Estimate harvested DC at one operating point, with its closed form."""
     rng = np.random.default_rng(config.seed)
     acc = DcAccumulator(config.circuit)
-    a = config.circuit.k2 * config.circuit.r_ant
-    b = config.circuit.k4 * config.circuit.r_ant ** 2
-    gain = config.circuit.p_t * path_gain(config.r, config.alpha)
-
-    peak_power = 0.0
-    power_sum = 0.0
-    power_count = 0
-
-    remaining = config.n_frames
+    a, b = _scales(config.circuit)
+    gain = config._gain()
     # a gain near the float64 limit can overflow the rectifier polynomial;
     # that is reported below as an error, not as a warning and an inf row
     with np.errstate(over="ignore", invalid="ignore"):
-        while remaining > 0:
-            m = min(remaining, _BATCH)
-            remaining -= m
-            x0 = _draw_clean_states(rng, m, config.xi)
-            d = rng.integers(0, 2, size=m) * 2 - 1
+        for m, d, stats in _frame_batches(rng, config.n_frames, config.beta,
+                                          config.xi, config.psi_mode):
             h = sample_rayleigh(rng, size=m)
             c2 = gain * h * h  # squared amplitude scale per frame
-            stats = _orbit_batch_stats(x0, config.beta, config.xi, config.psi_mode)
             if config.psi_mode == "full":
                 (v,) = stats
                 # the rectifier sees one integrated value per symbol
                 y2 = c2 * ((1 + d) * v) ** 2
                 w = a * y2 + b * y2 * y2
-                peak_power = max(peak_power, float(np.max(y2)))
-                power_sum += float(np.sum(y2))
-                power_count += m
             else:
                 # raw chip stream: both symbol halves carry identical powers
-                e2, e4, m2 = stats
+                e2, e4, _ = stats
                 w = a * c2 * 2.0 * e2 + b * c2 * c2 * 2.0 * e4
-                peak_power = max(peak_power, float(np.max(c2 * m2)))
-                power_sum += float(np.sum(c2 * 2.0 * e2))
-                power_count += m * 2 * config.beta
             acc.add_moments(m, float(np.sum(w)), float(np.sum(w * w)))
         estimate = acc.result()
-    # one frame has no standard error: it is NaN by definition
-    if not (math.isfinite(estimate.mean)
-            and (estimate.n_frames == 1 or math.isfinite(estimate.std_error))):
-        raise ValueError(
-            f"harvested DC overflows float64 for r={config.r!r}, "
-            f"alpha={config.alpha!r} (mean {estimate.mean}, standard error "
-            f"{estimate.std_error})"
-        )
 
     inputs = config.closed_form()
     if config.psi_mode == "full":
         z = z_with_correlator(inputs)
     else:
         z = z_without_correlator(inputs)
-    mean_power = power_sum / power_count
-    papr_emp = peak_power / mean_power if mean_power > 0 else float("nan")
-    return RunResult(config=config, estimate=estimate, z_analytic=z,
-                     papr_empirical=papr_emp,
+    # one frame has no standard error: it is NaN by definition
+    if not (math.isfinite(estimate.mean)
+            and (estimate.n_frames == 1 or math.isfinite(estimate.std_error))
+            and 0.0 < z < math.inf):
+        raise ValueError(
+            f"harvested DC is not representable in float64 for r={config.r!r}, "
+            f"alpha={config.alpha!r} (mean {estimate.mean}, standard error "
+            f"{estimate.std_error}, closed form {z})"
+        )
+    return RunResult(beta=config.beta, r=config.r, psi_mode=config.psi_mode,
+                     estimate=estimate, z_analytic=z,
                      papr_bound=papr_analytic(config.psi_mode, config.beta))
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    beta: int
-    r: float
-    psi_mode: str
-    estimate: DcEstimate
-    z_analytic: float
-    papr_bound: float
-
-    @property
-    def rel_dev(self) -> float:
-        """|empirical - analytic| / analytic, always recomputed."""
-        return abs(self.estimate.mean - self.z_analytic) / self.z_analytic
-
-    @property
-    def excess_sigma(self) -> float:
-        """Signed deviation in units of the estimate's standard error."""
-        return (self.estimate.mean - self.z_analytic) / self.estimate.std_error
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    rows: list[SweepRow]
+    rows: list[RunResult]
 
     def select(self, *, beta: int | None = None, r: float | None = None,
-               psi_mode: str | None = None) -> list[SweepRow]:
+               psi_mode: str | None = None) -> list[RunResult]:
         out = self.rows
         if beta is not None:
             out = [s for s in out if s.beta == int(beta)]
@@ -273,28 +261,25 @@ def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
     """Cartesian sweep over spreading factors, distances and receiver modes.
 
     ``base`` supplies everything that is not swept (alpha, circuit, n_frames,
-    seed, map degree); its own beta/r/psi_mode are ignored.  The cells run
-    in parallel (see ``_parallel.fork_map``); each owns its seed, so the rows
-    equal those of a serial run.
+    seed, map degree); its own beta/r/psi_mode are ignored.  Each row is the
+    ``run_once`` result of its cell at the cell's own seed (``_subseed``).
+    The cells run in parallel (see ``_parallel.fork_map``), so the rows equal
+    those of a serial run.
     """
-    betas = [int(b) for b in betas]
-    distances = [float(r) for r in distances]
-    modes = list(modes)
+    betas, distances, modes = list(betas), list(distances), list(modes)
     if not betas or not distances or not modes:
         raise ValueError("sweep needs at least one beta, one distance and one mode")
-    cfgs = [RunConfig(beta=beta, r=r, alpha=base.alpha, psi_mode=mode,
-                      n_frames=base.n_frames, xi=base.xi, circuit=base.circuit,
-                      seed=_subseed(base.seed, beta, r, mode))
-            for beta in betas for r in distances for mode in modes]
+    # the raw values are validated (True is no beta, 2.7 is not 2), and only
+    # then normalized, so that rows and seeds see plain ints and floats
+    cells = [dataclasses.replace(base, beta=beta, r=r, psi_mode=mode)
+             for beta in betas for r in distances for mode in modes]
+    cfgs = [dataclasses.replace(c, beta=int(c.beta), r=float(c.r),
+                                seed=_subseed(base.seed, c.beta, c.r, c.psi_mode))
+            for c in cells]
     # costliest cells first, so that no process is left with a long one last
     order = sorted(range(len(cfgs)), key=lambda i: -cfgs[i].beta)
     results = dict(zip(order, fork_map(run_once, [cfgs[i] for i in order])))
-    rows = [SweepRow(beta=cfg.beta, r=cfg.r, psi_mode=cfg.psi_mode,
-                     estimate=results[i].estimate,
-                     z_analytic=results[i].z_analytic,
-                     papr_bound=results[i].papr_bound)
-            for i, cfg in enumerate(cfgs)]
-    return SweepResult(rows=rows)
+    return SweepResult(rows=[results[i] for i in range(len(cfgs))])
 
 
 @dataclass(frozen=True)
@@ -366,26 +351,18 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = 100_000,
     rng = np.random.default_rng(seed)
     peak = 0.0
     power_sum = 0.0
-    power_count = 0
-    remaining = n_frames
-    while remaining > 0:
-        m = min(remaining, _BATCH)
-        remaining -= m
-        x0 = _draw_clean_states(rng, m, xi)
-        d = rng.integers(0, 2, size=m) * 2 - 1
-        stats = _orbit_batch_stats(x0, beta, xi, psi_mode)
+    for _, d, stats in _frame_batches(rng, n_frames, beta, xi, psi_mode):
         if psi_mode == "full":
             (v,) = stats
             y2 = ((1 + d) * v) ** 2
             peak = max(peak, float(np.max(y2)))
             power_sum += float(np.sum(y2))
-            power_count += m
         else:
             e2, _, m2 = stats
             peak = max(peak, float(np.max(m2)))
             power_sum += float(np.sum(2.0 * e2))
-            power_count += m * 2 * beta
-    mean_power = power_sum / power_count
+    # one power per frame in full mode, one per chip (2*beta a frame) in bypass
+    mean_power = power_sum / (n_frames if psi_mode == "full" else n_frames * 2 * beta)
     expected_power = float(beta) if psi_mode == "full" else 0.5
     return PaprMeasurement(psi_mode=psi_mode, beta=int(beta), n_frames=n_frames,
                            plain=peak / mean_power,

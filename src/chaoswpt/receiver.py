@@ -12,25 +12,13 @@ Intermediate windows are supported for exploration but carry no closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "CorrelatorConfig",
     "correlate",
     "empirical_papr",
     "empirical_papr_per_symbol",
 ]
-
-
-@dataclass
-class CorrelatorConfig:
-    psi: int
-
-    def __post_init__(self) -> None:
-        if self.psi < 1:
-            raise ValueError(f"integration window psi must be >= 1, got {self.psi}")
 
 
 def correlate(received, psi) -> np.ndarray:
@@ -40,8 +28,6 @@ def correlate(received, psi) -> np.ndarray:
     frame to a single integrated value.  Windows longer than the input are
     rejected.
     """
-    if isinstance(psi, CorrelatorConfig):
-        psi = psi.psi
     psi = int(psi)
     received = np.asarray(received, dtype=float)
     if received.ndim != 1 or received.size == 0:

@@ -33,6 +33,13 @@ def test_inputs_validation():
         ClosedFormInputs(beta=1, r=1.0, alpha=2.0, rho1=0.17, rho2=-1.0)
 
 
+@pytest.mark.parametrize("beta", [2.7, 2.0, True])
+def test_closed_form_inputs_validate_beta_as_given(beta):
+    # no truncation: 2.7 is not beta = 2, and True is not beta = 1
+    with pytest.raises(ValueError, match="^beta must be an integer"):
+        closed_form_inputs(EhCircuit(), beta, 20, 4)
+
+
 def test_papr_analytic_values():
     assert papr_analytic("bypass", 1) == 2.0
     assert papr_analytic("bypass", 100) == 2.0

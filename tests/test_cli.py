@@ -1,6 +1,9 @@
 import json
+import math
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chaoswpt.cli import SWEEP_HEADER, main
 from chaoswpt.harvester import EhCircuit
@@ -268,9 +271,68 @@ def test_unrepresentable_path_gain_exits_one(capsys, expr):
     ("r_ant=-Infinity", "EhCircuit.r_ant"), ("p_t_watts=NaN", "p_t_watts"),
     ("p_t_watts=true", "p_t_watts"),
     ("p_t_dbm=5000", "p_t_dbm"), ("p_t_dbm=-5000", "p_t_dbm"),
+    # circuit scales that leave float64: rho2 underflows, k4*r_ant**2 overflows
+    ("p_t_watts=1e-320", "EhCircuit.p_t"), ("r_ant=1e200", "EhCircuit.r_ant"),
+    # an integer no float can hold
+    ("r=1" + "0" * 400, "r must"), ("p_t_watts=1" + "0" * 400, "p_t_watts"),
 ])
 def test_real_keys_reject_non_finite_values(capsys, expr, key):
     assert main(["run", *FAST, "--set", expr]) == 1
     err = capsys.readouterr().err
     assert key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_received_scale_that_underflows_exits_one(capsys, command):
+    # the path gain 1e-312 is a float; times p_t = 1e-20 it is 0
+    assert main([command, *FAST, "--set", "r=1e78", "--set", "p_t_watts=1e-20"]) == 1
+    err = capsys.readouterr().err
+    assert "p_t=1e-20, r=1e+78, alpha=4.0" in err
+    assert "Traceback" not in err
+
+
+#: the numeric --set keys; beta, xi and n_frames stay small to keep runs short
+_SMALL_INT_KEYS = {"beta": (-1, 6), "xi": (0, 4), "n_frames": (-2, 300)}
+_NUMERIC_KEYS = ("r", "alpha", "seed", "k2", "k4", "r_ant", "p_t_dbm", "p_t_watts",
+                 *_SMALL_INT_KEYS)
+_ODD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e300, -1e300, 1e-300, 1e-320, 5e-324, 2.2e-308, 0.0, -0.0]),
+    st.text(max_size=4), st.booleans(), st.none(),
+)
+
+
+@st.composite
+def _numeric_overrides(draw):
+    keys = draw(st.lists(st.sampled_from(_NUMERIC_KEYS), min_size=1, max_size=3,
+                         unique=True))
+    return {key: draw(st.one_of(st.integers(*_SMALL_INT_KEYS[key]), _ODD)
+                      if key in _SMALL_INT_KEYS else st.one_of(st.integers(), _ODD))
+            for key in keys}
+
+
+@given(_numeric_overrides())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_run_fuzz_exits_cleanly(capsys, overrides):
+    argv = ["run", "--set", "n_frames=200", "--set", "beta=3"]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a short run's noise warning
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1), (argv, err)
+    assert "Traceback" not in err
+    if code == 0:
+        header, rows = _csv_rows(out)
+        (row,) = rows
+        for col in header[3:]:
+            value = float(row[col])
+            # one frame has no standard error: NaN by definition
+            if col == "z_stderr" and overrides.get("n_frames") == 1:
+                assert math.isnan(value)
+            else:
+                assert math.isfinite(value), (argv, col, row[col])

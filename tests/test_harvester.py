@@ -49,6 +49,23 @@ def test_circuit_rejects_non_finite_reals(field, value):
         EhCircuit(**{field: value})
 
 
+@pytest.mark.parametrize("kw, bad", [
+    ({"r_ant": 1e200}, "k4*r_ant**2=inf"),
+    ({"p_t": 1e-320}, "rho2=0.0"),
+    ({"p_t": 1e200}, "rho2=inf"),
+    ({"k2": 1e-320, "r_ant": 1e-10}, "k2*r_ant=0.0"),
+    ({"k4": 1e-300, "r_ant": 1e-20}, "k4*r_ant**2=0.0"),
+    ({"k4": 0.0, "r_ant": 1e200}, "k4*r_ant**2=nan"),
+])
+def test_circuit_rejects_scales_that_overflow_or_underflow(kw, bad):
+    with pytest.raises(ValueError, match="overflows or underflows to 0") as exc:
+        EhCircuit(**kw)
+    msg = str(exc.value)
+    assert bad in msg
+    for key, value in kw.items():
+        assert f"EhCircuit.{key}={value!r}" in msg
+
+
 def test_estimate_validation():
     DcEstimate(mean=1.0, std_error=0.1, n_frames=10)
     with pytest.raises(ValueError):

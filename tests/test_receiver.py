@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaoswpt.receiver import (
-    CorrelatorConfig,
     correlate,
     empirical_papr,
     empirical_papr_per_symbol,
@@ -35,12 +34,6 @@ def test_correlate_validation():
         correlate([1.0, 2.0], 3)
     with pytest.raises(ValueError):
         correlate([1.0, 2.0], 0)
-
-
-def test_correlator_config():
-    assert CorrelatorConfig(psi=1).psi == 1
-    with pytest.raises(ValueError):
-        CorrelatorConfig(psi=0)
 
 
 streams = st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=10)
