@@ -74,9 +74,9 @@ class ClosedFormInputs:
         if self.beta < 1:
             raise ValueError(f"beta must be a positive integer, got {self.beta}")
         if self.r <= 0:
-            raise ValueError(f"distance must be > 0, got {self.r}")
+            raise ValueError(f"r (distance) must be > 0, got {self.r}")
         if self.alpha <= 0:
-            raise ValueError(f"path-loss exponent must be > 0, got {self.alpha}")
+            raise ValueError(f"alpha (path-loss exponent) must be > 0, got {self.alpha}")
         if self.rho1 <= 0:
             raise ValueError(f"rho1 must be > 0, got {self.rho1}")
         if self.rho2 < 0:
@@ -143,6 +143,9 @@ def beta_crossover(r_c: float, r_nc: float, alpha: float,
     g_nc = path_gain(r_nc, alpha)
     num = rho1 * (g_nc - g_c) + 1.5 * rho2 * g_nc * g_nc
     den = 12.0 * rho2 * g_c * g_c
+    if not 0.0 < den < math.inf:
+        raise ValueError(f"12*rho2*r_c**(-2*alpha) is not a finite positive float for "
+                         f"r_c={r_c!r}, alpha={alpha!r}, rho2={rho2!r}")
     return num / den
 
 
@@ -152,10 +155,10 @@ def beta_crossover(r_c: float, r_nc: float, alpha: float,
 
 @dataclass(frozen=True)
 class PdfOracle:
+    """One of the six reference families; its atom and support follow from it."""
+
     family: str
     beta: int | None = None
-    atom_at_zero: float = 0.0
-    support: tuple[float, float] = (-math.inf, math.inf)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -165,19 +168,20 @@ class PdfOracle:
                 raise ValueError("S_clt needs an integer beta >= 2")
         elif self.beta not in (None, 1):
             raise ValueError(f"{self.family} is defined for beta = 1 only")
-        if not 0.0 <= self.atom_at_zero < 1.0:
-            raise ValueError(f"atom mass must lie in [0, 1), got {self.atom_at_zero}")
-        if self.support[0] >= self.support[1]:
-            raise ValueError(f"empty support {self.support}")
+
+    @property
+    def atom_at_zero(self) -> float:
+        """Probability mass sitting exactly at zero."""
+        return _ATOMS[self.family]
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return (-math.inf, math.inf) if self.family in _TWO_SIDED else (0.0, math.inf)
 
 
 def make_oracle(family: str, beta: int | None = None) -> PdfOracle:
-    """Oracle for one of the six reference families, atom and support filled in."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    support = (-math.inf, math.inf) if family in _TWO_SIDED else (0.0, math.inf)
-    return PdfOracle(family=family, beta=beta, atom_at_zero=_ATOMS[family],
-                     support=support)
+    """Oracle for one of the six reference families."""
+    return PdfOracle(family, beta)
 
 
 def _density(oracle: PdfOracle, x: np.ndarray) -> np.ndarray:
@@ -273,19 +277,26 @@ def _transformed_integrand(oracle: PdfOracle, order: int):
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
 
 
+def _integral(oracle: PdfOracle, order: int) -> float:
+    """Adaptive-quadrature integral of x**order over the continuous part."""
+    if oracle.family in _TWO_SIDED:
+        lo, _ = integrate.quad(lambda s: s ** order * pdf_eval(oracle, s),
+                               -np.inf, 0.0, **_QUAD_OPTS)
+        hi, _ = integrate.quad(lambda s: s ** order * pdf_eval(oracle, s),
+                               0.0, np.inf, **_QUAD_OPTS)
+        return lo + hi
+    g = _transformed_integrand(oracle, order)
+    val, _ = integrate.quad(g, 0.0, np.inf, **_QUAD_OPTS)
+    return val
+
+
 def oracle_normalization(oracle: PdfOracle) -> float:
     """Adaptive-quadrature integral of the continuous part.
 
     Should come out to 1 - atom_at_zero; the verification suite checks this
     to within 1e-6 absolute.
     """
-    if oracle.family in _TWO_SIDED:
-        lo, _ = integrate.quad(lambda s: pdf_eval(oracle, s), -np.inf, 0.0, **_QUAD_OPTS)
-        hi, _ = integrate.quad(lambda s: pdf_eval(oracle, s), 0.0, np.inf, **_QUAD_OPTS)
-        return lo + hi
-    g = _transformed_integrand(oracle, 0)
-    val, _ = integrate.quad(g, 0.0, np.inf, **_QUAD_OPTS)
-    return val
+    return _integral(oracle, 0)
 
 
 def oracle_moment(oracle: PdfOracle, order: int) -> float:
@@ -299,13 +310,4 @@ def oracle_moment(oracle: PdfOracle, order: int) -> float:
             f"moment order must be a positive integer (order {order} diverges "
             "against the mass at the origin)"
         )
-    order = int(order)
-    if oracle.family in _TWO_SIDED:
-        lo, _ = integrate.quad(lambda s: s ** order * pdf_eval(oracle, s),
-                               -np.inf, 0.0, **_QUAD_OPTS)
-        hi, _ = integrate.quad(lambda s: s ** order * pdf_eval(oracle, s),
-                               0.0, np.inf, **_QUAD_OPTS)
-        return lo + hi
-    g = _transformed_integrand(oracle, order)
-    val, _ = integrate.quad(g, 0.0, np.inf, **_QUAD_OPTS)
-    return val
+    return _integral(oracle, int(order))

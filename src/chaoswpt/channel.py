@@ -66,12 +66,11 @@ def path_gain(r: float, alpha: float) -> float:
 def apply_channel(samples, draw: ChannelDraw, p_t: float) -> np.ndarray:
     """Scale transmit samples by sqrt(P_t) * |h| * sqrt(r**-alpha).
 
-    ``samples`` may be a raw array or anything carrying a ``.samples``
-    attribute (a modulated frame).  Amplitude-domain operation: the received
-    *power* of a unit-power chip is P_t * |h|^2 * r**-alpha.
+    Amplitude-domain operation: the received *power* of a unit-power chip is
+    P_t * |h|^2 * r**-alpha.
     """
     if p_t <= 0:
         raise ValueError(f"transmit power must be > 0, got {p_t}")
-    samples = np.asarray(getattr(samples, "samples", samples), dtype=float)
+    samples = np.asarray(samples, dtype=float)
     scale = np.sqrt(p_t) * draw.h_mag * np.sqrt(path_gain(draw.r, draw.alpha))
     return scale * samples

@@ -29,7 +29,6 @@ __all__ = [
     "invariant_pdf",
     "theoretical_moment",
     "draw_initial_state",
-    "frame_chip_source",
     "map_fixed_points",
 ]
 
@@ -136,16 +135,21 @@ def map_fixed_points(xi: int = 2) -> np.ndarray:
     return np.unique(np.cos(sorted(thetas)))
 
 
+def _fixed_point_mask(x0: np.ndarray, fps: np.ndarray) -> np.ndarray:
+    """True where x0 is 0 or within FIXED_POINT_TOL of one of the fixed points."""
+    bad = x0 == 0.0
+    for fp in fps:
+        bad |= np.abs(x0 - fp) < FIXED_POINT_TOL
+    return bad
+
+
 def _validate_seed_state(x0: float, xi: int) -> float:
     x0 = float(x0)
     if not -1.0 < x0 < 1.0:
         raise ValueError(f"x0 must lie strictly inside (-1, 1), got {x0!r}")
-    if x0 == 0.0:
-        raise ValueError("x0 = 0 is degenerate: the orbit falls onto a fixed point")
-    fps = map_fixed_points(xi)
-    if np.min(np.abs(fps - x0)) < FIXED_POINT_TOL:
+    if _fixed_point_mask(np.array([x0]), map_fixed_points(xi))[0]:
         raise ValueError(
-            f"x0 = {x0!r} is within {FIXED_POINT_TOL:g} of a fixed point of the "
+            f"x0 = {x0!r} is 0 or within {FIXED_POINT_TOL:g} of a fixed point of the "
             f"degree-{xi} map; the orbit would not mix"
         )
     return x0
@@ -219,25 +223,3 @@ def draw_initial_state(rng: np.random.Generator, size: int | None = None):
         u[bad] = rng.random(int(bad.sum()))
         bad = u == 0.0
     return _angle_to_state(u, rng.random(size))
-
-
-def frame_chip_source(rng: np.random.Generator, xi: int = 2):
-    """Callable ``n -> n chips`` starting a fresh orbit on every call.
-
-    Each call draws its own seed state from the stationary density, so
-    successive frames are statistically independent of each other while
-    chips inside a frame remain one contiguous orbit.
-    """
-    xi = _validate_degree(xi)
-    fps = map_fixed_points(xi)
-
-    def draw(n: int) -> np.ndarray:
-        # The arcsine density piles mass near +/-1, so a fresh draw lands
-        # inside the rejection band around a fixed point every ~1e5 frames;
-        # redraw rather than error.
-        x0 = draw_initial_state(rng)
-        while x0 == 0.0 or np.min(np.abs(fps - x0)) < FIXED_POINT_TOL:
-            x0 = draw_initial_state(rng)
-        return generate_sequence(x0, n, xi).samples
-
-    return draw

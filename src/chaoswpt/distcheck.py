@@ -28,11 +28,14 @@ __all__ = [
     "verify_family",
     "verify_distributions",
     "NORM_ABS_TOL",
+    "MOMENT_REL_TOL",
     "KS_TOL",
 ]
 
 #: absolute tolerance on |integral - (1 - atom mass)|
 NORM_ABS_TOL = 1e-6
+#: relative tolerance on each quadrature moment against its closed form
+MOMENT_REL_TOL = 1e-5
 #: KS distance gate used by the report (statistical noise at n = 1e6 is ~1e-3)
 KS_TOL = 5e-3
 
@@ -144,9 +147,9 @@ class FamilyReport:
     def max_moment_rel_err(self) -> float:
         return max(m.rel_err for m in self.moments)
 
-    def passed(self, moment_rel_tol: float = 1e-5) -> bool:
+    def passed(self) -> bool:
         return (self.norm_abs_err < NORM_ABS_TOL
-                and self.max_moment_rel_err < moment_rel_tol
+                and self.max_moment_rel_err < MOMENT_REL_TOL
                 and self.ks_stat < KS_TOL)
 
 

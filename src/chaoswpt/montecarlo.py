@@ -22,7 +22,7 @@ from ._parallel import fork_map
 from .analytic import (ClosedFormInputs, closed_form_inputs, papr_analytic,
                        z_with_correlator, z_without_correlator)
 from .channel import path_gain, sample_rayleigh
-from .chaos import FIXED_POINT_TOL, chebyshev_step, draw_initial_state, map_fixed_points
+from .chaos import _fixed_point_mask, chebyshev_step, draw_initial_state, map_fixed_points
 from .harvester import (DcAccumulator, DcEstimate, EhCircuit, _require_int, _require_real,
                         _scales)
 
@@ -114,14 +114,6 @@ class RunResult:
 
 #: a sweep row is one run's result
 SweepRow = RunResult
-
-
-def _fixed_point_mask(x0: np.ndarray, fps: np.ndarray) -> np.ndarray:
-    """True where x0 is 0 or within FIXED_POINT_TOL of one of the fixed points."""
-    bad = x0 == 0.0
-    for fp in fps:
-        bad |= np.abs(x0 - fp) < FIXED_POINT_TOL
-    return bad
 
 
 def _draw_clean_states(rng: np.random.Generator, size: int, xi: int) -> np.ndarray:
@@ -363,6 +355,10 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = 100_000,
             power_sum += float(np.sum(2.0 * e2))
     # one power per frame in full mode, one per chip (2*beta a frame) in bypass
     mean_power = power_sum / (n_frames if psi_mode == "full" else n_frames * 2 * beta)
+    if mean_power == 0.0:
+        # every full-mode frame carried bit -1, which erases the symbol
+        raise ValueError(f"beta={beta}, {psi_mode} mode, n_frames={n_frames}, seed={seed}: "
+                         f"realized mean power is 0; PAPR undefined")
     expected_power = float(beta) if psi_mode == "full" else 0.5
     return PaprMeasurement(psi_mode=psi_mode, beta=int(beta), n_frames=n_frames,
                            plain=peak / mean_power,

@@ -1,47 +1,17 @@
-"""Analog front-end between antenna and harvester: correlator and PAPR meters.
+"""Peak-to-average power ratio of a sample stream.
 
-The correlator integrates psi consecutive received samples before the
-rectifier.  Two settings have closed-form companions in
-:mod:`chaoswpt.analytic`:
-
-* psi = 1       -- bypass; the chip stream goes to the harvester untouched.
-* psi = 2*beta  -- full-symbol integration; one output value per frame.
-
-Intermediate windows are supported for exploration but carry no closed form.
+The receiver's correlator has two settings, both modelled in
+:mod:`chaoswpt.montecarlo` and in closed form in :mod:`chaoswpt.analytic`:
+bypass (psi = 1) passes the chip stream to the harvester untouched, and
+full-symbol integration (psi = 2*beta) hands it one sum per frame.  What is
+left here is the PAPR meter the tests hold ``measure_papr`` against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "correlate",
-    "empirical_papr",
-    "empirical_papr_per_symbol",
-]
-
-
-def correlate(received, psi) -> np.ndarray:
-    """Sliding-window sum of ``psi`` consecutive samples.
-
-    psi = 1 returns the stream unchanged; psi = len(received) collapses the
-    frame to a single integrated value.  Windows longer than the input are
-    rejected.
-    """
-    psi = int(psi)
-    received = np.asarray(received, dtype=float)
-    if received.ndim != 1 or received.size == 0:
-        raise ValueError("correlate expects a nonempty 1-D sample stream")
-    if psi < 1:
-        raise ValueError(f"integration window psi must be >= 1, got {psi}")
-    if psi > received.size:
-        raise ValueError(
-            f"integration window psi={psi} exceeds the {received.size}-sample frame"
-        )
-    if psi == 1:
-        return received.copy()
-    csum = np.concatenate([[0.0], np.cumsum(received)])
-    return csum[psi:] - csum[:-psi]
+__all__ = ["empirical_papr"]
 
 
 def empirical_papr(stream, mean_power: float | None = None) -> float:
@@ -64,19 +34,3 @@ def empirical_papr(stream, mean_power: float | None = None) -> float:
     # scaled to a unit peak, so the powers of a tiny stream cannot underflow
     unit = stream / peak
     return 1.0 / float(np.mean(unit * unit))
-
-
-def empirical_papr_per_symbol(frames) -> float:
-    """Worst per-symbol PAPR: each row is normalized by its own mean power.
-
-    Useful for bypass streams under fading, where the per-frame channel
-    gain cancels inside each row.  Rows of width 1 are trivially 1.
-    """
-    frames = np.asarray(frames, dtype=float)
-    if frames.ndim != 2 or frames.size == 0:
-        raise ValueError("expects a nonempty (n_frames, samples_per_frame) array")
-    power = frames * frames
-    means = power.mean(axis=1)
-    if np.any(means <= 0.0):
-        raise ValueError("a frame has zero mean power; PAPR undefined")
-    return float((power.max(axis=1) / means).max())

@@ -1,51 +1,24 @@
 """Differential chaos-shift-keying frame assembly.
 
-A frame carries one data bit d in {-1, +1} over 2*beta chips: beta fresh
-chaotic reference chips followed by the same chips multiplied by d.
+A frame carries one data bit d in {-1, +1} over 2*beta chips: beta chaotic
+reference chips followed by the same chips multiplied by d.  This is the
+per-frame form of the waveform; the Monte-Carlo kernel never builds it, and
+the tests check the kernel against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
-
 import numpy as np
 
-__all__ = ["DcskFrame", "modulate", "random_bits"]
+__all__ = ["modulate"]
 
 
-@dataclass
-class DcskFrame:
-    samples: np.ndarray  # length 2*beta
-    bit: int
-    beta: int
+def modulate(bits, beta: int, chip_pool) -> np.ndarray:
+    """One frame per bit, as an (n_bits, 2*beta) array.
 
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.bit not in (-1, 1):
-            raise ValueError(f"bit must be -1 or +1, got {self.bit!r}")
-        if self.beta < 1:
-            raise ValueError(f"beta must be a positive integer, got {self.beta}")
-        if self.samples.shape != (2 * self.beta,):
-            raise ValueError(
-                f"frame must hold exactly 2*beta = {2 * self.beta} samples, "
-                f"got shape {self.samples.shape}"
-            )
-        ref, data = self.samples[: self.beta], self.samples[self.beta :]
-        if not np.array_equal(data, self.bit * ref):
-            raise ValueError("data half of the frame must equal bit * reference half")
-
-    @property
-    def reference(self) -> np.ndarray:
-        return self.samples[: self.beta]
-
-
-def modulate(bits, beta: int, chip_source) -> list[DcskFrame]:
-    """Build one frame per bit.
-
-    ``chip_source`` is either a callable ``n -> n chips`` (a fresh orbit per
-    call, see :func:`chaoswpt.chaos.frame_chip_source`) or a flat chip array
-    consumed beta chips at a time.
+    Frame i takes chips ``[i*beta, (i+1)*beta)`` of the flat ``chip_pool`` as
+    its reference half; its data half is that reference times bit i, which
+    is exact for a bit of +/-1.
     """
     if beta < 1:
         raise ValueError(f"beta must be a positive integer, got {beta}")
@@ -54,31 +27,10 @@ def modulate(bits, beta: int, chip_source) -> list[DcskFrame]:
         raise ValueError("no bits to modulate")
     if not np.all(np.isin(bits, (-1, 1))):
         raise ValueError("bits must take values in {-1, +1}")
-
-    if callable(chip_source):
-        take: Callable[[int], np.ndarray] = chip_source
-    else:
-        pool = np.asarray(chip_source, dtype=float)
-        if pool.size < beta * bits.size:
-            raise ValueError(
-                f"chip pool holds {pool.size} chips but {beta * bits.size} are needed"
-            )
-        cursor = iter(range(0, beta * bits.size, beta))
-
-        def take(n: int, _pool=pool, _cursor=cursor) -> np.ndarray:
-            start = next(_cursor)
-            return _pool[start : start + n]
-
-    frames = []
-    for d in bits:
-        ref = np.asarray(take(beta), dtype=float)
-        samples = np.concatenate([ref, int(d) * ref])
-        frames.append(DcskFrame(samples=samples, bit=int(d), beta=beta))
-    return frames
-
-
-def random_bits(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n equiprobable bits in {-1, +1}, reproducible for a seeded generator."""
-    if n < 1:
-        raise ValueError(f"bit count must be >= 1, got {n}")
-    return rng.integers(0, 2, int(n)) * 2 - 1
+    pool = np.asarray(chip_pool, dtype=float)
+    if pool.size < beta * bits.size:
+        raise ValueError(
+            f"chip pool holds {pool.size} chips but {beta * bits.size} are needed"
+        )
+    ref = pool[: beta * bits.size].reshape(bits.size, beta)
+    return np.concatenate([ref, bits.reshape(-1, 1) * ref], axis=1)

@@ -124,6 +124,9 @@ def test_beta_crossover_validation():
         beta_crossover(30.0, 20.0, 4.0, 0.17, 0.0)
     with pytest.raises(ValueError):
         beta_crossover(30.0, -20.0, 4.0, 0.17, 957.25)
+    # the gain 1e-320 is a float, its square is 0
+    with pytest.raises(ValueError, match=r"r_c=1e\+80, alpha=4\.0"):
+        beta_crossover(1e80, 20.0, 4.0, 0.17, 957.25)
 
 
 @given(
@@ -165,6 +168,7 @@ def test_oracle_fields():
     assert make_oracle("S_clt", beta=9).support == (-math.inf, math.inf)
     assert make_oracle("Z_b1").support == (0.0, math.inf)
     assert make_oracle("Theta_b1").support == (0.0, math.inf)
+    assert PdfOracle("S_b1") == make_oracle("S_b1")
 
 
 def test_oracle_validation():
@@ -177,8 +181,11 @@ def test_oracle_validation():
     with pytest.raises(ValueError):
         make_oracle("Z_b1", beta=5)  # single-symbol law only
     make_oracle("Z_b1", beta=1)
-    with pytest.raises(ValueError):
-        PdfOracle(family="S_b1", atom_at_zero=1.5)
+    # the atom and the support follow from the family; neither can be set
+    with pytest.raises(TypeError):
+        PdfOracle(family="S_b1", atom_at_zero=0.1)
+    with pytest.raises(TypeError):
+        PdfOracle(family="Z_b1", support=(-5.0, 3.0))
 
 
 def test_pdf_frozen_values():

@@ -60,9 +60,10 @@ def test_apply_channel_path_loss_in_power():
 
 
 def test_apply_channel_accepts_frames():
-    (frame,) = modulate([-1], 2, [0.3, -0.82])
+    frames = modulate([-1, +1], 2, [0.3, -0.82, 0.1, 0.5])
     draw = ChannelDraw(h_mag=2.0, r=1.0, alpha=4.0)
-    assert apply_channel(frame, draw, 1.0) == pytest.approx(2.0 * np.asarray(frame.samples))
+    assert np.array_equal(apply_channel(frames[0], draw, 1.0), 2.0 * frames[0])
+    assert np.array_equal(apply_channel(frames, draw, 1.0), 2.0 * frames)
 
 
 def test_apply_channel_rejects_bad_power():

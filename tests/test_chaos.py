@@ -9,7 +9,6 @@ from chaoswpt.chaos import (
     ChaoticSequence,
     chebyshev_step,
     draw_initial_state,
-    frame_chip_source,
     generate_sequence,
     invariant_pdf,
     map_fixed_points,
@@ -135,15 +134,6 @@ def test_draw_initial_state_follows_invariant_density():
     assert float(np.mean(x0 * x0)) == pytest.approx(0.5, abs=0.01)
     # scalar form
     assert isinstance(draw_initial_state(np.random.default_rng(1)), float)
-
-
-def test_frame_chip_source_fresh_orbits():
-    source = frame_chip_source(np.random.default_rng(3), 2)
-    a = source(8)
-    b = source(8)
-    assert a.shape == (8,)
-    assert not np.array_equal(a, b)
-    assert np.all(np.abs(a) <= 1.0)
 
 
 def test_chaotic_sequence_validation():

@@ -227,6 +227,33 @@ def test_crossover_requires_both_distances(capsys):
     assert "crossover.r_c" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sets, key", [
+    (['crossover.r_c="x"', "crossover.r_nc=20"], "crossover.r_c"),
+    (["crossover.r_c=30", "crossover.r_nc=-20"], "crossover.r_nc"),
+    (["crossover.r_c=30", "crossover.r_nc=20", 'alpha="x"'], "alpha"),
+    (["crossover.r_c=30", "crossover.r_nc=20", "alpha=-1"], "alpha"),
+    # the gain 1e-320 is a float, its square is 0
+    (["crossover.r_c=1e80", "crossover.r_nc=20"], "r_c=1e+80, alpha=4.0"),
+])
+def test_crossover_rejects_bad_inputs(capsys, sets, key):
+    argv = ["crossover"]
+    for expr in sets:
+        argv += ["--set", expr]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
+def test_papr_with_zero_mean_power_exits_one(capsys):
+    # both frames carry bit -1: the full-mode symbols hold no power
+    assert main(["papr", "--set", "beta=2", "--set", "n_frames=2",
+                 "--set", "run.seed=1"]) == 1
+    err = capsys.readouterr().err
+    assert "realized mean power is 0; PAPR undefined" in err
+    assert "Traceback" not in err
+
+
 def test_verify_dist_battery(capsys):
     assert main(["verify-dist", "--set", "n_samples=150000"]) == 0
     _, rows = _csv_rows(capsys.readouterr().out)

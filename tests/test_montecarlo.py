@@ -32,8 +32,7 @@ from chaoswpt.montecarlo import (
     run_once,
     sweep_beta,
 )
-from chaoswpt.receiver import correlate
-from chaoswpt.waveform import modulate
+from chaoswpt.receiver import empirical_papr
 
 
 def test_run_config_validation():
@@ -135,45 +134,59 @@ def test_independent_seeds_agree_statistically():
     assert abs(a.estimate.mean - b.estimate.mean) < 4 * sigma
 
 
-def _reference_path(cfg: RunConfig):
+def _reference_path(cfg: RunConfig, transmit_frames):
     """Re-run one config through the composable per-frame pipeline."""
     rng = np.random.default_rng(cfg.seed)
-    x0 = _draw_clean_states(rng, cfg.n_frames, cfg.xi)
-    d = rng.integers(0, 2, size=cfg.n_frames) * 2 - 1
+    frames = transmit_frames(rng, cfg.n_frames, cfg.beta, cfg.xi)
     h = sample_rayleigh(rng, size=cfg.n_frames)
-    pool = np.concatenate(
-        [generate_sequence(x0[i], cfg.beta, cfg.xi).samples
-         for i in range(cfg.n_frames)]
-    )
-    frames = modulate(d, cfg.beta, pool)
-    received = [
+    received = np.array([
         apply_channel(frame, ChannelDraw(h_mag=h[i], r=cfg.r, alpha=cfg.alpha),
                       cfg.circuit.p_t)
         for i, frame in enumerate(frames)
-    ]
+    ])
     acc = DcAccumulator(cfg.circuit)
     if cfg.psi_mode == "full":
-        outs = np.array([correlate(y, 2 * cfg.beta)[0] for y in received])
-        acc.add_frames(outs)
+        # the full-symbol correlator hands the rectifier one sum per frame
+        acc.add_frames(received.sum(axis=1))
     else:
-        acc.add_frames(np.vstack(received))
+        acc.add_frames(received)
     return acc.result()
 
 
-def test_full_mode_matches_composed_pipeline():
+def test_full_mode_matches_composed_pipeline(transmit_frames):
     cfg = RunConfig(beta=4, r=20.0, psi_mode="full", n_frames=400, seed=99)
     fast = run_once(cfg)
-    ref = _reference_path(cfg)
+    ref = _reference_path(cfg, transmit_frames)
     assert fast.estimate.mean == pytest.approx(ref.mean, rel=1e-12)
     assert fast.estimate.std_error == pytest.approx(ref.std_error, rel=1e-12)
 
 
-def test_bypass_mode_matches_composed_pipeline():
+def test_bypass_mode_matches_composed_pipeline(transmit_frames):
     cfg = RunConfig(beta=3, r=15.0, psi_mode="bypass", n_frames=400, seed=7)
     fast = run_once(cfg)
-    ref = _reference_path(cfg)
+    ref = _reference_path(cfg, transmit_frames)
     assert fast.estimate.mean == pytest.approx(ref.mean, rel=1e-12)
     assert fast.estimate.std_error == pytest.approx(ref.std_error, rel=1e-12)
+
+
+@pytest.mark.parametrize("xi", [2, 3])
+@pytest.mark.parametrize("beta", [1, 4, 5])
+@pytest.mark.parametrize("mode", PSI_MODES)
+def test_measure_papr_matches_per_frame_chain(transmit_frames, mode, beta, xi):
+    n = 3000
+    frames = transmit_frames(np.random.default_rng(23), n, beta, xi)
+    stream = frames.sum(axis=1) if mode == "full" else frames.ravel()
+    got = measure_papr(beta, mode, n_frames=n, seed=23, xi=xi)
+    assert got.plain == pytest.approx(empirical_papr(stream), rel=1e-12)
+    assert got.expectation_normalized == pytest.approx(
+        empirical_papr(stream, mean_power=beta if mode == "full" else 0.5), rel=1e-12)
+
+
+def test_measure_papr_rejects_zero_mean_power():
+    # both frames carry bit -1, so every full-mode symbol is erased
+    with pytest.raises(ValueError, match="realized mean power is 0; PAPR undefined"):
+        measure_papr(2, "full", n_frames=2, seed=1)
+    assert measure_papr(2, "bypass", n_frames=2, seed=1).plain > 0.0
 
 
 @pytest.mark.parametrize("mode", PSI_MODES)

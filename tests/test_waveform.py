@@ -2,40 +2,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaoswpt.chaos import frame_chip_source
-from chaoswpt.waveform import DcskFrame, modulate, random_bits
+from chaoswpt.waveform import modulate
 
 
 def test_single_positive_bit_frame():
-    (frame,) = modulate([+1], 1, [0.3])
-    assert frame.samples == pytest.approx([0.3, 0.3])
-    assert frame.bit == 1
-    assert frame.beta == 1
+    frames = modulate([+1], 1, [0.3])
+    assert frames.shape == (1, 2)
+    assert frames[0] == pytest.approx([0.3, 0.3])
 
 
 def test_negative_bit_flips_second_half():
     (frame,) = modulate([-1], 2, [0.3, -0.82])
-    assert frame.samples == pytest.approx([0.3, -0.82, -0.3, 0.82])
+    assert np.array_equal(frame, [0.3, -0.82, -0.3, 0.82])
 
 
 def test_two_bits_two_frames():
-    frames = modulate([+1, -1], 2, [0.1, 0.2, 0.3, 0.4])
-    assert len(frames) == 2
-    for frame in frames:
-        ref = frame.samples[:frame.beta]
-        data = frame.samples[frame.beta:]
-        assert data == pytest.approx(frame.bit * ref)
-    assert frames[0].samples == pytest.approx([0.1, 0.2, 0.1, 0.2])
-    assert frames[1].samples == pytest.approx([0.3, 0.4, -0.3, -0.4])
-
-
-def test_modulate_with_callable_source():
-    source = frame_chip_source(np.random.default_rng(11), 2)
-    frames = modulate([+1, -1, +1], 5, source)
-    assert len(frames) == 3
-    assert all(len(f.samples) == 10 for f in frames)
-    # fresh chips per frame
-    assert not np.array_equal(frames[0].reference, frames[1].reference)
+    bits = [+1, -1]
+    frames = modulate(bits, 2, [0.1, 0.2, 0.3, 0.4])
+    assert frames.shape == (2, 4)
+    for frame, bit in zip(frames, bits):
+        assert np.array_equal(frame[2:], bit * frame[:2])
+    assert frames[0] == pytest.approx([0.1, 0.2, 0.1, 0.2])
+    assert frames[1] == pytest.approx([0.3, 0.4, -0.3, -0.4])
 
 
 def test_modulate_input_validation():
@@ -49,15 +37,6 @@ def test_modulate_input_validation():
         modulate([+1, -1], 4, [0.1, 0.2, 0.3])  # pool too short
 
 
-def test_frame_invariant_enforced():
-    with pytest.raises(ValueError):
-        DcskFrame(samples=np.array([0.3, -0.3]), bit=+1, beta=1)
-    with pytest.raises(ValueError):
-        DcskFrame(samples=np.array([0.3, 0.3, 0.3]), bit=+1, beta=1)
-    with pytest.raises(ValueError):
-        DcskFrame(samples=np.array([0.3, 0.3]), bit=2, beta=1)
-
-
 chips_strategy = st.lists(
     st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=8
 )
@@ -67,8 +46,7 @@ chips_strategy = st.lists(
 @settings(max_examples=100)
 def test_frame_sum_and_energy_identities(chips, bit):
     beta = len(chips)
-    (frame,) = modulate([bit], beta, chips)
-    s = np.asarray(frame.samples)
+    (s,) = modulate([bit], beta, chips)
     x = np.asarray(chips)
     # whole-frame sum collapses to (1 + d) * sum of reference chips
     assert float(np.sum(s)) == pytest.approx((1 + bit) * float(np.sum(x)), abs=1e-12)
@@ -77,32 +55,8 @@ def test_frame_sum_and_energy_identities(chips, bit):
     assert float(np.sum(s ** 4)) == pytest.approx(2 * float(np.sum(x ** 4)), abs=1e-12)
 
 
-def test_random_bits_statistics():
-    rng = np.random.default_rng(5)
-    bits = random_bits(100_000, rng)
-    assert set(np.unique(bits)) <= {-1, 1}
-    assert abs(float(np.mean(bits))) < 0.02
-
-
-def test_random_bits_deterministic():
-    a = random_bits(16, np.random.default_rng(9))
-    b = random_bits(16, np.random.default_rng(9))
-    assert np.array_equal(a, b)
-
-
-def test_random_bits_rejects_empty():
-    with pytest.raises(ValueError):
-        random_bits(0, np.random.default_rng(1))
-
-
-def test_expected_frame_energy():
-    # E[sum s^2] = beta for unit-power chips, within 1% over 1e5 frames
-    rng = np.random.default_rng(17)
+def test_expected_frame_energy(transmit_frames):
+    # E[sum s^2] = beta for unit-power chips, within 1% over 3e4 frames
     beta, n = 4, 30_000
-    source = frame_chip_source(rng, 2)
-    bits = random_bits(n, rng)
-    total = 0.0
-    for frame in modulate(bits, beta, source):
-        s = np.asarray(frame.samples)
-        total += float(np.sum(s * s))
-    assert total / n == pytest.approx(beta, rel=0.01)
+    frames = transmit_frames(np.random.default_rng(17), n, beta, 2)
+    assert float(np.sum(frames * frames)) / n == pytest.approx(beta, rel=0.01)
