@@ -16,7 +16,7 @@ from .analytic import (
 )
 from .chaos import generate_sequence
 from .distcheck import verify_distributions
-from .harvester import DcEstimate, EhCircuit, harvest_dc
+from .harvester import DcEstimate, EhCircuit
 from .montecarlo import (
     RunConfig,
     RunResult,
@@ -43,7 +43,6 @@ __all__ = [
     "measure_papr",
     "verify_distributions",
     "generate_sequence",
-    "harvest_dc",
     "z_with_correlator",
     "z_without_correlator",
     "papr_analytic",

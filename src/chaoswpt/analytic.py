@@ -146,7 +146,11 @@ def beta_crossover(r_c: float, r_nc: float, alpha: float,
     if not 0.0 < den < math.inf:
         raise ValueError(f"12*rho2*r_c**(-2*alpha) is not a finite positive float for "
                          f"r_c={r_c!r}, alpha={alpha!r}, rho2={rho2!r}")
-    return num / den
+    bound = num / den
+    if not math.isfinite(bound):
+        raise ValueError(f"the crossover bound is not a finite float for r_c={r_c!r}, "
+                         f"r_nc={r_nc!r}, alpha={alpha!r} (got {bound!r})")
+    return bound
 
 
 # ---------------------------------------------------------------------------

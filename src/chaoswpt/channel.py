@@ -8,26 +8,10 @@ One channel draw applies to a whole frame (block fading).  The magnitude
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ChannelDraw", "sample_rayleigh", "path_gain", "apply_channel"]
-
-
-@dataclass
-class ChannelDraw:
-    h_mag: float   # fading magnitude for this frame, >= 0
-    r: float       # transmitter-receiver distance, > 0
-    alpha: float   # path-loss exponent, > 0
-
-    def __post_init__(self) -> None:
-        if self.h_mag < 0:
-            raise ValueError(f"fading magnitude must be >= 0, got {self.h_mag}")
-        if self.r <= 0:
-            raise ValueError(f"distance must be > 0, got {self.r}")
-        if self.alpha <= 0:
-            raise ValueError(f"path-loss exponent must be > 0, got {self.alpha}")
+__all__ = ["sample_rayleigh", "path_gain"]
 
 
 def sample_rayleigh(rng: np.random.Generator, size: int | None = None):
@@ -61,16 +45,3 @@ def path_gain(r: float, alpha: float) -> float:
             f"alpha={alpha!r}"
         )
     return gain
-
-
-def apply_channel(samples, draw: ChannelDraw, p_t: float) -> np.ndarray:
-    """Scale transmit samples by sqrt(P_t) * |h| * sqrt(r**-alpha).
-
-    Amplitude-domain operation: the received *power* of a unit-power chip is
-    P_t * |h|^2 * r**-alpha.
-    """
-    if p_t <= 0:
-        raise ValueError(f"transmit power must be > 0, got {p_t}")
-    samples = np.asarray(samples, dtype=float)
-    scale = np.sqrt(p_t) * draw.h_mag * np.sqrt(path_gain(draw.r, draw.alpha))
-    return scale * samples

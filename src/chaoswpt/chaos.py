@@ -26,8 +26,6 @@ __all__ = [
     "ChaoticSequence",
     "chebyshev_step",
     "generate_sequence",
-    "invariant_pdf",
-    "theoretical_moment",
     "draw_initial_state",
     "map_fixed_points",
 ]
@@ -174,26 +172,6 @@ def generate_sequence(x0: float, n: int, xi: int = 2) -> ChaoticSequence:
     for i in range(1, int(n)):
         out[i] = x = _step_scalar(x, xi)
     return ChaoticSequence(samples=out, map_degree=xi, seed_state=x0)
-
-
-def invariant_pdf(x) -> float | np.ndarray:
-    """Stationary density of the map: 1/(pi*sqrt(1-x^2)) inside (-1, 1), 0 outside."""
-    arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(arr)
-    inside = np.abs(arr) < 1.0
-    out[inside] = 1.0 / (np.pi * np.sqrt(1.0 - arr[inside] ** 2))
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def theoretical_moment(order: int) -> float:
-    """Even moments of the stationary density: E[x^2] = 1/2, E[x^4] = 3/8."""
-    if order == 2:
-        return 0.5
-    if order == 4:
-        return 0.375
-    raise ValueError(f"only moment orders 2 and 4 are tabulated, got {order}")
 
 
 def _angle_to_state(u, v):

@@ -323,6 +323,9 @@ def _cmd_crossover(config: dict, args) -> int:
     beta_min = max(1, math.floor(bound) + 1)
     z_c = z_with_correlator(dataclasses.replace(at_c, beta=beta_min))
     z_nc = z_without_correlator(dataclasses.replace(at_nc, beta=beta_min))
+    if not (math.isfinite(z_c) and math.isfinite(z_nc)):
+        raise ConfigError(f"harvested DC at the crossover (bound {bound!r}) overflows for "
+                          f"crossover.r_c={r_c!r}, crossover.r_nc={r_nc!r}, alpha={alpha!r}")
     header = ("r_c", "r_nc", "bound", "beta_min",
               "z_with_correlator", "z_without_correlator")
     rows = [{"r_c": float(r_c), "r_nc": float(r_nc), "bound": bound,

@@ -18,6 +18,7 @@ import numpy as np
 from ._parallel import fork_map
 from .analytic import PdfOracle, make_oracle, oracle_cdf, oracle_moment, oracle_normalization
 from .channel import sample_rayleigh
+from .harvester import _require_int, _require_seed
 
 __all__ = [
     "MomentCheck",
@@ -187,8 +188,10 @@ def verify_distributions(n_samples: int = 1_000_000, seed: int = 0) -> list[Fami
     draws from its own stream ``default_rng((seed, i))``, so the reports
     equal those of a serial run.
     """
+    _require_int("n_samples", n_samples)
     if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _require_seed(seed)
 
     def run(i: int) -> FamilyReport:
         family, beta = DEFAULT_BATTERY[i]

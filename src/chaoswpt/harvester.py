@@ -19,13 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EhCircuit", "DcEstimate", "DcAccumulator", "harvest_dc", "rho_params"]
+__all__ = ["EhCircuit", "DcEstimate", "DcAccumulator", "rho_params"]
 
 
 def _require_int(name: str, value) -> None:
     # bool is an int subclass, but True is no spreading factor
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_seed(seed) -> None:
+    """Reject anything but an unsigned 64-bit integer seed."""
+    _require_int("seed", seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
 def _require_real(name: str, value) -> None:
@@ -117,35 +124,15 @@ class DcAccumulator:
     as frames arrive in the same order.
     """
 
-    def __init__(self, circuit: EhCircuit) -> None:
-        self.circuit = circuit
+    def __init__(self) -> None:
         self._n = 0
         self._sum = 0.0
         self._sumsq = 0.0
 
-    def add_frames(self, frame_samples) -> None:
-        """Add a batch shaped (n_frames, samples_per_frame).
-
-        A flat 1-D stream is treated as width-1 frames: every sample is its
-        own independent unit (the correlator-output convention).
-        """
-        frames = np.asarray(frame_samples, dtype=float)
-        if frames.ndim == 1:
-            frames = frames[:, None]
-        if frames.ndim != 2 or frames.size == 0:
-            raise ValueError("frame batch must be a nonempty 1-D or 2-D array")
-        a, b = _scales(self.circuit)
-        p2 = frames * frames
-        w = a * p2.sum(axis=1) + b * (p2 * p2).sum(axis=1)
-        self._n += w.size
-        self._sum += float(w.sum())
-        self._sumsq += float((w * w).sum())
-
     def add_moments(self, n: int, w_sum: float, w_sumsq: float) -> None:
-        """Merge pre-reduced per-frame statistics (for vectorized pipelines).
+        """Merge the count, sum and sum of squares of n per-frame statistics w.
 
-        ``w`` must be the same statistic ``add_frames`` computes:
-        w = k2*R*sum(y^2) + k4*R^2*sum(y^4) over one frame.
+        ``run_once`` defines w, the rectifier output of one frame.
         """
         if n < 1:
             raise ValueError("batch must contain at least one frame")
@@ -163,17 +150,3 @@ class DcAccumulator:
         else:
             se = float("nan")
         return DcEstimate(mean=mean, std_error=se, n_frames=self._n)
-
-
-def harvest_dc(frame_samples, circuit: EhCircuit) -> DcEstimate:
-    """Harvested-DC estimate from framed antenna samples.
-
-    ``frame_samples`` is (n_frames, samples_per_frame): pass the raw
-    2*beta-chip frames for a bypass stream, or the correlator outputs as a
-    flat 1-D stream (width-1 frames).  The standard error is the sample std
-    of the per-frame DC statistic over sqrt(n_frames) — frames are the
-    independent unit.
-    """
-    acc = DcAccumulator(circuit)
-    acc.add_frames(frame_samples)
-    return acc.result()

@@ -23,7 +23,7 @@ from .analytic import (ClosedFormInputs, closed_form_inputs, papr_analytic,
                        z_with_correlator, z_without_correlator)
 from .channel import path_gain, sample_rayleigh
 from .chaos import _fixed_point_mask, chebyshev_step, draw_initial_state, map_fixed_points
-from .harvester import (DcAccumulator, DcEstimate, EhCircuit, _require_int, _require_real,
+from .harvester import (DcAccumulator, DcEstimate, EhCircuit, _require_int, _require_seed,
                         _scales)
 
 __all__ = [
@@ -58,16 +58,11 @@ class RunConfig:
     circuit: EhCircuit = field(default_factory=EhCircuit)
 
     def __post_init__(self) -> None:
-        for name in ("beta", "n_frames", "seed", "xi"):
+        # the closed-form inputs own the checks of beta, r and alpha
+        self.closed_form()
+        for name in ("n_frames", "xi"):
             _require_int(name, getattr(self, name))
-        for name in ("r", "alpha"):
-            _require_real(name, getattr(self, name))
-        if self.beta < 1:
-            raise ValueError(f"beta must be a positive integer, got {self.beta}")
-        if self.r <= 0:
-            raise ValueError(f"distance must be > 0, got {self.r}")
-        if self.alpha <= 0:
-            raise ValueError(f"path-loss exponent must be > 0, got {self.alpha}")
+        _require_seed(self.seed)
         if self.psi_mode not in PSI_MODES:
             raise ValueError(f"psi_mode must be one of {PSI_MODES}, got {self.psi_mode!r}")
         if self.n_frames < 1:
@@ -75,8 +70,6 @@ class RunConfig:
         if self.n_frames < 100:
             warnings.warn(f"n_frames={self.n_frames} gives a very noisy estimate",
                           stacklevel=3)
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.xi < 2:
             raise ValueError(f"map degree must be an integer >= 2, got {self.xi}")
         if not 0.0 < self._gain() < math.inf:
@@ -182,9 +175,12 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
 def run_once(config: RunConfig) -> RunResult:
     """Estimate harvested DC at one operating point, with its closed form."""
     rng = np.random.default_rng(config.seed)
-    acc = DcAccumulator(config.circuit)
+    acc = DcAccumulator()
     a, b = _scales(config.circuit)
     gain = config._gain()
+    # each frame's rectifier output is w = k2*R*sum(y^2) + k4*R^2*sum(y^4)
+    # over the samples y the rectifier sees: one integrated value per frame
+    # in full mode, every chip in bypass mode
     # a gain near the float64 limit can overflow the rectifier polynomial;
     # that is reported below as an error, not as a warning and an inf row
     with np.errstate(over="ignore", invalid="ignore"):
@@ -334,9 +330,9 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = 100_000,
     normalized ratio divides by the ensemble-mean power that the closed-form
     bounds are stated against.
     """
-    for name, value in (("beta", beta), ("n_frames", n_frames), ("seed", seed),
-                        ("xi", xi)):
+    for name, value in (("beta", beta), ("n_frames", n_frames), ("xi", xi)):
         _require_int(name, value)
+    _require_seed(seed)
     bound = papr_analytic(psi_mode, beta)  # validates mode and beta
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")

@@ -1,0 +1,144 @@
+"""The per-frame DCSK-WPT chain that the Monte-Carlo fast path is checked against.
+
+``run_once`` and ``measure_papr`` never build a chip: they reduce each frame
+to a few statistics as the orbit is iterated.  This module builds every chip
+instead.  ``transmit_frames`` draws what the kernel draws and assembles the
+frames with ``modulate``; ``apply_channel`` fades each frame, the
+``FrameAccumulator`` harvests it, and ``empirical_papr`` meters the stream.
+The tests hold the fast path to this chain at the same seeds.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from chaoswpt.channel import path_gain
+from chaoswpt.chaos import generate_sequence
+from chaoswpt.harvester import DcAccumulator, DcEstimate, EhCircuit, _scales
+from chaoswpt.montecarlo import _draw_clean_states
+
+
+def modulate(bits, beta: int, chip_pool) -> np.ndarray:
+    """One frame per bit, as an (n_bits, 2*beta) array.
+
+    Frame i takes chips ``[i*beta, (i+1)*beta)`` of the flat ``chip_pool`` as
+    its reference half; its data half is that reference times bit i, which
+    is exact for a bit of +/-1.
+    """
+    if beta < 1:
+        raise ValueError(f"beta must be a positive integer, got {beta}")
+    bits = np.asarray(bits)
+    if bits.size == 0:
+        raise ValueError("no bits to modulate")
+    if not np.all(np.isin(bits, (-1, 1))):
+        raise ValueError("bits must take values in {-1, +1}")
+    pool = np.asarray(chip_pool, dtype=float)
+    if pool.size < beta * bits.size:
+        raise ValueError(
+            f"chip pool holds {pool.size} chips but {beta * bits.size} are needed"
+        )
+    ref = pool[: beta * bits.size].reshape(bits.size, beta)
+    return np.concatenate([ref, bits.reshape(-1, 1) * ref], axis=1)
+
+
+def transmit_frames(rng: np.random.Generator, n_frames: int, beta: int,
+                    xi: int) -> np.ndarray:
+    """n_frames frames built chip by chip, drawing what the kernel draws.
+
+    Seed states, then data bits, from ``rng``, in the Monte-Carlo kernel's
+    order, so a seed gives the frames that the kernel reduces.
+    """
+    x0 = _draw_clean_states(rng, n_frames, xi)
+    d = rng.integers(0, 2, size=n_frames) * 2 - 1
+    pool = np.concatenate([generate_sequence(a, beta, xi).samples for a in x0])
+    return modulate(d, beta, pool)
+
+
+@dataclass
+class ChannelDraw:
+    h_mag: float   # fading magnitude for this frame, >= 0
+    r: float       # transmitter-receiver distance, > 0
+    alpha: float   # path-loss exponent, > 0
+
+    def __post_init__(self) -> None:
+        if self.h_mag < 0:
+            raise ValueError(f"fading magnitude must be >= 0, got {self.h_mag}")
+        if self.r <= 0:
+            raise ValueError(f"distance must be > 0, got {self.r}")
+        if self.alpha <= 0:
+            raise ValueError(f"path-loss exponent must be > 0, got {self.alpha}")
+
+
+def apply_channel(samples, draw: ChannelDraw, p_t: float) -> np.ndarray:
+    """Scale transmit samples by sqrt(P_t) * |h| * sqrt(r**-alpha).
+
+    Amplitude-domain operation: the received *power* of a unit-power chip is
+    P_t * |h|^2 * r**-alpha.
+    """
+    if p_t <= 0:
+        raise ValueError(f"transmit power must be > 0, got {p_t}")
+    samples = np.asarray(samples, dtype=float)
+    scale = np.sqrt(p_t) * draw.h_mag * np.sqrt(path_gain(draw.r, draw.alpha))
+    return scale * samples
+
+
+class FrameAccumulator(DcAccumulator):
+    """A ``DcAccumulator`` fed whole frames through a rectifier circuit."""
+
+    def __init__(self, circuit: EhCircuit) -> None:
+        super().__init__()
+        self.circuit = circuit
+
+    def add_frames(self, frame_samples) -> None:
+        """Add a batch shaped (n_frames, samples_per_frame).
+
+        A flat 1-D stream is treated as width-1 frames: every sample is its
+        own independent unit (the correlator-output convention).
+        """
+        frames = np.asarray(frame_samples, dtype=float)
+        if frames.ndim == 1:
+            frames = frames[:, None]
+        if frames.ndim != 2 or frames.size == 0:
+            raise ValueError("frame batch must be a nonempty 1-D or 2-D array")
+        a, b = _scales(self.circuit)
+        p2 = frames * frames
+        w = a * p2.sum(axis=1) + b * (p2 * p2).sum(axis=1)
+        self.add_moments(w.size, float(w.sum()), float((w * w).sum()))
+
+
+def harvest_dc(frame_samples, circuit: EhCircuit) -> DcEstimate:
+    """Harvested-DC estimate from framed antenna samples.
+
+    ``frame_samples`` is (n_frames, samples_per_frame): pass the raw
+    2*beta-chip frames for a bypass stream, or the correlator outputs as a
+    flat 1-D stream (width-1 frames).  The standard error is the sample std
+    of the per-frame DC statistic over sqrt(n_frames) — frames are the
+    independent unit.
+    """
+    acc = FrameAccumulator(circuit)
+    acc.add_frames(frame_samples)
+    return acc.result()
+
+
+def empirical_papr(stream, mean_power: float | None = None) -> float:
+    """Peak-to-average power ratio max(s^2) / mean(s^2) of a sample stream.
+
+    ``mean_power`` substitutes a known average power for the realized mean —
+    the form the closed-form bounds are stated against, since those
+    normalize the peak by an expectation, not by a finite-sample average.
+    """
+    stream = np.asarray(stream, dtype=float)
+    if stream.size == 0:
+        raise ValueError("empirical_papr needs a nonempty stream")
+    peak = float(np.max(np.abs(stream)))
+    if mean_power is not None:
+        if float(mean_power) <= 0.0:
+            raise ValueError("mean power must be > 0; PAPR undefined")
+        return peak * peak / float(mean_power)
+    if peak == 0.0:
+        raise ValueError("stream has zero mean power; PAPR undefined")
+    # scaled to a unit peak, so the powers of a tiny stream cannot underflow
+    unit = stream / peak
+    return 1.0 / float(np.mean(unit * unit))

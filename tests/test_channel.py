@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaoswpt.channel import ChannelDraw, apply_channel, path_gain, sample_rayleigh
-from chaoswpt.waveform import modulate
+from chaoswpt.channel import path_gain, sample_rayleigh
+from frame_chain import ChannelDraw, apply_channel, modulate
 
 
 def test_rayleigh_moments():

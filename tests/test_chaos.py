@@ -10,12 +10,8 @@ from chaoswpt.chaos import (
     chebyshev_step,
     draw_initial_state,
     generate_sequence,
-    invariant_pdf,
     map_fixed_points,
-    theoretical_moment,
 )
-
-INV_PDF_AT_0 = 0.3183098861837907  # 1/pi
 
 
 def test_step_known_values():
@@ -87,36 +83,18 @@ def test_sequence_deterministic_and_bounded(x0, n):
     assert np.all(np.abs(a.samples) <= 1.0)
 
 
-def test_invariant_pdf_values():
-    assert invariant_pdf(0.0) == pytest.approx(INV_PDF_AT_0, rel=1e-15)
-    assert invariant_pdf(1.0) == 0.0
-    assert invariant_pdf(-1.0) == 0.0
-    assert invariant_pdf(1.5) == 0.0
-    assert invariant_pdf(-273.0) == 0.0
-
-
-def test_invariant_pdf_normalizes():
-    # substitute x = sin(t) to remove the endpoint singularities
-    val, _ = integrate.quad(lambda t: invariant_pdf(math.sin(t)) * math.cos(t),
-                            -math.pi / 2, math.pi / 2)
-    assert val == pytest.approx(1.0, abs=1e-9)
-
-
-def test_theoretical_moments():
-    assert theoretical_moment(2) == 0.5
-    assert theoretical_moment(4) == 0.375
-    with pytest.raises(ValueError):
-        theoretical_moment(3)
-    with pytest.raises(ValueError):
-        theoretical_moment(6)
-
-
 def test_moments_match_quadrature():
-    for order in (2, 4):
+    # the arcsine law has mass 1, E[x^2] = 1/2 and E[x^4] = 3/8, the literals
+    # the orbit tests compare against; x = sin(t) removes the endpoint
+    # singularities
+    def arcsine(x):
+        return 1.0 / (math.pi * math.sqrt(1.0 - x * x))
+
+    for order, expected in ((0, 1.0), (2, 0.5), (4, 0.375)):
         val, _ = integrate.quad(
-            lambda t, k=order: math.sin(t) ** k * invariant_pdf(math.sin(t)) * math.cos(t),
+            lambda t, k=order: math.sin(t) ** k * arcsine(math.sin(t)) * math.cos(t),
             -math.pi / 2, math.pi / 2)
-        assert theoretical_moment(order) == pytest.approx(val, rel=1e-10)
+        assert val == pytest.approx(expected, rel=1e-10)
 
 
 def test_ergodic_moments_short_run():

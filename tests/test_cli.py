@@ -234,6 +234,10 @@ def test_crossover_requires_both_distances(capsys):
     (["crossover.r_c=30", "crossover.r_nc=20", "alpha=-1"], "alpha"),
     # the gain 1e-320 is a float, its square is 0
     (["crossover.r_c=1e80", "crossover.r_nc=20"], "r_c=1e+80, alpha=4.0"),
+    # the raw link's squared gain overflows, so does the bound
+    (["crossover.r_c=30", "crossover.r_nc=1e-50"], "r_nc=1e-50, alpha=4.0 (got inf)"),
+    # the bound is finite, the harvested DC at beta ~ 1.9e299 is not
+    (["crossover.r_c=1", "crossover.r_nc=3e-38"], "crossover.r_nc=3e-38, alpha=4.0"),
 ])
 def test_crossover_rejects_bad_inputs(capsys, sets, key):
     argv = ["crossover"]
@@ -262,6 +266,22 @@ def test_verify_dist_battery(capsys):
     assert all(float(row["ks_stat"]) < 0.005 for row in rows)
     assert {row["family"] for row in rows} == {
         "S_b1", "Z_b1", "P_b1", "S_clt", "Delta_b1", "Theta_b1"}
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["verify-dist", "--set", "n_samples=2.5"], "n_samples must be an integer"),
+    (["verify-dist", "--set", "n_samples=true"], "n_samples must be an integer"),
+    (["verify-dist", "--set", 'n_samples="5"'], "n_samples must be an integer"),
+    (["verify-dist", "--set", "n_samples=0"], "n_samples must be >= 1"),
+    (["verify-dist", "--set", "n_samples=100", "--set", "seed=-1"], "seed must be an unsigned"),
+    (["papr", *FAST, "--set", "seed=-1"], "seed must be an unsigned"),
+    (["papr", *FAST, "--set", f"seed={2**64}"], "seed must be an unsigned"),
+])
+def test_verify_dist_and_papr_name_a_bad_key(capsys, argv, key):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
 
 
 def test_usage_errors_exit_one():
@@ -294,6 +314,7 @@ def test_unrepresentable_path_gain_exits_one(capsys, expr):
 
 @pytest.mark.parametrize("expr, key", [
     ("r=abc", "r must"), ('k2="x"', "EhCircuit.k2"), ("alpha=NaN", "alpha must"),
+    ("alpha=-1", "alpha (path-loss exponent) must be > 0"), ("r=-5", "r (distance) must be > 0"),
     ("r=Infinity", "r must"), ("r=null", "r must"), ("k4=true", "EhCircuit.k4"),
     ("r_ant=-Infinity", "EhCircuit.r_ant"), ("p_t_watts=NaN", "p_t_watts"),
     ("p_t_watts=true", "p_t_watts"),
@@ -319,8 +340,10 @@ def test_received_scale_that_underflows_exits_one(capsys, command):
     assert "Traceback" not in err
 
 
-#: the numeric --set keys; beta, xi and n_frames stay small to keep runs short
-_SMALL_INT_KEYS = {"beta": (-1, 6), "xi": (0, 4), "n_frames": (-2, 300)}
+#: the numeric --set keys; beta, xi, n_frames and n_samples stay small to
+#: keep runs short
+_SMALL_INT_KEYS = {"beta": (-1, 6), "xi": (0, 4), "n_frames": (-2, 300),
+                   "n_samples": (-2, 2000)}
 _NUMERIC_KEYS = ("r", "alpha", "seed", "k2", "k4", "r_ant", "p_t_dbm", "p_t_watts",
                  *_SMALL_INT_KEYS)
 _ODD = st.one_of(
@@ -331,9 +354,8 @@ _ODD = st.one_of(
 
 
 @st.composite
-def _numeric_overrides(draw):
-    keys = draw(st.lists(st.sampled_from(_NUMERIC_KEYS), min_size=1, max_size=3,
-                         unique=True))
+def _numeric_overrides(draw, keys=_NUMERIC_KEYS):
+    keys = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
     return {key: draw(st.one_of(st.integers(*_SMALL_INT_KEYS[key]), _ODD)
                       if key in _SMALL_INT_KEYS else st.one_of(st.integers(), _ODD))
             for key in keys}
@@ -363,3 +385,39 @@ def test_run_fuzz_exits_cleanly(capsys, overrides):
                 assert math.isnan(value)
             else:
                 assert math.isfinite(value), (argv, col, row[col])
+
+
+#: per command, the arguments every fuzz case starts from and the keys it varies
+_FUZZ_COMMANDS = {
+    "papr": (["--set", "n_frames=200", "--set", "beta=3"],
+             ("beta", "n_frames", "seed", "xi")),
+    "crossover": (["--set", "crossover.r_c=30", "--set", "crossover.r_nc=20"],
+                  ("crossover.r_c", "crossover.r_nc", "alpha", "k2", "k4", "r_ant",
+                   "p_t_watts")),
+    "verify-dist": (["--set", "n_samples=200"], ("n_samples", "seed")),
+}
+_TEXT_COLUMNS = ("mode", "family", "status")
+
+
+@pytest.mark.parametrize("command", list(_FUZZ_COMMANDS))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_other_commands_fuzz_exits_cleanly(capsys, command, data):
+    base, keys = _FUZZ_COMMANDS[command]
+    overrides = data.draw(_numeric_overrides(keys))
+    argv = [command, *base]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    # verify-dist exits 2 when a family misses its gate, as it does at n = 200
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    if code != 1:
+        header, rows = _csv_rows(out)
+        for row in rows:
+            for col in header:
+                if col not in _TEXT_COLUMNS:
+                    assert math.isfinite(float(row[col])), (argv, col, row[col])

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaoswpt.harvester import (
-    DcAccumulator,
-    DcEstimate,
-    EhCircuit,
-    harvest_dc,
-    rho_params,
-)
+from chaoswpt.harvester import DcAccumulator, DcEstimate, EhCircuit, rho_params
+from frame_chain import FrameAccumulator, harvest_dc
 
 
 def test_default_circuit_rho_params():
@@ -128,7 +123,7 @@ def test_accumulator_chunking_matches_one_shot():
 
     one_shot = harvest_dc(frames, circuit)
 
-    acc = DcAccumulator(circuit)
+    acc = FrameAccumulator(circuit)
     for chunk in np.array_split(frames, 7):
         acc.add_frames(chunk)
     chunked = acc.result()
@@ -141,12 +136,12 @@ def test_accumulator_chunking_matches_one_shot():
 def test_accumulator_add_moments_equivalence():
     circuit = EhCircuit(k2=1.0, k4=1.0, r_ant=1.0, p_t=1.0)
     frames = np.array([[1.0], [2.0], [3.0]])
-    direct = DcAccumulator(circuit)
+    direct = FrameAccumulator(circuit)
     direct.add_frames(frames)
 
     # per-frame outputs are w = y^2 + y^4
     w = frames[:, 0] ** 2 + frames[:, 0] ** 4
-    raw = DcAccumulator(circuit)
+    raw = DcAccumulator()
     raw.add_moments(len(w), float(w.sum()), float((w * w).sum()))
 
     assert raw.result().mean == pytest.approx(direct.result().mean, rel=1e-14)
@@ -156,7 +151,7 @@ def test_accumulator_add_moments_equivalence():
 
 
 def test_accumulator_edge_cases():
-    acc = DcAccumulator(EhCircuit())
+    acc = FrameAccumulator(EhCircuit())
     with pytest.raises(ValueError):
         acc.result()
     acc.add_frames(np.array([[1.0]]))

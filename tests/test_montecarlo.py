@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaoswpt.channel import ChannelDraw, apply_channel, sample_rayleigh
 import chaoswpt
 from chaoswpt import montecarlo
 from chaoswpt.chaos import (
@@ -15,7 +14,8 @@ from chaoswpt.chaos import (
     generate_sequence,
     map_fixed_points,
 )
-from chaoswpt.harvester import DcAccumulator, DcEstimate, EhCircuit
+from chaoswpt.channel import sample_rayleigh
+from chaoswpt.harvester import DcEstimate, EhCircuit
 from chaoswpt.montecarlo import (
     PSI_MODES,
     FitResult,
@@ -32,7 +32,8 @@ from chaoswpt.montecarlo import (
     run_once,
     sweep_beta,
 )
-from chaoswpt.receiver import empirical_papr
+from frame_chain import (ChannelDraw, FrameAccumulator, apply_channel, empirical_papr,
+                         transmit_frames)
 
 
 def test_run_config_validation():
@@ -134,7 +135,7 @@ def test_independent_seeds_agree_statistically():
     assert abs(a.estimate.mean - b.estimate.mean) < 4 * sigma
 
 
-def _reference_path(cfg: RunConfig, transmit_frames):
+def _reference_path(cfg: RunConfig):
     """Re-run one config through the composable per-frame pipeline."""
     rng = np.random.default_rng(cfg.seed)
     frames = transmit_frames(rng, cfg.n_frames, cfg.beta, cfg.xi)
@@ -144,7 +145,7 @@ def _reference_path(cfg: RunConfig, transmit_frames):
                       cfg.circuit.p_t)
         for i, frame in enumerate(frames)
     ])
-    acc = DcAccumulator(cfg.circuit)
+    acc = FrameAccumulator(cfg.circuit)
     if cfg.psi_mode == "full":
         # the full-symbol correlator hands the rectifier one sum per frame
         acc.add_frames(received.sum(axis=1))
@@ -153,18 +154,18 @@ def _reference_path(cfg: RunConfig, transmit_frames):
     return acc.result()
 
 
-def test_full_mode_matches_composed_pipeline(transmit_frames):
+def test_full_mode_matches_composed_pipeline():
     cfg = RunConfig(beta=4, r=20.0, psi_mode="full", n_frames=400, seed=99)
     fast = run_once(cfg)
-    ref = _reference_path(cfg, transmit_frames)
+    ref = _reference_path(cfg)
     assert fast.estimate.mean == pytest.approx(ref.mean, rel=1e-12)
     assert fast.estimate.std_error == pytest.approx(ref.std_error, rel=1e-12)
 
 
-def test_bypass_mode_matches_composed_pipeline(transmit_frames):
+def test_bypass_mode_matches_composed_pipeline():
     cfg = RunConfig(beta=3, r=15.0, psi_mode="bypass", n_frames=400, seed=7)
     fast = run_once(cfg)
-    ref = _reference_path(cfg, transmit_frames)
+    ref = _reference_path(cfg)
     assert fast.estimate.mean == pytest.approx(ref.mean, rel=1e-12)
     assert fast.estimate.std_error == pytest.approx(ref.std_error, rel=1e-12)
 
@@ -172,7 +173,7 @@ def test_bypass_mode_matches_composed_pipeline(transmit_frames):
 @pytest.mark.parametrize("xi", [2, 3])
 @pytest.mark.parametrize("beta", [1, 4, 5])
 @pytest.mark.parametrize("mode", PSI_MODES)
-def test_measure_papr_matches_per_frame_chain(transmit_frames, mode, beta, xi):
+def test_measure_papr_matches_per_frame_chain(mode, beta, xi):
     n = 3000
     frames = transmit_frames(np.random.default_rng(23), n, beta, xi)
     stream = frames.sum(axis=1) if mode == "full" else frames.ravel()

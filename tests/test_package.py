@@ -1,5 +1,9 @@
+import os
 import pathlib
+import pkgutil
 import re
+import subprocess
+import sys
 
 import chaoswpt
 
@@ -22,3 +26,15 @@ def test_public_api_is_the_readme_table():
     assert set(chaoswpt.__all__) == _readme_api_names()
     for name in chaoswpt.__all__:
         assert hasattr(chaoswpt, name)
+
+
+def test_the_cli_loads_every_package_module():
+    # a module the simulator never imports belongs with the tests
+    src = str(pathlib.Path(chaoswpt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, chaoswpt.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    listed = {f"chaoswpt.{m.name}" for m in pkgutil.iter_modules(chaoswpt.__path__)}
+    assert listed - set(loaded) == set()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaoswpt.receiver import empirical_papr
+from frame_chain import empirical_papr, transmit_frames
 
 
 streams = st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=10)
@@ -37,7 +37,7 @@ def test_papr_scale_invariance(stream, c):
     assert empirical_papr(-c * x) == pytest.approx(empirical_papr(x), rel=1e-12)
 
 
-def test_papr_bound_on_modulated_frames(transmit_frames):
+def test_papr_bound_on_modulated_frames():
     # expectation-normalized PAPR of unit-scale DCSK chips stays below 2
     stream = transmit_frames(np.random.default_rng(31), 2000, 4, 2).ravel()
     assert empirical_papr(stream, mean_power=0.5) <= 2.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaoswpt.waveform import modulate
+from frame_chain import modulate, transmit_frames
 
 
 def test_single_positive_bit_frame():
@@ -55,7 +55,7 @@ def test_frame_sum_and_energy_identities(chips, bit):
     assert float(np.sum(s ** 4)) == pytest.approx(2 * float(np.sum(x ** 4)), abs=1e-12)
 
 
-def test_expected_frame_energy(transmit_frames):
+def test_expected_frame_energy():
     # E[sum s^2] = beta for unit-power chips, within 1% over 3e4 frames
     beta, n = 4, 30_000
     frames = transmit_frames(np.random.default_rng(17), n, beta, 2)
