@@ -83,18 +83,34 @@ def test_sequence_deterministic_and_bounded(x0, n):
     assert np.all(np.abs(a.samples) <= 1.0)
 
 
-def test_moments_match_quadrature():
-    # the arcsine law has mass 1, E[x^2] = 1/2 and E[x^4] = 3/8, the literals
-    # the orbit tests compare against; x = sin(t) removes the endpoint
-    # singularities
-    def arcsine(x):
-        return 1.0 / (math.pi * math.sqrt(1.0 - x * x))
+def _arcsine(x):
+    """Stationary density of the map, 1/(pi*sqrt(1-x^2)) inside (-1, 1)."""
+    return 1.0 / (math.pi * math.sqrt(1.0 - x * x))
 
-    for order, expected in ((0, 1.0), (2, 0.5), (4, 0.375)):
-        val, _ = integrate.quad(
-            lambda t, k=order: math.sin(t) ** k * arcsine(math.sin(t)) * math.cos(t),
-            -math.pi / 2, math.pi / 2)
-        assert val == pytest.approx(expected, rel=1e-10)
+
+def _arcsine_moment(order):
+    # substitute x = sin(t) to remove the endpoint singularities
+    val, _ = integrate.quad(
+        lambda t: math.sin(t) ** order * _arcsine(math.sin(t)) * math.cos(t),
+        -math.pi / 2, math.pi / 2)
+    return val
+
+
+def test_invariant_pdf_normalizes():
+    assert _arcsine_moment(0) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_theoretical_moments():
+    # the literals the orbit tests compare against: E[x^2] = 1/2, E[x^4] = 3/8;
+    # odd moments vanish by symmetry
+    assert _arcsine_moment(2) == pytest.approx(0.5, rel=1e-10)
+    assert _arcsine_moment(4) == pytest.approx(0.375, rel=1e-10)
+    assert _arcsine_moment(3) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_moments_match_quadrature():
+    for order, expected in ((0, 1.0), (2, 0.5), (4, 0.375), (6, 0.3125)):
+        assert _arcsine_moment(order) == pytest.approx(expected, rel=1e-10)
 
 
 def test_ergodic_moments_short_run():
