@@ -13,6 +13,19 @@ T_2(x) = 2x^2 - 1, and the three-term recurrence
 T_{n+1}(x) = 2x T_n(x) - T_{n-1}(x) for higher degrees.  The map is chaotic,
 so a float orbit computed this way parts from one computed through
 arccos/cos after a few dozen chips, but both follow the same arcsine law.
+
+Array orbits can also be iterated in Dickson form (Lidl, Mullen & Turnwald,
+*Dickson Polynomials*, 1993): the scaled state y = 2x on [-2, 2] steps as
+D_2(y) = y^2 - 2, and D_{n+1} = y D_n - D_{n-1} for higher degrees, since
+D_n(2 cos t) = 2 cos(n t) = 2 T_n(cos t).  That saves the multiply by 2 in
+every step.  Scaling by a power of two is exact in binary floating point, so
+each rounded operation of a Dickson step returns a power of two times the
+matching operation of the unscaled step: a Dickson orbit is 2x bit for bit,
+and running sums of y, y^2 and y^4 are 2, 4 and 16 times those of x, x^2 and
+x^4.  The one exception is a chip with |x| < 1.5e-154, whose square x^2 is
+subnormal and so carries fewer bits than 4x^2: the orbit stays exact, but
+that chip's square (and fourth power) can differ from a quarter (a sixteenth)
+of the scaled one in its last bits.
 """
 
 from __future__ import annotations
@@ -61,9 +74,9 @@ class ChaoticSequence:
 
 def _validate_degree(xi: int) -> int:
     if not isinstance(xi, (int, np.integer)) or isinstance(xi, bool):
-        raise TypeError(f"map degree must be an integer >= 2, got {xi!r}")
+        raise TypeError(f"xi (map degree) must be an integer >= 2, got {xi!r}")
     if xi < 2:
-        raise ValueError(f"map degree must be >= 2, got {xi}")
+        raise ValueError(f"xi (map degree) must be >= 2, got {xi}")
     return int(xi)
 
 
@@ -78,17 +91,8 @@ def _step_scalar(x: float, xi: int) -> float:
     return min(1.0, max(-1.0, t))
 
 
-def chebyshev_step(x, xi: int = 2, out=None):
-    """One application of the degree-``xi`` Chebyshev map.
-
-    Accepts a scalar or an ndarray; ``out`` (an array of x's shape, which may
-    be ``x`` itself) receives the result in place.  Values straying beyond
-    [-1, 1] by at most ``DOMAIN_TOL`` (floating-point dust) are clamped;
-    anything worse raises a domain error.  The map is evaluated as the exact
-    polynomial T_xi (see the module docstring), never through arccos/cos.
-    """
-    xi = _validate_degree(xi)
-    arr = np.asarray(x, dtype=float)
+def _in_domain(arr: np.ndarray) -> np.ndarray:
+    """``arr``, with float dust beyond [-1, 1] clamped; a domain error if worse."""
     if arr.size:
         hi, lo = arr.max(), arr.min()
         if hi > 1.0 + DOMAIN_TOL or lo < -1.0 - DOMAIN_TOL:
@@ -98,6 +102,28 @@ def chebyshev_step(x, xi: int = 2, out=None):
             )
         if hi > 1.0 or lo < -1.0:
             arr = np.clip(arr, -1.0, 1.0)
+    return arr
+
+
+def chebyshev_step(x, xi: int = 2, out=None, *, scaled: bool = False):
+    """One application of the degree-``xi`` Chebyshev map.
+
+    Accepts a scalar or an ndarray; ``out`` (an array of x's shape, which may
+    be ``x`` itself) receives the result in place.  Values straying beyond
+    [-1, 1] by at most ``DOMAIN_TOL`` (floating-point dust) are clamped;
+    anything worse raises a domain error.  The map is evaluated as the exact
+    polynomial T_xi (see the module docstring), never through arccos/cos.
+
+    With ``scaled=True``, ``x`` is an ndarray of Dickson states y = 2x in
+    [-2, 2] and the result is D_xi(y) = 2 T_xi(y/2), bit for bit twice what
+    the unscaled step gives (see the module docstring for the one subnormal
+    exception).  The domain check is skipped: the map keeps [-2, 2], so a
+    caller that iterates an orbit checks its seed states once instead.
+    """
+    xi = _validate_degree(xi)
+    if scaled:
+        return _dickson_step(x, xi, out)
+    arr = _in_domain(np.asarray(x, dtype=float))
     if arr.ndim == 0 and out is None:
         return _step_scalar(float(arr), xi)
     if out is None:
@@ -114,6 +140,21 @@ def chebyshev_step(x, xi: int = 2, out=None):
         prev, t = t, two_x * t - prev
     # the recurrence can overshoot +/-1 by a few ulp
     return np.clip(t, -1.0, 1.0, out=out)
+
+
+def _dickson_step(y: np.ndarray, xi: int, out) -> np.ndarray:
+    """D_xi(y) for Dickson states y = 2x already in [-2, 2]."""
+    if out is None:
+        out = np.empty_like(y)
+    if xi == 2:
+        # y^2 - 2 stays inside [-2, 2] for every float y in [-2, 2]
+        np.multiply(y, y, out=out)
+        out -= 2.0
+        return out
+    prev, t = y, y * y - 2.0
+    for _ in range(xi - 2):
+        prev, t = t, y * t - prev
+    return np.clip(t, -2.0, 2.0, out=out)
 
 
 def map_fixed_points(xi: int = 2) -> np.ndarray:

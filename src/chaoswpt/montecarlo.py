@@ -2,10 +2,13 @@
 
 The simulator never materializes whole chip blocks: frames are processed in
 vectorized batches, streaming only the per-frame statistics the receiver mode
-needs as the orbit is iterated: the chip sum in full mode, or the chip power,
-fourth power and peak in bypass mode.  Per-frame harvested-power samples
-then feed the streaming accumulator, so memory stays flat no matter how many
-frames are requested.
+needs as the orbit is iterated: the chip sum in full mode, or the chip power
+and fourth power in bypass mode (plus the peak chip power, which only the
+PAPR measurement asks for).  The orbit is iterated in Dickson form, on the
+exactly scaled state y = 2x (see :mod:`chaoswpt.chaos`), and its seed states
+are domain-checked once per batch rather than on every step.  Per-frame
+harvested-power samples then feed the streaming accumulator, so memory stays
+flat no matter how many frames are requested.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from ._parallel import fork_map
 from .analytic import (ClosedFormInputs, closed_form_inputs, papr_analytic,
                        z_with_correlator, z_without_correlator)
 from .channel import path_gain, sample_rayleigh
-from .chaos import _fixed_point_mask, chebyshev_step, draw_initial_state, map_fixed_points
+from .chaos import (_fixed_point_mask, _in_domain, _validate_degree, chebyshev_step,
+                    draw_initial_state, map_fixed_points)
 from .harvester import (DcAccumulator, DcEstimate, EhCircuit, _require_int, _require_seed,
                         _scales)
 
@@ -70,8 +74,7 @@ class RunConfig:
         if self.n_frames < 100:
             warnings.warn(f"n_frames={self.n_frames} gives a very noisy estimate",
                           stacklevel=3)
-        if self.xi < 2:
-            raise ValueError(f"map degree must be an integer >= 2, got {self.xi}")
+        _validate_degree(self.xi)
         if not 0.0 < self._gain() < math.inf:
             raise ValueError(f"p_t*r**-alpha overflows or underflows to 0 for "
                              f"p_t={self.circuit.p_t!r}, r={self.r!r}, alpha={self.alpha!r}")
@@ -126,42 +129,60 @@ def _draw_clean_states(rng: np.random.Generator, size: int, xi: int) -> np.ndarr
         x0[bad] = draw_initial_state(rng, size=n_bad)
 
 
-def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int,
-                       psi_mode: str) -> tuple[np.ndarray, ...]:
+def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int, psi_mode: str,
+                       peak: bool = False) -> tuple[np.ndarray, ...]:
     """Iterate the chaotic map over a batch of beta-chip frames at once.
 
     Returns only what ``psi_mode`` needs, per frame and without ever storing
     the chips: ``(chip sum,)`` in full mode, ``(sum of squares, sum of fourth
-    powers, peak squared chip)`` in bypass mode.  x0 is the first chip, so
-    the map takes beta - 1 steps.
+    powers)`` in bypass mode, followed there by the peak squared chip when
+    ``peak`` is set.  x0 is the first chip, so the map takes beta - 1 steps,
+    on the Dickson state y = 2x; the sums of y, y^2 and y^4 are scaled back
+    by 1/2, 1/4 and 1/16 at the end, which is exact (see the chaos module).
     """
-    x = np.array(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    if beta == 1:
+        # no map step: the seed states are the only chips
+        if psi_mode == "full":
+            return (x.copy(),)
+        x2 = x * x
+        return (x2, x2 * x2) + ((x2,) if peak else ())
+    # the map keeps [-2, 2], so the seed states are the only ones to check
+    y = _in_domain(x) * 2.0
     if psi_mode == "full":
-        v = x.copy()
+        v = y.copy()
         for _ in range(beta - 1):
-            chebyshev_step(x, xi, out=x)
-            v += x
+            chebyshev_step(y, xi, out=y, scaled=True)
+            v += y
+        v *= 0.5
         return (v,)
-    x2 = x * x
-    e2 = x2.copy()
-    e4 = x2 * x2
-    m2 = x2.copy()
+    y2 = y * y
+    e2 = y2.copy()
+    e4 = y2 * y2
+    m2 = y2.copy() if peak else None
     for _ in range(beta - 1):
-        chebyshev_step(x, xi, out=x)
-        np.multiply(x, x, out=x2)
-        e2 += x2
-        np.maximum(m2, x2, out=m2)
-        x2 *= x2
-        e4 += x2
+        chebyshev_step(y, xi, out=y, scaled=True)
+        np.multiply(y, y, out=y2)
+        e2 += y2
+        if peak:
+            np.maximum(m2, y2, out=m2)
+        y2 *= y2
+        e4 += y2
+    e2 *= 0.25
+    e4 *= 0.0625
+    if not peak:
+        return e2, e4
+    m2 *= 0.25
     return e2, e4, m2
 
 
 def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
-                   psi_mode: str):
+                   psi_mode: str, peak: bool = False):
     """Yield ``(m, d, stats)`` for each batch of at most _BATCH frames.
 
     Draws m seed states, then m data bits d, and reduces the orbits to the
-    mode's statistics; a caller's own draws for the batch follow the yield.
+    mode's statistics (see ``_orbit_batch_stats``, which also takes ``peak``);
+    a caller's own draws for the batch follow the yield.
     """
     remaining = n_frames
     while remaining > 0:
@@ -169,7 +190,7 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
         remaining -= m
         x0 = _draw_clean_states(rng, m, xi)
         d = rng.integers(0, 2, size=m) * 2 - 1
-        yield m, d, _orbit_batch_stats(x0, beta, xi, psi_mode)
+        yield m, d, _orbit_batch_stats(x0, beta, xi, psi_mode, peak)
 
 
 def run_once(config: RunConfig) -> RunResult:
@@ -195,7 +216,7 @@ def run_once(config: RunConfig) -> RunResult:
                 w = a * y2 + b * y2 * y2
             else:
                 # raw chip stream: both symbol halves carry identical powers
-                e2, e4, _ = stats
+                e2, e4 = stats
                 w = a * c2 * 2.0 * e2 + b * c2 * c2 * 2.0 * e4
             acc.add_moments(m, float(np.sum(w)), float(np.sum(w * w)))
         estimate = acc.result()
@@ -333,13 +354,14 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = 100_000,
     for name, value in (("beta", beta), ("n_frames", n_frames), ("xi", xi)):
         _require_int(name, value)
     _require_seed(seed)
+    _validate_degree(xi)
     bound = papr_analytic(psi_mode, beta)  # validates mode and beta
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     rng = np.random.default_rng(seed)
     peak = 0.0
     power_sum = 0.0
-    for _, d, stats in _frame_batches(rng, n_frames, beta, xi, psi_mode):
+    for _, d, stats in _frame_batches(rng, n_frames, beta, xi, psi_mode, peak=True):
         if psi_mode == "full":
             (v,) = stats
             y2 = ((1 + d) * v) ** 2

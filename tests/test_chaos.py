@@ -152,6 +152,30 @@ def test_step_in_place(xi):
     assert np.array_equal(xs, expected)
 
 
+@pytest.mark.parametrize("xi", [2, 3, 5])
+def test_scaled_step_is_twice_the_unscaled_step(xi):
+    # the Dickson state y = 2x: power-of-two scaling is exact, so bit for bit
+    xs = draw_initial_state(np.random.default_rng(xi), size=100_000)
+    ys = xs * 2.0
+    out = chebyshev_step(ys, xi, out=ys, scaled=True)
+    assert out is ys
+    assert np.array_equal(ys, chebyshev_step(xs, xi) * 2.0)
+
+
+@pytest.mark.parametrize("xi", [3, 5])
+def test_scaled_step_clips_to_its_domain(xi):
+    # states at and next to the extrema of T_xi, where the three-term
+    # recurrence can overshoot by an ulp before the clip
+    rng = np.random.default_rng(xi)
+    ext = np.cos(np.arange(xi + 1) * np.pi / xi)
+    xs = np.clip(np.concatenate([ext, *(e + (rng.random(20_000) - 0.5) * 1e-6 for e in ext)]),
+                 -1.0, 1.0)
+    ys = chebyshev_step(xs * 2.0, xi, scaled=True)
+    assert np.all(np.abs(ys) <= 2.0)
+    assert np.array_equal(ys, chebyshev_step(xs, xi) * 2.0)
+    assert np.array_equal(chebyshev_step(np.array([-2.0, 2.0]), 3, scaled=True), [-2.0, 2.0])
+
+
 @pytest.mark.parametrize("xi", [2, 3])
 def test_generate_sequence_steps_like_the_array_path(xi):
     # bit-identical, so the orbit agrees over all 200 chaotic steps

@@ -276,6 +276,7 @@ def test_verify_dist_battery(capsys):
     (["verify-dist", "--set", "n_samples=100", "--set", "seed=-1"], "seed must be an unsigned"),
     (["papr", *FAST, "--set", "seed=-1"], "seed must be an unsigned"),
     (["papr", *FAST, "--set", f"seed={2**64}"], "seed must be an unsigned"),
+    (["papr", *FAST, "--set", "xi=1"], "xi (map degree) must be >= 2"),
 ])
 def test_verify_dist_and_papr_name_a_bad_key(capsys, argv, key):
     assert main(argv) == 1
@@ -295,6 +296,7 @@ def test_usage_errors_exit_one():
 
 @pytest.mark.parametrize("expr, key", [
     ("beta=2.0", "beta"), ("n_frames=1e5", "n_frames"), ("beta=true", "beta"),
+    ("xi=1", "xi (map degree) must be >= 2"),
 ])
 def test_integer_keys_reject_floats_and_bools(capsys, expr, key):
     assert main(["run", *FAST, "--set", expr]) == 1
@@ -351,13 +353,20 @@ _ODD = st.one_of(
     st.sampled_from([1e300, -1e300, 1e-300, 1e-320, 5e-324, 2.2e-308, 0.0, -0.0]),
     st.text(max_size=4), st.booleans(), st.none(),
 )
+#: extreme magnitudes 10**(e/k), with e over float64's decimal exponents and
+#: k over the powers the model raises distances and gains to, so that v**k
+#: lands anywhere in float64; this reaches narrow overflow windows such as
+#: crossover.r_nc in (1e-77, 1e-38.5), where the raw link's gain overflows
+_EXTREME = st.builds(lambda sign, e, k: sign * 10.0 ** (e / k),
+                     st.sampled_from([1.0, -1.0]), st.sampled_from(range(-320, 309)),
+                     st.sampled_from([1, 2, 4, 8]))
 
 
 @st.composite
 def _numeric_overrides(draw, keys=_NUMERIC_KEYS):
     keys = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
     return {key: draw(st.one_of(st.integers(*_SMALL_INT_KEYS[key]), _ODD)
-                      if key in _SMALL_INT_KEYS else st.one_of(st.integers(), _ODD))
+                      if key in _SMALL_INT_KEYS else st.one_of(st.integers(), _ODD, _EXTREME))
             for key in keys}
 
 

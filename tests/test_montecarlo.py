@@ -194,7 +194,7 @@ def test_measure_papr_rejects_zero_mean_power():
 def test_orbit_batch_stats_match_sequence_sums_for_degree_three(mode):
     x0 = _draw_clean_states(np.random.default_rng(5), 300, 3)
     chips = np.array([generate_sequence(float(a), 6, 3).samples for a in x0])
-    stats = _orbit_batch_stats(x0, 6, 3, mode)
+    stats = _orbit_batch_stats(x0, 6, 3, mode, peak=True)
     if mode == "full":
         expected = (chips.sum(axis=1),)
     else:
@@ -205,15 +205,47 @@ def test_orbit_batch_stats_match_sequence_sums_for_degree_three(mode):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _chip_order_stats(x0, beta, xi, mode):
+    """The kernel's statistics as running sums over scalar orbits, chip by chip."""
+    chips = np.array([generate_sequence(float(a), beta, xi).samples for a in x0])
+    if mode == "full":
+        v = chips[:, 0].copy()
+        for k in range(1, beta):
+            v += chips[:, k]
+        return (v,)
+    sq = chips * chips
+    e2, e4, m2 = sq[:, 0].copy(), sq[:, 0] * sq[:, 0], sq[:, 0].copy()
+    for k in range(1, beta):
+        e2 += sq[:, k]
+        e4 += sq[:, k] * sq[:, k]
+        np.maximum(m2, sq[:, k], out=m2)
+    return e2, e4, m2
+
+
+@pytest.mark.parametrize("xi", [2, 3])
+@pytest.mark.parametrize("mode", PSI_MODES)
+@pytest.mark.parametrize("beta", [1, 2, 17])
+def test_orbit_batch_stats_are_bit_identical_to_chip_order_sums(xi, mode, beta):
+    # the Dickson-form kernel scales by powers of two only, so nothing rounds
+    # differently from the unscaled orbit summed in chip order
+    x0 = _draw_clean_states(np.random.default_rng(beta), 400, xi)
+    want = _chip_order_stats(x0, beta, xi, mode)
+    got = _orbit_batch_stats(x0, beta, xi, mode, peak=True)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # without the peak, bypass mode returns the two sums alone
+    assert len(_orbit_batch_stats(x0, beta, xi, mode)) == (1 if mode == "full" else 2)
+
+
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_kernel_steps_beta_minus_one_times_per_batch(monkeypatch, mode):
     # the kernel must call the step through montecarlo's own name
     real = montecarlo.chebyshev_step
     sizes = []
 
-    def counting(x, xi=2, out=None):
+    def counting(x, xi=2, out=None, **kw):
         sizes.append(x.size)
-        return real(x, xi, out=out)
+        return real(x, xi, out=out, **kw)
 
     monkeypatch.setattr(montecarlo, "chebyshev_step", counting)
     n = montecarlo._BATCH + 10  # one full batch and a short one
