@@ -8,11 +8,12 @@ Copies the committed files of ``--parent`` into a temporary directory (with
 ``git archive``, so nothing is registered in ``.git``), then runs, for each
 workload, N pairs of
 
-    python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in the parent's copy and once in this checkout, at the same seed
-(``--seed`` + pair index), alternating which side runs first so that a drift
-in the host's load falls on both.  One ``--trace 1`` run per side and
+once in the parent's copy and once in this checkout, with T the
+``run_seconds`` that ``BENCHMARK.json`` declares and the same seed S on both
+sides (``FIRST_SEED`` + pair index), alternating which side runs first so
+that a drift in the host's load falls on both.  One ``--trace 1`` run per side and
 workload adds the per-layer metrics.  Only the last stdout line of each run
 (perfbench's result object) is read; ``perfbench/`` is used as it is.
 
@@ -35,6 +36,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: seed of every workload's first pair; pair i runs at FIRST_SEED + i
+FIRST_SEED = 301
 
 
 def git(*args: str) -> str:
@@ -100,8 +104,6 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git ref of the parent commit")
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
-    ap.add_argument("--seed", type=int, default=301, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=25.0)
     args = ap.parse_args(argv)
 
     plan = {}
@@ -109,12 +111,13 @@ def main(argv=None) -> int:
         workload, _, n = item.partition("=")
         plan[workload] = int(n)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     parent_sha = git("rev-parse", args.parent)
     report = {"parent": parent_sha, "change_head": git("rev-parse", "HEAD"),
               "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
               "change_source_sha256": source_sha256(ROOT),
               "started": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-              "python": platform.python_version(), "seconds": args.seconds,
+              "python": platform.python_version(), "seconds": seconds,
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_dir = Path(tmp)
@@ -123,16 +126,16 @@ def main(argv=None) -> int:
         sides = {"parent": parent_dir, "change": ROOT}
         for workload, n in plan.items():
             runs = {"parent": [], "change": []}
-            seeds = [args.seed + i for i in range(n)]
+            seeds = [FIRST_SEED + i for i in range(n)]
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run(sides[side], workload, seed, args.seconds, 0))
+                    runs[side].append(run(sides[side], workload, seed, seconds, 0))
                 print(f"{workload} pair {i + 1}/{n}: wall_rel "
                       f"{runs['parent'][-1]['metrics']['wall_rel']['value']:.3f} -> "
                       f"{runs['change'][-1]['metrics']['wall_rel']['value']:.3f}",
                       file=sys.stderr)
-            traced = {side: run(sides[side], workload, args.seed, args.seconds, 1)
+            traced = {side: run(sides[side], workload, FIRST_SEED, seconds, 1)
                       for side in ("parent", "change")}
             report["workloads"][workload] = {
                 "seeds": seeds,

@@ -14,18 +14,19 @@ T_{n+1}(x) = 2x T_n(x) - T_{n-1}(x) for higher degrees.  The map is chaotic,
 so a float orbit computed this way parts from one computed through
 arccos/cos after a few dozen chips, but both follow the same arcsine law.
 
-Array orbits can also be iterated in Dickson form (Lidl, Mullen & Turnwald,
-*Dickson Polynomials*, 1993): the scaled state y = 2x on [-2, 2] steps as
+Arrays are stepped in Dickson form (Lidl, Mullen & Turnwald, *Dickson
+Polynomials*, 1993): the scaled state y = 2x on [-2, 2] steps as
 D_2(y) = y^2 - 2, and D_{n+1} = y D_n - D_{n-1} for higher degrees, since
 D_n(2 cos t) = 2 cos(n t) = 2 T_n(cos t).  That saves the multiply by 2 in
 every step.  Scaling by a power of two is exact in binary floating point, so
 each rounded operation of a Dickson step returns a power of two times the
-matching operation of the unscaled step: a Dickson orbit is 2x bit for bit,
-and running sums of y, y^2 and y^4 are 2, 4 and 16 times those of x, x^2 and
-x^4.  The one exception is a chip with |x| < 1.5e-154, whose square x^2 is
-subnormal and so carries fewer bits than 4x^2: the orbit stays exact, but
-that chip's square (and fourth power) can differ from a quarter (a sixteenth)
-of the scaled one in its last bits.
+matching operation of the scalar T_xi step: a Dickson orbit is 2x bit for
+bit, an unscaled array step (D_xi(2x) / 2) equals the scalar one, and running
+sums of y, y^2 and y^4 are 2, 4 and 16 times those of x, x^2 and x^4.  The
+one exception is a chip with |x| < 1.5e-154, whose square x^2 is subnormal
+and so carries fewer bits than 4x^2: the orbit stays exact, but that chip's
+square (and fourth power) can differ from a quarter (a sixteenth) of the
+scaled one in its last bits.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _validate_degree(xi: int) -> int:
 
 
 def _step_scalar(x: float, xi: int) -> float:
-    """T_xi(x) for a float already in [-1, 1], with the array path's operations."""
+    """T_xi(x) for a float already in [-1, 1]; the array path gives the same bits."""
     t = x * x * 2.0 - 1.0
     if xi == 2:
         return t
@@ -112,34 +113,28 @@ def chebyshev_step(x, xi: int = 2, out=None, *, scaled: bool = False):
     be ``x`` itself) receives the result in place.  Values straying beyond
     [-1, 1] by at most ``DOMAIN_TOL`` (floating-point dust) are clamped;
     anything worse raises a domain error.  The map is evaluated as the exact
-    polynomial T_xi (see the module docstring), never through arccos/cos.
+    polynomial T_xi, never through arccos/cos: a scalar directly, an array as
+    D_xi(2x) / 2, which is the same bits (see the module docstring).
 
-    With ``scaled=True``, ``x`` is an ndarray of Dickson states y = 2x in
-    [-2, 2] and the result is D_xi(y) = 2 T_xi(y/2), bit for bit twice what
-    the unscaled step gives (see the module docstring for the one subnormal
-    exception).  The domain check is skipped: the map keeps [-2, 2], so a
-    caller that iterates an orbit checks its seed states once instead.
+    With ``scaled=True``, ``x`` must be a float ndarray of Dickson states
+    y = 2x in [-2, 2], and the result is D_xi(y) = 2 T_xi(y/2).  The domain
+    check is skipped, so nothing stops a y outside [-2, 2] from growing: the
+    map keeps [-2, 2], and a caller that iterates an orbit checks its seed
+    states once instead.
     """
     xi = _validate_degree(xi)
     if scaled:
+        if not isinstance(x, np.ndarray) or x.dtype.kind != "f":
+            raise TypeError(
+                f"a scaled chebyshev_step takes a float ndarray, got "
+                f"{getattr(x, 'dtype', type(x).__name__)}")
         return _dickson_step(x, xi, out)
     arr = _in_domain(np.asarray(x, dtype=float))
     if arr.ndim == 0 and out is None:
         return _step_scalar(float(arr), xi)
-    if out is None:
-        out = np.empty_like(arr)
-    if xi == 2:
-        # 2x^2 - 1 stays inside [-1, 1] for every float x in [-1, 1]
-        np.multiply(arr, arr, out=out)
-        out *= 2.0
-        out -= 1.0
-        return out
-    two_x = arr + arr
-    prev, t = arr, arr * arr * 2.0 - 1.0
-    for _ in range(xi - 2):
-        prev, t = t, two_x * t - prev
-    # the recurrence can overshoot +/-1 by a few ulp
-    return np.clip(t, -1.0, 1.0, out=out)
+    out = _dickson_step(arr + arr, xi, out)
+    out *= 0.5
+    return out
 
 
 def _dickson_step(y: np.ndarray, xi: int, out) -> np.ndarray:
@@ -197,9 +192,9 @@ def _validate_seed_state(x0: float, xi: int) -> float:
 def generate_sequence(x0: float, n: int, xi: int = 2) -> ChaoticSequence:
     """Iterate the map ``n`` times; the returned orbit starts at ``x0``.
 
-    Each step is the same polynomial, with the same float operations, as
-    ``chebyshev_step`` on an array, so the orbit is bit-identical to the one
-    the Monte-Carlo kernel iterates from ``x0``.  Deterministic: the same
+    The Monte-Carlo kernel iterates the Dickson state y = 2x instead, and
+    power-of-two scaling is exact, so its orbit from ``x0`` is twice this one
+    bit for bit (see the module docstring).  Deterministic: the same
     (x0, n, xi) always yields the bit-identical orbit.  Degenerate seeds
     (0, +/-1, or anything within FIXED_POINT_TOL of a fixed point) are
     rejected.

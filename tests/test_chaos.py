@@ -7,6 +7,7 @@ from scipy import integrate
 
 from chaoswpt.chaos import (
     ChaoticSequence,
+    _step_scalar,
     chebyshev_step,
     draw_initial_state,
     generate_sequence,
@@ -152,14 +153,21 @@ def test_step_in_place(xi):
     assert np.array_equal(xs, expected)
 
 
+def _scalar_steps(xs, xi):
+    return np.array([_step_scalar(float(x), xi) for x in xs])
+
+
 @pytest.mark.parametrize("xi", [2, 3, 5])
-def test_scaled_step_is_twice_the_unscaled_step(xi):
-    # the Dickson state y = 2x: power-of-two scaling is exact, so bit for bit
+def test_array_steps_are_the_scalar_steps(xi):
+    # D_xi(2x) / 2 and its Dickson state y = 2x: power-of-two scaling is
+    # exact, so both match the scalar T_xi bit for bit
     xs = draw_initial_state(np.random.default_rng(xi), size=100_000)
+    expected = _scalar_steps(xs, xi)
+    assert np.array_equal(chebyshev_step(xs, xi), expected)
     ys = xs * 2.0
     out = chebyshev_step(ys, xi, out=ys, scaled=True)
     assert out is ys
-    assert np.array_equal(ys, chebyshev_step(xs, xi) * 2.0)
+    assert np.array_equal(ys, expected * 2.0)
 
 
 @pytest.mark.parametrize("xi", [3, 5])
@@ -172,8 +180,14 @@ def test_scaled_step_clips_to_its_domain(xi):
                  -1.0, 1.0)
     ys = chebyshev_step(xs * 2.0, xi, scaled=True)
     assert np.all(np.abs(ys) <= 2.0)
-    assert np.array_equal(ys, chebyshev_step(xs, xi) * 2.0)
+    assert np.array_equal(ys, _scalar_steps(xs, xi) * 2.0)
     assert np.array_equal(chebyshev_step(np.array([-2.0, 2.0]), 3, scaled=True), [-2.0, 2.0])
+
+
+@pytest.mark.parametrize("y", [[0.5, -1.0], 1.0, np.array([1, -2])])
+def test_scaled_step_takes_only_float_arrays(y):
+    with pytest.raises(TypeError):
+        chebyshev_step(y, 2, scaled=True)
 
 
 @pytest.mark.parametrize("xi", [2, 3])
