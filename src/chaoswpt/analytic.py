@@ -19,7 +19,7 @@ from scipy import integrate
 from scipy.special import erf
 
 from .channel import path_gain
-from .harvester import EhCircuit, _require_int, _require_real, rho_params
+from .harvester import EhCircuit, _check, rho_params
 
 __all__ = [
     "ClosedFormInputs",
@@ -68,19 +68,8 @@ class ClosedFormInputs:
     rho2: float
 
     def __post_init__(self) -> None:
-        _require_int("beta", self.beta)
-        for name in ("r", "alpha", "rho1", "rho2"):
-            _require_real(name, getattr(self, name))
-        if self.beta < 1:
-            raise ValueError(f"beta must be a positive integer, got {self.beta}")
-        if self.r <= 0:
-            raise ValueError(f"r (distance) must be > 0, got {self.r}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha (path-loss exponent) must be > 0, got {self.alpha}")
-        if self.rho1 <= 0:
-            raise ValueError(f"rho1 must be > 0, got {self.rho1}")
-        if self.rho2 < 0:
-            raise ValueError(f"rho2 must be >= 0, got {self.rho2}")
+        for name in ("beta", "r", "alpha", "rho1", "rho2"):
+            _check(name, getattr(self, name))
 
 
 def closed_form_inputs(circuit: EhCircuit, beta: int, r: float, alpha: float) -> ClosedFormInputs:
@@ -97,13 +86,9 @@ def papr_analytic(psi_mode: str, beta: int) -> float:
     realizations with the fading gain cancelled (it scales peak and average
     alike within a symbol).
     """
-    if beta < 1 or int(beta) != beta:
-        raise ValueError(f"beta must be a positive integer, got {beta}")
-    if psi_mode == "bypass":
-        return 2.0
-    if psi_mode == "full":
-        return 4.0 * int(beta)
-    raise ValueError(f"psi_mode must be 'bypass' or 'full', got {psi_mode!r}")
+    _check("beta", beta)
+    _check("psi_mode", psi_mode)
+    return 2.0 if psi_mode == "bypass" else 4.0 * int(beta)
 
 
 def z_with_correlator(inputs: ClosedFormInputs) -> float:
@@ -135,10 +120,13 @@ def beta_crossover(r_c: float, r_nc: float, alpha: float,
     for the beta > 1 branch; the returned bound is real-valued and may fall
     below 1 (the correlated link then wins at every spreading factor).
     """
-    for name, v in (("r_c", r_c), ("r_nc", r_nc), ("alpha", alpha),
-                    ("rho1", rho1), ("rho2", rho2)):
-        if v <= 0:
-            raise ValueError(f"{name} must be > 0, got {v}")
+    _check("r", r_c, "r_c")
+    _check("r", r_nc, "r_nc")
+    for name, value in (("alpha", alpha), ("rho1", rho1), ("rho2", rho2)):
+        _check(name, value)
+    if rho2 == 0:
+        raise ValueError("the crossover needs a quartic rectifier term (k4 > 0), "
+                         "but rho2 = 0")
     g_c = path_gain(r_c, alpha)
     g_nc = path_gain(r_nc, alpha)
     num = rho1 * (g_nc - g_c) + 1.5 * rho2 * g_nc * g_nc
@@ -167,6 +155,8 @@ class PdfOracle:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        if self.beta is not None:
+            _check("beta", self.beta)
         if self.family == "S_clt":
             if self.beta is None or self.beta < 2:
                 raise ValueError("S_clt needs an integer beta >= 2")
@@ -309,9 +299,5 @@ def oracle_moment(oracle: PdfOracle, order: int) -> float:
     Nonpositive orders are refused: the mass at zero (or the endpoint
     singularity) makes those expectations divergent or degenerate.
     """
-    if int(order) != order or order < 1:
-        raise ValueError(
-            f"moment order must be a positive integer (order {order} diverges "
-            "against the mass at the origin)"
-        )
-    return _integral(oracle, int(order))
+    _check("order", order)
+    return _integral(oracle, order)

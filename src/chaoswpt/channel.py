@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .harvester import _check
+
 __all__ = ["sample_rayleigh", "path_gain"]
 
 
@@ -28,13 +30,15 @@ def sample_rayleigh(rng: np.random.Generator, size: int | None = None):
 def path_gain(r: float, alpha: float) -> float:
     """Power attenuation r**-alpha of a link of distance r.
 
-    Raises ValueError when the gain overflows, underflows to 0 or is NaN:
-    such a link cannot be simulated in float64.
+    Raises a ValueError that names the link's r and alpha when either
+    breaks its rule, or when the gain overflows or underflows to 0: such a
+    link cannot be simulated in float64.
     """
-    if r <= 0:
-        raise ValueError(f"distance must be > 0, got {r}")
-    if alpha <= 0:
-        raise ValueError(f"path-loss exponent must be > 0, got {alpha}")
+    try:
+        _check("r", r)
+        _check("alpha", alpha)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (the link r={r!r}, alpha={alpha!r})") from None
     try:
         gain = float(r) ** -float(alpha)
     except OverflowError:

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .harvester import _check
+
 __all__ = [
     "ChaoticSequence",
     "chebyshev_step",
@@ -64,21 +66,13 @@ class ChaoticSequence:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("ChaoticSequence.samples must be a nonempty 1-D array")
-        if self.map_degree < 2:
-            raise ValueError("map_degree must be an integer >= 2")
+        _check("xi", self.map_degree, "ChaoticSequence.map_degree")
+        _check("x0", self.seed_state, "ChaoticSequence.seed_state")
         if np.any(np.abs(self.samples) > 1.0):
             raise ValueError("chaotic samples must lie in [-1, 1]")
 
     def __len__(self) -> int:
         return self.samples.size
-
-
-def _validate_degree(xi: int) -> int:
-    if not isinstance(xi, (int, np.integer)) or isinstance(xi, bool):
-        raise TypeError(f"xi (map degree) must be an integer >= 2, got {xi!r}")
-    if xi < 2:
-        raise ValueError(f"xi (map degree) must be >= 2, got {xi}")
-    return int(xi)
 
 
 def _step_scalar(x: float, xi: int) -> float:
@@ -122,7 +116,7 @@ def chebyshev_step(x, xi: int = 2, out=None, *, scaled: bool = False):
     map keeps [-2, 2], and a caller that iterates an orbit checks its seed
     states once instead.
     """
-    xi = _validate_degree(xi)
+    _check("xi", xi)
     if scaled:
         if not isinstance(x, np.ndarray) or x.dtype.kind != "f":
             raise TypeError(
@@ -159,7 +153,7 @@ def map_fixed_points(xi: int = 2) -> np.ndarray:
     so theta = 2*pi*m/(xi -+ 1) for the integers m that keep theta in
     [0, pi].
     """
-    xi = _validate_degree(xi)
+    _check("xi", xi)
     thetas = set()
     for denom in (xi - 1, xi + 1):
         m = 0
@@ -177,18 +171,6 @@ def _fixed_point_mask(x0: np.ndarray, fps: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _validate_seed_state(x0: float, xi: int) -> float:
-    x0 = float(x0)
-    if not -1.0 < x0 < 1.0:
-        raise ValueError(f"x0 must lie strictly inside (-1, 1), got {x0!r}")
-    if _fixed_point_mask(np.array([x0]), map_fixed_points(xi))[0]:
-        raise ValueError(
-            f"x0 = {x0!r} is 0 or within {FIXED_POINT_TOL:g} of a fixed point of the "
-            f"degree-{xi} map; the orbit would not mix"
-        )
-    return x0
-
-
 def generate_sequence(x0: float, n: int, xi: int = 2) -> ChaoticSequence:
     """Iterate the map ``n`` times; the returned orbit starts at ``x0``.
 
@@ -199,13 +181,17 @@ def generate_sequence(x0: float, n: int, xi: int = 2) -> ChaoticSequence:
     (0, +/-1, or anything within FIXED_POINT_TOL of a fixed point) are
     rejected.
     """
-    xi = _validate_degree(xi)
-    if n <= 0:
-        raise ValueError(f"sequence length must be a positive integer, got {n}")
-    x0 = _validate_seed_state(x0, xi)
-    out = np.empty(int(n))
+    for name, value in (("x0", x0), ("n", n), ("xi", xi)):
+        _check(name, value)
+    x0 = float(x0)
+    if _fixed_point_mask(np.array([x0]), map_fixed_points(xi))[0]:
+        raise ValueError(
+            f"x0 = {x0!r} is 0 or within {FIXED_POINT_TOL:g} of a fixed point of the "
+            f"degree-{xi} map; the orbit would not mix"
+        )
+    out = np.empty(n)
     out[0] = x = x0
-    for i in range(1, int(n)):
+    for i in range(1, n):
         out[i] = x = _step_scalar(x, xi)
     return ChaoticSequence(samples=out, map_degree=xi, seed_state=x0)
 

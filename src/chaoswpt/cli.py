@@ -29,7 +29,7 @@ import sys
 
 from .analytic import beta_crossover, closed_form_inputs, z_with_correlator, z_without_correlator
 from .distcheck import verify_distributions
-from .harvester import EhCircuit, _require_real
+from .harvester import EhCircuit, _check
 from .montecarlo import RunConfig, RunResult, measure_papr, run_once, sweep_beta
 
 ENV_SEED = "CHAOSWPT_SEED"
@@ -156,8 +156,8 @@ def _load_config(args) -> dict:
         raw = os.environ[ENV_SEED]
         try:
             config["run"]["seed"] = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {raw!r}") from exc
+        except ValueError:
+            _check("seed", raw, ENV_SEED)  # text that int() cannot parse is no seed
     for expr in args.set or ():
         _apply_set(config, expr)
     return config
@@ -166,14 +166,12 @@ def _load_config(args) -> dict:
 def _transmit_watts(circuit_cfg: dict) -> float:
     watts = circuit_cfg.get("p_t_watts")
     if watts is not None:
-        _require_real("p_t_watts", watts)
-        if watts <= 0:
-            raise ConfigError(f"p_t_watts must be a finite number > 0, got {watts!r}")
+        _check("p_t", watts, "p_t_watts")
         return float(watts)
     dbm = circuit_cfg.get("p_t_dbm")
     if dbm is None:
         raise ConfigError("one of circuit.p_t_dbm or circuit.p_t_watts is required")
-    _require_real("p_t_dbm", dbm)
+    _check("p_t_dbm", dbm)
     try:
         watts = 10.0 ** ((float(dbm) - 30.0) / 10.0)
     except OverflowError:
@@ -197,7 +195,11 @@ def _fmt_cell(value) -> str:
         return str(value).lower()
     if isinstance(value, float):
         return format(value, ".17g")
-    return str(value)
+    # a bad sweep axis value is echoed as given, so quote it as RFC 4180 does
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _emit(rows: list[dict], header: tuple[str, ...], args, config: dict) -> None:
@@ -311,9 +313,7 @@ def _cmd_crossover(config: dict, args) -> int:
         raise ConfigError("crossover needs both distances: set crossover.r_c "
                           "and crossover.r_nc")
     for key, value in (("r_c", r_c), ("r_nc", r_nc)):
-        _require_real(f"crossover.{key}", value)
-        if value <= 0:
-            raise ConfigError(f"crossover.{key} must be > 0, got {value!r}")
+        _check("r", value, f"crossover.{key}")
     # the closed-form inputs check alpha and the circuit like every other command
     circuit = _circuit(config)
     alpha = config["channel"]["alpha"]

@@ -18,7 +18,7 @@ import numpy as np
 from ._parallel import fork_map
 from .analytic import PdfOracle, make_oracle, oracle_cdf, oracle_moment, oracle_normalization
 from .channel import sample_rayleigh
-from .harvester import _require_int, _require_seed
+from .harvester import _check
 
 __all__ = [
     "MomentCheck",
@@ -43,21 +43,11 @@ KS_TOL = 5e-3
 
 def expected_moments(family: str, beta: int | None = None) -> list[tuple[int, float]]:
     """Closed-form moments the quadrature must reproduce, as (order, value)."""
-    if family == "S_b1":
-        return [(2, 1.0), (4, 6.0)]
-    if family == "Z_b1":
-        return [(1, 1.0), (2, 6.0)]
-    if family == "P_b1":
-        return [(1, 6.0)]
+    PdfOracle(family, beta)  # checks the (family, beta) pair
     if family == "S_clt":
-        if beta is None or beta < 2:
-            raise ValueError("S_clt needs an integer beta >= 2")
         return [(2, float(beta)), (4, 12.0 * float(beta) ** 2)]
-    if family == "Delta_b1":
-        return [(1, 1.0), (2, 3.0)]
-    if family == "Theta_b1":
-        return [(1, 1.5)]
-    raise ValueError(f"unknown family {family!r}")
+    return {"S_b1": [(2, 1.0), (4, 6.0)], "Z_b1": [(1, 1.0), (2, 6.0)], "P_b1": [(1, 6.0)],
+            "Delta_b1": [(1, 1.0), (2, 3.0)], "Theta_b1": [(1, 1.5)]}[family]
 
 
 def sample_family(family: str, n: int, rng: np.random.Generator,
@@ -70,17 +60,13 @@ def sample_family(family: str, n: int, rng: np.random.Generator,
     sums differ from it in the fourth moment, which is exactly the kind of
     discrepancy the harvested-DC tests quantify elsewhere).
     """
-    if n < 1:
-        raise ValueError(f"need at least one sample, got n={n}")
+    _check("n", n)
+    PdfOracle(family, beta)  # checks the (family, beta) pair; draws stay physical
     h = sample_rayleigh(rng, size=n)
     if family == "S_clt":
-        if beta is None or beta < 2:
-            raise ValueError("S_clt needs an integer beta >= 2")
         v = rng.normal(0.0, math.sqrt(beta / 2.0), size=n)
         d = rng.integers(0, 2, size=n) * 2 - 1
         return h * (1 + d) * v
-    if beta not in (None, 1):
-        raise ValueError(f"{family} is defined for beta = 1 only")
     x = np.cos(np.pi * rng.random(n))
     if family in ("S_b1", "Z_b1", "P_b1"):
         d = rng.integers(0, 2, size=n) * 2 - 1
@@ -93,9 +79,7 @@ def sample_family(family: str, n: int, rng: np.random.Generator,
     if family == "Delta_b1":
         # full-symbol sum of squared received samples: both halves carry x^2
         return 2.0 * (h * x) ** 2
-    if family == "Theta_b1":
-        return 2.0 * (h * x) ** 4
-    raise ValueError(f"unknown family {family!r}")
+    return 2.0 * (h * x) ** 4  # Theta_b1
 
 
 def ks_statistic(samples: np.ndarray, oracle: PdfOracle) -> float:
@@ -188,10 +172,8 @@ def verify_distributions(n_samples: int = 1_000_000, seed: int = 0) -> list[Fami
     draws from its own stream ``default_rng((seed, i))``, so the reports
     equal those of a serial run.
     """
-    _require_int("n_samples", n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    _require_seed(seed)
+    _check("n_samples", n_samples)
+    _check("seed", seed)
 
     def run(i: int) -> FamilyReport:
         family, beta = DEFAULT_BATTERY[i]

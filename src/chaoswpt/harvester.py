@@ -22,29 +22,69 @@ import numpy as np
 __all__ = ["EhCircuit", "DcEstimate", "DcAccumulator", "rho_params"]
 
 
-def _require_int(name: str, value) -> None:
-    # bool is an int subclass, but True is no spreading factor
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no spreading factor; a plain int
+    # is tested first because chebyshev_step checks its degree every step
+    return type(value) is int or (isinstance(value, (int, np.integer))
+                                  and not isinstance(value, bool))
 
 
-def _require_seed(seed) -> None:
-    """Reject anything but an unsigned 64-bit integer seed."""
-    _require_int("seed", seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-
-
-def _require_real(name: str, value) -> None:
-    """Reject anything but a finite real number (str, bool, None, NaN, +/-inf)."""
+def _is_finite_real(value) -> bool:
     # bool is an int subclass, but True is no resistance
-    ok = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
     try:
-        ok = ok and math.isfinite(value)
+        return math.isfinite(value)
     except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        return False
+
+
+#: the receiver modes: integrate a whole symbol, or rectify the raw chips
+PSI_MODES = ("full", "bypass")
+
+# The rule table: each named input's type, the range its value must lie in,
+# and the error text of each.  ``_check`` applies a rule by name, and every
+# entry point that takes one of these inputs calls it; the README's table of
+# settings mirrors this one.
+_INTEGER = (_is_int, "must be an integer")
+_REAL = (_is_finite_real, "must be a finite real number")
+_ANY = (lambda v: True, "")
+_RULES = {
+    "beta": (_INTEGER, lambda v: v >= 1, "must be a positive integer"),
+    "n": (_INTEGER, lambda v: v >= 1, "must be >= 1"),
+    "n_frames": (_INTEGER, lambda v: v >= 1, "must be >= 1"),
+    "n_samples": (_INTEGER, lambda v: v >= 1, "must be >= 1"),
+    "xi": (_INTEGER, lambda v: v >= 2, "(map degree) must be >= 2"),
+    "seed": (_INTEGER, lambda v: 0 <= v < 2**64, "must be an unsigned 64-bit integer"),
+    "psi_mode": (_ANY, lambda v: v in PSI_MODES, f"must be one of {PSI_MODES}"),
+    "r": (_REAL, lambda v: v > 0, "(distance) must be > 0"),
+    "alpha": (_REAL, lambda v: v > 0, "(path-loss exponent) must be > 0"),
+    "x0": (_REAL, lambda v: -1 < v < 1, "must lie strictly inside (-1, 1)"),
+    # a moment of order <= 0 diverges against the mass at the origin
+    "order": (_INTEGER, lambda v: v >= 1, "must be >= 1"),
+    "k2": (_REAL, lambda v: v > 0, "must be > 0"),
+    # k4 = 0 models a purely linear rectifier and is a meaningful limit
+    "k4": (_REAL, lambda v: v >= 0, "must be >= 0"),
+    "r_ant": (_REAL, lambda v: v > 0, "must be > 0"),
+    "p_t": (_REAL, lambda v: v > 0, "must be > 0"),
+    # its power in watts must be a float too; the CLI checks that as it converts
+    "p_t_dbm": (_REAL, lambda v: True, ""),
+    "rho1": (_REAL, lambda v: v > 0, "must be > 0"),
+    "rho2": (_REAL, lambda v: v >= 0, "must be >= 0"),
+}
+
+
+def _check(name: str, value, label: str | None = None) -> None:
+    """Apply input ``name``'s rule to ``value``.
+
+    A value of the wrong type or out of range raises a ValueError that names
+    ``label`` (by default ``name``).
+    """
+    (is_type, type_text), in_range, range_text = _RULES[name]
+    if not is_type(value):
+        raise ValueError(f"{label or name} {type_text}, got {value!r}")
+    if not in_range(value):
+        raise ValueError(f"{label or name} {range_text}, got {value!r}")
 
 
 def _square(x: float) -> float:
@@ -66,13 +106,7 @@ class EhCircuit:
 
     def __post_init__(self) -> None:
         for name in ("k2", "k4", "r_ant", "p_t"):
-            _require_real(f"EhCircuit.{name}", getattr(self, name))
-        for name in ("k2", "r_ant", "p_t"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"EhCircuit.{name} must be > 0, got {getattr(self, name)}")
-        # k4 = 0 models a purely linear rectifier and is a meaningful limit
-        if self.k4 < 0:
-            raise ValueError(f"EhCircuit.k4 must be >= 0, got {self.k4}")
+            _check(name, getattr(self, name), f"EhCircuit.{name}")
         # the scales the rectifier and the closed forms multiply by must be
         # usable floats; a linear rectifier (k4 = 0) makes the quartic ones 0
         (a, b), (rho1, rho2) = _scales(self), rho_params(self)
@@ -95,8 +129,7 @@ class DcEstimate:
     def __post_init__(self) -> None:
         if self.std_error < 0:
             raise ValueError(f"std_error must be >= 0, got {self.std_error}")
-        if self.n_frames < 1:
-            raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
+        _check("n_frames", self.n_frames)
 
 
 def _scales(circuit: EhCircuit) -> tuple[float, float]:

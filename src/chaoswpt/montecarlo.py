@@ -25,10 +25,9 @@ from ._parallel import fork_map
 from .analytic import (ClosedFormInputs, closed_form_inputs, papr_analytic,
                        z_with_correlator, z_without_correlator)
 from .channel import path_gain, sample_rayleigh
-from .chaos import (_fixed_point_mask, _in_domain, _validate_degree, chebyshev_step,
-                    draw_initial_state, map_fixed_points)
-from .harvester import (DcAccumulator, DcEstimate, EhCircuit, _require_int, _require_seed,
-                        _scales)
+from .chaos import (_fixed_point_mask, _in_domain, chebyshev_step, draw_initial_state,
+                    map_fixed_points)
+from .harvester import PSI_MODES, DcAccumulator, DcEstimate, EhCircuit, _check, _scales
 
 __all__ = [
     "RunConfig",
@@ -44,8 +43,6 @@ __all__ = [
 ]
 
 _BATCH = 1 << 16
-
-PSI_MODES = ("full", "bypass")
 
 
 @dataclass(frozen=True)
@@ -64,17 +61,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         # the closed-form inputs own the checks of beta, r and alpha
         self.closed_form()
-        for name in ("n_frames", "xi"):
-            _require_int(name, getattr(self, name))
-        _require_seed(self.seed)
-        if self.psi_mode not in PSI_MODES:
-            raise ValueError(f"psi_mode must be one of {PSI_MODES}, got {self.psi_mode!r}")
-        if self.n_frames < 1:
-            raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
+        for name in ("psi_mode", "n_frames", "seed", "xi"):
+            _check(name, getattr(self, name))
         if self.n_frames < 100:
             warnings.warn(f"n_frames={self.n_frames} gives a very noisy estimate",
                           stacklevel=3)
-        _validate_degree(self.xi)
         if not 0.0 < self._gain() < math.inf:
             raise ValueError(f"p_t*r**-alpha overflows or underflows to 0 for "
                              f"p_t={self.circuit.p_t!r}, r={self.r!r}, alpha={self.alpha!r}")
@@ -351,13 +342,9 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = 100_000,
     normalized ratio divides by the ensemble-mean power that the closed-form
     bounds are stated against.
     """
-    for name, value in (("beta", beta), ("n_frames", n_frames), ("xi", xi)):
-        _require_int(name, value)
-    _require_seed(seed)
-    _validate_degree(xi)
-    bound = papr_analytic(psi_mode, beta)  # validates mode and beta
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+    bound = papr_analytic(psi_mode, beta)  # checks psi_mode and beta
+    for name, value in (("n_frames", n_frames), ("seed", seed), ("xi", xi)):
+        _check(name, value)
     rng = np.random.default_rng(seed)
     peak = 0.0
     power_sum = 0.0

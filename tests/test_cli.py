@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import warnings
@@ -13,9 +15,8 @@ FAST = ["--set", "n_frames=2000"]
 
 
 def _csv_rows(out: str):
-    lines = out.strip().split("\n")
-    header = lines[0].split(",")
-    return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+    header, *lines = csv.reader(io.StringIO(out, newline=""))
+    return header, [dict(zip(header, line)) for line in lines]
 
 
 def test_run_csv_matches_library(capsys):
@@ -238,6 +239,8 @@ def test_crossover_requires_both_distances(capsys):
     (["crossover.r_c=30", "crossover.r_nc=1e-50"], "r_nc=1e-50, alpha=4.0 (got inf)"),
     # the bound is finite, the harvested DC at beta ~ 1.9e299 is not
     (["crossover.r_c=1", "crossover.r_nc=3e-38"], "crossover.r_nc=3e-38, alpha=4.0"),
+    # a linear rectifier has no crossover: the correlator gains only through k4
+    (["crossover.r_c=30", "crossover.r_nc=20", "k4=0"], "quartic rectifier term (k4 > 0)"),
 ])
 def test_crossover_rejects_bad_inputs(capsys, sets, key):
     argv = ["crossover"]
@@ -360,14 +363,34 @@ _ODD = st.one_of(
 _EXTREME = st.builds(lambda sign, e, k: sign * 10.0 ** (e / k),
                      st.sampled_from([1.0, -1.0]), st.sampled_from(range(-320, 309)),
                      st.sampled_from([1, 2, 4, 8]))
+#: text made of the characters a CSV cell must quote
+_CSV_TEXT = st.text(alphabet=',"\r\n ', min_size=1, max_size=4)
+#: the values a sweep axis list holds when it is valid; betas stay small
+_SWEEP_AXES = {"sweep.betas": st.integers(-1, 6),
+               "sweep.distances": st.one_of(st.integers(), _EXTREME),
+               "sweep.modes": st.sampled_from(["full", "bypass"])}
+
+
+def _either(a, b):
+    # even odds; st.one_of weighs each of _ODD's branches like a strategy
+    return st.booleans().flatmap(lambda pick_a: a if pick_a else b)
+
+
+def _value(key):
+    if key in _SWEEP_AXES:
+        # a non-list, an empty list, or a list mixing valid and odd values; a
+        # marker row echoes the odd ones, so they include CSV separators
+        odd = st.one_of(_ODD, _CSV_TEXT)
+        return _either(_ODD, st.lists(_either(_SWEEP_AXES[key], odd), max_size=3))
+    if key in _SMALL_INT_KEYS:
+        return st.one_of(st.integers(*_SMALL_INT_KEYS[key]), _ODD)
+    return st.one_of(st.integers(), _ODD, _EXTREME)
 
 
 @st.composite
 def _numeric_overrides(draw, keys=_NUMERIC_KEYS):
     keys = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
-    return {key: draw(st.one_of(st.integers(*_SMALL_INT_KEYS[key]), _ODD)
-                      if key in _SMALL_INT_KEYS else st.one_of(st.integers(), _ODD, _EXTREME))
-            for key in keys}
+    return {key: draw(_value(key)) for key in keys}
 
 
 @given(_numeric_overrides())
@@ -404,6 +427,9 @@ _FUZZ_COMMANDS = {
                   ("crossover.r_c", "crossover.r_nc", "alpha", "k2", "k4", "r_ant",
                    "p_t_watts")),
     "verify-dist": (["--set", "n_samples=200"], ("n_samples", "seed")),
+    "sweep": (["--set", "n_frames=200", "--set", "sweep.betas=[1,3]",
+               "--set", "sweep.distances=[20]", "--set", 'sweep.modes=["full"]'],
+              tuple(_SWEEP_AXES)),
 }
 _TEXT_COLUMNS = ("mode", "family", "status")
 
@@ -421,12 +447,20 @@ def test_other_commands_fuzz_exits_cleanly(capsys, command, data):
     capsys.readouterr()
     code = main(argv)
     out, err = capsys.readouterr()
-    # verify-dist exits 2 when a family misses its gate, as it does at n = 200
+    # verify-dist exits 2 when a family misses its gate, as it does at n = 200,
+    # and sweep when an axis holds an invalid value
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in err
     if code != 1:
         header, rows = _csv_rows(out)
-        for row in rows:
+        # a sweep cell on an invalid axis value is a marker row: NaN in every
+        # result column, its axis values as given, and one stderr line
+        markers = [row.get("z_empirical") == "nan" for row in rows]
+        assert sum(markers) == err.count("chaoswpt: sweep point "), (argv, err)
+        for row, marker in zip(rows, markers):
             for col in header:
-                if col not in _TEXT_COLUMNS:
-                    assert math.isfinite(float(row[col])), (argv, col, row[col])
+                if col in _TEXT_COLUMNS or (marker and col in ("beta", "r")):
+                    continue
+                value = float(row[col])
+                assert math.isnan(value) if marker else math.isfinite(value), (
+                    argv, col, row[col])

@@ -4,8 +4,43 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chaoswpt.analytic import beta_crossover, make_oracle, oracle_moment, papr_analytic
+from chaoswpt.channel import path_gain
+from chaoswpt.chaos import ChaoticSequence, chebyshev_step, generate_sequence
+from chaoswpt.distcheck import expected_moments, sample_family
 from chaoswpt.harvester import DcAccumulator, DcEstimate, EhCircuit, rho_params
 from frame_chain import FrameAccumulator, harvest_dc
+
+_RNG = np.random.default_rng(0)
+
+#: inputs that public functions used to accept or to fail on with a
+#: TypeError, each with the key its ValueError must name
+_MALFORMED = [
+    (papr_analytic, ("full", True), "beta"),
+    (papr_analytic, ("full", 2.0), "beta"),
+    (papr_analytic, ("full", "3"), "beta"),
+    (path_gain, ("x", 4), "r"),
+    (path_gain, (True, 4), "r"),
+    (beta_crossover, ("x", 20, 4, 0.17, 957.25), "r_c"),
+    (make_oracle, ("S_clt", 2.5), "beta"),
+    (oracle_moment, (make_oracle("Z_b1"), True), "order"),
+    (oracle_moment, (make_oracle("Z_b1"), 2.0), "order"),
+    (expected_moments, ("S_clt", 2.5), "beta"),
+    (sample_family, ("S_clt", 4, _RNG, 2.5), "beta"),
+    (sample_family, ("Z_b1", 2.5, _RNG), "n"),
+    (generate_sequence, (0.3, 2.5), "n"),
+    (generate_sequence, (0.3, True), "n"),
+    (chebyshev_step, (0.3, 2.0), "xi"),
+    (ChaoticSequence, (np.array([0.3]), 2.5, 0.3), "map_degree"),
+    (ChaoticSequence, (np.array([0.3]), 2, "0.3"), "seed_state"),
+]
+
+
+@pytest.mark.parametrize("fn, args, key", _MALFORMED,
+                         ids=[f"{fn.__name__}{args[:2]}" for fn, args, _ in _MALFORMED])
+def test_malformed_inputs_raise_a_value_error_naming_the_key(fn, args, key):
+    with pytest.raises(ValueError, match=rf"\b{key} must be"):
+        fn(*args)
 
 
 def test_default_circuit_rho_params():

@@ -38,3 +38,17 @@ def test_the_cli_loads_every_package_module():
                             capture_output=True, text=True).stdout.split()
     listed = {f"chaoswpt.{m.name}" for m in pkgutil.iter_modules(chaoswpt.__path__)}
     assert listed - set(loaded) == set()
+
+
+def test_type_rules_live_only_in_the_rule_table():
+    # an ad-hoc input check would repeat one of these texts outside the table
+    phrases = ("must be an integer", "must be a finite real")
+    for path in sorted(pathlib.Path(chaoswpt.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "harvester.py":
+            start = text.index("_INTEGER = (")
+            end = text.index("\n}\n", start)
+            assert [text[start:end].count(p) for p in phrases] == [1, 1]
+            text = text[:start] + text[end:]
+        for phrase in phrases:
+            assert phrase not in text, (path.name, phrase)
