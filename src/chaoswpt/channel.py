@@ -16,15 +16,13 @@ from .harvester import _check
 __all__ = ["sample_rayleigh", "path_gain"]
 
 
-def sample_rayleigh(rng: np.random.Generator, size: int | None = None):
-    """Rayleigh magnitude(s) with E[|h|^2] = 1, via inverse-CDF sampling.
+def sample_rayleigh(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` Rayleigh magnitudes with E[|h|^2] = 1, via inverse-CDF sampling.
 
     numpy's ``random()`` covers [0, 1); mapping U -> 1-U puts it on (0, 1]
     so the log never sees zero.
     """
-    u = rng.random(size) if size is not None else rng.random()
-    h = np.sqrt(-np.log1p(-u))
-    return h if size is not None else float(h)
+    return np.sqrt(-np.log1p(-rng.random(size)))
 
 
 def path_gain(r: float, alpha: float) -> float:

@@ -21,25 +21,22 @@ D_n(2 cos t) = 2 cos(n t) = 2 T_n(cos t).  That saves the multiply by 2 in
 every step.  Scaling by a power of two is exact in binary floating point, so
 each rounded operation of a Dickson step returns a power of two times the
 matching operation of the scalar T_xi step: a Dickson orbit is 2x bit for
-bit, an unscaled array step (D_xi(2x) / 2) equals the scalar one, and running
-sums of y, y^2 and y^4 are 2, 4 and 16 times those of x, x^2 and x^4.  The
-one exception is a chip with |x| < 1.5e-154, whose square x^2 is subnormal
-and so carries fewer bits than 4x^2: the orbit stays exact, but that chip's
-square (and fourth power) can differ from a quarter (a sixteenth) of the
-scaled one in its last bits.
+bit, and running sums of y, y^2 and y^4 are 2, 4 and 16 times those of x,
+x^2 and x^4.  The one exception is a chip with |x| < 1.5e-154, whose square
+x^2 is subnormal and so carries fewer bits than 4x^2: the orbit stays exact,
+but that chip's square (and fourth power) can differ from a quarter (a
+sixteenth) of the scaled one in its last bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .harvester import _check
 
 __all__ = [
-    "ChaoticSequence",
     "chebyshev_step",
     "generate_sequence",
     "draw_initial_state",
@@ -54,29 +51,8 @@ DOMAIN_TOL = 1e-12
 FIXED_POINT_TOL = 1e-9
 
 
-@dataclass
-class ChaoticSequence:
-    """An orbit of the Chebyshev map: ``samples[0]`` is the seed state."""
-
-    samples: np.ndarray
-    map_degree: int
-    seed_state: float
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise ValueError("ChaoticSequence.samples must be a nonempty 1-D array")
-        _check("xi", self.map_degree, "ChaoticSequence.map_degree")
-        _check("x0", self.seed_state, "ChaoticSequence.seed_state")
-        if np.any(np.abs(self.samples) > 1.0):
-            raise ValueError("chaotic samples must lie in [-1, 1]")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
 def _step_scalar(x: float, xi: int) -> float:
-    """T_xi(x) for a float already in [-1, 1]; the array path gives the same bits."""
+    """T_xi(x) for a float already in [-1, 1]; ``chebyshev_step(2x)`` is twice its bits."""
     t = x * x * 2.0 - 1.0
     if xi == 2:
         return t
@@ -93,46 +69,29 @@ def _in_domain(arr: np.ndarray) -> np.ndarray:
         if hi > 1.0 + DOMAIN_TOL or lo < -1.0 - DOMAIN_TOL:
             bad = hi if hi > 1.0 + DOMAIN_TOL else lo
             raise ValueError(
-                f"chebyshev_step domain error: |x| > 1 + {DOMAIN_TOL:g} (got {float(bad)!r})"
+                f"chaotic state domain error: |x| > 1 + {DOMAIN_TOL:g} (got {float(bad)!r})"
             )
         if hi > 1.0 or lo < -1.0:
             arr = np.clip(arr, -1.0, 1.0)
     return arr
 
 
-def chebyshev_step(x, xi: int = 2, out=None, *, scaled: bool = False):
-    """One application of the degree-``xi`` Chebyshev map.
+def chebyshev_step(y: np.ndarray, xi: int = 2, out=None) -> np.ndarray:
+    """One application of the degree-``xi`` map to Dickson states y = 2x.
 
-    Accepts a scalar or an ndarray; ``out`` (an array of x's shape, which may
-    be ``x`` itself) receives the result in place.  Values straying beyond
-    [-1, 1] by at most ``DOMAIN_TOL`` (floating-point dust) are clamped;
-    anything worse raises a domain error.  The map is evaluated as the exact
-    polynomial T_xi, never through arccos/cos: a scalar directly, an array as
-    D_xi(2x) / 2, which is the same bits (see the module docstring).
-
-    With ``scaled=True``, ``x`` must be a float ndarray of Dickson states
-    y = 2x in [-2, 2], and the result is D_xi(y) = 2 T_xi(y/2).  The domain
-    check is skipped, so nothing stops a y outside [-2, 2] from growing: the
-    map keeps [-2, 2], and a caller that iterates an orbit checks its seed
-    states once instead.
+    ``y`` must be a float ndarray of states in [-2, 2]; the result is
+    D_xi(y) = 2 T_xi(y/2), which is twice ``_step_scalar(y/2)`` bit for bit
+    (see the module docstring).  ``out`` (an array of y's shape, which may be
+    ``y`` itself) receives the result in place.  There is no domain check,
+    so nothing stops a y outside [-2, 2] from growing: the map keeps
+    [-2, 2], and a caller that iterates an orbit checks its seed states once
+    instead (``_in_domain``).
     """
     _check("xi", xi)
-    if scaled:
-        if not isinstance(x, np.ndarray) or x.dtype.kind != "f":
-            raise TypeError(
-                f"a scaled chebyshev_step takes a float ndarray, got "
-                f"{getattr(x, 'dtype', type(x).__name__)}")
-        return _dickson_step(x, xi, out)
-    arr = _in_domain(np.asarray(x, dtype=float))
-    if arr.ndim == 0 and out is None:
-        return _step_scalar(float(arr), xi)
-    out = _dickson_step(arr + arr, xi, out)
-    out *= 0.5
-    return out
-
-
-def _dickson_step(y: np.ndarray, xi: int, out) -> np.ndarray:
-    """D_xi(y) for Dickson states y = 2x already in [-2, 2]."""
+    if not isinstance(y, np.ndarray) or y.dtype.kind != "f":
+        raise TypeError(
+            f"chebyshev_step takes a float ndarray of Dickson states y = 2x, got "
+            f"{getattr(y, 'dtype', type(y).__name__)}")
     if out is None:
         out = np.empty_like(y)
     if xi == 2:
@@ -171,8 +130,8 @@ def _fixed_point_mask(x0: np.ndarray, fps: np.ndarray) -> np.ndarray:
     return bad
 
 
-def generate_sequence(x0: float, n: int, xi: int = 2) -> ChaoticSequence:
-    """Iterate the map ``n`` times; the returned orbit starts at ``x0``.
+def generate_sequence(x0: float, n: int, xi: int = 2) -> np.ndarray:
+    """The orbit of ``x0`` as a float array of ``n`` chips, ``x0`` first.
 
     The Monte-Carlo kernel iterates the Dickson state y = 2x instead, and
     power-of-two scaling is exact, so its orbit from ``x0`` is twice this one
@@ -193,33 +152,22 @@ def generate_sequence(x0: float, n: int, xi: int = 2) -> ChaoticSequence:
     out[0] = x = x0
     for i in range(1, n):
         out[i] = x = _step_scalar(x, xi)
-    return ChaoticSequence(samples=out, map_degree=xi, seed_state=x0)
+    return out
 
 
-def _angle_to_state(u, v):
+def draw_initial_state(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` seed states drawn from the stationary density via x = cos(pi*U).
+
+    U = 0 lands exactly on x = 1, a fixed point of every T_xi; a caller that
+    iterates the map redraws such states along with the other near-fixed
+    ones (``montecarlo._draw_clean_states``).  A float U carries only 53
+    random bits and the degree-2 map doubles the angle pi*U every step, so by
+    step 53 an orbit seeded with cos(pi*U) alone would have used them up and
+    sit near +/-1 (mean square 0.545 instead of 0.5).  A second uniform V
+    widens the angle to pi*(U + 2V/2^53), which keeps every later step's
+    angle uniform.
+    """
+    u = rng.random(size)
     # cos(pi*(u + 2v/2^53)) to first order in the sub-ulp term; sin(pi*u) >= 0
     x = np.cos(np.pi * u)
-    return x - np.sqrt(1.0 - x * x) * (2.0 * np.pi * 2.0 ** -53) * v
-
-
-def draw_initial_state(rng: np.random.Generator, size: int | None = None):
-    """Seed state(s) drawn from the stationary density via x = cos(pi*U).
-
-    U = 0 would land exactly on x = 1 (a fixed point), so it is redrawn.
-    A float U carries only 53 random bits and the degree-2 map doubles the
-    angle pi*U every step, so by step 53 an orbit seeded with cos(pi*U)
-    alone would have used them up and sit near +/-1 (mean square 0.545
-    instead of 0.5).  A second uniform V widens the angle to
-    pi*(U + 2V/2^53), which keeps every later step's angle uniform.
-    """
-    if size is None:
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
-        return float(_angle_to_state(u, rng.random()))
-    u = rng.random(size)
-    bad = u == 0.0
-    while np.any(bad):
-        u[bad] = rng.random(int(bad.sum()))
-        bad = u == 0.0
-    return _angle_to_state(u, rng.random(size))
+    return x - np.sqrt(1.0 - x * x) * (2.0 * np.pi * 2.0 ** -53) * rng.random(size)

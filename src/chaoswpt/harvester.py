@@ -167,8 +167,7 @@ class DcAccumulator:
 
         ``run_once`` defines w, the rectifier output of one frame.
         """
-        if n < 1:
-            raise ValueError("batch must contain at least one frame")
+        _check("n", n)
         self._n += int(n)
         self._sum += float(w_sum)
         self._sumsq += float(w_sumsq)

@@ -143,7 +143,7 @@ def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int, psi_mode: str,
     if psi_mode == "full":
         v = y.copy()
         for _ in range(beta - 1):
-            chebyshev_step(y, xi, out=y, scaled=True)
+            chebyshev_step(y, xi, out=y)
             v += y
         v *= 0.5
         return (v,)
@@ -152,7 +152,7 @@ def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int, psi_mode: str,
     e4 = y2 * y2
     m2 = y2.copy() if peak else None
     for _ in range(beta - 1):
-        chebyshev_step(y, xi, out=y, scaled=True)
+        chebyshev_step(y, xi, out=y)
         np.multiply(y, y, out=y2)
         e2 += y2
         if peak:
@@ -237,13 +237,12 @@ class SweepResult:
 
     def select(self, *, beta: int | None = None, r: float | None = None,
                psi_mode: str | None = None) -> list[RunResult]:
+        """The rows that match every filter given; each filter obeys its input's rule."""
         out = self.rows
-        if beta is not None:
-            out = [s for s in out if s.beta == int(beta)]
-        if r is not None:
-            out = [s for s in out if s.r == float(r)]
-        if psi_mode is not None:
-            out = [s for s in out if s.psi_mode == psi_mode]
+        for name, value in (("beta", beta), ("r", r), ("psi_mode", psi_mode)):
+            if value is not None:
+                _check(name, value)
+                out = [s for s in out if getattr(s, name) == value]
         return out
 
 

@@ -52,7 +52,7 @@ def transmit_frames(rng: np.random.Generator, n_frames: int, beta: int,
     """
     x0 = _draw_clean_states(rng, n_frames, xi)
     d = rng.integers(0, 2, size=n_frames) * 2 - 1
-    pool = np.concatenate([generate_sequence(a, beta, xi).samples for a in x0])
+    pool = np.concatenate([generate_sequence(a, beta, xi) for a in x0])
     return modulate(d, beta, pool)
 
 

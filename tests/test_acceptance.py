@@ -184,7 +184,7 @@ def test_criterion_7_scaling_fit_recovers_quadratic_law():
 def test_criterion_8_chaotic_orbit_statistics():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
-    x = generate_sequence(draw_initial_state(rng), N_FULL, 2).samples
+    x = generate_sequence(float(draw_initial_state(rng, size=1)[0]), N_FULL, 2)
     mean = float(np.mean(x))
     m2 = float(np.mean(x * x))
     m4 = float(np.mean(x ** 4))

@@ -14,12 +14,6 @@ def test_rayleigh_moments():
     assert float(np.mean(h ** 4)) == pytest.approx(2.0, abs=0.02)
 
 
-def test_rayleigh_scalar_draw():
-    h = sample_rayleigh(np.random.default_rng(0))
-    assert isinstance(h, float)
-    assert h >= 0
-
-
 def test_path_gain_values():
     assert path_gain(1.0, 4.0) == 1.0
     assert path_gain(20.0, 4.0) == 6.25e-06

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from chaoswpt.chaos import (
-    ChaoticSequence,
+    _in_domain,
     _step_scalar,
     chebyshev_step,
     draw_initial_state,
@@ -16,18 +16,22 @@ from chaoswpt.chaos import (
 
 
 def test_step_known_values():
-    assert chebyshev_step(0.3, 2) == pytest.approx(-0.82, abs=1e-15)
-    assert chebyshev_step(0.5, 3) == pytest.approx(-1.0, abs=1e-12)
-    assert chebyshev_step(1.0, 2) == pytest.approx(1.0, abs=1e-12)
+    for x, xi, expected, tol in ((0.3, 2, -0.82, 1e-15), (0.5, 3, -1.0, 1e-12),
+                                 (1.0, 2, 1.0, 1e-12)):
+        assert _step_scalar(x, xi) == pytest.approx(expected, abs=tol)
+        # the Dickson step maps y = 2x to 2 T_xi(x)
+        y = chebyshev_step(np.array([2.0 * x]), xi)
+        assert y == pytest.approx([2.0 * expected], abs=2.0 * tol)
 
 
 def test_step_clamps_roundoff_but_rejects_real_violations():
-    # within the clamp band: treated as the boundary
-    assert abs(chebyshev_step(1.0 + 5e-13, 2)) <= 1.0
-    with pytest.raises(ValueError):
-        chebyshev_step(1.0 + 1e-9, 2)
-    with pytest.raises(ValueError):
-        chebyshev_step(-1.5, 2)
+    # the kernel's check of its seed states: within the clamp band a state
+    # is treated as the boundary, beyond it the batch is refused
+    assert np.max(np.abs(_in_domain(np.array([1.0 + 5e-13, -1.0 - 5e-13])))) <= 1.0
+    with pytest.raises(ValueError, match="domain error"):
+        _in_domain(np.array([0.3, 1.0 + 1e-9]))
+    with pytest.raises(ValueError, match="domain error"):
+        _in_domain(np.array([-1.5]))
 
 
 def test_step_rejects_bad_degree():
@@ -37,21 +41,22 @@ def test_step_rejects_bad_degree():
 
 @given(st.floats(-1.0, 1.0), st.sampled_from([2, 3, 5, 7]))
 def test_step_stays_in_range(x, xi):
-    assert abs(chebyshev_step(x, xi)) <= 1.0
+    assert abs(_step_scalar(x, xi)) <= 1.0
+    assert abs(chebyshev_step(np.array([2.0 * x]), xi)[0]) <= 2.0
 
 
 def test_step_vectorized_matches_scalar():
     xs = np.linspace(-0.99, 0.99, 101)
-    vec = chebyshev_step(xs, 2)
-    assert vec == pytest.approx([chebyshev_step(float(x), 2) for x in xs], rel=1e-15)
+    vec = chebyshev_step(2.0 * xs, 2) / 2.0
+    assert vec == pytest.approx([_step_scalar(float(x), 2) for x in xs], rel=1e-15)
 
 
 def test_generate_sequence_known_orbit():
     seq = generate_sequence(0.3, 3, 2)
-    assert isinstance(seq, ChaoticSequence)
-    assert seq.samples == pytest.approx([0.3, -0.82, 0.3448], abs=1e-12)
-    assert seq.map_degree == 2
-    assert seq.seed_state == 0.3
+    assert isinstance(seq, np.ndarray)
+    assert seq.dtype == np.float64 and seq.shape == (3,)
+    assert seq[0] == 0.3
+    assert seq == pytest.approx([0.3, -0.82, 0.3448], abs=1e-12)
 
 
 def test_generate_sequence_rejects_degenerate_seeds():
@@ -69,7 +74,8 @@ def test_fixed_points_of_degree_two():
     assert 1.0 in fps.tolist()
     assert any(abs(fp + 0.5) < 1e-15 for fp in fps)
     for fp in fps:
-        assert chebyshev_step(float(fp), 2) == pytest.approx(float(fp), abs=1e-9)
+        assert _step_scalar(float(fp), 2) == pytest.approx(float(fp), abs=1e-9)
+    assert chebyshev_step(2.0 * fps, 2) == pytest.approx(2.0 * fps, abs=2e-9)
 
 
 @given(st.floats(-0.95, 0.95), st.integers(1, 50))
@@ -80,8 +86,8 @@ def test_sequence_deterministic_and_bounded(x0, n):
         return
     a = generate_sequence(x0, n, 2)
     b = generate_sequence(x0, n, 2)
-    assert np.array_equal(a.samples, b.samples)
-    assert np.all(np.abs(a.samples) <= 1.0)
+    assert np.array_equal(a, b)
+    assert np.all(np.abs(a) <= 1.0)
 
 
 def _arcsine(x):
@@ -115,8 +121,7 @@ def test_moments_match_quadrature():
 
 
 def test_ergodic_moments_short_run():
-    seq = generate_sequence(0.123456, 200_000, 2)
-    x = seq.samples
+    x = generate_sequence(0.123456, 200_000, 2)
     assert abs(float(np.mean(x))) < 0.01
     assert float(np.mean(x * x)) == pytest.approx(0.5, abs=0.01)
     assert float(np.mean(x ** 4)) == pytest.approx(0.375, abs=0.01)
@@ -125,32 +130,25 @@ def test_ergodic_moments_short_run():
 def test_draw_initial_state_follows_invariant_density():
     rng = np.random.default_rng(7)
     x0 = draw_initial_state(rng, size=100_000)
+    assert x0.shape == (100_000,)
     assert np.all(np.abs(x0) < 1.0)
     assert float(np.mean(x0 * x0)) == pytest.approx(0.5, abs=0.01)
-    # scalar form
-    assert isinstance(draw_initial_state(np.random.default_rng(1)), float)
-
-
-def test_chaotic_sequence_validation():
-    with pytest.raises(ValueError):
-        ChaoticSequence(samples=np.array([0.3, 1.7]), map_degree=2, seed_state=0.3)
-    with pytest.raises(ValueError):
-        ChaoticSequence(samples=np.array([]), map_degree=2, seed_state=0.3)
 
 
 @pytest.mark.parametrize("xi", [2, 3, 5, 7])
 def test_step_polynomial_matches_trig_form(xi):
     xs = np.linspace(-1.0, 1.0, 1001)
-    assert np.max(np.abs(chebyshev_step(xs, xi) - np.cos(xi * np.arccos(xs)))) < 1e-12
+    ys = chebyshev_step(2.0 * xs, xi)
+    assert np.max(np.abs(ys / 2.0 - np.cos(xi * np.arccos(xs)))) < 1e-12
 
 
 @pytest.mark.parametrize("xi", [2, 3])
 def test_step_in_place(xi):
-    xs = np.linspace(-0.9, 0.9, 7)
-    expected = chebyshev_step(xs, xi)
-    out = chebyshev_step(xs, xi, out=xs)
-    assert out is xs
-    assert np.array_equal(xs, expected)
+    ys = np.linspace(-1.8, 1.8, 7)
+    expected = chebyshev_step(ys, xi)
+    out = chebyshev_step(ys, xi, out=ys)
+    assert out is ys
+    assert np.array_equal(ys, expected)
 
 
 def _scalar_steps(xs, xi):
@@ -159,13 +157,13 @@ def _scalar_steps(xs, xi):
 
 @pytest.mark.parametrize("xi", [2, 3, 5])
 def test_array_steps_are_the_scalar_steps(xi):
-    # D_xi(2x) / 2 and its Dickson state y = 2x: power-of-two scaling is
-    # exact, so both match the scalar T_xi bit for bit
+    # the Dickson step of y = 2x: power-of-two scaling is exact, so it is
+    # twice the scalar T_xi step bit for bit, into a new array or in place
     xs = draw_initial_state(np.random.default_rng(xi), size=100_000)
     expected = _scalar_steps(xs, xi)
-    assert np.array_equal(chebyshev_step(xs, xi), expected)
+    assert np.array_equal(chebyshev_step(xs * 2.0, xi), expected * 2.0)
     ys = xs * 2.0
-    out = chebyshev_step(ys, xi, out=ys, scaled=True)
+    out = chebyshev_step(ys, xi, out=ys)
     assert out is ys
     assert np.array_equal(ys, expected * 2.0)
 
@@ -178,35 +176,36 @@ def test_scaled_step_clips_to_its_domain(xi):
     ext = np.cos(np.arange(xi + 1) * np.pi / xi)
     xs = np.clip(np.concatenate([ext, *(e + (rng.random(20_000) - 0.5) * 1e-6 for e in ext)]),
                  -1.0, 1.0)
-    ys = chebyshev_step(xs * 2.0, xi, scaled=True)
+    ys = chebyshev_step(xs * 2.0, xi)
     assert np.all(np.abs(ys) <= 2.0)
     assert np.array_equal(ys, _scalar_steps(xs, xi) * 2.0)
-    assert np.array_equal(chebyshev_step(np.array([-2.0, 2.0]), 3, scaled=True), [-2.0, 2.0])
+    assert np.array_equal(chebyshev_step(np.array([-2.0, 2.0]), 3), [-2.0, 2.0])
 
 
 @pytest.mark.parametrize("y", [[0.5, -1.0], 1.0, np.array([1, -2])])
 def test_scaled_step_takes_only_float_arrays(y):
+    # an x-state scalar or list fails loudly rather than being read as y = 2x
     with pytest.raises(TypeError):
-        chebyshev_step(y, 2, scaled=True)
+        chebyshev_step(y, 2)
 
 
 @pytest.mark.parametrize("xi", [2, 3])
 def test_generate_sequence_steps_like_the_array_path(xi):
     # bit-identical, so the orbit agrees over all 200 chaotic steps
     x0 = np.array([0.123456, -0.7, 0.91])
-    x = x0.copy()
-    orbits = [generate_sequence(float(a), 200, xi).samples for a in x0]
+    y = x0 * 2.0
+    orbits = [generate_sequence(float(a), 200, xi) for a in x0]
     for k in range(200):
-        assert np.array_equal(x, [orbit[k] for orbit in orbits])
-        chebyshev_step(x, xi, out=x)
+        assert np.array_equal(y, [2.0 * orbit[k] for orbit in orbits])
+        chebyshev_step(y, xi, out=y)
 
 
 def test_orbits_stay_stationary_where_the_seed_bits_run_out():
     # a 53-bit U seeds the angle pi*U, and the degree-2 map doubles it every
     # step; step 53 must still follow the arcsine law (E[x^2] = 1/2)
     n = 1 << 18
-    x = draw_initial_state(np.random.default_rng(11), size=n)
+    y = draw_initial_state(np.random.default_rng(11), size=n) * 2.0
     for _ in range(53):
-        chebyshev_step(x, 2, out=x)
+        chebyshev_step(y, 2, out=y)
     se = math.sqrt(0.375 - 0.25) / math.sqrt(n)
-    assert abs(float(np.mean(x * x)) - 0.5) < 5 * se
+    assert abs(float(np.mean(y * y)) / 4.0 - 0.5) < 5 * se

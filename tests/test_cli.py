@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chaoswpt.cli import SWEEP_HEADER, main
-from chaoswpt.harvester import EhCircuit
 from chaoswpt.montecarlo import RunConfig, run_once
 
 FAST = ["--set", "n_frames=2000"]

@@ -6,12 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from chaoswpt.analytic import beta_crossover, make_oracle, oracle_moment, papr_analytic
 from chaoswpt.channel import path_gain
-from chaoswpt.chaos import ChaoticSequence, chebyshev_step, generate_sequence
+from chaoswpt.chaos import chebyshev_step, generate_sequence
 from chaoswpt.distcheck import expected_moments, sample_family
 from chaoswpt.harvester import DcAccumulator, DcEstimate, EhCircuit, rho_params
+from chaoswpt.montecarlo import SweepResult, fit_scaling
 from frame_chain import FrameAccumulator, harvest_dc
 
 _RNG = np.random.default_rng(0)
+
+
+def select(beta=None, r=None, psi_mode=None):
+    """``SweepResult.select`` on an empty sweep, its filters given by position."""
+    return SweepResult([]).select(beta=beta, r=r, psi_mode=psi_mode)
+
 
 #: inputs that public functions used to accept or to fail on with a
 #: TypeError, each with the key its ValueError must name
@@ -31,8 +38,14 @@ _MALFORMED = [
     (generate_sequence, (0.3, 2.5), "n"),
     (generate_sequence, (0.3, True), "n"),
     (chebyshev_step, (0.3, 2.0), "xi"),
-    (ChaoticSequence, (np.array([0.3]), 2.5, 0.3), "map_degree"),
-    (ChaoticSequence, (np.array([0.3]), 2, "0.3"), "seed_state"),
+    (DcAccumulator().add_moments, (2.5, 1.0, 1.0), "n"),
+    (DcAccumulator().add_moments, (True, 1.0, 1.0), "n"),
+    (DcAccumulator().add_moments, ("3", 1.0, 1.0), "n"),
+    (select, (2.7,), "beta"),
+    (select, ("2",), "beta"),
+    (select, (None, "x"), "r"),
+    (select, (None, None, "half"), "psi_mode"),
+    (fit_scaling, (SweepResult([]), "x", "full"), "r"),
 ]
 
 

@@ -18,7 +18,6 @@ from chaoswpt.channel import sample_rayleigh
 from chaoswpt.harvester import DcEstimate, EhCircuit
 from chaoswpt.montecarlo import (
     PSI_MODES,
-    FitResult,
     RunConfig,
     RunResult,
     SweepResult,
@@ -193,7 +192,7 @@ def test_measure_papr_rejects_zero_mean_power():
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_orbit_batch_stats_match_sequence_sums_for_degree_three(mode):
     x0 = _draw_clean_states(np.random.default_rng(5), 300, 3)
-    chips = np.array([generate_sequence(float(a), 6, 3).samples for a in x0])
+    chips = np.array([generate_sequence(float(a), 6, 3) for a in x0])
     stats = _orbit_batch_stats(x0, 6, 3, mode, peak=True)
     if mode == "full":
         expected = (chips.sum(axis=1),)
@@ -207,7 +206,7 @@ def test_orbit_batch_stats_match_sequence_sums_for_degree_three(mode):
 
 def _chip_order_stats(x0, beta, xi, mode):
     """The kernel's statistics as running sums over scalar orbits, chip by chip."""
-    chips = np.array([generate_sequence(float(a), beta, xi).samples for a in x0])
+    chips = np.array([generate_sequence(float(a), beta, xi) for a in x0])
     if mode == "full":
         v = chips[:, 0].copy()
         for k in range(1, beta):
@@ -275,6 +274,34 @@ def test_fixed_point_mask_matches_broadcast_form(xi):
     mask = _fixed_point_mask(x0, fps)
     assert np.array_equal(mask, broadcast)
     assert np.count_nonzero(mask) >= 3 * len(fps) + 5
+
+
+def test_clean_states_redraw_a_seed_state_of_one(monkeypatch):
+    # a uniform of exactly 0 seeds x = cos(0) = 1, which is a fixed point of
+    # every degree, and only _draw_clean_states redraws it
+    class Zeros:
+        def random(self, size):
+            return np.zeros(size)
+
+    assert np.array_equal(draw_initial_state(Zeros(), size=2), [1.0, 1.0])
+    real = montecarlo.draw_initial_state
+    for xi in (2, 3, 5, 7):
+        fps = map_fixed_points(xi)
+        assert 1.0 in fps.tolist()
+        sizes = []
+
+        def planting(rng, size):
+            sizes.append(size)
+            x0 = real(rng, size=size)
+            if len(sizes) == 1:
+                x0[3] = 1.0
+            return x0
+
+        monkeypatch.setattr(montecarlo, "draw_initial_state", planting)
+        x0 = _draw_clean_states(np.random.default_rng(xi), 100, xi)
+        assert sizes == [100, 1]
+        assert x0[3] != 1.0
+        assert not np.any(_fixed_point_mask(x0, fps))
 
 
 def test_run_result_deviation_fields():
@@ -348,6 +375,7 @@ def test_sweep_rows_and_selection():
     ]
     assert len(res.select(psi_mode="full")) == 2
     assert len(res.select(beta=2, psi_mode="bypass")) == 1
+    assert res.select(r=10) == res.select(r=10.0) == res.rows
     row = res.select(beta=2, psi_mode="bypass")[0]
     # signed, as for run_once; only the CLI columns print its magnitude
     assert row.rel_dev == pytest.approx(

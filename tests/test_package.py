@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import pkgutil
@@ -52,3 +53,27 @@ def test_type_rules_live_only_in_the_rule_table():
             text = text[:start] + text[end:]
         for phrase in phrases:
             assert phrase not in text, (path.name, phrase)
+
+
+def _unread_imports(path: pathlib.Path) -> list[str]:
+    """Names ``path`` imports but never reads, apart from those in its ``__all__``."""
+    imported, read, exported = set(), set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - read - exported)
+
+
+def test_every_imported_name_is_read():
+    root = README.parent
+    paths = [*(root / "src" / "chaoswpt").glob("*.py"), *(root / "tests").glob("*.py"),
+             *(root / "scripts").glob("*.py")]
+    unread = {str(p.relative_to(root)): _unread_imports(p) for p in sorted(paths)}
+    assert {k: v for k, v in unread.items() if v} == {}
