@@ -19,7 +19,9 @@ workload adds the per-layer metrics.  Only the last stdout line of each run
 
 The output holds, per workload and end-to-end metric, each side's median and
 quartiles, every run's value, and the pairs the change won (ties count for
-neither), with the metric's direction taken from ``BENCHMARK.json``.
+neither), with the metric's direction taken from ``BENCHMARK.json``.  It also
+records each side's line count of ``src/`` (``src_lines``), the net size of
+the change.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ def source_sha256(checkout: Path) -> str:
         digest.update(str(path.relative_to(src)).encode() + b"\0")
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def source_lines(checkout: Path) -> int:
+    """Lines in every src/**/*.py, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
 
 
 def export(ref: str, dest: Path) -> None:
@@ -123,6 +130,8 @@ def main(argv=None) -> int:
         parent_dir = Path(tmp)
         export(parent_sha, parent_dir)
         report["parent_source_sha256"] = source_sha256(parent_dir)
+        report["src_lines"] = {"parent": source_lines(parent_dir),
+                               "change": source_lines(ROOT)}
         sides = {"parent": parent_dir, "change": ROOT}
         for workload, n in plan.items():
             runs = {"parent": [], "change": []}

@@ -13,14 +13,16 @@ import math
 import sys
 import time
 
+from chaoswpt.cli import DEFAULTS
 from chaoswpt.montecarlo import RunConfig, sweep_beta
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--betas", type=int, nargs="+",
-                    default=[1, 2, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100])
-    ap.add_argument("--distances", type=float, nargs="+", default=[20.0, 30.0])
+    # the grid of `chaoswpt sweep`
+    ap.add_argument("--betas", type=int, nargs="+", default=DEFAULTS["sweep"]["betas"])
+    ap.add_argument("--distances", type=float, nargs="+",
+                    default=DEFAULTS["sweep"]["distances"])
     ap.add_argument("--n-frames", type=int, default=200_000)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--out", default="fig2_sweep.csv")

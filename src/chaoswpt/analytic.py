@@ -4,6 +4,11 @@ Harvested-DC predictions for the two receiver settings, the PAPR suprema,
 the spreading-factor crossover bound, and the six reference distributions
 that the end-to-end sampler is validated against.
 
+The harvest closed forms and the crossover take plain numbers: the
+spreading factor beta, the link (r, alpha) and the rectifier's lumped gains
+(rho1, rho2), which :func:`chaoswpt.harvester.rho_params` derives from a
+circuit.  Each checks its inputs against the library's rule table.
+
 Every density here is exact for single-chip symbols (beta = 1); the
 correlated-output family for beta > 1 ("S_clt") rests on a Gaussian
 approximation of the chip sum, and its moments inherit that approximation.
@@ -19,11 +24,9 @@ from scipy import integrate
 from scipy.special import erf
 
 from .channel import path_gain
-from .harvester import EhCircuit, _check, rho_params
+from .harvester import _check
 
 __all__ = [
-    "ClosedFormInputs",
-    "closed_form_inputs",
     "papr_analytic",
     "z_with_correlator",
     "z_without_correlator",
@@ -48,33 +51,13 @@ __all__ = [
 #            power, beta = 1
 FAMILIES = ("S_b1", "Z_b1", "P_b1", "S_clt", "Delta_b1", "Theta_b1")
 
+#: the families on the whole real line; the others live on [0, inf), and
+#: their densities blow up at the origin (power-law endpoint)
 _TWO_SIDED = ("S_b1", "S_clt")
-#: families whose density blows up at the origin (power-law endpoint)
-_SINGULAR_AT_ZERO = ("Z_b1", "P_b1", "Delta_b1", "Theta_b1")
 #: probability mass sitting exactly at zero (the data bit erases half of
 #: all correlated symbols)
 _ATOMS = {"S_b1": 0.5, "Z_b1": 0.5, "P_b1": 0.5, "S_clt": 0.5,
           "Delta_b1": 0.0, "Theta_b1": 0.0}
-
-
-@dataclass(frozen=True)
-class ClosedFormInputs:
-    """Operating point for the harvested-DC closed forms."""
-
-    beta: int
-    r: float
-    alpha: float
-    rho1: float
-    rho2: float
-
-    def __post_init__(self) -> None:
-        for name in ("beta", "r", "alpha", "rho1", "rho2"):
-            _check(name, getattr(self, name))
-
-
-def closed_form_inputs(circuit: EhCircuit, beta: int, r: float, alpha: float) -> ClosedFormInputs:
-    rho1, rho2 = rho_params(circuit)
-    return ClosedFormInputs(beta=beta, r=r, alpha=alpha, rho1=rho1, rho2=rho2)
 
 
 def papr_analytic(psi_mode: str, beta: int) -> float:
@@ -91,25 +74,34 @@ def papr_analytic(psi_mode: str, beta: int) -> float:
     return 2.0 if psi_mode == "bypass" else 4.0 * int(beta)
 
 
-def z_with_correlator(inputs: ClosedFormInputs) -> float:
+def _link_gain(beta: int, r: float, alpha: float, rho1: float, rho2: float) -> float:
+    """Path gain of the link, once the operating point has passed its rules."""
+    for name, value in (("beta", beta), ("rho1", rho1), ("rho2", rho2)):
+        _check(name, value)
+    return path_gain(r, alpha)  # it checks r and alpha
+
+
+def z_with_correlator(beta: int, r: float, alpha: float,
+                      rho1: float, rho2: float) -> float:
     """Harvested DC with full-symbol integration ahead of the rectifier.
 
     beta = 1 is exact; beta > 1 uses the Gaussian chip-sum model and is
     intentionally NOT continuous with the beta = 1 value (the two derivations
     disagree at beta = 1 by design, so no interpolation is attempted).
     """
-    g = path_gain(inputs.r, inputs.alpha)
-    if inputs.beta == 1:
-        return g * inputs.rho1 + 6.0 * g * g * inputs.rho2
-    b = float(inputs.beta)
-    return g * inputs.rho1 * b + 12.0 * g * g * inputs.rho2 * b * b
+    g = _link_gain(beta, r, alpha, rho1, rho2)
+    if beta == 1:
+        return g * rho1 + 6.0 * g * g * rho2
+    b = float(beta)
+    return g * rho1 * b + 12.0 * g * g * rho2 * b * b
 
 
-def z_without_correlator(inputs: ClosedFormInputs) -> float:
+def z_without_correlator(beta: int, r: float, alpha: float,
+                         rho1: float, rho2: float) -> float:
     """Harvested DC for the raw chip stream (no integration), any beta."""
-    g = path_gain(inputs.r, inputs.alpha)
-    b = float(inputs.beta)
-    return g * inputs.rho1 * b + 1.5 * g * g * inputs.rho2 * b
+    g = _link_gain(beta, r, alpha, rho1, rho2)
+    b = float(beta)
+    return g * rho1 * b + 1.5 * g * g * rho2 * b
 
 
 def beta_crossover(r_c: float, r_nc: float, alpha: float,
@@ -204,7 +196,7 @@ def pdf_eval(oracle: PdfOracle, point: float) -> float:
     exactly 0 is refused rather than returning inf.
     """
     point = float(point)
-    if oracle.family in _SINGULAR_AT_ZERO:
+    if oracle.family not in _TWO_SIDED:
         if point == 0.0:
             raise ValueError(
                 f"{oracle.family} has an integrable singularity at 0; "

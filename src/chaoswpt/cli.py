@@ -27,29 +27,31 @@ import math
 import os
 import sys
 
-from .analytic import beta_crossover, closed_form_inputs, z_with_correlator, z_without_correlator
+from .analytic import beta_crossover, z_with_correlator, z_without_correlator
 from .distcheck import verify_distributions
-from .harvester import EhCircuit, _check
+from .harvester import EhCircuit, _check, rho_params
 from .montecarlo import RunConfig, RunResult, measure_papr, run_once, sweep_beta
 
 ENV_SEED = "CHAOSWPT_SEED"
 
+#: the built-in config; a default the library also has is read from the
+#: library (RunConfig leaves beta and r to its caller, so they are the CLI's)
 DEFAULTS: dict = {
     "circuit": {
-        "k2": 0.0034,
-        "k4": 0.3829,
-        "r_ant": 50.0,
-        "p_t_dbm": 30.0,
+        "k2": EhCircuit.k2,
+        "k4": EhCircuit.k4,
+        "r_ant": EhCircuit.r_ant,
+        "p_t_dbm": 30.0 + 10.0 * math.log10(EhCircuit.p_t),
         "p_t_watts": None,  # set to override p_t_dbm directly in watts
     },
-    "channel": {"alpha": 4.0},
-    "waveform": {"xi": 2},
+    "channel": {"alpha": RunConfig.alpha},
+    "waveform": {"xi": RunConfig.xi},
     "run": {
         "beta": 10,
         "r": 20.0,
-        "psi_mode": "full",
-        "n_frames": 100_000,
-        "seed": 42,
+        "psi_mode": RunConfig.psi_mode,
+        "n_frames": RunConfig.n_frames,
+        "seed": RunConfig.seed,
     },
     "sweep": {
         "betas": [1, 2, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100],
@@ -92,20 +94,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _merge(base: dict, override: dict, path: str = "") -> None:
+def _merge(base, override: dict, path: str = "") -> None:
+    """Merge ``override`` into ``base``, whose keys are the only known ones."""
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
-        if key not in base:
+        # a value has no keys, so an object given for one names unknown keys
+        if not isinstance(base, dict) or key not in base:
+            while isinstance(value, dict) and value:  # name the full key given
+                key, value = next(iter(value.items()))
+                here += f".{key}"
             raise ConfigError(f"unknown config key {here!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {here!r} must be an object")
+        if isinstance(value, dict):
+            if not value and not isinstance(base[key], dict):
+                raise ConfigError(f"config key {here!r} must be a value, got {{}}")
             _merge(base[key], value, here)
+        elif isinstance(base[key], dict):
+            raise ConfigError(f"config key {here!r} must be an object")
         else:
             base[key] = value
 
 
 def _apply_set(config: dict, expr: str) -> None:
+    """Merge one --set key=value, as the one-key document it stands for."""
     if "=" not in expr:
         raise ConfigError(f"--set needs key=value, got {expr!r}")
     key, raw = expr.split("=", 1)
@@ -115,7 +125,7 @@ def _apply_set(config: dict, expr: str) -> None:
     except json.JSONDecodeError:
         value = raw  # bare strings like psi_mode=full
     if "." in key:
-        path = tuple(key.split("."))
+        path = key.split(".")
     elif key in ALIASES:
         path = ALIASES[key]
     else:
@@ -123,17 +133,9 @@ def _apply_set(config: dict, expr: str) -> None:
             f"unknown --set key {key!r}; use a dotted path or one of: "
             + ", ".join(sorted(ALIASES))
         )
-    node = config
-    for part in path[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config key {key!r}")
-        node = node[part]
-    leaf = path[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"unknown config key {key!r}")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(f"config key {key!r} is a section, not a value")
-    node[leaf] = value
+    for part in reversed(path):
+        value = {part: value}
+    _merge(config, value)
 
 
 def _load_config(args) -> dict:
@@ -244,8 +246,7 @@ def _cmd_run(config: dict, args) -> int:
 def _sweep_axis(sw: dict, key: str, check) -> tuple[list, dict]:
     """The values of one sweep axis, and the error of each invalid one."""
     values = sw[key]
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"sweep.{key} must be a nonempty JSON list, got {values!r}")
+    _check("axis", values, f"sweep.{key}")
     errors = {}
     for i, value in enumerate(values):
         try:
@@ -314,15 +315,13 @@ def _cmd_crossover(config: dict, args) -> int:
                           "and crossover.r_nc")
     for key, value in (("r_c", r_c), ("r_nc", r_nc)):
         _check("r", value, f"crossover.{key}")
-    # the closed-form inputs check alpha and the circuit like every other command
-    circuit = _circuit(config)
+    # the circuit and the crossover check the remaining inputs, alpha included
+    rho1, rho2 = rho_params(_circuit(config))
     alpha = config["channel"]["alpha"]
-    at_c = closed_form_inputs(circuit, 1, r_c, alpha)
-    at_nc = closed_form_inputs(circuit, 1, r_nc, alpha)
-    bound = beta_crossover(r_c, r_nc, alpha, at_c.rho1, at_c.rho2)
+    bound = beta_crossover(r_c, r_nc, alpha, rho1, rho2)
     beta_min = max(1, math.floor(bound) + 1)
-    z_c = z_with_correlator(dataclasses.replace(at_c, beta=beta_min))
-    z_nc = z_without_correlator(dataclasses.replace(at_nc, beta=beta_min))
+    z_c = z_with_correlator(beta_min, r_c, alpha, rho1, rho2)
+    z_nc = z_without_correlator(beta_min, r_nc, alpha, rho1, rho2)
     if not (math.isfinite(z_c) and math.isfinite(z_nc)):
         raise ConfigError(f"harvested DC at the crossover (bound {bound!r}) overflows for "
                           f"crossover.r_c={r_c!r}, crossover.r_nc={r_nc!r}, alpha={alpha!r}")

@@ -49,6 +49,7 @@ PSI_MODES = ("full", "bypass")
 _INTEGER = (_is_int, "must be an integer")
 _REAL = (_is_finite_real, "must be a finite real number")
 _ANY = (lambda v: True, "")
+_LIST = (lambda v: isinstance(v, list), "must be a list")
 _RULES = {
     "beta": (_INTEGER, lambda v: v >= 1, "must be a positive integer"),
     "n": (_INTEGER, lambda v: v >= 1, "must be >= 1"),
@@ -71,6 +72,8 @@ _RULES = {
     "p_t_dbm": (_REAL, lambda v: True, ""),
     "rho1": (_REAL, lambda v: v > 0, "must be > 0"),
     "rho2": (_REAL, lambda v: v >= 0, "must be >= 0"),
+    # the values of one sweep axis (beta, distance or receiver mode)
+    "axis": (_LIST, lambda v: len(v) >= 1, "must be nonempty"),
 }
 
 

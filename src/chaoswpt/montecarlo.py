@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import fork_map
-from .analytic import (ClosedFormInputs, closed_form_inputs, papr_analytic,
-                       z_with_correlator, z_without_correlator)
+from .analytic import papr_analytic, z_with_correlator, z_without_correlator
 from .channel import path_gain, sample_rayleigh
 from .chaos import (_fixed_point_mask, _in_domain, chebyshev_step, draw_initial_state,
                     map_fixed_points)
-from .harvester import PSI_MODES, DcAccumulator, DcEstimate, EhCircuit, _check, _scales
+from .harvester import (PSI_MODES, DcAccumulator, DcEstimate, EhCircuit, _check, _scales,
+                        rho_params)
 
 __all__ = [
     "RunConfig",
@@ -59,9 +59,7 @@ class RunConfig:
     circuit: EhCircuit = field(default_factory=EhCircuit)
 
     def __post_init__(self) -> None:
-        # the closed-form inputs own the checks of beta, r and alpha
-        self.closed_form()
-        for name in ("psi_mode", "n_frames", "seed", "xi"):
+        for name in ("beta", "r", "alpha", "psi_mode", "n_frames", "seed", "xi"):
             _check(name, getattr(self, name))
         if self.n_frames < 100:
             warnings.warn(f"n_frames={self.n_frames} gives a very noisy estimate",
@@ -72,9 +70,6 @@ class RunConfig:
 
     def _gain(self) -> float:
         return self.circuit.p_t * path_gain(self.r, self.alpha)
-
-    def closed_form(self) -> ClosedFormInputs:
-        return closed_form_inputs(self.circuit, self.beta, self.r, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -212,11 +207,8 @@ def run_once(config: RunConfig) -> RunResult:
             acc.add_moments(m, float(np.sum(w)), float(np.sum(w * w)))
         estimate = acc.result()
 
-    inputs = config.closed_form()
-    if config.psi_mode == "full":
-        z = z_with_correlator(inputs)
-    else:
-        z = z_without_correlator(inputs)
+    closed_form = z_with_correlator if config.psi_mode == "full" else z_without_correlator
+    z = closed_form(config.beta, config.r, config.alpha, *rho_params(config.circuit))
     # one frame has no standard error: it is NaN by definition
     if not (math.isfinite(estimate.mean)
             and (estimate.n_frames == 1 or math.isfinite(estimate.std_error))
@@ -266,8 +258,8 @@ def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
     those of a serial run.
     """
     betas, distances, modes = list(betas), list(distances), list(modes)
-    if not betas or not distances or not modes:
-        raise ValueError("sweep needs at least one beta, one distance and one mode")
+    for name, axis in (("betas", betas), ("distances", distances), ("modes", modes)):
+        _check("axis", axis, name)
     # the raw values are validated (True is no beta, 2.7 is not 2), and only
     # then normalized, so that rows and seeds see plain ints and floats
     cells = [dataclasses.replace(base, beta=beta, r=r, psi_mode=mode)
@@ -330,8 +322,8 @@ class PaprMeasurement:
     analytic_bound: float
 
 
-def measure_papr(beta: int, psi_mode: str, n_frames: int = 100_000,
-                 seed: int = 42, xi: int = 2) -> PaprMeasurement:
+def measure_papr(beta: int, psi_mode: str, n_frames: int = RunConfig.n_frames,
+                 seed: int = RunConfig.seed, xi: int = RunConfig.xi) -> PaprMeasurement:
     """Peak-to-average power of the transmit-side waveform (unit gain).
 
     Fading is deliberately excluded: the analytic bounds are per-symbol and

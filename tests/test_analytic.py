@@ -5,10 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from chaoswpt.analytic import (
     FAMILIES,
-    ClosedFormInputs,
     PdfOracle,
     beta_crossover,
-    closed_form_inputs,
     make_oracle,
     oracle_cdf,
     oracle_moment,
@@ -18,26 +16,30 @@ from chaoswpt.analytic import (
     z_with_correlator,
     z_without_correlator,
 )
-from chaoswpt.harvester import EhCircuit
+from chaoswpt.harvester import EhCircuit, rho_params
+
+CLOSED_FORMS = (z_with_correlator, z_without_correlator)
 
 
 def test_inputs_validation():
-    ClosedFormInputs(beta=1, r=1.0, alpha=2.0, rho1=0.17, rho2=0.0)
-    with pytest.raises(ValueError):
-        ClosedFormInputs(beta=0, r=1.0, alpha=2.0, rho1=0.17, rho2=957.25)
-    with pytest.raises(ValueError):
-        ClosedFormInputs(beta=1, r=-1.0, alpha=2.0, rho1=0.17, rho2=957.25)
-    with pytest.raises(ValueError):
-        ClosedFormInputs(beta=1, r=1.0, alpha=2.0, rho1=0.0, rho2=957.25)
-    with pytest.raises(ValueError):
-        ClosedFormInputs(beta=1, r=1.0, alpha=2.0, rho1=0.17, rho2=-1.0)
+    for z in CLOSED_FORMS:
+        z(beta=1, r=1.0, alpha=2.0, rho1=0.17, rho2=0.0)
+        with pytest.raises(ValueError):
+            z(beta=0, r=1.0, alpha=2.0, rho1=0.17, rho2=957.25)
+        with pytest.raises(ValueError):
+            z(beta=1, r=-1.0, alpha=2.0, rho1=0.17, rho2=957.25)
+        with pytest.raises(ValueError):
+            z(beta=1, r=1.0, alpha=2.0, rho1=0.0, rho2=957.25)
+        with pytest.raises(ValueError):
+            z(beta=1, r=1.0, alpha=2.0, rho1=0.17, rho2=-1.0)
 
 
 @pytest.mark.parametrize("beta", [2.7, 2.0, True])
-def test_closed_form_inputs_validate_beta_as_given(beta):
+def test_closed_forms_validate_beta_as_given(beta):
     # no truncation: 2.7 is not beta = 2, and True is not beta = 1
-    with pytest.raises(ValueError, match="^beta must be an integer"):
-        closed_form_inputs(EhCircuit(), beta, 20, 4)
+    for z in CLOSED_FORMS:
+        with pytest.raises(ValueError, match="^beta must be an integer"):
+            z(beta, 20, 4, *rho_params(EhCircuit()))
 
 
 def test_papr_analytic_values():
@@ -52,25 +54,25 @@ def test_papr_analytic_values():
         papr_analytic("full", 0)
 
 
-def _inputs(beta, r, circuit=None):
-    return closed_form_inputs(circuit or EhCircuit(), beta, r, 4.0)
+def _inputs(beta, r):
+    return (beta, r, 4.0, *rho_params(EhCircuit()))
 
 
 def test_harvest_closed_forms_frozen():
     # unit path gain, default circuit
-    assert z_with_correlator(_inputs(1, 1.0)) == pytest.approx(5743.67, rel=1e-12)
-    assert z_without_correlator(_inputs(1, 1.0)) == pytest.approx(1436.045, rel=1e-12)
+    assert z_with_correlator(*_inputs(1, 1.0)) == pytest.approx(5743.67, rel=1e-12)
+    assert z_without_correlator(*_inputs(1, 1.0)) == pytest.approx(1436.045, rel=1e-12)
     # r = 20 → gain 6.25e-6
-    assert z_with_correlator(_inputs(1, 20.0)) == pytest.approx(
+    assert z_with_correlator(*_inputs(1, 20.0)) == pytest.approx(
         1.28685546875e-06, rel=1e-12
     )
-    assert z_without_correlator(_inputs(16, 20.0)) == pytest.approx(
+    assert z_without_correlator(*_inputs(16, 20.0)) == pytest.approx(
         1.7897421875e-05, rel=1e-12
     )
-    assert z_without_correlator(_inputs(4, 20.0)) == pytest.approx(
+    assert z_without_correlator(*_inputs(4, 20.0)) == pytest.approx(
         4.47435546875e-06, rel=1e-12
     )
-    assert z_with_correlator(_inputs(100, 30.0)) == pytest.approx(
+    assert z_with_correlator(*_inputs(100, 30.0)) == pytest.approx(
         0.00019606767261088248, rel=1e-12
     )
 
@@ -78,7 +80,7 @@ def test_harvest_closed_forms_frozen():
 def test_single_symbol_branch_is_not_the_generic_formula():
     # at beta=1 the correlated form keeps the exact fourth-moment constant (6),
     # not the asymptotic 12 the generic branch would give
-    exact = z_with_correlator(_inputs(1, 20.0))
+    exact = z_with_correlator(*_inputs(1, 20.0))
     g = 20.0**-4.0
     generic = g * 0.17 + 12.0 * g * g * 957.25
     assert exact < generic
@@ -89,8 +91,8 @@ def test_single_symbol_branch_is_not_the_generic_formula():
 @settings(max_examples=100)
 def test_linear_rectifier_makes_both_links_equal(beta, r, alpha):
     circuit = EhCircuit(k2=0.0034, k4=0.0, r_ant=50.0, p_t=1.0)
-    ci = closed_form_inputs(circuit, beta, r, alpha)
-    assert z_with_correlator(ci) == pytest.approx(z_without_correlator(ci), rel=1e-12)
+    point = (beta, r, alpha, *rho_params(circuit))
+    assert z_with_correlator(*point) == pytest.approx(z_without_correlator(*point), rel=1e-12)
 
 
 def test_beta_crossover_frozen():
@@ -109,11 +111,11 @@ def test_beta_crossover_consistency_with_closed_forms():
     bound = beta_crossover(30.0, 20.0, 4.0, 0.17, 957.25)
     above = math.ceil(bound)  # 52
     below = above - 1  # 51
-    assert z_with_correlator(_inputs(above, 30.0)) >= z_without_correlator(
-        _inputs(above, 20.0)
+    assert z_with_correlator(*_inputs(above, 30.0)) >= z_without_correlator(
+        *_inputs(above, 20.0)
     )
-    assert z_with_correlator(_inputs(below, 30.0)) < z_without_correlator(
-        _inputs(below, 20.0)
+    assert z_with_correlator(*_inputs(below, 30.0)) < z_without_correlator(
+        *_inputs(below, 20.0)
     )
 
 
@@ -141,9 +143,8 @@ def test_crossover_bound_property(r_c, r_nc, alpha, rho1, rho2):
     bound = beta_crossover(r_c, r_nc, alpha, rho1, rho2)
     assume(bound > 1.0)  # the beta=1 branch has its own constant
     beta_star = math.ceil(bound)
-    circuit = EhCircuit(k2=rho1, k4=rho2, r_ant=1.0, p_t=1.0)
-    z_c = z_with_correlator(closed_form_inputs(circuit, beta_star, r_c, alpha))
-    z_nc = z_without_correlator(closed_form_inputs(circuit, beta_star, r_nc, alpha))
+    z_c = z_with_correlator(beta_star, r_c, alpha, rho1, rho2)
+    z_nc = z_without_correlator(beta_star, r_nc, alpha, rho1, rho2)
     assert z_c >= z_nc * (1.0 - 1e-9)
 
 

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import math
@@ -7,8 +9,9 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chaoswpt.cli import SWEEP_HEADER, main
-from chaoswpt.montecarlo import RunConfig, run_once
+from chaoswpt.cli import DEFAULTS, SWEEP_HEADER, main
+from chaoswpt.harvester import EhCircuit
+from chaoswpt.montecarlo import RunConfig, measure_papr, run_once
 
 FAST = ["--set", "n_frames=2000"]
 
@@ -90,6 +93,35 @@ def test_unknown_config_key_is_named(tmp_path, capsys):
     cfg.write_text(json.dumps({"run": {"bteas": 3}}))
     assert main(["run", "--config", str(cfg)]) == 1
     assert "run.bteas" in capsys.readouterr().err
+
+
+# each --set stands for the one-key document beside it
+@pytest.mark.parametrize("document, expr, key", [
+    ({"run": {"beta": {"x": 3}}}, "run.beta.x=3", "run.beta.x"),
+    ({"run": {"beta": {}}}, "beta={}", "run.beta"),
+])
+def test_config_objects_and_values_keep_their_places(tmp_path, capsys, document, expr, key):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(document))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert main(["run", "--set", expr]) == 1
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_cli_defaults_are_the_library_defaults():
+    run = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    circuit = EhCircuit()
+    c = DEFAULTS["circuit"]
+    assert (c["k2"], c["k4"], c["r_ant"]) == (circuit.k2, circuit.k4, circuit.r_ant)
+    assert 10.0 ** ((c["p_t_dbm"] - 30.0) / 10.0) == circuit.p_t
+    assert DEFAULTS["channel"]["alpha"] == run["alpha"]
+    assert DEFAULTS["waveform"]["xi"] == run["xi"]
+    for key in ("psi_mode", "n_frames", "seed"):
+        assert DEFAULTS["run"][key] == run[key], key
+    papr = inspect.signature(measure_papr).parameters
+    for key in ("n_frames", "seed", "xi"):
+        assert papr[key].default == run[key], key
 
 
 def test_invalid_circuit_value_exits_one(capsys):
@@ -248,6 +280,20 @@ def test_crossover_rejects_bad_inputs(capsys, sets, key):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert key in err
+    assert "Traceback" not in err
+
+
+# the raw link's gain r_nc**-4 is a float there, but its square overflows
+@given(st.floats(1e-77, 10 ** -38.5, exclude_min=True, exclude_max=True))
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_crossover_overflowing_raw_link_exits_one(capsys, r_nc):
+    capsys.readouterr()
+    code = main(["crossover", "--set", "crossover.r_c=30",
+                 "--set", f"crossover.r_nc={r_nc!r}"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "r_nc" in err
     assert "Traceback" not in err
 
 

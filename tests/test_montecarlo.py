@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import chaoswpt
 from chaoswpt import montecarlo
+from chaoswpt.analytic import z_with_correlator, z_without_correlator
 from chaoswpt.chaos import (
     FIXED_POINT_TOL,
     draw_initial_state,
@@ -15,7 +16,7 @@ from chaoswpt.chaos import (
     map_fixed_points,
 )
 from chaoswpt.channel import sample_rayleigh
-from chaoswpt.harvester import DcEstimate, EhCircuit
+from chaoswpt.harvester import DcEstimate, EhCircuit, rho_params
 from chaoswpt.montecarlo import (
     PSI_MODES,
     RunConfig,
@@ -80,7 +81,7 @@ def test_run_config_real_fields_reject_non_finite_reals(field, value):
 
 def test_run_config_accepts_numpy_and_integer_reals():
     cfg = RunConfig(beta=2, r=np.float32(20.0), alpha=3)
-    assert cfg.closed_form().r == 20.0
+    assert z_with_correlator(cfg.beta, cfg.r, cfg.alpha, *rho_params(cfg.circuit)) > 0
 
 
 def test_run_once_rejects_an_overflowing_harvest():
@@ -110,11 +111,12 @@ def test_run_config_warns_on_tiny_runs():
         RunConfig(beta=1, r=1.0, n_frames=50)
 
 
-def test_run_config_closed_form_inputs():
-    ci = RunConfig(beta=7, r=20.0).closed_form()
-    assert ci.beta == 7
-    assert ci.rho1 == pytest.approx(0.17)
-    assert ci.rho2 == pytest.approx(957.25)
+def test_run_once_reports_the_closed_form_at_its_own_point():
+    circuit = EhCircuit(k2=0.002, k4=0.5, r_ant=40.0, p_t=2.0)
+    for mode, closed_form in (("full", z_with_correlator), ("bypass", z_without_correlator)):
+        cfg = RunConfig(beta=7, r=15.0, alpha=3.5, psi_mode=mode, n_frames=200,
+                        circuit=circuit)
+        assert run_once(cfg).z_analytic == closed_form(7, 15.0, 3.5, *rho_params(circuit))
 
 
 def test_run_once_is_deterministic():
@@ -385,11 +387,11 @@ def test_sweep_rows_and_selection():
 
 def test_sweep_validation():
     base = RunConfig(beta=1, r=1.0, n_frames=500, seed=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^betas must be nonempty"):
         sweep_beta([], [10.0], ["full"], base)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^distances must be nonempty"):
         sweep_beta([1], [], ["full"], base)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^modes must be nonempty"):
         sweep_beta([1], [10.0], [], base)
     # axis values are validated as given, not truncated or coerced first
     for betas in ([2.7], [True], [2, 2.0]):
