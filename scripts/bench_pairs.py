@@ -2,7 +2,8 @@
 """Paired perfbench runs of a parent commit against this checkout.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_<n>.json \\
-        --pairs sweep-raw=10 sweep-integrated=10 single-chip=5 dist-battery=5
+        --pairs sweep-raw=10 sweep-integrated=10 single-chip=5 dist-battery=5 \\
+        [--first-seed 301]
 
 Copies the committed files of ``--parent`` into a temporary directory (with
 ``git archive``, so nothing is registered in ``.git``), then runs, for each
@@ -12,10 +13,12 @@ workload, N pairs of
 
 once in the parent's copy and once in this checkout, with T the
 ``run_seconds`` that ``BENCHMARK.json`` declares and the same seed S on both
-sides (``FIRST_SEED`` + pair index), alternating which side runs first so
-that a drift in the host's load falls on both.  One ``--trace 1`` run per side and
-workload adds the per-layer metrics.  Only the last stdout line of each run
-(perfbench's result object) is read; ``perfbench/`` is used as it is.
+sides (``--first-seed``, 301 by default, plus the pair index), alternating
+which side runs first so that a drift in the host's load falls on both.
+A claim made while a change was written can so be confirmed on seeds that
+were not used then.  One ``--trace 1`` run per side and workload, at the
+first seed, adds the per-layer metrics.  Only the last stdout line of each
+run (perfbench's result object) is read; ``perfbench/`` is used as it is.
 
 The output holds, per workload and end-to-end metric, each side's median and
 quartiles, every run's value, and the pairs the change won (ties count for
@@ -39,7 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: seed of every workload's first pair; pair i runs at FIRST_SEED + i
+#: default seed of every workload's first pair; pair i runs at first seed + i
 FIRST_SEED = 301
 
 
@@ -111,6 +114,8 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git ref of the parent commit")
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
+    ap.add_argument("--first-seed", type=int, default=FIRST_SEED,
+                    help="seed of each workload's first pair (default %(default)s)")
     args = ap.parse_args(argv)
 
     plan = {}
@@ -125,6 +130,7 @@ def main(argv=None) -> int:
               "change_source_sha256": source_sha256(ROOT),
               "started": datetime.now(timezone.utc).isoformat(timespec="seconds"),
               "python": platform.python_version(), "seconds": seconds,
+              "first_seed": args.first_seed,
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_dir = Path(tmp)
@@ -135,7 +141,7 @@ def main(argv=None) -> int:
         sides = {"parent": parent_dir, "change": ROOT}
         for workload, n in plan.items():
             runs = {"parent": [], "change": []}
-            seeds = [FIRST_SEED + i for i in range(n)]
+            seeds = [args.first_seed + i for i in range(n)]
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
@@ -144,7 +150,7 @@ def main(argv=None) -> int:
                       f"{runs['parent'][-1]['metrics']['wall_rel']['value']:.3f} -> "
                       f"{runs['change'][-1]['metrics']['wall_rel']['value']:.3f}",
                       file=sys.stderr)
-            traced = {side: run(sides[side], workload, FIRST_SEED, seconds, 1)
+            traced = {side: run(sides[side], workload, seeds[0], seconds, 1)
                       for side in ("parent", "change")}
             report["workloads"][workload] = {
                 "seeds": seeds,

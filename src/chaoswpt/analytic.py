@@ -104,32 +104,34 @@ def z_without_correlator(beta: int, r: float, alpha: float,
     return g * rho1 * b + 1.5 * g * g * rho2 * b
 
 
-def beta_crossover(r_c: float, r_nc: float, alpha: float,
-                   rho1: float, rho2: float) -> float:
+def beta_crossover(r_c: float, r_nc: float, alpha: float, rho1: float, rho2: float,
+                   labels: tuple[str, str] = ("r_c", "r_nc")) -> float:
     """Spreading factor above which the correlated link out-harvests the raw one.
 
     Solves z_with_correlator(beta, r_c) >= z_without_correlator(beta, r_nc)
     for the beta > 1 branch; the returned bound is real-valued and may fall
-    below 1 (the correlated link then wins at every spreading factor).
+    below 1 (the correlated link then wins at every spreading factor).  An
+    error names the two distances by ``labels``.
     """
-    _check("r", r_c, "r_c")
-    _check("r", r_nc, "r_nc")
+    label_c, label_nc = labels
+    _check("r", r_c, label_c)
+    _check("r", r_nc, label_nc)
     for name, value in (("alpha", alpha), ("rho1", rho1), ("rho2", rho2)):
         _check(name, value)
     if rho2 == 0:
         raise ValueError("the crossover needs a quartic rectifier term (k4 > 0), "
                          "but rho2 = 0")
-    g_c = path_gain(r_c, alpha)
-    g_nc = path_gain(r_nc, alpha)
+    g_c = path_gain(r_c, alpha, label_c)
+    g_nc = path_gain(r_nc, alpha, label_nc)
     num = rho1 * (g_nc - g_c) + 1.5 * rho2 * g_nc * g_nc
     den = 12.0 * rho2 * g_c * g_c
     if not 0.0 < den < math.inf:
         raise ValueError(f"12*rho2*r_c**(-2*alpha) is not a finite positive float for "
-                         f"r_c={r_c!r}, alpha={alpha!r}, rho2={rho2!r}")
+                         f"{label_c}={r_c!r}, alpha={alpha!r}, rho2={rho2!r}")
     bound = num / den
     if not math.isfinite(bound):
-        raise ValueError(f"the crossover bound is not a finite float for r_c={r_c!r}, "
-                         f"r_nc={r_nc!r}, alpha={alpha!r} (got {bound!r})")
+        raise ValueError(f"the crossover bound is not a finite float for {label_c}={r_c!r}, "
+                         f"{label_nc}={r_nc!r}, alpha={alpha!r} (got {bound!r})")
     return bound
 
 

@@ -122,11 +122,18 @@ def map_fixed_points(xi: int = 2) -> np.ndarray:
     return np.unique(np.cos(sorted(thetas)))
 
 
-def _fixed_point_mask(x0: np.ndarray, fps: np.ndarray) -> np.ndarray:
-    """True where x0 is 0 or within FIXED_POINT_TOL of one of the fixed points."""
-    bad = x0 == 0.0
+def _fixed_point_mask(x0: np.ndarray, fps: np.ndarray, out=None, work=None) -> np.ndarray:
+    """True where x0 is 0 or within FIXED_POINT_TOL of one of the fixed points.
+
+    ``out`` (a bool array of x0's shape) receives the mask; ``work`` is a
+    float and a bool array of that shape for scratch.  Either is allocated
+    when not given.
+    """
+    dist, hit = (np.empty(x0.shape), np.empty(x0.shape, dtype=bool)) if work is None else work
+    bad = np.equal(x0, 0.0, out=out)
     for fp in fps:
-        bad |= np.abs(x0 - fp) < FIXED_POINT_TOL
+        np.abs(np.subtract(x0, fp, out=dist), out=dist)
+        bad |= np.less(dist, FIXED_POINT_TOL, out=hit)
     return bad
 
 
@@ -155,7 +162,8 @@ def generate_sequence(x0: float, n: int, xi: int = 2) -> np.ndarray:
     return out
 
 
-def draw_initial_state(rng: np.random.Generator, size: int) -> np.ndarray:
+def draw_initial_state(rng: np.random.Generator, size: int, out=None,
+                       work=None) -> np.ndarray:
     """``size`` seed states drawn from the stationary density via x = cos(pi*U).
 
     U = 0 lands exactly on x = 1, a fixed point of every T_xi; a caller that
@@ -166,8 +174,17 @@ def draw_initial_state(rng: np.random.Generator, size: int) -> np.ndarray:
     sit near +/-1 (mean square 0.545 instead of 0.5).  A second uniform V
     widens the angle to pi*(U + 2V/2^53), which keeps every later step's
     angle uniform.
+
+    ``out`` (a float array of ``size`` entries) receives the states, and
+    ``work`` is two more such arrays for scratch; either is allocated when
+    not given.  The stream and the bits do not depend on which.
     """
-    u = rng.random(size)
+    t, v = (None, None) if work is None else work
+    x = rng.random(size, out=out)
+    np.cos(np.multiply(x, np.pi, out=x), out=x)
     # cos(pi*(u + 2v/2^53)) to first order in the sub-ulp term; sin(pi*u) >= 0
-    x = np.cos(np.pi * u)
-    return x - np.sqrt(1.0 - x * x) * (2.0 * np.pi * 2.0 ** -53) * rng.random(size)
+    t = np.multiply(x, x, out=t)
+    np.sqrt(np.subtract(1.0, t, out=t), out=t)
+    t *= 2.0 * np.pi * 2.0 ** -53
+    t *= rng.random(size, out=v)
+    return np.subtract(x, t, out=x)

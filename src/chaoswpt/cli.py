@@ -313,12 +313,11 @@ def _cmd_crossover(config: dict, args) -> int:
     if r_c is None or r_nc is None:
         raise ConfigError("crossover needs both distances: set crossover.r_c "
                           "and crossover.r_nc")
-    for key, value in (("r_c", r_c), ("r_nc", r_nc)):
-        _check("r", value, f"crossover.{key}")
     # the circuit and the crossover check the remaining inputs, alpha included
     rho1, rho2 = rho_params(_circuit(config))
     alpha = config["channel"]["alpha"]
-    bound = beta_crossover(r_c, r_nc, alpha, rho1, rho2)
+    bound = beta_crossover(r_c, r_nc, alpha, rho1, rho2,
+                           labels=("crossover.r_c", "crossover.r_nc"))
     beta_min = max(1, math.floor(bound) + 1)
     z_c = z_with_correlator(beta_min, r_c, alpha, rho1, rho2)
     z_nc = z_without_correlator(beta_min, r_nc, alpha, rho1, rho2)

@@ -8,7 +8,9 @@ PAPR measurement asks for).  The orbit is iterated in Dickson form, on the
 exactly scaled state y = 2x (see :mod:`chaoswpt.chaos`), and its seed states
 are domain-checked once per batch rather than on every step.  Per-frame
 harvested-power samples then feed the streaming accumulator, so memory stays
-flat no matter how many frames are requested.
+flat no matter how many frames are requested.  Each run allocates one
+workspace of batch-sized rows, and every per-batch step writes into views of
+it; the data bits are the one array a batch allocates.
 """
 
 from __future__ import annotations
@@ -98,25 +100,37 @@ class RunResult:
 SweepRow = RunResult
 
 
-def _draw_clean_states(rng: np.random.Generator, size: int, xi: int) -> np.ndarray:
+def _draw_clean_states(rng: np.random.Generator, size: int, xi: int, out=None,
+                       work=None, flags=None) -> np.ndarray:
     """Initial chip states, redrawn away from the map's fixed points.
 
     The invariant density piles mass near +/-1, so a naive draw lands inside
     the rejection band around a fixed point roughly every 1e5 frames; those
-    entries are simply redrawn.
+    entries are simply redrawn.  ``out`` receives the states; ``work`` (two
+    float rows of ``size``) and ``flags`` (two bool rows) are scratch, and
+    each is allocated when not given.
     """
     fps = map_fixed_points(xi)
-    x0 = draw_initial_state(rng, size=size)
+    if work is None:
+        work = np.empty((2, size))
+    if flags is None:
+        flags = np.empty((2, size), dtype=bool)
+    x0 = draw_initial_state(rng, size=size, out=out, work=work)
     while True:
-        bad = _fixed_point_mask(x0, fps)
+        bad = _fixed_point_mask(x0, fps, out=flags[0], work=(work[0], flags[1]))
         n_bad = int(np.count_nonzero(bad))
         if n_bad == 0:
             return x0
         x0[bad] = draw_initial_state(rng, size=n_bad)
 
 
+def _n_stats(psi_mode: str, peak: bool) -> int:
+    """How many per-frame statistics ``_orbit_batch_stats`` returns."""
+    return 1 if psi_mode == "full" else 2 + peak
+
+
 def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int, psi_mode: str,
-                       peak: bool = False) -> tuple[np.ndarray, ...]:
+                       peak: bool = False, out=None, work=None) -> tuple[np.ndarray, ...]:
     """Iterate the chaotic map over a batch of beta-chip frames at once.
 
     Returns only what ``psi_mode`` needs, per frame and without ever storing
@@ -125,27 +139,44 @@ def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int, psi_mode: str,
     ``peak`` is set.  x0 is the first chip, so the map takes beta - 1 steps,
     on the Dickson state y = 2x; the sums of y, y^2 and y^4 are scaled back
     by 1/2, 1/4 and 1/16 at the end, which is exact (see the chaos module).
+
+    The statistics are the rows of ``out`` (one row of x0's size per
+    statistic), and the orbit runs in the two rows of ``work``; either is
+    allocated when not given.  x0 is never written.
     """
     x = np.asarray(x0, dtype=float)
+    if out is None:
+        out = np.empty((_n_stats(psi_mode, peak), x.size))
+    if work is None:
+        work = np.empty((2, x.size))
+    stats = tuple(out)
+    y, y2 = work[0], work[1]
     if beta == 1:
         # no map step: the seed states are the only chips
         if psi_mode == "full":
-            return (x.copy(),)
-        x2 = x * x
-        return (x2, x2 * x2) + ((x2,) if peak else ())
+            np.copyto(stats[0], x)
+        else:
+            np.multiply(x, x, out=stats[0])
+            np.multiply(stats[0], stats[0], out=stats[1])
+            if peak:
+                np.copyto(stats[2], stats[0])
+        return stats
     # the map keeps [-2, 2], so the seed states are the only ones to check
-    y = _in_domain(x) * 2.0
+    np.multiply(_in_domain(x), 2.0, out=y)
     if psi_mode == "full":
-        v = y.copy()
+        (v,) = stats
+        np.copyto(v, y)
         for _ in range(beta - 1):
             chebyshev_step(y, xi, out=y)
             v += y
         v *= 0.5
-        return (v,)
-    y2 = y * y
-    e2 = y2.copy()
-    e4 = y2 * y2
-    m2 = y2.copy() if peak else None
+        return stats
+    e2, e4 = stats[:2]
+    np.multiply(y, y, out=e2)
+    np.multiply(e2, e2, out=e4)
+    if peak:
+        m2 = stats[2]
+        np.copyto(m2, e2)
     for _ in range(beta - 1):
         chebyshev_step(y, xi, out=y)
         np.multiply(y, y, out=y2)
@@ -156,27 +187,44 @@ def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int, psi_mode: str,
         e4 += y2
     e2 *= 0.25
     e4 *= 0.0625
-    if not peak:
-        return e2, e4
-    m2 *= 0.25
-    return e2, e4, m2
+    if peak:
+        m2 *= 0.25
+    return stats
+
+
+#: workspace rows that are free for the caller while it holds a batch
+_SPARE_ROWS = 3
 
 
 def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
                    psi_mode: str, peak: bool = False):
-    """Yield ``(m, d, stats)`` for each batch of at most _BATCH frames.
+    """Yield ``(m, d, stats, spare)`` for each batch of at most _BATCH frames.
 
     Draws m seed states, then m data bits d, and reduces the orbits to the
     mode's statistics (see ``_orbit_batch_stats``, which also takes ``peak``);
-    a caller's own draws for the batch follow the yield.
+    a caller's own draws for the batch follow the yield.  One workspace is
+    allocated per call, and every batch step writes into it: ``stats`` and
+    the ``_SPARE_ROWS`` scratch rows in ``spare`` are views of it, so they
+    hold m frames each and stay valid only until the next batch.  Only d is
+    a new array each batch, since numpy's ``integers`` takes no ``out``.
     """
+    size = min(n_frames, _BATCH)
+    rows = np.empty((_SPARE_ROWS + _n_stats(psi_mode, peak), size))
+    flags = np.empty((2, size), dtype=bool)
     remaining = n_frames
     while remaining > 0:
         m = min(remaining, _BATCH)
         remaining -= m
-        x0 = _draw_clean_states(rng, m, xi)
-        d = rng.integers(0, 2, size=m) * 2 - 1
-        yield m, d, _orbit_batch_stats(x0, beta, xi, psi_mode, peak)
+        spare, out = rows[:_SPARE_ROWS, :m], rows[_SPARE_ROWS:, :m]
+        # the seed states take the first spare row, and the draw and then
+        # the orbit use the other two as scratch
+        x0 = _draw_clean_states(rng, m, xi, out=spare[0], work=spare[1:],
+                                flags=flags[:, :m])
+        d = rng.integers(0, 2, size=m)
+        d *= 2
+        d -= 1
+        stats = _orbit_batch_stats(x0, beta, xi, psi_mode, peak, out=out, work=spare[1:])
+        yield m, d, stats, tuple(spare)
 
 
 def run_once(config: RunConfig) -> RunResult:
@@ -190,21 +238,38 @@ def run_once(config: RunConfig) -> RunResult:
     # in full mode, every chip in bypass mode
     # a gain near the float64 limit can overflow the rectifier polynomial;
     # that is reported below as an error, not as a warning and an inf row
+    # every step writes into the batch's spare rows p, q and s, and repeats
+    # the operations, operands and order of the expression beside it, so
+    # the bits are those of the plain expressions
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, d, stats in _frame_batches(rng, config.n_frames, config.beta,
-                                          config.xi, config.psi_mode):
-            h = sample_rayleigh(rng, size=m)
-            c2 = gain * h * h  # squared amplitude scale per frame
+        for m, d, stats, (p, q, s) in _frame_batches(rng, config.n_frames, config.beta,
+                                                      config.xi, config.psi_mode):
+            h = sample_rayleigh(rng, size=m, out=p)
+            c2 = np.multiply(h, gain, out=q)  # c2 = gain * h * h, the squared
+            c2 *= h                           # amplitude scale per frame
             if config.psi_mode == "full":
                 (v,) = stats
-                # the rectifier sees one integrated value per symbol
-                y2 = c2 * ((1 + d) * v) ** 2
-                w = a * y2 + b * y2 * y2
+                # the rectifier sees one integrated value per symbol:
+                # y2 = c2 * ((1 + d) * v) ** 2, and w = a * y2 + b * y2 * y2
+                y2 = np.multiply(np.add(d, 1, out=d), v, out=p)
+                y2 *= y2
+                y2 *= c2
+                w = np.multiply(y2, a, out=q)
+                t = np.multiply(y2, b, out=s)
+                t *= y2
             else:
-                # raw chip stream: both symbol halves carry identical powers
+                # raw chip stream: both symbol halves carry identical powers,
+                # w = a * c2 * 2.0 * e2 + b * c2 * c2 * 2.0 * e4
                 e2, e4 = stats
-                w = a * c2 * 2.0 * e2 + b * c2 * c2 * 2.0 * e4
-            acc.add_moments(m, float(np.sum(w)), float(np.sum(w * w)))
+                t = np.multiply(c2, b, out=s)
+                t *= c2
+                t *= 2.0
+                t *= e4
+                w = np.multiply(c2, a, out=p)
+                w *= 2.0
+                w *= e2
+            w += t
+            acc.add_moments(m, float(np.sum(w)), float(np.sum(np.multiply(w, w, out=s))))
         estimate = acc.result()
 
     closed_form = z_with_correlator if config.psi_mode == "full" else z_without_correlator
@@ -339,16 +404,17 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = RunConfig.n_frames,
     rng = np.random.default_rng(seed)
     peak = 0.0
     power_sum = 0.0
-    for _, d, stats in _frame_batches(rng, n_frames, beta, xi, psi_mode, peak=True):
+    for _, d, stats, spare in _frame_batches(rng, n_frames, beta, xi, psi_mode, peak=True):
         if psi_mode == "full":
             (v,) = stats
-            y2 = ((1 + d) * v) ** 2
+            y2 = np.multiply(np.add(d, 1, out=d), v, out=spare[0])  # ((1 + d) * v) ** 2
+            y2 *= y2
             peak = max(peak, float(np.max(y2)))
             power_sum += float(np.sum(y2))
         else:
             e2, _, m2 = stats
             peak = max(peak, float(np.max(m2)))
-            power_sum += float(np.sum(2.0 * e2))
+            power_sum += float(np.sum(np.multiply(e2, 2.0, out=spare[0])))
     # one power per frame in full mode, one per chip (2*beta a frame) in bypass
     mean_power = power_sum / (n_frames if psi_mode == "full" else n_frames * 2 * beta)
     if mean_power == 0.0:

@@ -272,6 +272,9 @@ def test_crossover_requires_both_distances(capsys):
     (["crossover.r_c=1", "crossover.r_nc=3e-38"], "crossover.r_nc=3e-38, alpha=4.0"),
     # a linear rectifier has no crossover: the correlator gains only through k4
     (["crossover.r_c=30", "crossover.r_nc=20", "k4=0"], "quartic rectifier term (k4 > 0)"),
+    # a link's own gain r**-4 overflows: the message names the link's key
+    (["crossover.r_c=30", "crossover.r_nc=1e-80"], "crossover.r_nc=1e-80"),
+    (["crossover.r_c=1e-80", "crossover.r_nc=20"], "crossover.r_c=1e-80"),
 ])
 def test_crossover_rejects_bad_inputs(capsys, sets, key):
     argv = ["crossover"]

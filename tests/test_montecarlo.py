@@ -276,14 +276,20 @@ def test_fixed_point_mask_matches_broadcast_form(xi):
     mask = _fixed_point_mask(x0, fps)
     assert np.array_equal(mask, broadcast)
     assert np.count_nonzero(mask) >= 3 * len(fps) + 5
+    # the same bits when the mask and its scratch are caller buffers
+    flags = np.empty((2, x0.size), dtype=bool)
+    into = _fixed_point_mask(x0, fps, out=flags[0], work=(np.empty(x0.size), flags[1]))
+    assert np.shares_memory(into, flags[0]) and np.array_equal(into, mask)
 
 
 def test_clean_states_redraw_a_seed_state_of_one(monkeypatch):
     # a uniform of exactly 0 seeds x = cos(0) = 1, which is a fixed point of
     # every degree, and only _draw_clean_states redraws it
     class Zeros:
-        def random(self, size):
-            return np.zeros(size)
+        def random(self, size, out=None):
+            out = np.empty(size) if out is None else out
+            out[...] = 0.0
+            return out
 
     assert np.array_equal(draw_initial_state(Zeros(), size=2), [1.0, 1.0])
     real = montecarlo.draw_initial_state
@@ -292,9 +298,9 @@ def test_clean_states_redraw_a_seed_state_of_one(monkeypatch):
         assert 1.0 in fps.tolist()
         sizes = []
 
-        def planting(rng, size):
+        def planting(rng, size, **buffers):
             sizes.append(size)
-            x0 = real(rng, size=size)
+            x0 = real(rng, size=size, **buffers)
             if len(sizes) == 1:
                 x0[3] = 1.0
             return x0
@@ -304,6 +310,77 @@ def test_clean_states_redraw_a_seed_state_of_one(monkeypatch):
         assert sizes == [100, 1]
         assert x0[3] != 1.0
         assert not np.any(_fixed_point_mask(x0, fps))
+
+
+#: (xi, mode, beta, float.hex() of run_once's mean and standard error, and of
+#: measure_papr's plain ratio) at seed 42, r = 20 and one full batch plus a
+#: short one; a change that means to keep every bit must keep these
+_PINNED_BITS = [
+    (2, 'full', 1, '0x1.5c37c2edeed87p-20', '0x1.ce189f4ccc4cbp-27', '0x1.ff67fa8c8e8aap+1'),
+    (2, 'full', 2, '0x1.cf9fa367a4482p-19', '0x1.0632303d891dep-24', '0x1.fef89a89818f6p+2'),
+    (2, 'full', 17, '0x1.5f715426ed15dp-13', '0x1.61b9c5f0c71f7p-17', '0x1.6f19634d61d68p+5'),
+    (2, 'bypass', 1, '0x1.2c8c76a1f0261p-20', '0x1.c32f49d2bd613p-28', '0x1.0008a58b3036cp+1'),
+    (2, 'bypass', 2, '0x1.2c7fed1d81700p-19', '0x1.898276274a34bp-27', '0x1.00711bb5f581ep+1'),
+    (2, 'bypass', 17, '0x1.3f6374fac7eafp-16', '0x1.5c18fe9f0f859p-24', '0x1.ffa64388c982ap+0'),
+    (3, 'full', 1, '0x1.56ae03371544fp-20', '0x1.baab18bacaa4bp-27', '0x1.ffffdbf651861p+1'),
+    (3, 'full', 2, '0x1.f44138b02af87p-19', '0x1.2862d3082a479p-24', '0x1.015571fc7a96fp+3'),
+    (3, 'full', 17, '0x1.298569794bcb7p-13', '0x1.5148a62d6907ap-18', '0x1.df52b9339f562p+4'),
+    (3, 'bypass', 1, '0x1.2b6cd0663775fp-20', '0x1.bb6e5797d8898p-28', '0x1.000923f4597ddp+1'),
+    (3, 'bypass', 2, '0x1.2bac2213c343bp-19', '0x1.818a10fb8dd04p-27', '0x1.002d4466a2418p+1'),
+    (3, 'bypass', 17, '0x1.3f08a561ea0aep-16', '0x1.59ce60f8f0985p-24', '0x1.ffd832650530ap+0'),
+]
+
+
+@pytest.mark.parametrize("xi, mode, beta, mean, std_error, plain", _PINNED_BITS)
+def test_batch_loop_bits_are_pinned(xi, mode, beta, mean, std_error, plain):
+    n = montecarlo._BATCH + 10
+    est = run_once(RunConfig(beta=beta, r=20.0, psi_mode=mode, n_frames=n, xi=xi)).estimate
+    assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
+    assert measure_papr(beta, mode, n_frames=n, xi=xi).plain.hex() == plain
+
+
+@pytest.mark.parametrize("xi", [2, 3])
+@pytest.mark.parametrize("mode", PSI_MODES)
+@pytest.mark.parametrize("beta", [1, 5])
+def test_orbit_batch_stats_into_buffers_keep_the_bits(xi, mode, beta):
+    x0 = _draw_clean_states(np.random.default_rng(beta), 1000, xi)
+    seeds = x0.copy()
+    want = _orbit_batch_stats(x0, beta, xi, mode, peak=True)
+    rows = np.full((len(want) + 2, x0.size), np.nan)
+    # a full batch, then a short one in views of the same rows
+    for m in (x0.size, 600):
+        got = _orbit_batch_stats(x0[:m], beta, xi, mode, peak=True,
+                                 out=rows[2:, :m], work=rows[:2, :m])
+        assert all(np.shares_memory(g, rows) for g in got)
+        assert all(np.array_equal(g, w[:m]) for g, w in zip(got, want))
+    assert np.array_equal(x0, seeds)
+
+
+@pytest.mark.parametrize("draw, n_work", [(draw_initial_state, 2), (sample_rayleigh, 0)])
+def test_draws_into_buffers_keep_the_bits_and_the_stream(draw, n_work):
+    rng, rng_out = np.random.default_rng(8), np.random.default_rng(8)
+    want = draw(rng, size=1000)
+    rows = np.full((1 + n_work, 1500), np.nan)
+    work = {"work": rows[1:, :1000]} if n_work else {}
+    got = draw(rng_out, size=1000, out=rows[0, :1000], **work)
+    assert np.shares_memory(got, rows[0])
+    assert np.array_equal(got, want)
+    # the same stream was consumed, so the next draw matches too
+    assert rng_out.random() == rng.random()
+
+
+@pytest.mark.parametrize("mode", PSI_MODES)
+def test_frame_batches_write_into_one_workspace(mode):
+    batches = list(montecarlo._frame_batches(np.random.default_rng(1),
+                                             2 * montecarlo._BATCH + 10, 3, 2, mode))
+    assert [m for m, *_ in batches] == [montecarlo._BATCH] * 2 + [10]
+    first_stats, first_spare = batches[0][2], batches[0][3]
+    for m, d, stats, spare in batches:
+        assert len(spare) == montecarlo._SPARE_ROWS
+        assert all(a.size == m for a in stats + spare)
+        # every batch's rows are views of the first batch's
+        assert all(np.shares_memory(a, b) for a, b in zip(stats, first_stats))
+        assert all(np.shares_memory(a, b) for a, b in zip(spare, first_spare))
 
 
 def test_run_result_deviation_fields():
