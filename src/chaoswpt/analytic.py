@@ -51,13 +51,15 @@ __all__ = [
 #            power, beta = 1
 FAMILIES = ("S_b1", "Z_b1", "P_b1", "S_clt", "Delta_b1", "Theta_b1")
 
-#: the families on the whole real line; the others live on [0, inf), and
-#: their densities blow up at the origin (power-law endpoint)
-_TWO_SIDED = ("S_b1", "S_clt")
 #: probability mass sitting exactly at zero (the data bit erases half of
 #: all correlated symbols)
 _ATOMS = {"S_b1": 0.5, "Z_b1": 0.5, "P_b1": 0.5, "S_clt": 0.5,
           "Delta_b1": 0.0, "Theta_b1": 0.0}
+#: (s, p) of each one-sided family: off its atom, X = s*|G|**p with
+#: G ~ N(0, 1/2), so P(X <= x) = atom + (1 - atom)*erf((x/s)**(1/p)) on
+#: [0, inf), and the density blows up like x**(1/p - 1) at the origin; the
+#: two-sided families (on the whole real line) have no row
+_ONE_SIDED = {"Z_b1": (4.0, 2), "P_b1": (16.0, 4), "Delta_b1": (2.0, 2), "Theta_b1": (2.0, 4)}
 
 
 def papr_analytic(psi_mode: str, beta: int) -> float:
@@ -164,7 +166,7 @@ class PdfOracle:
 
     @property
     def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf) if self.family in _TWO_SIDED else (0.0, math.inf)
+        return (0.0, math.inf) if self.family in _ONE_SIDED else (-math.inf, math.inf)
 
 
 def make_oracle(family: str, beta: int | None = None) -> PdfOracle:
@@ -175,19 +177,17 @@ def make_oracle(family: str, beta: int | None = None) -> PdfOracle:
 def _density(oracle: PdfOracle, x: np.ndarray) -> np.ndarray:
     """Continuous part of the oracle density, vectorized, no domain checks."""
     f = oracle.family
+    if f in _ONE_SIDED:
+        # d/dx of atom + (1 - atom)*erf((x/s)**(1/p)), with the power law
+        # taken of x itself so that a subnormal x keeps its bits
+        s, p = _ONE_SIDED[f]
+        c = (1.0 - _ATOMS[f]) * 2.0 / (p * math.sqrt(math.pi) * s ** (1.0 / p))
+        return c * x ** (1.0 / p - 1.0) * np.exp(-(x / s) ** (2.0 / p))
     if f == "S_b1":
         return np.exp(-x * x / 4.0) / (4.0 * math.sqrt(math.pi))
-    if f == "Z_b1":
-        return np.exp(-x / 4.0) / (4.0 * np.sqrt(math.pi * x))
-    if f == "P_b1":
-        return np.exp(-np.sqrt(x) / 4.0) / (8.0 * math.sqrt(math.pi) * x ** 0.75)
     if f == "S_clt":
         sb = math.sqrt(oracle.beta)
         return np.exp(-np.abs(x) / sb) / (4.0 * sb)
-    if f == "Delta_b1":
-        return np.exp(-x / 2.0) / np.sqrt(2.0 * math.pi * x)
-    if f == "Theta_b1":
-        return np.exp(-np.sqrt(x / 2.0)) / (2.0 ** 1.25 * math.sqrt(math.pi) * x ** 0.75)
     raise AssertionError(f)
 
 
@@ -198,7 +198,7 @@ def pdf_eval(oracle: PdfOracle, point: float) -> float:
     exactly 0 is refused rather than returning inf.
     """
     point = float(point)
-    if oracle.family not in _TWO_SIDED:
+    if oracle.family in _ONE_SIDED:
         if point == 0.0:
             raise ValueError(
                 f"{oracle.family} has an integrable singularity at 0; "
@@ -213,25 +213,18 @@ def oracle_cdf(oracle: PdfOracle, x) -> np.ndarray | float:
     """Full CDF, including any probability mass at zero (vectorized)."""
     arr = np.asarray(x, dtype=float)
     f = oracle.family
-    if f == "S_b1":
+    if f in _ONE_SIDED:
+        s, p = _ONE_SIDED[f]
+        atom = _ATOMS[f]
+        pos = np.maximum(arr, 0.0)
+        out = np.where(arr < 0.0, 0.0, atom + (1.0 - atom) * erf((pos / s) ** (1.0 / p)))
+    elif f == "S_b1":
         out = (1.0 + erf(arr / 2.0)) / 4.0 + 0.5 * (arr >= 0.0)
     elif f == "S_clt":
         sb = math.sqrt(oracle.beta)
         out = np.where(arr < 0.0,
                        0.25 * np.exp(np.minimum(arr, 0.0) / sb),
                        1.0 - 0.25 * np.exp(-np.maximum(arr, 0.0) / sb))
-    elif f == "Z_b1":
-        pos = np.maximum(arr, 0.0)
-        out = np.where(arr < 0.0, 0.0, 0.5 + 0.5 * erf(np.sqrt(pos) / 2.0))
-    elif f == "P_b1":
-        pos = np.maximum(arr, 0.0)
-        out = np.where(arr < 0.0, 0.0, 0.5 + 0.5 * erf(pos ** 0.25 / 2.0))
-    elif f == "Delta_b1":
-        pos = np.maximum(arr, 0.0)
-        out = np.where(arr < 0.0, 0.0, erf(np.sqrt(pos / 2.0)))
-    elif f == "Theta_b1":
-        pos = np.maximum(arr, 0.0)
-        out = np.where(arr < 0.0, 0.0, erf((pos / 2.0) ** 0.25))
     else:
         raise AssertionError(f)
     if np.isscalar(x) or np.ndim(x) == 0:
@@ -239,43 +232,23 @@ def oracle_cdf(oracle: PdfOracle, x) -> np.ndarray | float:
     return out
 
 
-def _transformed_integrand(oracle: PdfOracle, order: int):
-    """Smooth integrand on (0, inf) for E[X^order] of the continuous part.
-
-    The one-sided densities carry power-law endpoint singularities; the
-    substitutions x = u**2 (square-root kinds) and x = u**4 (three-quarter
-    kinds) absorb them, leaving plain Gaussian-type kernels.
-    """
-    f = oracle.family
-    if f == "Z_b1":
-        c = 1.0 / (2.0 * math.sqrt(math.pi))
-        return lambda u: c * u ** (2 * order) * math.exp(-u * u / 4.0)
-    if f == "P_b1":
-        c = 1.0 / (2.0 * math.sqrt(math.pi))
-        return lambda u: c * u ** (4 * order) * math.exp(-u * u / 4.0)
-    if f == "Delta_b1":
-        c = math.sqrt(2.0 / math.pi)
-        return lambda u: c * u ** (2 * order) * math.exp(-u * u / 2.0)
-    if f == "Theta_b1":
-        c = 2.0 ** 0.75 / math.sqrt(math.pi)
-        return lambda u: c * u ** (4 * order) * math.exp(-u * u / math.sqrt(2.0))
-    raise AssertionError(f)
-
-
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
 
 
 def _integral(oracle: PdfOracle, order: int) -> float:
-    """Adaptive-quadrature integral of x**order over the continuous part."""
-    if oracle.family in _TWO_SIDED:
-        lo, _ = integrate.quad(lambda s: s ** order * pdf_eval(oracle, s),
-                               -np.inf, 0.0, **_QUAD_OPTS)
-        hi, _ = integrate.quad(lambda s: s ** order * pdf_eval(oracle, s),
-                               0.0, np.inf, **_QUAD_OPTS)
-        return lo + hi
-    g = _transformed_integrand(oracle, order)
-    val, _ = integrate.quad(g, 0.0, np.inf, **_QUAD_OPTS)
-    return val
+    """Adaptive-quadrature integral of x**order times the density pdf_eval serves."""
+    if oracle.family in _ONE_SIDED:
+        # x = u**p turns the x**(1/p - 1) singularity at the origin into a
+        # smooth integrand
+        p = _ONE_SIDED[oracle.family][1]
+        val, _ = integrate.quad(
+            lambda u: p * u ** (p * order + p - 1) * _density(oracle, u ** p),
+            0.0, np.inf, **_QUAD_OPTS)
+        return val
+    lo, hi = (integrate.quad(lambda x: x ** order * _density(oracle, x), a, b,
+                             **_QUAD_OPTS)[0]
+              for a, b in ((-np.inf, 0.0), (0.0, np.inf)))
+    return lo + hi
 
 
 def oracle_normalization(oracle: PdfOracle) -> float:

@@ -215,8 +215,12 @@ def _emit(rows: list[dict], header: tuple[str, ...], args, config: dict) -> None
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out!r} cannot be written: "
+                              f"{exc.strerror or exc}") from exc
 
 
 def _sweep_row(res: RunResult) -> dict:

@@ -146,10 +146,8 @@ def rho_params(circuit: EhCircuit) -> tuple[float, float]:
     These multiply the distance-normalized second and fourth moments in
     every closed form; the default circuit gives (0.17, 957.25).
     """
-    return (
-        circuit.k2 * circuit.r_ant * circuit.p_t,
-        circuit.k4 * _square(circuit.r_ant) * _square(circuit.p_t),
-    )
+    a, b = _scales(circuit)
+    return a * circuit.p_t, b * _square(circuit.p_t)
 
 
 class DcAccumulator:

@@ -198,11 +198,13 @@ _SPARE_ROWS = 3
 
 def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
                    psi_mode: str, peak: bool = False):
-    """Yield ``(m, d, stats, spare)`` for each batch of at most _BATCH frames.
+    """Yield ``(m, stats, spare)`` for each batch of at most _BATCH frames.
 
     Draws m seed states, then m data bits d, and reduces the orbits to the
     mode's statistics (see ``_orbit_batch_stats``, which also takes ``peak``);
-    a caller's own draws for the batch follow the yield.  One workspace is
+    in full mode the one statistic becomes the squared correlator output
+    u = ((1 + d) * v) ** 2 of the chip sum v, so d never leaves the loop.
+    A caller's own draws for the batch follow the yield.  One workspace is
     allocated per call, and every batch step writes into it: ``stats`` and
     the ``_SPARE_ROWS`` scratch rows in ``spare`` are views of it, so they
     hold m frames each and stay valid only until the next batch.  Only d is
@@ -224,7 +226,11 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
         d *= 2
         d -= 1
         stats = _orbit_batch_stats(x0, beta, xi, psi_mode, peak, out=out, work=spare[1:])
-        yield m, d, stats, tuple(spare)
+        if psi_mode == "full":
+            (u,) = stats
+            np.multiply(np.add(d, 1, out=d), u, out=u)
+            u *= u
+        yield m, stats, tuple(spare)
 
 
 def run_once(config: RunConfig) -> RunResult:
@@ -242,18 +248,16 @@ def run_once(config: RunConfig) -> RunResult:
     # the operations, operands and order of the expression beside it, so
     # the bits are those of the plain expressions
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, d, stats, (p, q, s) in _frame_batches(rng, config.n_frames, config.beta,
-                                                      config.xi, config.psi_mode):
+        for m, stats, (p, q, s) in _frame_batches(rng, config.n_frames, config.beta,
+                                                   config.xi, config.psi_mode):
             h = sample_rayleigh(rng, size=m, out=p)
             c2 = np.multiply(h, gain, out=q)  # c2 = gain * h * h, the squared
             c2 *= h                           # amplitude scale per frame
             if config.psi_mode == "full":
-                (v,) = stats
+                (u,) = stats
                 # the rectifier sees one integrated value per symbol:
-                # y2 = c2 * ((1 + d) * v) ** 2, and w = a * y2 + b * y2 * y2
-                y2 = np.multiply(np.add(d, 1, out=d), v, out=p)
-                y2 *= y2
-                y2 *= c2
+                # y2 = u * c2, and w = a * y2 + b * y2 * y2
+                y2 = np.multiply(u, c2, out=p)
                 w = np.multiply(y2, a, out=q)
                 t = np.multiply(y2, b, out=s)
                 t *= y2
@@ -404,13 +408,11 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = RunConfig.n_frames,
     rng = np.random.default_rng(seed)
     peak = 0.0
     power_sum = 0.0
-    for _, d, stats, spare in _frame_batches(rng, n_frames, beta, xi, psi_mode, peak=True):
+    for _, stats, spare in _frame_batches(rng, n_frames, beta, xi, psi_mode, peak=True):
         if psi_mode == "full":
-            (v,) = stats
-            y2 = np.multiply(np.add(d, 1, out=d), v, out=spare[0])  # ((1 + d) * v) ** 2
-            y2 *= y2
-            peak = max(peak, float(np.max(y2)))
-            power_sum += float(np.sum(y2))
+            (u,) = stats
+            peak = max(peak, float(np.max(u)))
+            power_sum += float(np.sum(u))
         else:
             e2, _, m2 = stats
             peak = max(peak, float(np.max(m2)))

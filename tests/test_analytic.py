@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from chaoswpt import analytic
 from chaoswpt.analytic import (
     FAMILIES,
     PdfOracle,
@@ -212,6 +213,20 @@ def test_pdf_frozen_values():
     )
 
 
+def test_pdf_near_the_origin_keeps_the_bits_of_a_subnormal_point():
+    # at x = 2**-1072 the exponential factor is 1, so each density is its
+    # power-law limit, with x**-0.5 = 2**536 and x**-0.75 = 2**804 exact
+    x = 2.0 ** -1072
+    limits = {
+        "Z_b1": 2.0 ** 536 / (4.0 * math.sqrt(math.pi)),
+        "P_b1": 2.0 ** 804 / (8.0 * math.sqrt(math.pi)),
+        "Delta_b1": 2.0 ** 536 / math.sqrt(2.0 * math.pi),
+        "Theta_b1": 2.0 ** 804 / (2.0 ** 1.25 * math.sqrt(math.pi)),
+    }
+    for family, limit in limits.items():
+        assert pdf_eval(make_oracle(family), x) == pytest.approx(limit, rel=1e-14), family
+
+
 def test_pdf_outside_support_is_zero():
     assert pdf_eval(make_oracle("Z_b1"), -1.0) == 0.0
     assert pdf_eval(make_oracle("P_b1"), -0.5) == 0.0
@@ -267,6 +282,31 @@ def test_normalization_targets():
         beta = 4 if family == "S_clt" else None
         oracle = make_oracle(family, beta=beta)
         assert oracle_normalization(oracle) == pytest.approx(target, abs=1e-9)
+
+
+@pytest.mark.parametrize("family", ["Z_b1", "P_b1", "Delta_b1", "Theta_b1"])
+def test_battery_integrates_the_served_density(monkeypatch, family):
+    # a density that no longer integrates to 1 - atom must show in the
+    # battery's rows, so the quadrature has to read the density pdf_eval serves
+    oracle = make_oracle(family)
+    norm, first = oracle_normalization(oracle), oracle_moment(oracle, 1)
+    served = analytic._density
+    monkeypatch.setattr(analytic, "_density", lambda o, x: 1.01 * served(o, x))
+    assert pdf_eval(oracle, 1.0) == pytest.approx(1.01 * float(served(oracle, 1.0)))
+    assert oracle_normalization(oracle) == pytest.approx(1.01 * norm, rel=1e-9)
+    assert oracle_moment(oracle, 1) == pytest.approx(1.01 * first, rel=1e-9)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_density_is_the_derivative_of_the_cdf(family):
+    oracle = make_oracle(family, beta=4 if family == "S_clt" else None)
+    points = [0.3, 1.0, 2.5, 7.0]
+    if oracle.support[0] < 0.0:
+        points += [-0.7, -2.5]
+    for x in points:
+        h = 1e-5 * abs(x)
+        slope = (oracle_cdf(oracle, x + h) - oracle_cdf(oracle, x - h)) / (2.0 * h)
+        assert pdf_eval(oracle, x) == pytest.approx(slope, rel=1e-6), x
 
 
 def test_moment_targets():

@@ -70,6 +70,17 @@ def test_out_file_gets_the_csv(tmp_path, capsys):
     assert tuple(header) == SWEEP_HEADER and len(rows) == 1
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_out_to_an_unwritable_path_exits_one(tmp_path, capsys, where):
+    target = tmp_path if where == "directory" else tmp_path / "absent" / "x.csv"
+    argv = ["crossover", "--set", "crossover.r_c=30", "--set", "crossover.r_nc=20"]
+    assert main([*argv, "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out" in captured.err and str(target) in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_config_file_merges_over_defaults(tmp_path, capsys):
     cfg = tmp_path / "conf.json"
     cfg.write_text(json.dumps({"run": {"beta": 3, "n_frames": 1200}}))

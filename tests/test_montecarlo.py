@@ -374,8 +374,8 @@ def test_frame_batches_write_into_one_workspace(mode):
     batches = list(montecarlo._frame_batches(np.random.default_rng(1),
                                              2 * montecarlo._BATCH + 10, 3, 2, mode))
     assert [m for m, *_ in batches] == [montecarlo._BATCH] * 2 + [10]
-    first_stats, first_spare = batches[0][2], batches[0][3]
-    for m, d, stats, spare in batches:
+    first_stats, first_spare = batches[0][1], batches[0][2]
+    for m, stats, spare in batches:
         assert len(spare) == montecarlo._SPARE_ROWS
         assert all(a.size == m for a in stats + spare)
         # every batch's rows are views of the first batch's

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import chaoswpt
+from chaoswpt import analytic
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,6 +28,19 @@ def test_public_api_is_the_readme_table():
     assert set(chaoswpt.__all__) == _readme_api_names()
     for name in chaoswpt.__all__:
         assert hasattr(chaoswpt, name)
+
+
+def test_reference_laws_are_the_readme_table():
+    # the (atom, s, p) table under "Reference laws" in the conventions
+    section = README.read_text(encoding="utf-8").split("**Reference laws.**", 1)[1]
+    section = section.split("\n- **", 1)[0]
+    rows = {}
+    for line in map(str.strip, section.splitlines()):
+        if line.startswith("| `"):
+            family, *params = (c.strip() for c in line.strip("|").split("|"))
+            rows[family.strip("`")] = tuple(float(c) for c in params)
+    assert rows == {f: (analytic._ATOMS[f], *analytic._ONE_SIDED[f])
+                    for f in analytic._ONE_SIDED}
 
 
 def test_the_cli_loads_every_package_module():
