@@ -21,8 +21,9 @@ prediction rather than the asymptotic one.
 import argparse
 import sys
 
-from chaoswpt.harvester import EhCircuit, rho_params
 from chaoswpt.channel import path_gain
+from chaoswpt.cli import DEFAULTS
+from chaoswpt.harvester import EhCircuit, rho_params
 from chaoswpt.montecarlo import RunConfig, run_once
 
 
@@ -43,14 +44,15 @@ def z_from_v4(beta: int, v4: float, ell: float, q0: float) -> float:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--r", type=float, default=20.0)
-    ap.add_argument("--alpha", type=float, default=4.0)
+    # the operating point of `chaoswpt run`
+    ap.add_argument("--r", type=float, default=DEFAULTS["run"]["r"])
+    ap.add_argument("--alpha", type=float, default=DEFAULTS["channel"]["alpha"])
     ap.add_argument("--betas", type=int, nargs="+",
                     default=[1, 2, 3, 5, 10, 20, 25, 50, 100])
     ap.add_argument("--mc-frames", type=int, default=0,
                     help="also run a Monte-Carlo spot check with this many "
                          "frames per beta (0 = skip)")
-    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--seed", type=int, default=DEFAULTS["run"]["seed"])
     args = ap.parse_args()
 
     circuit = EhCircuit()

@@ -24,7 +24,7 @@ def main() -> int:
     ap.add_argument("--distances", type=float, nargs="+",
                     default=DEFAULTS["sweep"]["distances"])
     ap.add_argument("--n-frames", type=int, default=200_000)
-    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--seed", type=int, default=DEFAULTS["run"]["seed"])
     ap.add_argument("--out", default="fig2_sweep.csv")
     args = ap.parse_args()
 

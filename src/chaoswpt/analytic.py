@@ -174,6 +174,16 @@ def make_oracle(family: str, beta: int | None = None) -> PdfOracle:
     return PdfOracle(family, beta)
 
 
+def _points(oracle: PdfOracle, x) -> np.ndarray:
+    """``x`` as a float array; no family has a density or a CDF at NaN."""
+    arr = np.asarray(x, dtype=float)
+    nan = np.isnan(arr)
+    if nan.any():
+        at = "" if arr.ndim == 0 else f"[{np.flatnonzero(nan)[0]}]"
+        raise ValueError(f"{oracle.family}: the point x{at} is NaN")
+    return arr
+
+
 def _density(oracle: PdfOracle, x: np.ndarray) -> np.ndarray:
     """Continuous part of the oracle density, vectorized, no domain checks."""
     f = oracle.family
@@ -195,7 +205,8 @@ def pdf_eval(oracle: PdfOracle, point: float) -> float:
     """Continuous density at a point; 0 outside the support.
 
     The one-sided families diverge at the origin, so evaluating them at
-    exactly 0 is refused rather than returning inf.
+    exactly 0 is refused rather than returning inf; a NaN point is refused
+    too.
     """
     point = float(point)
     if oracle.family in _ONE_SIDED:
@@ -206,12 +217,15 @@ def pdf_eval(oracle: PdfOracle, point: float) -> float:
             )
         if point < 0.0:
             return 0.0
-    return float(_density(oracle, np.asarray(point, dtype=float)))
+    return float(_density(oracle, _points(oracle, point)))
 
 
 def oracle_cdf(oracle: PdfOracle, x) -> np.ndarray | float:
-    """Full CDF, including any probability mass at zero (vectorized)."""
-    arr = np.asarray(x, dtype=float)
+    """Full CDF, including any probability mass at zero (vectorized).
+
+    A NaN point, or an array that holds one, is refused.
+    """
+    arr = _points(oracle, x)
     f = oracle.family
     if f in _ONE_SIDED:
         s, p = _ONE_SIDED[f]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -62,25 +63,15 @@ DEFAULTS: dict = {
     "verify": {"n_samples": 1_000_000},
 }
 
-#: bare --set shortcuts into the nested document
-ALIASES = {
-    "beta": ("run", "beta"),
-    "r": ("run", "r"),
-    "psi_mode": ("run", "psi_mode"),
-    "n_frames": ("run", "n_frames"),
-    "seed": ("run", "seed"),
-    "alpha": ("channel", "alpha"),
-    "xi": ("waveform", "xi"),
-    "k2": ("circuit", "k2"),
-    "k4": ("circuit", "k4"),
-    "r_ant": ("circuit", "r_ant"),
-    "p_t_dbm": ("circuit", "p_t_dbm"),
-    "p_t_watts": ("circuit", "p_t_watts"),
-    "n_samples": ("verify", "n_samples"),
-}
+#: bare --set shortcuts into the nested document: every key of these sections
+ALIASES = {key: (section, key)
+           for section in ("run", "channel", "waveform", "circuit", "verify")
+           for key in DEFAULTS[section]}
 
 SWEEP_HEADER = ("beta", "r", "mode", "z_empirical", "z_stderr",
                 "z_analytic", "rel_dev", "papr_analytic")
+#: each sweep axis and the RunConfig field its values fill, in sweep_beta's order
+_SWEEP_AXES = {"betas": "beta", "distances": "r", "modes": "psi_mode"}
 
 
 class ConfigError(Exception):
@@ -157,9 +148,11 @@ def _load_config(args) -> dict:
     if ENV_SEED in os.environ:
         raw = os.environ[ENV_SEED]
         try:
-            config["run"]["seed"] = int(raw)
+            seed = int(raw)
         except ValueError:
-            _check("seed", raw, ENV_SEED)  # text that int() cannot parse is no seed
+            seed = raw  # text that int() cannot parse is no seed
+        _check("seed", seed, ENV_SEED)
+        config["run"]["seed"] = seed
     for expr in args.set or ():
         _apply_set(config, expr)
     return config
@@ -204,14 +197,18 @@ def _fmt_cell(value) -> str:
     return text
 
 
-def _emit(rows: list[dict], header: tuple[str, ...], args, config: dict) -> None:
+def _emit(rows: list[dict], args, config: dict) -> None:
+    """Write ``rows`` as CSV, whose columns are the first row's keys, or as JSON."""
     if args.format == "csv":
+        header = list(rows[0])
         lines = [",".join(header)]
         lines += [",".join(_fmt_cell(row[col]) for col in header) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        payload = {"config": config, "rows": rows}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        # JSON has no NaN or infinity: a non-finite float is written as null
+        payload = json.loads(json.dumps({"config": config, "rows": rows}),
+                             parse_constant=lambda _: None)
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -225,12 +222,9 @@ def _emit(rows: list[dict], header: tuple[str, ...], args, config: dict) -> None
 
 def _sweep_row(res: RunResult) -> dict:
     # the library's rel_dev is signed; the output column is its magnitude
-    return {
-        "beta": res.beta, "r": res.r, "mode": res.psi_mode,
-        "z_empirical": res.estimate.mean, "z_stderr": res.estimate.std_error,
-        "z_analytic": res.z_analytic, "rel_dev": abs(res.rel_dev),
-        "papr_analytic": res.papr_bound,
-    }
+    return dict(zip(SWEEP_HEADER, (
+        res.beta, res.r, res.psi_mode, res.estimate.mean, res.estimate.std_error,
+        res.z_analytic, abs(res.rel_dev), res.papr_bound)))
 
 
 def _run_config(config: dict) -> RunConfig:
@@ -243,61 +237,49 @@ def _run_config(config: dict) -> RunConfig:
 
 
 def _cmd_run(config: dict, args) -> int:
-    _emit([_sweep_row(run_once(_run_config(config)))], SWEEP_HEADER, args, config)
+    _emit([_sweep_row(run_once(_run_config(config)))], args, config)
     return 0
 
 
-def _sweep_axis(sw: dict, key: str, check) -> tuple[list, dict]:
-    """The values of one sweep axis, and the error of each invalid one."""
-    values = sw[key]
-    _check("axis", values, f"sweep.{key}")
-    errors = {}
-    for i, value in enumerate(values):
-        try:
-            check(value)
-        except ValueError as exc:
-            errors[i] = exc
-    return values, errors
+def _axis_error(base: RunConfig, field: str, value) -> ValueError | None:
+    """Why ``value`` cannot fill ``field`` of ``base``, or None if it can."""
+    try:
+        dataclasses.replace(base, **{field: value})
+    except ValueError as exc:
+        return exc
+    return None
 
 
 def _cmd_sweep(config: dict, args) -> int:
     base = _run_config(config)
-    sw = config["sweep"]
-    betas, beta_err = _sweep_axis(
-        sw, "betas", lambda b: dataclasses.replace(base, beta=b))
-    distances, r_err = _sweep_axis(
-        sw, "distances", lambda r: dataclasses.replace(base, r=r))
-    modes, mode_err = _sweep_axis(
-        sw, "modes", lambda m: dataclasses.replace(base, psi_mode=m))
-
-    def valid(values, errors):
-        return [v for i, v in enumerate(values) if i not in errors]
-
-    grid = valid(betas, beta_err), valid(distances, r_err), valid(modes, mode_err)
+    # each axis as (value, error) pairs, in the order sweep_beta nests them
+    axes = []
+    for key, field in _SWEEP_AXES.items():
+        values = config["sweep"][key]
+        _check("axis", values, f"sweep.{key}")
+        axes.append([(value, _axis_error(base, field, value)) for value in values])
+    grid = [[value for value, exc in axis if exc is None] for axis in axes]
     # every cell on valid axis values runs in one call, so in parallel
     points = iter(sweep_beta(*grid, base).rows if all(grid) else ())
     failures = 0
     rows = []
-    for i, beta in enumerate(betas):
-        for j, r in enumerate(distances):
-            for k, mode in enumerate(modes):
-                exc = beta_err.get(i) or r_err.get(j) or mode_err.get(k)
-                if exc is None:
-                    rows.append(_sweep_row(next(points)))
-                    continue
-                # marker row, keep the sweep going
-                failures += 1
-                print(f"chaoswpt: sweep point beta={beta} r={r} mode={mode} "
-                      f"failed: {exc}", file=sys.stderr)
-                rows.append({"beta": beta, "r": r, "mode": mode,
-                             **dict.fromkeys(SWEEP_HEADER[3:], math.nan)})
-    _emit(rows, SWEEP_HEADER, args, config)
+    for cell in itertools.product(*axes):
+        values = [value for value, _ in cell]
+        exc = next((e for _, e in cell if e is not None), None)
+        if exc is None:
+            rows.append(_sweep_row(next(points)))
+            continue
+        # marker row, keep the sweep going
+        failures += 1
+        beta, r, mode = values
+        print(f"chaoswpt: sweep point beta={beta} r={r} mode={mode} "
+              f"failed: {exc}", file=sys.stderr)
+        rows.append(dict.fromkeys(SWEEP_HEADER, math.nan) | dict(zip(SWEEP_HEADER, values)))
+    _emit(rows, args, config)
     return 2 if failures else 0
 
 
 def _cmd_papr(config: dict, args) -> int:
-    header = ("beta", "mode", "n_frames", "papr_plain",
-              "papr_expectation_normalized", "papr_bound")
     rows = []
     for mode in ("bypass", "full"):
         m = measure_papr(config["run"]["beta"], mode,
@@ -307,7 +289,7 @@ def _cmd_papr(config: dict, args) -> int:
                      "papr_plain": m.plain,
                      "papr_expectation_normalized": m.expectation_normalized,
                      "papr_bound": m.analytic_bound})
-    _emit(rows, header, args, config)
+    _emit(rows, args, config)
     return 0
 
 
@@ -328,20 +310,16 @@ def _cmd_crossover(config: dict, args) -> int:
     if not (math.isfinite(z_c) and math.isfinite(z_nc)):
         raise ConfigError(f"harvested DC at the crossover (bound {bound!r}) overflows for "
                           f"crossover.r_c={r_c!r}, crossover.r_nc={r_nc!r}, alpha={alpha!r}")
-    header = ("r_c", "r_nc", "bound", "beta_min",
-              "z_with_correlator", "z_without_correlator")
     rows = [{"r_c": float(r_c), "r_nc": float(r_nc), "bound": bound,
              "beta_min": beta_min, "z_with_correlator": z_c,
              "z_without_correlator": z_nc}]
-    _emit(rows, header, args, config)
+    _emit(rows, args, config)
     return 0
 
 
 def _cmd_verify_dist(config: dict, args) -> int:
     reports = verify_distributions(n_samples=config["verify"]["n_samples"],
                                    seed=config["run"]["seed"])
-    header = ("family", "beta", "atom_mass", "norm_integral", "norm_target",
-              "norm_abs_err", "max_moment_rel_err", "ks_stat", "n", "status")
     rows = []
     ok = True
     for rep in reports:
@@ -359,8 +337,18 @@ def _cmd_verify_dist(config: dict, args) -> int:
             "n": rep.n_samples,
             "status": "ok" if passed else "FAIL",
         })
-    _emit(rows, header, args, config)
+    _emit(rows, args, config)
     return 0 if ok else 2
+
+
+#: each subcommand's function and help line
+_COMMANDS = {
+    "run": (_cmd_run, "single Monte-Carlo point vs closed form"),
+    "sweep": (_cmd_sweep, "grid sweep over beta / distance / mode"),
+    "papr": (_cmd_papr, "waveform peak-to-average ratios vs bounds"),
+    "crossover": (_cmd_crossover, "spreading-factor crossover between the two receivers"),
+    "verify-dist": (_cmd_verify_dist, "reference distribution verification battery"),
+}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -376,25 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chaoswpt",
                      description="Chaotic-waveform wireless power transfer simulator")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "single Monte-Carlo point vs closed form"),
-        ("sweep", "grid sweep over beta / distance / mode"),
-        ("papr", "waveform peak-to-average ratios vs bounds"),
-        ("crossover", "spreading-factor crossover between the two receivers"),
-        ("verify-dist", "reference distribution verification battery"),
-    ):
-        sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
+    for name, (_, help_text) in _COMMANDS.items():
+        _add_common(subs.add_parser(name, help=help_text))
     return parser
-
-
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "papr": _cmd_papr,
-    "crossover": _cmd_crossover,
-    "verify-dist": _cmd_verify_dist,
-}
 
 
 def main(argv=None) -> int:
@@ -402,7 +374,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-        return _COMMANDS[args.command](config, args)
+        command, _ = _COMMANDS[args.command]
+        return command(config, args)
     except (ConfigError, ValueError) as exc:
         print(f"chaoswpt: error: {exc}", file=sys.stderr)
         return 1

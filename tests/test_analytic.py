@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -240,6 +241,17 @@ def test_pdf_singular_families_reject_origin():
             pdf_eval(make_oracle(family), 0.0)
     # the two-sided laws are finite there
     assert pdf_eval(make_oracle("S_b1"), 0.0) > 0.0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_oracles_refuse_a_nan_point(family):
+    oracle = make_oracle(family, beta=4 if family == "S_clt" else None)
+    with pytest.raises(ValueError, match=rf"^{family}: the point x is NaN$"):
+        pdf_eval(oracle, math.nan)
+    with pytest.raises(ValueError, match=rf"^{family}: the point x is NaN$"):
+        oracle_cdf(oracle, math.nan)
+    with pytest.raises(ValueError, match=rf"^{family}: the point x\[2\] is NaN$"):
+        oracle_cdf(oracle, np.array([0.5, 1.0, math.nan, 2.0]))
 
 
 def test_cdf_frozen_values():

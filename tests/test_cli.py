@@ -172,9 +172,11 @@ def test_seed_precedence_env_over_file_set_over_env(tmp_path, capsys, monkeypatc
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["run"]["seed"] == 11
 
-    monkeypatch.setenv("CHAOSWPT_SEED", "ten")
-    assert main(["run", "--config", str(cfg)]) == 1
-    assert "CHAOSWPT_SEED" in capsys.readouterr().err
+    # text that is no integer, and integers outside the seed's range
+    for raw in ("ten", "-1", str(2**64)):
+        monkeypatch.setenv("CHAOSWPT_SEED", raw)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "CHAOSWPT_SEED must be an" in capsys.readouterr().err, raw
 
 
 def test_sweep_grid_rows(capsys):
@@ -231,9 +233,39 @@ def test_sweep_axes_must_be_json_lists(capsys, expr, key):
     assert "Traceback" not in err
 
 
+def _strict_json(text: str):
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_output_writes_non_finite_floats_as_null(capsys):
+    # one frame has no standard error
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a one-frame run's noise warning
+        assert main(["run", "--set", "n_frames=1", "--format", "json"]) == 0
+    (row,) = _strict_json(capsys.readouterr().out)["rows"]
+    assert row["z_stderr"] is None and row["z_analytic"] > 0
+    # a marker row has no results, and echoes its axis values: a NaN distance here
+    argv = ["sweep", *FAST, "--set", "sweep.betas=[0]", "--set", "sweep.distances=[NaN]",
+            "--set", 'sweep.modes=["full"]']
+    assert main([*argv, "--format", "json"]) == 2
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["config"]["sweep"]["distances"] == [None]
+    assert payload["rows"] == [{"beta": 0, "r": None, "mode": "full",
+                                **dict.fromkeys(SWEEP_HEADER[3:], None)}]
+    # CSV writes them as nan, as before
+    assert main(argv) == 2
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert rows == [{"beta": "0", "r": "nan", "mode": "full",
+                     **dict.fromkeys(SWEEP_HEADER[3:], "nan")}]
+
+
 def test_papr_command_rows(capsys):
     assert main(["papr", "--set", "beta=3", *FAST]) == 0
-    _, rows = _csv_rows(capsys.readouterr().out)
+    header, rows = _csv_rows(capsys.readouterr().out)
+    assert tuple(header) == ("beta", "mode", "n_frames", "papr_plain",
+                             "papr_expectation_normalized", "papr_bound")
     assert [r["mode"] for r in rows] == ["bypass", "full"]
     assert [float(r["papr_bound"]) for r in rows] == [2.0, 12.0]
     for row in rows:
@@ -244,7 +276,9 @@ def test_crossover_unequal_distances(capsys):
     code = main(["crossover", "--set", "crossover.r_c=30",
                  "--set", "crossover.r_nc=20"])
     assert code == 0
-    _, rows = _csv_rows(capsys.readouterr().out)
+    header, rows = _csv_rows(capsys.readouterr().out)
+    assert tuple(header) == ("r_c", "r_nc", "bound", "beta_min",
+                             "z_with_correlator", "z_without_correlator")
     row = rows[0]
     assert float(row["bound"]) == pytest.approx(51.90268614622781, rel=1e-15)
     assert row["beta_min"] == "52"
@@ -322,7 +356,9 @@ def test_papr_with_zero_mean_power_exits_one(capsys):
 
 def test_verify_dist_battery(capsys):
     assert main(["verify-dist", "--set", "n_samples=150000"]) == 0
-    _, rows = _csv_rows(capsys.readouterr().out)
+    header, rows = _csv_rows(capsys.readouterr().out)
+    assert tuple(header) == ("family", "beta", "atom_mass", "norm_integral", "norm_target",
+                             "norm_abs_err", "max_moment_rel_err", "ks_stat", "n", "status")
     assert len(rows) == 7
     assert all(row["status"] == "ok" for row in rows)
     assert all(float(row["ks_stat"]) < 0.005 for row in rows)

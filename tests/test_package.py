@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import pathlib
 import pkgutil
@@ -7,27 +8,43 @@ import subprocess
 import sys
 
 import chaoswpt
-from chaoswpt import analytic
+from chaoswpt import analytic, cli, harvester
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _readme_api_names() -> set[str]:
-    """Every backticked name in the first column of the README's API table."""
-    section = README.read_text(encoding="utf-8").split("### Public API", 1)[1]
+def _readme_rows(heading: str) -> list[list[str]]:
+    """The cells of each body row of the README table under ``heading``."""
+    section = README.read_text(encoding="utf-8").split(f"{heading}\n", 1)[1]
     section = section.split("\n#", 1)[0]
-    names = set()
-    for line in section.splitlines():
-        if line.startswith("|"):
-            names.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
-    return names
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[2:]]
 
 
 def test_public_api_is_the_readme_table():
+    names = {name for row in _readme_rows("### Public API")
+             for name in re.findall(r"`([^`]+)`", row[0])}
     assert len(chaoswpt.__all__) == len(set(chaoswpt.__all__))
-    assert set(chaoswpt.__all__) == _readme_api_names()
+    assert set(chaoswpt.__all__) == names
     for name in chaoswpt.__all__:
         assert hasattr(chaoswpt, name)
+
+
+def test_defaults_are_the_readme_table():
+    # each row's key and value; the sweep grid's row only summarises it
+    rows = [row[:2] for row in _readme_rows("### Defaults") if row[0] != "`sweep.*`"]
+    assert rows
+    for key, value in rows:
+        section, name = key.strip("`").split(".")
+        # a backticked value is a string, any other is a JSON number
+        value = value.strip("`") if value.startswith("`") else json.loads(value)
+        default = cli.DEFAULTS[section][name]
+        assert (type(value), value) == (type(default), default), key
+
+
+def test_input_rules_are_the_readme_table():
+    named = {row[1].strip("`") for row in _readme_rows("## Input rules")}
+    assert named and named <= set(harvester._RULES)
 
 
 def test_reference_laws_are_the_readme_table():
