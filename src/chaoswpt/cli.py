@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .analytic import beta_crossover, z_with_correlator, z_without_correlator
 from .distcheck import verify_distributions
@@ -372,13 +373,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = _load_config(args)
-        command, _ = _COMMANDS[args.command]
-        return command(config, args)
-    except (ConfigError, ValueError) as exc:
-        print(f"chaoswpt: error: {exc}", file=sys.stderr)
-        return 1
+    shown = set()
+
+    def show(message, *_):
+        # a library warning is one line, once, like every other message
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"chaoswpt: warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            config = _load_config(args)
+            command, _ = _COMMANDS[args.command]
+            return command(config, args)
+        except (ConfigError, ValueError) as exc:
+            print(f"chaoswpt: error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -62,24 +62,30 @@ def sample_family(family: str, n: int, rng: np.random.Generator,
     """
     _check("n", n)
     PdfOracle(family, beta)  # checks the (family, beta) pair; draws stay physical
+    # each sample is built in place on the Rayleigh draw, with the operands
+    # in the order of h * (1 + d) * chip; powers are chains of squarings
     h = sample_rayleigh(rng, size=n)
     if family == "S_clt":
-        v = rng.normal(0.0, math.sqrt(beta / 2.0), size=n)
-        d = rng.integers(0, 2, size=n) * 2 - 1
-        return h * (1 + d) * v
-    x = np.cos(np.pi * rng.random(n))
-    if family in ("S_b1", "Z_b1", "P_b1"):
-        d = rng.integers(0, 2, size=n) * 2 - 1
-        s = h * (1 + d) * x
-        if family == "S_b1":
-            return s
-        if family == "Z_b1":
-            return s * s
-        return s ** 4
-    if family == "Delta_b1":
-        # full-symbol sum of squared received samples: both halves carry x^2
-        return 2.0 * (h * x) ** 2
-    return 2.0 * (h * x) ** 4  # Theta_b1
+        chip = rng.normal(0.0, math.sqrt(beta / 2.0), size=n)
+    else:
+        chip = rng.random(n)
+        chip *= np.pi
+        np.cos(chip, out=chip)
+    if family in ("S_b1", "Z_b1", "P_b1", "S_clt"):
+        bits = rng.integers(0, 2, size=n)
+        bits *= 2  # 1 + d for the data bit d = 2 * bits - 1
+        h *= bits
+    h *= chip
+    if family in ("S_b1", "S_clt"):
+        return h
+    # Z = S^2 and P = Z^2; Delta = 2 (h x)^2 and Theta = 2 (h x)^4, since both
+    # halves of the symbol carry the chip's power
+    h *= h
+    if family in ("P_b1", "Theta_b1"):
+        h *= h
+    if family in ("Delta_b1", "Theta_b1"):
+        h *= 2.0
+    return h
 
 
 def ks_statistic(samples: np.ndarray, oracle: PdfOracle) -> float:
@@ -94,12 +100,22 @@ def ks_statistic(samples: np.ndarray, oracle: PdfOracle) -> float:
         raise ValueError("samples must be a nonempty 1-D array")
     n = samples.size
     vals, counts = np.unique(samples, return_counts=True)
-    ecdf_right = np.cumsum(counts) / n
-    ecdf_left = ecdf_right - counts / n
-    cdf_right = np.asarray(oracle_cdf(oracle, vals), dtype=float)
-    cdf_left = cdf_right - oracle.atom_at_zero * (vals == 0.0)
-    return float(max(np.max(np.abs(ecdf_right - cdf_right)),
-                     np.max(np.abs(ecdf_left - cdf_left))))
+    # two buffers: the right-hand ECDF cumsum(counts) / n and the left-hand
+    # one, ecdf_right - counts / n; each becomes its distance to the CDF
+    right = np.cumsum(counts, out=np.empty(vals.size))
+    right /= n
+    left = np.divide(counts, n, out=np.empty(vals.size))
+    np.subtract(right, left, out=left)
+    del counts  # free before the CDF's temporaries are made
+    cdf = np.asarray(oracle_cdf(oracle, vals), dtype=float)
+    right -= cdf
+    dist_right = np.max(np.abs(right, out=right))
+    # the CDF's left limit differs from it only at zero, by the atom there
+    zero = np.searchsorted(vals, 0.0)
+    if zero < vals.size and vals[zero] == 0.0:
+        cdf[zero] -= oracle.atom_at_zero
+    left -= cdf
+    return float(max(dist_right, np.max(np.abs(left, out=left))))
 
 
 @dataclass(frozen=True)

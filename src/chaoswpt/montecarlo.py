@@ -10,7 +10,8 @@ are domain-checked once per batch rather than on every step.  Per-frame
 harvested-power samples then feed the streaming accumulator, so memory stays
 flat no matter how many frames are requested.  Each run allocates one
 workspace of batch-sized rows, and every per-batch step writes into views of
-it; the data bits are the one array a batch allocates.
+it; the data bits, and in full mode the index of the frames whose bit is +1,
+are the only arrays a batch allocates.
 """
 
 from __future__ import annotations
@@ -204,11 +205,14 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
     mode's statistics (see ``_orbit_batch_stats``, which also takes ``peak``);
     in full mode the one statistic becomes the squared correlator output
     u = ((1 + d) * v) ** 2 of the chip sum v, so d never leaves the loop.
+    That u is 0 wherever d = -1, so for beta >= 2 full mode iterates only
+    the orbits of the d = +1 frames (beta = 1 has no map step to save).
     A caller's own draws for the batch follow the yield.  One workspace is
     allocated per call, and every batch step writes into it: ``stats`` and
     the ``_SPARE_ROWS`` scratch rows in ``spare`` are views of it, so they
-    hold m frames each and stay valid only until the next batch.  Only d is
-    a new array each batch, since numpy's ``integers`` takes no ``out``.
+    hold m frames each and stay valid only until the next batch.  Only d,
+    and in full mode the index of its +1 frames, are new arrays each batch,
+    since numpy's ``integers`` and ``flatnonzero`` take no ``out``.
     """
     size = min(n_frames, _BATCH)
     rows = np.empty((_SPARE_ROWS + _n_stats(psi_mode, peak), size))
@@ -222,14 +226,30 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
         # the orbit use the other two as scratch
         x0 = _draw_clean_states(rng, m, xi, out=spare[0], work=spare[1:],
                                 flags=flags[:, :m])
-        d = rng.integers(0, 2, size=m)
-        d *= 2
-        d -= 1
-        stats = _orbit_batch_stats(x0, beta, xi, psi_mode, peak, out=out, work=spare[1:])
-        if psi_mode == "full":
+        bits = rng.integers(0, 2, size=m)  # the data bits are d = 2 * bits - 1
+        if psi_mode == "full" and beta > 1:
+            # (1 + d) * v is 0 for d = -1 whatever v is, so only the orbits
+            # of the d = +1 frames are iterated, from their seed states
+            # gathered into the statistic row u; their (2v)^2 is then
+            # scattered into u, zeroed first ("clip" skips take's buffer)
+            plus = np.flatnonzero(np.equal(bits, 1, out=flags[0, :m]))
+            k = plus.size
+            stats = tuple(out)
             (u,) = stats
-            np.multiply(np.add(d, 1, out=d), u, out=u)
-            u *= u
+            seeds = np.take(x0, plus, out=u[:k], mode="clip")
+            (v,) = _orbit_batch_stats(seeds, beta, xi, psi_mode, out=spare[:1, :k],
+                                      work=spare[1:, :k])
+            v *= 2.0
+            v *= v
+            u.fill(0.0)
+            u[plus] = v
+        else:
+            stats = _orbit_batch_stats(x0, beta, xi, psi_mode, peak, out=out, work=spare[1:])
+            if psi_mode == "full":
+                (u,) = stats
+                bits *= 2  # 1 + d
+                u *= bits
+                u *= u
         yield m, stats, tuple(spare)
 
 

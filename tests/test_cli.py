@@ -354,6 +354,15 @@ def test_papr_with_zero_mean_power_exits_one(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, n_frames", [("run", 1), ("sweep", 50)])
+def test_a_library_warning_is_one_line_once(capsys, command, n_frames):
+    # the sweep meets the warning twice: building its base point and its cells
+    for _ in range(2):  # and again in a second call in the same process
+        assert main([command, "--set", f"n_frames={n_frames}"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"chaoswpt: warning: n_frames={n_frames} gives a very noisy estimate"]
+
+
 def test_verify_dist_battery(capsys):
     assert main(["verify-dist", "--set", "n_samples=150000"]) == 0
     header, rows = _csv_rows(capsys.readouterr().out)

@@ -90,3 +90,33 @@ def test_verify_distributions_small_run():
         assert report.max_moment_rel_err < 1e-5
         assert report.ks_stat < 0.02  # loose at this sample size
         assert report.passed()
+
+
+def test_fourth_powers_square_the_second_powers_bit_for_bit():
+    # each pair draws the same chain at the same seed, so P_b1 = Z_b1^2 and
+    # Theta_b1 = Delta_b1^2 / 2 must hold exactly, not to a tolerance
+    def draw(family):
+        return sample_family(family, 20_000, np.random.default_rng(11))
+
+    z, delta = draw("Z_b1"), draw("Delta_b1")
+    assert np.array_equal(draw("P_b1"), z * z)
+    assert np.array_equal(draw("Theta_b1"), delta * delta / 2.0)
+
+
+#: the battery's KS distances at n = 20,000 and seed 0, as written before the
+#: sample chains were built in place
+_PINNED_KS = [
+    ("S_b1", None, "0x1.07be4bc772a00p-8"),
+    ("Z_b1", None, "0x1.54b5f582f6d80p-8"),
+    ("P_b1", None, "0x1.2baa96451da80p-8"),
+    ("S_clt", 4, "0x1.df4633a9cf700p-9"),
+    ("S_clt", 25, "0x1.81fef1cfc2500p-9"),
+    ("Delta_b1", None, "0x1.f9b646516ccc0p-8"),
+    ("Theta_b1", None, "0x1.1601ec72dc1f0p-7"),
+]
+
+
+def test_battery_ks_distances_are_pinned():
+    got = [(r.family, r.beta, r.ks_stat.hex())
+           for r in verify_distributions(n_samples=20_000, seed=0)]
+    assert got == _PINNED_KS

@@ -253,10 +253,83 @@ def test_kernel_steps_beta_minus_one_times_per_batch(monkeypatch, mode):
     for beta in (1, 2, 5):
         sizes.clear()
         run_once(RunConfig(beta=beta, r=20.0, psi_mode=mode, n_frames=n, seed=1))
-        assert sizes == [montecarlo._BATCH] * (beta - 1) + [10] * (beta - 1)
+        if mode == "bypass":
+            assert sizes == [montecarlo._BATCH] * (beta - 1) + [10] * (beta - 1)
+        else:
+            # full mode steps only the states of a batch's d = +1 frames
+            k1, k2 = _plus_frames(n, seed=1, fading=True)
+            assert sizes == [k1] * (beta - 1) + [k2] * (beta - 1)
     sizes.clear()
     measure_papr(3, mode, n_frames=500, seed=1)
-    assert sizes == [500, 500]
+    if mode == "bypass":
+        assert sizes == [500, 500]
+    else:
+        (k,) = _plus_frames(500, seed=1, fading=False)
+        assert 0 < k < 500 and sizes == [k, k]
+
+
+def _plus_frames(n_frames: int, seed: int, fading: bool, xi: int = 2) -> list[int]:
+    """Each batch's count of d = +1 frames, from a replay of the batch loop's
+    draws: seed states, data bits, then (for run_once) the fading gains."""
+    rng = np.random.default_rng(seed)
+    counts = []
+    for start in range(0, n_frames, montecarlo._BATCH):
+        m = min(montecarlo._BATCH, n_frames - start)
+        _draw_clean_states(rng, m, xi)
+        counts.append(int(np.count_nonzero(rng.integers(0, 2, size=m))))
+        if fading:
+            sample_rayleigh(rng, size=m)
+    return counts
+
+
+@pytest.mark.parametrize("xi", [2, 3])
+@pytest.mark.parametrize("beta", [1, 2, 17])
+def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
+    # u = ((1 + d) * v)^2 with v the chip sum of every frame's orbit; the
+    # one-frame run's only batch has d = -1, and the last batch at seed 0
+    # is one such frame too
+    for n, seed in ((1, 42), (montecarlo._BATCH + 1, 0), (montecarlo._BATCH + 10, 3)):
+        replay = np.random.default_rng(seed)
+        sizes = []
+        for m, (u,), _ in montecarlo._frame_batches(np.random.default_rng(seed), n,
+                                                    beta, xi, "full"):
+            x0 = _draw_clean_states(replay, m, xi)
+            d = replay.integers(0, 2, size=m) * 2 - 1
+            (v,) = _orbit_batch_stats(x0, beta, xi, "full")
+            assert np.array_equal(u, ((1 + d) * v) ** 2)
+            sizes.append((m, int(np.count_nonzero(d == 1))))
+        if n == 1:
+            assert sizes == [(1, 0)]
+        elif seed == 0:
+            assert sizes[-1] == (1, 0)
+
+
+#: full-mode results where a batch has no d = +1 frame, as the loop gave them
+#: when it iterated every frame's orbit: (beta, xi, run mean, run standard
+#: error, PAPR plain) at n_frames = _BATCH + 1 and seed 0, whose last
+#: one-frame batch carries d = -1
+_PINNED_EMPTY_BATCH = [
+    (2, 2, '0x1.d9a8d229225ccp-19', '0x1.0ca00e3681adbp-24', '0x1.fed18811f8791p+2'),
+    (2, 3, '0x1.f5a3f3a0bf99cp-19', '0x1.3550d20f27f02p-24', '0x1.02bd8c2d3ba24p+3'),
+    (17, 2, '0x1.4d057bde9d0b2p-13', '0x1.f752dde974d31p-18', '0x1.9a022cc11ca2ap+5'),
+    (17, 3, '0x1.3eeeb9bbec221p-13', '0x1.9d31b4f0d4bd2p-18', '0x1.36a74a7fe7db7p+5'),
+]
+
+
+@pytest.mark.parametrize("beta, xi, mean, std_error, plain", _PINNED_EMPTY_BATCH)
+def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_error,
+                                                            plain):
+    n = montecarlo._BATCH + 1
+    assert _plus_frames(n, seed=0, fading=True, xi=xi)[-1] == 0
+    assert _plus_frames(n, seed=0, fading=False, xi=xi)[-1] == 0
+    est = run_once(RunConfig(beta=beta, r=20.0, n_frames=n, seed=0, xi=xi)).estimate
+    assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
+    assert measure_papr(beta, "full", n_frames=n, seed=0, xi=xi).plain.hex() == plain
+    # one frame at the default seed carries d = -1: a zero harvest
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a one-frame run's noise warning
+        one = run_once(RunConfig(beta=beta, r=20.0, n_frames=1, xi=xi)).estimate
+    assert one.mean == 0.0 and math.isnan(one.std_error)
 
 
 @pytest.mark.parametrize("xi", [2, 3, 5])
