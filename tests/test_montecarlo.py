@@ -304,10 +304,10 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
             assert sizes[-1] == (1, 0)
 
 
-#: full-mode results where a batch has no d = +1 frame, as the loop gave them
-#: when it iterated every frame's orbit: (beta, xi, run mean, run standard
-#: error, PAPR plain) at n_frames = _BATCH + 1 and seed 0, whose last
-#: one-frame batch carries d = -1
+#: full-mode results where a batch has no d = +1 frame, equal to those of
+#: iterating every frame's orbit: (beta, xi, run mean, run standard error,
+#: PAPR plain) at n_frames = _BATCH + 1 and seed 0, whose last one-frame
+#: batch carries d = -1
 _PINNED_EMPTY_BATCH = [
     (2, 2, '0x1.d9a8d229225ccp-19', '0x1.0ca00e3681adbp-24', '0x1.fed18811f8791p+2'),
     (2, 3, '0x1.f5a3f3a0bf99cp-19', '0x1.3550d20f27f02p-24', '0x1.02bd8c2d3ba24p+3'),
