@@ -230,8 +230,15 @@ def oracle_cdf(oracle: PdfOracle, x) -> np.ndarray | float:
     if f in _ONE_SIDED:
         s, p = _ONE_SIDED[f]
         atom = _ATOMS[f]
-        pos = np.maximum(arr, 0.0)
-        out = np.where(arr < 0.0, 0.0, atom + (1.0 - atom) * erf((pos / s) ** (1.0 / p)))
+        # atom + (1 - atom)*erf((max(x, 0)/s)**(1/p)), and 0 below the origin,
+        # one IEEE operation at a time in the one array it returns
+        out = np.maximum(arr, 0.0, out=np.empty_like(arr))
+        out /= s
+        out **= 1.0 / p
+        erf(out, out=out)
+        out *= 1.0 - atom
+        out += atom
+        out[arr < 0.0] = 0.0
     elif f == "S_b1":
         out = (1.0 + erf(arr / 2.0)) / 4.0 + 0.5 * (arr >= 0.0)
     elif f == "S_clt":

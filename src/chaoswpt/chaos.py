@@ -26,6 +26,14 @@ x^2 and x^4.  The one exception is a chip with |x| < 1.5e-154, whose square
 x^2 is subnormal and so carries fewer bits than 4x^2: the orbit stays exact,
 but that chip's square (and fourth power) can differ from a quarter (a
 sixteenth) of the scaled one in its last bits.
+
+At degree 2 the step itself relates the states to the powers:
+y_{k+1} = y_k^2 - 2, so a chip's power is the next state plus 2, and the
+power sums of an orbit follow from the sum of its states (the Monte-Carlo
+kernel's bypass mode uses this).  The relation is exact as real numbers.
+In floats, fl(fl(y^2) - 2) + 2 equals fl(y^2) wherever fl(y^2) lies in
+[1, 4], since there the subtraction of 2 is exact (Sterbenz); below 1 the
+subtraction rounds, so sums formed this way move in their last bits.
 """
 
 from __future__ import annotations
@@ -76,14 +84,21 @@ def _in_domain(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def chebyshev_step(y: np.ndarray, xi: int = 2, out=None) -> np.ndarray:
+def _step_rows(xi: int) -> int:
+    """How many scratch rows ``chebyshev_step`` needs at degree ``xi``: none at 2."""
+    return min(xi - 2, 3)
+
+
+def chebyshev_step(y: np.ndarray, xi: int = 2, out=None, work=None) -> np.ndarray:
     """One application of the degree-``xi`` map to Dickson states y = 2x.
 
     ``y`` must be a float ndarray of states in [-2, 2]; the result is
     D_xi(y) = 2 T_xi(y/2), which is twice ``_step_scalar(y/2)`` bit for bit
     (see the module docstring).  ``out`` (an array of y's shape, which may be
-    ``y`` itself) receives the result in place.  There is no domain check,
-    so nothing stops a y outside [-2, 2] from growing: the map keeps
+    ``y`` itself) receives the result in place.  For xi >= 3 the recurrence
+    runs in ``work``, ``_step_rows(xi)`` arrays of y's shape, which is
+    allocated when not given; xi = 2 needs no scratch.  There is no domain
+    check, so nothing stops a y outside [-2, 2] from growing: the map keeps
     [-2, 2], and a caller that iterates an orbit checks its seed states once
     instead (``_in_domain``).
     """
@@ -99,10 +114,22 @@ def chebyshev_step(y: np.ndarray, xi: int = 2, out=None) -> np.ndarray:
         np.multiply(y, y, out=out)
         out -= 2.0
         return out
-    prev, t = y, y * y - 2.0
-    for _ in range(xi - 2):
-        prev, t = t, y * t - prev
-    return np.clip(t, -2.0, 2.0, out=out)
+    if work is None:
+        work = np.empty((_step_rows(xi),) + y.shape)
+    # D_{n+1} = y D_n - D_{n-1}, each term in a free scratch row; the last
+    # one is a single elementwise pass into out, so out may be y itself
+    prev, t = y, np.multiply(y, y, out=work[0])
+    t -= 2.0
+    free = list(work[1:])
+    for _ in range(xi - 3):
+        new = np.multiply(y, t, out=free.pop())
+        new -= prev
+        if prev is not y:
+            free.append(prev)
+        prev, t = t, new
+    t *= y
+    np.subtract(t, prev, out=out)
+    return np.clip(out, -2.0, 2.0, out=out)
 
 
 def map_fixed_points(xi: int = 2) -> np.ndarray:

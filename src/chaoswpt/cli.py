@@ -387,7 +387,9 @@ def main(argv=None) -> int:
             config = _load_config(args)
             command, _ = _COMMANDS[args.command]
             return command(config, args)
-        except (ConfigError, ValueError) as exc:
+        # a warning that the interpreter's filters raise (python -W error)
+        # ends the run like any other refused input
+        except (ConfigError, ValueError, Warning) as exc:
             print(f"chaoswpt: error: {exc}", file=sys.stderr)
             return 1
 

@@ -6,7 +6,9 @@ needs as the orbit is iterated: the chip sum in full mode, or the chip power
 and fourth power in bypass mode (plus the peak chip power, which only the
 PAPR measurement asks for).  The orbit is iterated in Dickson form, on the
 exactly scaled state y = 2x (see :mod:`chaoswpt.chaos`), and its seed states
-are domain-checked once per batch rather than on every step.  Per-frame
+are domain-checked once per batch rather than on every step.  At xi = 2 a
+chip's power is the next Dickson state plus 2, so bypass mode there sums the
+orbit itself, as full mode does, and squares no chip.  Per-frame
 harvested-power samples then feed the streaming accumulator, so memory stays
 flat no matter how many frames are requested.  Each run allocates one
 workspace of batch-sized rows, and every per-batch step writes into views of
@@ -27,8 +29,8 @@ import numpy as np
 from ._parallel import fork_map
 from .analytic import papr_analytic, z_with_correlator, z_without_correlator
 from .channel import path_gain, sample_rayleigh
-from .chaos import (_fixed_point_mask, _in_domain, chebyshev_step, draw_initial_state,
-                    map_fixed_points)
+from .chaos import (_fixed_point_mask, _in_domain, _step_rows, chebyshev_step,
+                    draw_initial_state, map_fixed_points)
 from .harvester import (PSI_MODES, DcAccumulator, DcEstimate, EhCircuit, _check, _scales,
                         rho_params)
 
@@ -141,17 +143,33 @@ def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int, psi_mode: str,
     on the Dickson state y = 2x; the sums of y, y^2 and y^4 are scaled back
     by 1/2, 1/4 and 1/16 at the end, which is exact (see the chaos module).
 
+    Bypass mode at xi = 2 squares no chip: y_{k+1} = y_k^2 - 2 makes every
+    chip power the next chip plus 2, so with T = y_2 + ... + y_{beta+1},
+
+        sum y_k^2 = T + 2 beta,
+        sum y_k^4 = (T - y_2 + y_{beta+2}) + 4 T + 6 beta,
+
+    over k = 1 ... beta, and the peak chip power is max(y_2 ... y_{beta+1})
+    + 2: beta + 1 map steps and one running sum.  The peak keeps the
+    chip-order bits, since the largest power lies in [1, 4] (of two
+    consecutive chips, one has |y| >= 1), where the relation is exact (see
+    the chaos module) and fl(fl(y^2) - 2) keeps the order of the powers;
+    the two sums can differ from chip-order ones in their last few bits.
+
     The statistics are the rows of ``out`` (one row of x0's size per
-    statistic), and the orbit runs in the two rows of ``work``; either is
-    allocated when not given.  x0 is never written.
+    statistic), and the orbit runs in the rows of ``work``: y and y^2, then
+    the step's own scratch at xi >= 3 (``chaos._step_rows``, which the step
+    allocates itself when ``work`` has only two rows); ``out`` and ``work``
+    are allocated when not given.  x0 is never written.
     """
     x = np.asarray(x0, dtype=float)
     if out is None:
         out = np.empty((_n_stats(psi_mode, peak), x.size))
     if work is None:
-        work = np.empty((2, x.size))
+        work = np.empty((2 + _step_rows(xi), x.size))
     stats = tuple(out)
     y, y2 = work[0], work[1]
+    step_work = work[2:] if len(work) > 2 else None
     if beta == 1:
         # no map step: the seed states are the only chips
         if psi_mode == "full":
@@ -168,24 +186,45 @@ def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int, psi_mode: str,
         (v,) = stats
         np.copyto(v, y)
         for _ in range(beta - 1):
-            chebyshev_step(y, xi, out=y)
+            chebyshev_step(y, xi, out=y, work=step_work)
             v += y
         v *= 0.5
         return stats
     e2, e4 = stats[:2]
-    np.multiply(y, y, out=e2)
-    np.multiply(e2, e2, out=e4)
-    if peak:
-        m2 = stats[2]
-        np.copyto(m2, e2)
-    for _ in range(beta - 1):
+    m2 = stats[2] if peak else None
+    if xi == 2:
+        # e2 runs the sum T and e4 keeps y_2 until the last step
         chebyshev_step(y, xi, out=y)
-        np.multiply(y, y, out=y2)
-        e2 += y2
+        np.copyto(e2, y)
+        np.copyto(e4, y)
         if peak:
-            np.maximum(m2, y2, out=m2)
-        y2 *= y2
-        e4 += y2
+            np.copyto(m2, y)
+        for _ in range(beta - 1):
+            chebyshev_step(y, xi, out=y)
+            e2 += y
+            if peak:
+                np.maximum(m2, y, out=m2)
+        chebyshev_step(y, xi, out=y)
+        np.subtract(e2, e4, out=e4)
+        e4 += y
+        e4 += np.multiply(e2, 4.0, out=y2)
+        e4 += 6.0 * beta
+        e2 += 2.0 * beta
+        if peak:
+            m2 += 2.0
+    else:
+        np.multiply(y, y, out=e2)
+        np.multiply(e2, e2, out=e4)
+        if peak:
+            np.copyto(m2, e2)
+        for _ in range(beta - 1):
+            chebyshev_step(y, xi, out=y, work=step_work)
+            np.multiply(y, y, out=y2)
+            e2 += y2
+            if peak:
+                np.maximum(m2, y2, out=m2)
+            y2 *= y2
+            e4 += y2
     e2 *= 0.25
     e4 *= 0.0625
     if peak:
@@ -210,20 +249,23 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
     A caller's own draws for the batch follow the yield.  One workspace is
     allocated per call, and every batch step writes into it: ``stats`` and
     the ``_SPARE_ROWS`` scratch rows in ``spare`` are views of it, so they
-    hold m frames each and stay valid only until the next batch.  Only d,
+    hold m frames each and stay valid only until the next batch.  At xi >= 3
+    the workspace also holds the map step's scratch rows.  Only d,
     and in full mode the index of its +1 frames, are new arrays each batch,
     since numpy's ``integers`` and ``flatnonzero`` take no ``out``.
     """
     size = min(n_frames, _BATCH)
-    rows = np.empty((_SPARE_ROWS + _n_stats(psi_mode, peak), size))
+    n_work = _SPARE_ROWS + _step_rows(xi)
+    rows = np.empty((n_work + _n_stats(psi_mode, peak), size))
     flags = np.empty((2, size), dtype=bool)
     remaining = n_frames
     while remaining > 0:
         m = min(remaining, _BATCH)
         remaining -= m
-        spare, out = rows[:_SPARE_ROWS, :m], rows[_SPARE_ROWS:, :m]
+        spare, out = rows[:_SPARE_ROWS, :m], rows[n_work:, :m]
         # the seed states take the first spare row, and the draw and then
-        # the orbit use the other two as scratch
+        # the orbit use the other two as scratch, the orbit with the step's
+        # rows after them
         x0 = _draw_clean_states(rng, m, xi, out=spare[0], work=spare[1:],
                                 flags=flags[:, :m])
         bits = rng.integers(0, 2, size=m)  # the data bits are d = 2 * bits - 1
@@ -238,13 +280,14 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
             (u,) = stats
             seeds = np.take(x0, plus, out=u[:k], mode="clip")
             (v,) = _orbit_batch_stats(seeds, beta, xi, psi_mode, out=spare[:1, :k],
-                                      work=spare[1:, :k])
+                                      work=rows[1:n_work, :k])
             v *= 2.0
             v *= v
             u.fill(0.0)
             u[plus] = v
         else:
-            stats = _orbit_batch_stats(x0, beta, xi, psi_mode, peak, out=out, work=spare[1:])
+            stats = _orbit_batch_stats(x0, beta, xi, psi_mode, peak, out=out,
+                                       work=rows[1:n_work, :m])
             if psi_mode == "full":
                 (u,) = stats
                 bits *= 2  # 1 + d

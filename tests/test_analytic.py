@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import erf
 
 from chaoswpt import analytic
 from chaoswpt.analytic import (
@@ -271,6 +273,27 @@ def test_cdf_is_monotone_and_bounded(family, x, step):
     lo = float(oracle_cdf(oracle, x))
     hi = float(oracle_cdf(oracle, x + step))
     assert 0.0 <= lo <= hi <= 1.0
+
+
+@pytest.mark.parametrize("family", ["Z_b1", "P_b1", "Delta_b1", "Theta_b1"])
+def test_one_sided_cdf_is_built_in_its_result(family):
+    # the plain expression's bits, with no full-length temporary beside the
+    # array returned; a scalar point gets the array's bits too
+    x = 3.0 * np.random.default_rng(4).standard_normal(1_000_000)
+    x[:4] = [0.0, -0.0, 5e-324, -5e-324]
+    oracle = make_oracle(family)
+    s, p = analytic._ONE_SIDED[family]
+    atom = oracle.atom_at_zero
+    want = np.where(x < 0.0, 0.0, atom + (1.0 - atom) * erf((np.maximum(x, 0.0) / s) ** (1.0 / p)))
+    tracemalloc.start()
+    try:
+        got = oracle_cdf(oracle, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= 2 * x.nbytes  # the three temporaries took 3 * x.nbytes
+    assert [oracle_cdf(oracle, float(v)) for v in x[:200]] == got[:200].tolist()
 
 
 def test_cdf_limits():

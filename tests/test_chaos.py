@@ -7,6 +7,7 @@ from scipy import integrate
 
 from chaoswpt.chaos import (
     _in_domain,
+    _step_rows,
     _step_scalar,
     chebyshev_step,
     draw_initial_state,
@@ -166,6 +167,29 @@ def test_array_steps_are_the_scalar_steps(xi):
     out = chebyshev_step(ys, xi, out=ys)
     assert out is ys
     assert np.array_equal(ys, expected * 2.0)
+
+
+@pytest.mark.parametrize("xi", [3, 4, 5, 7])
+def test_steps_in_caller_scratch_keep_the_bits(xi):
+    # the recurrence rotates through _step_rows(xi) caller rows, in place
+    xs = draw_initial_state(np.random.default_rng(xi), size=10_000)
+    ys = xs * 2.0
+    rows = np.full((_step_rows(xi), xs.size), np.nan)
+    for _ in range(50):
+        expected = _scalar_steps(xs, xi)
+        out = chebyshev_step(ys, xi, out=ys, work=rows)
+        assert out is ys
+        assert np.array_equal(ys, expected * 2.0)
+        xs = expected
+    assert _step_rows(2) == 0
+
+
+@given(st.floats(1.0, 2.0) | st.floats(-2.0, -1.0))
+def test_squares_in_one_to_four_come_back_from_the_next_state(y):
+    # y^2 - 2 is exact where fl(y^2) lies in [1, 4] (Sterbenz), so the next
+    # Dickson state plus 2 is the chip power bit for bit: the bypass peak
+    assert 1.0 <= y * y <= 4.0
+    assert chebyshev_step(np.array([y]), 2)[0] + 2.0 == y * y
 
 
 @pytest.mark.parametrize("xi", [3, 5])

@@ -363,6 +363,18 @@ def test_a_library_warning_is_one_line_once(capsys, command, n_frames):
             f"chaoswpt: warning: n_frames={n_frames} gives a very noisy estimate"]
 
 
+@pytest.mark.parametrize("command, n_frames", [("run", 1), ("sweep", 50)])
+def test_a_warning_raised_as_an_error_exits_one(capsys, command, n_frames):
+    # python -W error turns the library's warning into an exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--set", f"n_frames={n_frames}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"chaoswpt: error: n_frames={n_frames} gives a very noisy estimate"]
+
+
 def test_verify_dist_battery(capsys):
     assert main(["verify-dist", "--set", "n_samples=150000"]) == 0
     header, rows = _csv_rows(capsys.readouterr().out)

@@ -184,6 +184,17 @@ def test_measure_papr_matches_per_frame_chain(mode, beta, xi):
         empirical_papr(stream, mean_power=beta if mode == "full" else 0.5), rel=1e-12)
 
 
+@pytest.mark.parametrize("beta", [2, 3, 17, 100])
+def test_bypass_papr_from_orbit_sums_matches_per_frame_chain(beta):
+    # the orbit-sum kernel's peak is the largest chip power bit for bit; its
+    # mean power rounds in its own order
+    n = 1000
+    stream = transmit_frames(np.random.default_rng(31), n, beta, 2).ravel()
+    got = measure_papr(beta, "bypass", n_frames=n, seed=31)
+    assert got.expectation_normalized == empirical_papr(stream, mean_power=0.5)
+    assert got.plain == pytest.approx(empirical_papr(stream), rel=1e-12)
+
+
 def test_measure_papr_rejects_zero_mean_power():
     # both frames carry bit -1, so every full-mode symbol is erased
     with pytest.raises(ValueError, match="realized mean power is 0; PAPR undefined"):
@@ -223,6 +234,18 @@ def _chip_order_stats(x0, beta, xi, mode):
     return e2, e4, m2
 
 
+def _orbit_sum_stats(x0, beta):
+    """Bypass sums at xi = 2 and beta >= 2 in the kernel's orbit-sum form and
+    order: T = y_2 + ... + y_{beta+1} over the scalar orbit of y = 2x, then
+    sum y^2 = T + 2 beta and sum y^4 = (T - y_2 + y_{beta+2}) + 4 T + 6 beta."""
+    y = 2.0 * np.array([generate_sequence(float(a), beta + 2, 2) for a in x0])
+    t = y[:, 1].copy()
+    for k in range(2, beta + 1):
+        t += y[:, k]
+    e4 = (t - y[:, 1]) + y[:, beta + 1] + 4.0 * t + 6.0 * beta
+    return (t + 2.0 * beta) * 0.25, e4 * 0.0625
+
+
 @pytest.mark.parametrize("xi", [2, 3])
 @pytest.mark.parametrize("mode", PSI_MODES)
 @pytest.mark.parametrize("beta", [1, 2, 17])
@@ -233,6 +256,14 @@ def test_orbit_batch_stats_are_bit_identical_to_chip_order_sums(xi, mode, beta):
     want = _chip_order_stats(x0, beta, xi, mode)
     got = _orbit_batch_stats(x0, beta, xi, mode, peak=True)
     assert len(got) == len(want)
+    if mode == "bypass" and xi == 2 and beta >= 2:
+        # bypass at xi = 2 sums the orbit instead of the chip powers: its
+        # two sums are that form's bits, a few ulp from the chip-order ones,
+        # and its peak is still the chip-order peak
+        assert all(np.array_equal(g, w) for g, w in zip(got, _orbit_sum_stats(x0, beta)))
+        for g, w in zip(got[:2], want[:2]):
+            assert np.max(np.abs(g - w) / w) <= 1e-14
+        got, want = got[2:], want[2:]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     # without the peak, bypass mode returns the two sums alone
     assert len(_orbit_batch_stats(x0, beta, xi, mode)) == (1 if mode == "full" else 2)
@@ -254,7 +285,9 @@ def test_kernel_steps_beta_minus_one_times_per_batch(monkeypatch, mode):
         sizes.clear()
         run_once(RunConfig(beta=beta, r=20.0, psi_mode=mode, n_frames=n, seed=1))
         if mode == "bypass":
-            assert sizes == [montecarlo._BATCH] * (beta - 1) + [10] * (beta - 1)
+            # at xi = 2 bypass mode steps past the last chip: beta + 1 steps
+            steps = beta + 1 if beta > 1 else 0
+            assert sizes == [montecarlo._BATCH] * steps + [10] * steps
         else:
             # full mode steps only the states of a batch's d = +1 frames
             k1, k2 = _plus_frames(n, seed=1, fading=True)
@@ -262,7 +295,7 @@ def test_kernel_steps_beta_minus_one_times_per_batch(monkeypatch, mode):
     sizes.clear()
     measure_papr(3, mode, n_frames=500, seed=1)
     if mode == "bypass":
-        assert sizes == [500, 500]
+        assert sizes == [500] * 4
     else:
         (k,) = _plus_frames(500, seed=1, fading=False)
         assert 0 < k < 500 and sizes == [k, k]
@@ -387,14 +420,15 @@ def test_clean_states_redraw_a_seed_state_of_one(monkeypatch):
 
 #: (xi, mode, beta, float.hex() of run_once's mean and standard error, and of
 #: measure_papr's plain ratio) at seed 42, r = 20 and one full batch plus a
-#: short one; a change that means to keep every bit must keep these
+#: short one; a change that means to keep every bit must keep these (the
+#: bypass rows at xi = 2 and beta >= 2 pin the orbit-sum kernel's rounding)
 _PINNED_BITS = [
     (2, 'full', 1, '0x1.5c37c2edeed87p-20', '0x1.ce189f4ccc4cbp-27', '0x1.ff67fa8c8e8aap+1'),
     (2, 'full', 2, '0x1.cf9fa367a4482p-19', '0x1.0632303d891dep-24', '0x1.fef89a89818f6p+2'),
     (2, 'full', 17, '0x1.5f715426ed15dp-13', '0x1.61b9c5f0c71f7p-17', '0x1.6f19634d61d68p+5'),
     (2, 'bypass', 1, '0x1.2c8c76a1f0261p-20', '0x1.c32f49d2bd613p-28', '0x1.0008a58b3036cp+1'),
     (2, 'bypass', 2, '0x1.2c7fed1d81700p-19', '0x1.898276274a34bp-27', '0x1.00711bb5f581ep+1'),
-    (2, 'bypass', 17, '0x1.3f6374fac7eafp-16', '0x1.5c18fe9f0f859p-24', '0x1.ffa64388c982ap+0'),
+    (2, 'bypass', 17, '0x1.3f6374fac7eaep-16', '0x1.5c18fe9f0f85ap-24', '0x1.ffa64388c982ap+0'),
     (3, 'full', 1, '0x1.56ae03371544fp-20', '0x1.baab18bacaa4bp-27', '0x1.ffffdbf651861p+1'),
     (3, 'full', 2, '0x1.f44138b02af87p-19', '0x1.2862d3082a479p-24', '0x1.015571fc7a96fp+3'),
     (3, 'full', 17, '0x1.298569794bcb7p-13', '0x1.5148a62d6907ap-18', '0x1.df52b9339f562p+4'),
