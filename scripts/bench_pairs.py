@@ -118,11 +118,17 @@ def main(argv=None) -> int:
                     help="seed of each workload's first pair (default %(default)s)")
     args = ap.parse_args(argv)
 
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
     plan = {}
     for item in args.pairs:
         workload, _, n = item.partition("=")
+        if workload not in workloads:
+            ap.error(f"--pairs {item!r}: {workload!r} is not a workload of "
+                     f"BENCHMARK.json ({', '.join(workloads)})")
+        if not (n.isdecimal() and int(n) > 0):
+            ap.error(f"--pairs {item!r}: the pair count must be a positive integer")
         plan[workload] = int(n)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     parent_sha = git("rev-parse", args.parent)
     report = {"parent": parent_sha, "change_head": git("rev-parse", "HEAD"),

@@ -42,7 +42,7 @@ def main() -> int:
             writer.writerow([
                 row.beta, row.r, row.psi_mode,
                 f"{row.estimate.mean:.17g}", f"{row.estimate.std_error:.17g}",
-                f"{row.z_analytic:.17g}", f"{abs(row.rel_dev):.17g}",
+                f"{row.z_analytic:.17g}", f"{row.rel_dev:.17g}",
                 f"{row.excess_sigma:.17g}",
             ])
     print(f"wrote {args.out}", file=sys.stderr)

@@ -29,8 +29,9 @@ sixteenth) of the scaled one in its last bits.
 
 At degree 2 the step itself relates the states to the powers:
 y_{k+1} = y_k^2 - 2, so a chip's power is the next state plus 2, and the
-power sums of an orbit follow from the sum of its states (the Monte-Carlo
-kernel's bypass mode uses this).  The relation is exact as real numbers.
+power sums of an orbit follow from the sum of its states (the bypass-mode
+kernel ``montecarlo._power_sums`` uses this at beta >= 2).  The relation is
+exact as real numbers.
 In floats, fl(fl(y^2) - 2) + 2 equals fl(y^2) wherever fl(y^2) lies in
 [1, 4], since there the subtraction of 2 is exact (Sterbenz); below 1 the
 subtraction rounds, so sums formed this way move in their last bits.
@@ -116,16 +117,14 @@ def chebyshev_step(y: np.ndarray, xi: int = 2, out=None, work=None) -> np.ndarra
         return out
     if work is None:
         work = np.empty((_step_rows(xi),) + y.shape)
-    # D_{n+1} = y D_n - D_{n-1}, each term in a free scratch row; the last
-    # one is a single elementwise pass into out, so out may be y itself
+    # D_{n+1} = y D_n - D_{n-1}, with D_n in row (n - 2) % 3, over the
+    # D_{n-3} that is needed no more; the last term is a single elementwise
+    # pass into out, so out may be y itself
     prev, t = y, np.multiply(y, y, out=work[0])
     t -= 2.0
-    free = list(work[1:])
-    for _ in range(xi - 3):
-        new = np.multiply(y, t, out=free.pop())
+    for i in range(1, xi - 2):
+        new = np.multiply(y, t, out=work[i % 3])
         new -= prev
-        if prev is not y:
-            free.append(prev)
         prev, t = t, new
     t *= y
     np.subtract(t, prev, out=out)

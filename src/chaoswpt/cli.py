@@ -222,10 +222,9 @@ def _emit(rows: list[dict], args, config: dict) -> None:
 
 
 def _sweep_row(res: RunResult) -> dict:
-    # the library's rel_dev is signed; the output column is its magnitude
     return dict(zip(SWEEP_HEADER, (
         res.beta, res.r, res.psi_mode, res.estimate.mean, res.estimate.std_error,
-        res.z_analytic, abs(res.rel_dev), res.papr_bound)))
+        res.z_analytic, res.rel_dev, res.papr_bound)))
 
 
 def _run_config(config: dict) -> RunConfig:

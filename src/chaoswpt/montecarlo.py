@@ -2,18 +2,20 @@
 
 The simulator never materializes whole chip blocks: frames are processed in
 vectorized batches, streaming only the per-frame statistics the receiver mode
-needs as the orbit is iterated: the chip sum in full mode, or the chip power
-and fourth power in bypass mode (plus the peak chip power, which only the
-PAPR measurement asks for).  The orbit is iterated in Dickson form, on the
-exactly scaled state y = 2x (see :mod:`chaoswpt.chaos`), and its seed states
-are domain-checked once per batch rather than on every step.  At xi = 2 a
-chip's power is the next Dickson state plus 2, so bypass mode there sums the
-orbit itself, as full mode does, and squares no chip.  Per-frame
-harvested-power samples then feed the streaming accumulator, so memory stays
-flat no matter how many frames are requested.  Each run allocates one
-workspace of batch-sized rows, and every per-batch step writes into views of
-it; the data bits, and in full mode the index of the frames whose bit is +1,
-are the only arrays a batch allocates.
+needs as the orbit is iterated: the chip sum in full mode (``_chip_sums``; at
+beta = 1 the seed state is the one chip), or the chip power and fourth-power
+sums over both symbol halves in bypass mode (``_power_sums``, plus the peak
+chip power, which only the PAPR measurement asks for).  The orbit is
+iterated in Dickson form, on the exactly scaled state y = 2x (see
+:mod:`chaoswpt.chaos`), and its seed states are domain-checked once per
+batch rather than on every step.  At xi = 2 a chip's power is the next
+Dickson state plus 2, so bypass mode there sums the orbit itself, as full
+mode does, and squares no chip.  Per-frame harvested-power samples then feed
+the streaming accumulator, so memory stays flat no matter how many frames
+are requested.  Each run allocates one workspace of batch-sized rows, and
+every per-batch step writes into views of it; the data bits, and in full
+mode the index of the frames whose bit is +1, are the only arrays a batch
+allocates.
 """
 
 from __future__ import annotations
@@ -127,24 +129,38 @@ def _draw_clean_states(rng: np.random.Generator, size: int, xi: int, out=None,
         x0[bad] = draw_initial_state(rng, size=n_bad)
 
 
-def _n_stats(psi_mode: str, peak: bool) -> int:
-    """How many per-frame statistics ``_orbit_batch_stats`` returns."""
-    return 1 if psi_mode == "full" else 2 + peak
+def _chip_sums(x0: np.ndarray, beta: int, xi: int, out: np.ndarray,
+               work: np.ndarray) -> np.ndarray:
+    """The full-mode kernel: each frame's sum y_1 + ... + y_beta, in ``out``.
+
+    Iterates the orbits of the seed states x0 (the first chips) at once, on
+    the Dickson state y = 2x, so the sum is exactly 2v for the chip sum v: on
+    a frame whose bit is d = +1, the correlator output (1 + d) v.  ``work``
+    holds y, then the map step's scratch rows (``chaos._step_rows``).  x0 is
+    never written.
+    """
+    y = work[0]
+    # the map keeps [-2, 2], so the seed states are the only ones to check
+    np.multiply(_in_domain(x0), 2.0, out=y)
+    np.copyto(out, y)
+    for _ in range(beta - 1):
+        chebyshev_step(y, xi, out=y, work=work[1:])
+        out += y
+    return out
 
 
-def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int, psi_mode: str,
-                       peak: bool = False, out=None, work=None) -> tuple[np.ndarray, ...]:
-    """Iterate the chaotic map over a batch of beta-chip frames at once.
+def _power_sums(x0: np.ndarray, beta: int, xi: int, out: np.ndarray,
+                work: np.ndarray) -> np.ndarray:
+    """The bypass-mode kernel: each frame's sums of x^2 and x^4, in ``out``.
 
-    Returns only what ``psi_mode`` needs, per frame and without ever storing
-    the chips: ``(chip sum,)`` in full mode, ``(sum of squares, sum of fourth
-    powers)`` in bypass mode, followed there by the peak squared chip when
-    ``peak`` is set.  x0 is the first chip, so the map takes beta - 1 steps,
-    on the Dickson state y = 2x; the sums of y, y^2 and y^4 are scaled back
-    by 1/2, 1/4 and 1/16 at the end, which is exact (see the chaos module).
+    The sums run over both symbol halves, whose chips are the orbit's up to
+    sign, so each is twice the orbit's: the sums of y^2 and y^4 scaled by 1/2
+    and 1/8, which is exact.  A third row of ``out``, when there is one,
+    gets the peak x^2.  ``work`` holds y and y^2, then the map step's scratch
+    rows; x0 is never written.
 
-    Bypass mode at xi = 2 squares no chip: y_{k+1} = y_k^2 - 2 makes every
-    chip power the next chip plus 2, so with T = y_2 + ... + y_{beta+1},
+    At xi = 2 and beta >= 2 no chip is squared: y_{k+1} = y_k^2 - 2 makes
+    every chip power the next chip plus 2, so with T = y_2 + ... + y_{beta+1},
 
         sum y_k^2 = T + 2 beta,
         sum y_k^4 = (T - y_2 + y_{beta+2}) + 4 T + 6 beta,
@@ -155,54 +171,22 @@ def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int, psi_mode: str,
     consecutive chips, one has |y| >= 1), where the relation is exact (see
     the chaos module) and fl(fl(y^2) - 2) keeps the order of the powers;
     the two sums can differ from chip-order ones in their last few bits.
-
-    The statistics are the rows of ``out`` (one row of x0's size per
-    statistic), and the orbit runs in the rows of ``work``: y and y^2, then
-    the step's own scratch at xi >= 3 (``chaos._step_rows``, which the step
-    allocates itself when ``work`` has only two rows); ``out`` and ``work``
-    are allocated when not given.  x0 is never written.
     """
-    x = np.asarray(x0, dtype=float)
-    if out is None:
-        out = np.empty((_n_stats(psi_mode, peak), x.size))
-    if work is None:
-        work = np.empty((2 + _step_rows(xi), x.size))
-    stats = tuple(out)
+    e2, e4 = out[0], out[1]
+    m2 = out[2] if len(out) > 2 else None
     y, y2 = work[0], work[1]
-    step_work = work[2:] if len(work) > 2 else None
-    if beta == 1:
-        # no map step: the seed states are the only chips
-        if psi_mode == "full":
-            np.copyto(stats[0], x)
-        else:
-            np.multiply(x, x, out=stats[0])
-            np.multiply(stats[0], stats[0], out=stats[1])
-            if peak:
-                np.copyto(stats[2], stats[0])
-        return stats
-    # the map keeps [-2, 2], so the seed states are the only ones to check
-    np.multiply(_in_domain(x), 2.0, out=y)
-    if psi_mode == "full":
-        (v,) = stats
-        np.copyto(v, y)
-        for _ in range(beta - 1):
-            chebyshev_step(y, xi, out=y, work=step_work)
-            v += y
-        v *= 0.5
-        return stats
-    e2, e4 = stats[:2]
-    m2 = stats[2] if peak else None
-    if xi == 2:
+    np.multiply(_in_domain(x0), 2.0, out=y)
+    if xi == 2 and beta > 1:
         # e2 runs the sum T and e4 keeps y_2 until the last step
         chebyshev_step(y, xi, out=y)
         np.copyto(e2, y)
         np.copyto(e4, y)
-        if peak:
+        if m2 is not None:
             np.copyto(m2, y)
         for _ in range(beta - 1):
             chebyshev_step(y, xi, out=y)
             e2 += y
-            if peak:
+            if m2 is not None:
                 np.maximum(m2, y, out=m2)
         chebyshev_step(y, xi, out=y)
         np.subtract(e2, e4, out=e4)
@@ -210,26 +194,26 @@ def _orbit_batch_stats(x0: np.ndarray, beta: int, xi: int, psi_mode: str,
         e4 += np.multiply(e2, 4.0, out=y2)
         e4 += 6.0 * beta
         e2 += 2.0 * beta
-        if peak:
+        if m2 is not None:
             m2 += 2.0
     else:
         np.multiply(y, y, out=e2)
         np.multiply(e2, e2, out=e4)
-        if peak:
+        if m2 is not None:
             np.copyto(m2, e2)
         for _ in range(beta - 1):
-            chebyshev_step(y, xi, out=y, work=step_work)
+            chebyshev_step(y, xi, out=y, work=work[2:])
             np.multiply(y, y, out=y2)
             e2 += y2
-            if peak:
+            if m2 is not None:
                 np.maximum(m2, y2, out=m2)
             y2 *= y2
             e4 += y2
-    e2 *= 0.25
-    e4 *= 0.0625
-    if peak:
+    e2 *= 0.5
+    e4 *= 0.125
+    if m2 is not None:
         m2 *= 0.25
-    return stats
+    return out
 
 
 #: workspace rows that are free for the caller while it holds a batch
@@ -241,59 +225,53 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
     """Yield ``(m, stats, spare)`` for each batch of at most _BATCH frames.
 
     Draws m seed states, then m data bits d, and reduces the orbits to the
-    mode's statistics (see ``_orbit_batch_stats``, which also takes ``peak``);
-    in full mode the one statistic becomes the squared correlator output
-    u = ((1 + d) * v) ** 2 of the chip sum v, so d never leaves the loop.
-    That u is 0 wherever d = -1, so for beta >= 2 full mode iterates only
-    the orbits of the d = +1 frames (beta = 1 has no map step to save).
+    mode's statistics: ``_power_sums``' rows in bypass mode (the peak only
+    when ``peak`` is set), and in full mode the squared correlator output
+    u = ((1 + d) v)^2 of the chip sum v, so d never leaves the loop.  That u
+    is 0 wherever d = -1, so at beta >= 2 full mode iterates only the orbits
+    of the d = +1 frames; at beta = 1 it is (x0 (1 + d))^2, with no map step.
     A caller's own draws for the batch follow the yield.  One workspace is
     allocated per call, and every batch step writes into it: ``stats`` and
     the ``_SPARE_ROWS`` scratch rows in ``spare`` are views of it, so they
     hold m frames each and stay valid only until the next batch.  At xi >= 3
-    the workspace also holds the map step's scratch rows.  Only d,
-    and in full mode the index of its +1 frames, are new arrays each batch,
-    since numpy's ``integers`` and ``flatnonzero`` take no ``out``.
+    the workspace also holds the map step's scratch rows.  Only d, and in
+    full mode at beta >= 2 the index of its +1 frames, are new arrays each
+    batch, since numpy's ``integers`` and ``flatnonzero`` take no ``out``.
     """
     size = min(n_frames, _BATCH)
     n_work = _SPARE_ROWS + _step_rows(xi)
-    rows = np.empty((n_work + _n_stats(psi_mode, peak), size))
+    rows = np.empty((n_work + (1 if psi_mode == "full" else 2 + peak), size))
     flags = np.empty((2, size), dtype=bool)
     remaining = n_frames
     while remaining > 0:
         m = min(remaining, _BATCH)
         remaining -= m
-        spare, out = rows[:_SPARE_ROWS, :m], rows[n_work:, :m]
+        spare, work, out = rows[:_SPARE_ROWS, :m], rows[1:n_work, :m], rows[n_work:, :m]
         # the seed states take the first spare row, and the draw and then
         # the orbit use the other two as scratch, the orbit with the step's
         # rows after them
         x0 = _draw_clean_states(rng, m, xi, out=spare[0], work=spare[1:],
                                 flags=flags[:, :m])
         bits = rng.integers(0, 2, size=m)  # the data bits are d = 2 * bits - 1
-        if psi_mode == "full" and beta > 1:
-            # (1 + d) * v is 0 for d = -1 whatever v is, so only the orbits
-            # of the d = +1 frames are iterated, from their seed states
-            # gathered into the statistic row u; their (2v)^2 is then
-            # scattered into u, zeroed first ("clip" skips take's buffer)
+        u = out[0]
+        if psi_mode == "bypass":
+            _power_sums(x0, beta, xi, out=out, work=work)
+        elif beta == 1:
+            bits *= 2  # 1 + d
+            np.multiply(x0, bits, out=u)
+            u *= u
+        else:
+            # the d = +1 frames' seed states are gathered into u, and their
+            # (2v)^2 scattered back into u, zeroed first ("clip" skips
+            # take's buffer)
             plus = np.flatnonzero(np.equal(bits, 1, out=flags[0, :m]))
             k = plus.size
-            stats = tuple(out)
-            (u,) = stats
             seeds = np.take(x0, plus, out=u[:k], mode="clip")
-            (v,) = _orbit_batch_stats(seeds, beta, xi, psi_mode, out=spare[:1, :k],
-                                      work=rows[1:n_work, :k])
-            v *= 2.0
+            v = _chip_sums(seeds, beta, xi, out=spare[0, :k], work=work[:, :k])
             v *= v
             u.fill(0.0)
             u[plus] = v
-        else:
-            stats = _orbit_batch_stats(x0, beta, xi, psi_mode, peak, out=out,
-                                       work=rows[1:n_work, :m])
-            if psi_mode == "full":
-                (u,) = stats
-                bits *= 2  # 1 + d
-                u *= bits
-                u *= u
-        yield m, stats, tuple(spare)
+        yield m, tuple(out), tuple(spare)
 
 
 def run_once(config: RunConfig) -> RunResult:
@@ -325,15 +303,13 @@ def run_once(config: RunConfig) -> RunResult:
                 t = np.multiply(y2, b, out=s)
                 t *= y2
             else:
-                # raw chip stream: both symbol halves carry identical powers,
-                # w = a * c2 * 2.0 * e2 + b * c2 * c2 * 2.0 * e4
+                # raw chip stream: w = a * c2 * e2 + b * c2 * c2 * e4, with e2
+                # and e4 the frame's power sums over both symbol halves
                 e2, e4 = stats
                 t = np.multiply(c2, b, out=s)
                 t *= c2
-                t *= 2.0
                 t *= e4
                 w = np.multiply(c2, a, out=p)
-                w *= 2.0
                 w *= e2
             w += t
             acc.add_moments(m, float(np.sum(w)), float(np.sum(np.multiply(w, w, out=s))))
@@ -471,15 +447,11 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = RunConfig.n_frames,
     rng = np.random.default_rng(seed)
     peak = 0.0
     power_sum = 0.0
-    for _, stats, spare in _frame_batches(rng, n_frames, beta, xi, psi_mode, peak=True):
-        if psi_mode == "full":
-            (u,) = stats
-            peak = max(peak, float(np.max(u)))
-            power_sum += float(np.sum(u))
-        else:
-            e2, _, m2 = stats
-            peak = max(peak, float(np.max(m2)))
-            power_sum += float(np.sum(np.multiply(e2, 2.0, out=spare[0])))
+    for _, stats, _ in _frame_batches(rng, n_frames, beta, xi, psi_mode, peak=True):
+        # each frame's power comes first and its peak last: u and u again in
+        # full mode, the sum and the peak of the chip powers in bypass mode
+        peak = max(peak, float(np.max(stats[-1])))
+        power_sum += float(np.sum(stats[0]))
     # one power per frame in full mode, one per chip (2*beta a frame) in bypass
     mean_power = power_sum / (n_frames if psi_mode == "full" else n_frames * 2 * beta)
     if mean_power == 0.0:

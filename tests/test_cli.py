@@ -36,7 +36,7 @@ def test_run_csv_matches_library(capsys):
     assert float(row["z_empirical"]) == ref.estimate.mean
     assert float(row["z_stderr"]) == ref.estimate.std_error
     assert float(row["z_analytic"]) == ref.z_analytic
-    assert float(row["rel_dev"]) == abs(ref.rel_dev)
+    assert float(row["rel_dev"]) == ref.rel_dev
     assert float(row["papr_analytic"]) == 8.0
 
 

@@ -11,6 +11,7 @@ from chaoswpt import montecarlo
 from chaoswpt.analytic import z_with_correlator, z_without_correlator
 from chaoswpt.chaos import (
     FIXED_POINT_TOL,
+    _step_rows,
     draw_initial_state,
     generate_sequence,
     map_fixed_points,
@@ -23,9 +24,10 @@ from chaoswpt.montecarlo import (
     RunResult,
     SweepResult,
     SweepRow,
+    _chip_sums,
     _draw_clean_states,
     _fixed_point_mask,
-    _orbit_batch_stats,
+    _power_sums,
     _subseed,
     fit_scaling,
     measure_papr,
@@ -156,22 +158,24 @@ def _reference_path(cfg: RunConfig):
 
 
 def test_full_mode_matches_composed_pipeline():
-    cfg = RunConfig(beta=4, r=20.0, psi_mode="full", n_frames=400, seed=99)
-    fast = run_once(cfg)
-    ref = _reference_path(cfg)
-    assert fast.estimate.mean == pytest.approx(ref.mean, rel=1e-12)
-    assert fast.estimate.std_error == pytest.approx(ref.std_error, rel=1e-12)
+    for xi in (2, 6):
+        cfg = RunConfig(beta=4, r=20.0, psi_mode="full", n_frames=400, seed=99, xi=xi)
+        fast = run_once(cfg)
+        ref = _reference_path(cfg)
+        assert fast.estimate.mean == pytest.approx(ref.mean, rel=1e-12)
+        assert fast.estimate.std_error == pytest.approx(ref.std_error, rel=1e-12)
 
 
 def test_bypass_mode_matches_composed_pipeline():
-    cfg = RunConfig(beta=3, r=15.0, psi_mode="bypass", n_frames=400, seed=7)
-    fast = run_once(cfg)
-    ref = _reference_path(cfg)
-    assert fast.estimate.mean == pytest.approx(ref.mean, rel=1e-12)
-    assert fast.estimate.std_error == pytest.approx(ref.std_error, rel=1e-12)
+    for xi in (2, 6):
+        cfg = RunConfig(beta=3, r=15.0, psi_mode="bypass", n_frames=400, seed=7, xi=xi)
+        fast = run_once(cfg)
+        ref = _reference_path(cfg)
+        assert fast.estimate.mean == pytest.approx(ref.mean, rel=1e-12)
+        assert fast.estimate.std_error == pytest.approx(ref.std_error, rel=1e-12)
 
 
-@pytest.mark.parametrize("xi", [2, 3])
+@pytest.mark.parametrize("xi", [2, 3, 4, 6])
 @pytest.mark.parametrize("beta", [1, 4, 5])
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_measure_papr_matches_per_frame_chain(mode, beta, xi):
@@ -202,15 +206,32 @@ def test_measure_papr_rejects_zero_mean_power():
     assert measure_papr(2, "bypass", n_frames=2, seed=1).plain > 0.0
 
 
+def _kernel_stats(x0, beta, xi, mode, peak=True, rows=None):
+    """The mode's kernel on the seed states x0: ``_chip_sums`` or ``_power_sums``.
+
+    ``rows`` (NaN-filled when not given) holds the statistics, then y, y^2
+    and the map step's scratch rows; the bypass peak row is there when
+    ``peak`` is set.
+    """
+    n_stats = 1 if mode == "full" else 2 + peak
+    if rows is None:
+        rows = np.full((n_stats + 2 + _step_rows(xi), x0.size), np.nan)
+    out, work = rows[:n_stats], rows[n_stats:]
+    if mode == "full":
+        return (_chip_sums(x0, beta, xi, out=out[0], work=work),)
+    return tuple(_power_sums(x0, beta, xi, out=out, work=work))
+
+
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_orbit_batch_stats_match_sequence_sums_for_degree_three(mode):
+    # the Dickson chip sum is 2v, and the power sums run over both halves
     x0 = _draw_clean_states(np.random.default_rng(5), 300, 3)
     chips = np.array([generate_sequence(float(a), 6, 3) for a in x0])
-    stats = _orbit_batch_stats(x0, 6, 3, mode, peak=True)
+    stats = _kernel_stats(x0, 6, 3, mode)
     if mode == "full":
-        expected = (chips.sum(axis=1),)
+        expected = (2.0 * chips.sum(axis=1),)
     else:
-        expected = ((chips ** 2).sum(axis=1), (chips ** 4).sum(axis=1),
+        expected = (2.0 * (chips ** 2).sum(axis=1), 2.0 * (chips ** 4).sum(axis=1),
                     (chips ** 2).max(axis=1))
     assert len(stats) == len(expected)
     for got, want in zip(stats, expected):
@@ -218,20 +239,21 @@ def test_orbit_batch_stats_match_sequence_sums_for_degree_three(mode):
 
 
 def _chip_order_stats(x0, beta, xi, mode):
-    """The kernel's statistics as running sums over scalar orbits, chip by chip."""
+    """The kernel's statistics as running sums over scalar orbits, chip by
+    chip, times the exact 2 of the Dickson chip sum and of the two halves."""
     chips = np.array([generate_sequence(float(a), beta, xi) for a in x0])
     if mode == "full":
         v = chips[:, 0].copy()
         for k in range(1, beta):
             v += chips[:, k]
-        return (v,)
+        return (2.0 * v,)
     sq = chips * chips
     e2, e4, m2 = sq[:, 0].copy(), sq[:, 0] * sq[:, 0], sq[:, 0].copy()
     for k in range(1, beta):
         e2 += sq[:, k]
         e4 += sq[:, k] * sq[:, k]
         np.maximum(m2, sq[:, k], out=m2)
-    return e2, e4, m2
+    return 2.0 * e2, 2.0 * e4, m2
 
 
 def _orbit_sum_stats(x0, beta):
@@ -243,7 +265,7 @@ def _orbit_sum_stats(x0, beta):
     for k in range(2, beta + 1):
         t += y[:, k]
     e4 = (t - y[:, 1]) + y[:, beta + 1] + 4.0 * t + 6.0 * beta
-    return (t + 2.0 * beta) * 0.25, e4 * 0.0625
+    return (t + 2.0 * beta) * 0.5, e4 * 0.125
 
 
 @pytest.mark.parametrize("xi", [2, 3])
@@ -254,8 +276,12 @@ def test_orbit_batch_stats_are_bit_identical_to_chip_order_sums(xi, mode, beta):
     # differently from the unscaled orbit summed in chip order
     x0 = _draw_clean_states(np.random.default_rng(beta), 400, xi)
     want = _chip_order_stats(x0, beta, xi, mode)
-    got = _orbit_batch_stats(x0, beta, xi, mode, peak=True)
+    got = _kernel_stats(x0, beta, xi, mode)
     assert len(got) == len(want)
+    # without the peak row, bypass mode fills the two sums alone, same bits
+    alone = _kernel_stats(x0, beta, xi, mode, peak=False)
+    assert len(alone) == (1 if mode == "full" else 2)
+    assert all(np.array_equal(a, g) for a, g in zip(alone, got))
     if mode == "bypass" and xi == 2 and beta >= 2:
         # bypass at xi = 2 sums the orbit instead of the chip powers: its
         # two sums are that form's bits, a few ulp from the chip-order ones,
@@ -265,8 +291,6 @@ def test_orbit_batch_stats_are_bit_identical_to_chip_order_sums(xi, mode, beta):
             assert np.max(np.abs(g - w) / w) <= 1e-14
         got, want = got[2:], want[2:]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    # without the peak, bypass mode returns the two sums alone
-    assert len(_orbit_batch_stats(x0, beta, xi, mode)) == (1 if mode == "full" else 2)
 
 
 @pytest.mark.parametrize("mode", PSI_MODES)
@@ -318,9 +342,9 @@ def _plus_frames(n_frames: int, seed: int, fading: bool, xi: int = 2) -> list[in
 @pytest.mark.parametrize("xi", [2, 3])
 @pytest.mark.parametrize("beta", [1, 2, 17])
 def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
-    # u = ((1 + d) * v)^2 with v the chip sum of every frame's orbit; the
-    # one-frame run's only batch has d = -1, and the last batch at seed 0
-    # is one such frame too
+    # u = ((1 + d) * v)^2 with v the chip sum of every frame's orbit, half
+    # its Dickson sum; the one-frame run's only batch has d = -1, and the
+    # last batch at seed 0 is one such frame too
     for n, seed in ((1, 42), (montecarlo._BATCH + 1, 0), (montecarlo._BATCH + 10, 3)):
         replay = np.random.default_rng(seed)
         sizes = []
@@ -328,7 +352,7 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
                                                     beta, xi, "full"):
             x0 = _draw_clean_states(replay, m, xi)
             d = replay.integers(0, 2, size=m) * 2 - 1
-            (v,) = _orbit_batch_stats(x0, beta, xi, "full")
+            v = 0.5 * _kernel_stats(x0, beta, xi, "full")[0]
             assert np.array_equal(u, ((1 + d) * v) ** 2)
             sizes.append((m, int(np.count_nonzero(d == 1))))
         if n == 1:
@@ -452,12 +476,11 @@ def test_batch_loop_bits_are_pinned(xi, mode, beta, mean, std_error, plain):
 def test_orbit_batch_stats_into_buffers_keep_the_bits(xi, mode, beta):
     x0 = _draw_clean_states(np.random.default_rng(beta), 1000, xi)
     seeds = x0.copy()
-    want = _orbit_batch_stats(x0, beta, xi, mode, peak=True)
-    rows = np.full((len(want) + 2, x0.size), np.nan)
+    want = _kernel_stats(x0, beta, xi, mode)
+    rows = np.full((len(want) + 2 + _step_rows(xi), x0.size), np.nan)
     # a full batch, then a short one in views of the same rows
     for m in (x0.size, 600):
-        got = _orbit_batch_stats(x0[:m], beta, xi, mode, peak=True,
-                                 out=rows[2:, :m], work=rows[:2, :m])
+        got = _kernel_stats(x0[:m], beta, xi, mode, rows=rows[:, :m])
         assert all(np.shares_memory(g, rows) for g in got)
         assert all(np.array_equal(g, w[:m]) for g, w in zip(got, want))
     assert np.array_equal(x0, seeds)

@@ -1,0 +1,57 @@
+import csv
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import chaoswpt
+from chaoswpt.montecarlo import RunConfig, sweep_beta
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = str(pathlib.Path(chaoswpt.__file__).resolve().parents[1])
+
+
+def _script(name, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_fig2_sweep_writes_the_signed_deviation(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = _script("fig2_sweep.py", "--betas", "1", "2", "--distances", "20",
+                   "--n-frames", "300", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["beta", "r", "mode", "z_empirical", "z_stderr", "z_analytic",
+                       "rel_dev", "excess_sigma"]
+    ref = sweep_beta([1, 2], [20.0], ["full", "bypass"],
+                     RunConfig(beta=1, r=1.0, n_frames=300, seed=42))
+    assert [float(row[6]) for row in rows[1:]] == [r.rel_dev for r in ref.rows]
+    assert any(r.rel_dev < 0 for r in ref.rows)
+
+
+def test_clt_gap_runs_at_its_defaults():
+    proc = _script("clt_gap.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "asymptotic branch" in proc.stdout
+
+
+@pytest.mark.parametrize("pairs, reason", [
+    ("sweep-raw", "the pair count must be a positive integer"),
+    ("sweep-raw=0", "the pair count must be a positive integer"),
+    ("sweep-raw=x", "the pair count must be a positive integer"),
+    ("no-such=3", "'no-such' is not a workload of BENCHMARK.json"),
+])
+def test_bench_pairs_rejects_a_bad_pairs_entry(tmp_path, pairs, reason):
+    # the entry is named, and rejected before the parent commit is exported
+    out = tmp_path / "bench.json"
+    proc = _script("bench_pairs.py", "--parent", "HEAD", "--out", str(out),
+                   "--pairs", "single-chip=1", pairs)
+    assert proc.returncode == 2
+    assert f"--pairs {pairs!r}: {reason}" in proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
