@@ -29,6 +29,7 @@ from .harvester import _check
 __all__ = [
     "papr_analytic",
     "z_with_correlator",
+    "z_with_correlator_exact",
     "z_without_correlator",
     "beta_crossover",
     "PdfOracle",
@@ -96,6 +97,27 @@ def z_with_correlator(beta: int, r: float, alpha: float,
         return g * rho1 + 6.0 * g * g * rho2
     b = float(beta)
     return g * rho1 * b + 12.0 * g * g * rho2 * b * b
+
+
+def z_with_correlator_exact(beta: int, r: float, alpha: float, rho1: float,
+                            rho2: float, xi: int = 2) -> float:
+    """Exact harvested DC with full-symbol integration, at any beta and map degree.
+
+    z = rho1 g beta + 16 rho2 g^2 E[V^4] for the chip sum V = x_1 + ... +
+    x_beta of a degree-xi orbit under its invariant law (E[h^4] = 2 and
+    E[(1 + d)^4] = 8 give the 16).  With x_k = cos(xi^k theta), a mean of
+    cosines is 2^-4 times the count of sign patterns of the frequencies that
+    sum to 0, so E[V^4] = 3/4 beta^2 - 3/8 beta + c: the pairings give the
+    first two terms, and c counts the relations beyond them, 3/2 max(beta -
+    2, 0) at xi = 2 (4n = 2n + n + n), (beta - 1)/2 at xi = 3 (3n = n + n +
+    n), and 0 at xi >= 4.  At beta = 1 it is ``z_with_correlator``'s exact
+    value; at large beta it tends to the Gaussian model's 3/4 beta^2.
+    """
+    g = _link_gain(beta, r, alpha, rho1, rho2)
+    _check("xi", xi)
+    b = float(beta)
+    c = {2: 1.5 * max(b - 2.0, 0.0), 3: 0.5 * (b - 1.0)}.get(int(xi), 0.0)
+    return g * rho1 * b + 16.0 * g * g * rho2 * (0.75 * b * b - 0.375 * b + c)
 
 
 def z_without_correlator(beta: int, r: float, alpha: float,

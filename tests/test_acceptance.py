@@ -10,9 +10,10 @@ import time
 
 import numpy as np
 
-from chaoswpt.analytic import beta_crossover, papr_analytic
+from chaoswpt.analytic import beta_crossover, papr_analytic, z_with_correlator_exact
 from chaoswpt.chaos import draw_initial_state, generate_sequence
 from chaoswpt.distcheck import verify_distributions
+from chaoswpt.harvester import EhCircuit, rho_params
 from chaoswpt.montecarlo import (
     RunConfig,
     fit_scaling,
@@ -106,6 +107,28 @@ def test_criterion_4_asymptotic_branch_within_five_percent():
         f"spreading factors: {detail}; run scripts/clt_gap.py for the "
         "noise-free gap decomposition"
     )
+
+
+def test_exact_finite_beta_harvest_within_three_se():
+    # criterion 4's runs, held to the exact form instead of the asymptotic
+    # branch, at two map degrees: a gate that sees model error, not only noise
+    t0 = time.perf_counter()
+    rho1, rho2 = rho_params(EhCircuit())
+    sigmas = {}
+    for xi in (2, 3):
+        for beta in (2, 5, 10, 50, 100):
+            est = run_once(RunConfig(beta=beta, r=20.0, alpha=4.0, psi_mode="full",
+                                     n_frames=N_FULL, seed=42, xi=xi)).estimate
+            z = z_with_correlator_exact(beta, 20.0, 4.0, rho1, rho2, xi)
+            sigmas[xi, beta] = (est.mean - z) / est.std_error
+    elapsed = time.perf_counter() - t0
+    ok = elapsed < 300.0 and all(abs(s) <= 3.0 for s in sigmas.values())
+    detail = ", ".join(f"xi={xi} beta={b}: {s:+.2f} SE" for (xi, b), s in sigmas.items())
+    print(f"exact form: {'PASS' if ok else 'FAIL'} — integrated receiver within 3 SE "
+          f"of the exact finite-beta harvest ({detail}), {elapsed:.1f}s")
+    assert elapsed < 300.0
+    for cell, s in sigmas.items():
+        assert abs(s) <= 3.0, (cell, s)
 
 
 def test_criterion_5_crossover_location():

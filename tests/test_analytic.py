@@ -18,11 +18,12 @@ from chaoswpt.analytic import (
     papr_analytic,
     pdf_eval,
     z_with_correlator,
+    z_with_correlator_exact,
     z_without_correlator,
 )
 from chaoswpt.harvester import EhCircuit, rho_params
 
-CLOSED_FORMS = (z_with_correlator, z_without_correlator)
+CLOSED_FORMS = (z_with_correlator, z_with_correlator_exact, z_without_correlator)
 
 
 def test_inputs_validation():
@@ -89,6 +90,52 @@ def test_single_symbol_branch_is_not_the_generic_formula():
     generic = g * 0.17 + 12.0 * g * g * 957.25
     assert exact < generic
     assert exact == pytest.approx(g * 0.17 + 6.0 * g * g * 957.25, rel=1e-12)
+
+
+def _chip_sum_fourth_moment(beta: int, xi: int) -> float:
+    """E[(x_1 + ... + x_beta)^4] for x_k = cos(xi^k theta), theta uniform on
+    [0, pi], by brute force: E[cos(a) cos(b) cos(c) cos(d)] is 1/16 times the
+    number of sign patterns of the four frequencies that sum to 0."""
+    freq = np.array([xi ** k for k in range(1, beta + 1)], dtype=np.int64)
+    signs = np.array([[1, s1, s2, s3] for s1 in (1, -1) for s2 in (1, -1)
+                      for s3 in (1, -1)])
+    # the first sign fixed to +1 counts each zero-sum pattern and its negation once
+    quads = np.stack(np.meshgrid(freq, freq, freq, freq, indexing="ij"), -1).reshape(-1, 4)
+    zero = (quads @ signs.T) == 0
+    return 2.0 * np.count_nonzero(zero) / 16.0
+
+
+@pytest.mark.parametrize("xi", [2, 3, 4, 5])
+@pytest.mark.parametrize("beta", [1, 2, 3, 4, 7])
+def test_exact_form_counts_every_relation_of_the_chip_frequencies(beta, xi):
+    g = 20.0 ** -4.0
+    rho1, rho2 = rho_params(EhCircuit())
+    want = g * rho1 * beta + 16.0 * g * g * rho2 * _chip_sum_fourth_moment(beta, xi)
+    assert z_with_correlator_exact(beta, 20.0, 4.0, rho1, rho2, xi) == pytest.approx(
+        want, rel=1e-12)
+
+
+def test_exact_form_meets_both_branches_of_the_paper_form():
+    point = _inputs(1, 20.0)
+    for xi in (2, 3, 4, 9):
+        # beta = 1: the paper's exact single-symbol value, at every degree
+        assert z_with_correlator_exact(*point, xi=xi) == pytest.approx(
+            z_with_correlator(*point), rel=1e-12)
+        # large beta: the Gaussian chip-sum model's limit
+        far = _inputs(10 ** 6, 20.0)
+        assert z_with_correlator_exact(*far, xi=xi) == pytest.approx(
+            z_with_correlator(*far), rel=1e-5)
+    with pytest.raises(ValueError, match="^xi "):
+        z_with_correlator_exact(*point, xi=1)
+
+
+def test_map_degree_sets_the_quartic_harvest_at_beta_ten():
+    # E[V^4] at beta = 10 is 83.25 (xi = 2), 75.75 (xi = 3) and 71.25
+    # (xi >= 4), against the Gaussian model's 75
+    g, (rho1, rho2) = 20.0 ** -4.0, rho_params(EhCircuit())
+    for xi, v4 in ((2, 83.25), (3, 75.75), (4, 71.25), (7, 71.25)):
+        z = z_with_correlator_exact(10, 20.0, 4.0, rho1, rho2, xi)
+        assert (z - g * rho1 * 10) / (16.0 * g * g * rho2) == pytest.approx(v4, rel=1e-9)
 
 
 @given(st.integers(1, 300), st.floats(1.0, 100.0), st.floats(2.0, 6.0))
