@@ -10,12 +10,13 @@ iterated in Dickson form, on the exactly scaled state y = 2x (see
 :mod:`chaoswpt.chaos`), and its seed states are domain-checked once per
 batch rather than on every step.  At xi = 2 a chip's power is the next
 Dickson state plus 2, so bypass mode there sums the orbit itself, as full
-mode does, and squares no chip.  Per-frame harvested-power samples then feed
-the streaming accumulator, so memory stays flat no matter how many frames
-are requested.  Each run allocates one workspace of batch-sized rows, and
-every per-batch step writes into views of it; the data bits, and in full
-mode the index of the frames whose bit is +1, are the only arrays a batch
-allocates.
+mode does, and squares no chip.  Full mode simulates only the frames whose
+data bit is +1, since the others harvest exactly 0: each batch draws their
+count, then their seed states and gains.  Per-frame harvested-power samples
+then feed the streaming accumulator, so memory stays flat no matter how
+many frames are requested.  Each run allocates one workspace of batch-sized
+rows, and every per-batch step writes into views of it; a batch allocates
+no array.
 """
 
 from __future__ import annotations
@@ -224,19 +225,19 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
                    psi_mode: str, peak: bool = False):
     """Yield ``(m, stats, spare)`` for each batch of at most _BATCH frames.
 
-    Draws m seed states, then m data bits d, and reduces the orbits to the
-    mode's statistics: ``_power_sums``' rows in bypass mode (the peak only
-    when ``peak`` is set), and in full mode the squared correlator output
-    u = ((1 + d) v)^2 of the chip sum v, so d never leaves the loop.  That u
-    is 0 wherever d = -1, so at beta >= 2 full mode iterates only the orbits
-    of the d = +1 frames; at beta = 1 it is (x0 (1 + d))^2, with no map step.
-    A caller's own draws for the batch follow the yield.  One workspace is
-    allocated per call, and every batch step writes into it: ``stats`` and
-    the ``_SPARE_ROWS`` scratch rows in ``spare`` are views of it, so they
-    hold m frames each and stay valid only until the next batch.  At xi >= 3
-    the workspace also holds the map step's scratch rows.  Only d, and in
-    full mode at beta >= 2 the index of its +1 frames, are new arrays each
-    batch, since numpy's ``integers`` and ``flatnonzero`` take no ``out``.
+    In bypass mode a batch draws m seed states and yields ``_power_sums``'
+    rows (the peak only when ``peak`` is set); no output depends on the data
+    bits, so none is drawn.  In full mode a frame whose bit is d = -1 has the
+    correlator output (1 + d) v = 0, and no output depends on which frames
+    carry +1, so a batch draws only the count k ~ Binomial(m, 1/2) of its
+    d = +1 frames, then their k seed states, and yields their squared
+    correlator outputs u = (2v)^2: k values, which stand for m frames with
+    m - k zeros.  A caller's own draws for the batch follow the yield.  One
+    workspace is allocated per call, and every batch step writes into it:
+    ``stats`` and the ``_SPARE_ROWS`` scratch rows in ``spare`` are views of
+    it, so they hold one entry per frame drawn (k or m) and stay valid only
+    until the next batch.  At xi >= 3 the workspace also holds the map
+    step's scratch rows.
     """
     size = min(n_frames, _BATCH)
     n_work = _SPARE_ROWS + _step_rows(xi)
@@ -246,31 +247,18 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
     while remaining > 0:
         m = min(remaining, _BATCH)
         remaining -= m
-        spare, work, out = rows[:_SPARE_ROWS, :m], rows[1:n_work, :m], rows[n_work:, :m]
+        k = int(rng.binomial(m, 0.5)) if psi_mode == "full" else m
+        spare, work, out = rows[:_SPARE_ROWS, :k], rows[1:n_work, :k], rows[n_work:, :k]
         # the seed states take the first spare row, and the draw and then
         # the orbit use the other two as scratch, the orbit with the step's
         # rows after them
-        x0 = _draw_clean_states(rng, m, xi, out=spare[0], work=spare[1:],
-                                flags=flags[:, :m])
-        bits = rng.integers(0, 2, size=m)  # the data bits are d = 2 * bits - 1
-        u = out[0]
+        x0 = _draw_clean_states(rng, k, xi, out=spare[0], work=spare[1:],
+                                flags=flags[:, :k])
         if psi_mode == "bypass":
             _power_sums(x0, beta, xi, out=out, work=work)
-        elif beta == 1:
-            bits *= 2  # 1 + d
-            np.multiply(x0, bits, out=u)
-            u *= u
         else:
-            # the d = +1 frames' seed states are gathered into u, and their
-            # (2v)^2 scattered back into u, zeroed first ("clip" skips
-            # take's buffer)
-            plus = np.flatnonzero(np.equal(bits, 1, out=flags[0, :m]))
-            k = plus.size
-            seeds = np.take(x0, plus, out=u[:k], mode="clip")
-            v = _chip_sums(seeds, beta, xi, out=spare[0, :k], work=work[:, :k])
-            v *= v
-            u.fill(0.0)
-            u[plus] = v
+            u = _chip_sums(x0, beta, xi, out=out[0], work=work)
+            u *= u
         yield m, tuple(out), tuple(spare)
 
 
@@ -291,7 +279,9 @@ def run_once(config: RunConfig) -> RunResult:
     with np.errstate(over="ignore", invalid="ignore"):
         for m, stats, (p, q, s) in _frame_batches(rng, config.n_frames, config.beta,
                                                    config.xi, config.psi_mode):
-            h = sample_rayleigh(rng, size=m, out=p)
+            # one gain per frame drawn: a full-mode frame with d = -1
+            # harvests 0 whatever its gain
+            h = sample_rayleigh(rng, size=p.size, out=p)
             c2 = np.multiply(h, gain, out=q)  # c2 = gain * h * h, the squared
             c2 *= h                           # amplitude scale per frame
             if config.psi_mode == "full":
@@ -312,6 +302,7 @@ def run_once(config: RunConfig) -> RunResult:
                 w = np.multiply(c2, a, out=p)
                 w *= e2
             w += t
+            # the m frames' sums: the full-mode frames not drawn add w = 0
             acc.add_moments(m, float(np.sum(w)), float(np.sum(np.multiply(w, w, out=s))))
         estimate = acc.result()
 
@@ -449,10 +440,12 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = RunConfig.n_frames,
     power_sum = 0.0
     for _, stats, _ in _frame_batches(rng, n_frames, beta, xi, psi_mode, peak=True):
         # each frame's power comes first and its peak last: u and u again in
-        # full mode, the sum and the peak of the chip powers in bypass mode
-        peak = max(peak, float(np.max(stats[-1])))
+        # full mode (a batch with no d = +1 frame yields none), the sum and
+        # the peak of the chip powers in bypass mode
+        peak = max(peak, float(np.max(stats[-1], initial=0.0)))
         power_sum += float(np.sum(stats[0]))
-    # one power per frame in full mode, one per chip (2*beta a frame) in bypass
+    # one power per frame in full mode (0 where d = -1), one per chip (2*beta
+    # a frame) in bypass
     mean_power = power_sum / (n_frames if psi_mode == "full" else n_frames * 2 * beta)
     if mean_power == 0.0:
         # every full-mode frame carried bit -1, which erases the symbol

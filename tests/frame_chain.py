@@ -43,15 +43,29 @@ def modulate(bits, beta: int, chip_pool) -> np.ndarray:
     return np.concatenate([ref, bits.reshape(-1, 1) * ref], axis=1)
 
 
-def transmit_frames(rng: np.random.Generator, n_frames: int, beta: int,
-                    xi: int) -> np.ndarray:
+def transmit_frames(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
+                    mode: str) -> np.ndarray:
     """n_frames frames built chip by chip, drawing what the kernel draws.
 
-    Seed states, then data bits, from ``rng``, in the Monte-Carlo kernel's
-    order, so a seed gives the frames that the kernel reduces.
+    The kernel's draws come from ``rng`` in its order, so a seed gives the
+    frames that the kernel reduces; what the kernel does not draw comes from
+    a generator spawned off ``rng``, which leaves its stream alone.  In full
+    mode that is k ~ Binomial(n_frames, 1/2) and the seed states of the k
+    frames whose bit is +1; the other frames, whose bit is -1, correlate to
+    0 whatever they carry, and the bits' order is a uniform shuffle, so the
+    bits are independent and fair.  In bypass mode it is every frame's seed
+    state, and the bits, which no harvest depends on, are drawn apart.
     """
-    x0 = _draw_clean_states(rng, n_frames, xi)
-    d = rng.integers(0, 2, size=n_frames) * 2 - 1
+    other = rng.spawn(1)[0]
+    if mode == "full":
+        k = int(rng.binomial(n_frames, 0.5))
+        d = other.permutation(np.repeat([1, -1], [k, n_frames - k]))
+        x0 = np.empty(n_frames)
+        x0[d == 1] = _draw_clean_states(rng, k, xi)
+        x0[d == -1] = _draw_clean_states(other, n_frames - k, xi)
+    else:
+        x0 = _draw_clean_states(rng, n_frames, xi)
+        d = other.integers(0, 2, size=n_frames) * 2 - 1
     pool = np.concatenate([generate_sequence(a, beta, xi) for a in x0])
     return modulate(d, beta, pool)
 

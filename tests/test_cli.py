@@ -346,9 +346,10 @@ def test_crossover_overflowing_raw_link_exits_one(capsys, r_nc):
 
 
 def test_papr_with_zero_mean_power_exits_one(capsys):
-    # both frames carry bit -1: the full-mode symbols hold no power
+    # seed 3 is the first seed from 1 up at which neither of the 2 frames
+    # carries bit +1 (a chance of 1/4): the full-mode symbols hold no power
     assert main(["papr", "--set", "beta=2", "--set", "n_frames=2",
-                 "--set", "run.seed=1"]) == 1
+                 "--set", "run.seed=3"]) == 1
     err = capsys.readouterr().err
     assert "realized mean power is 0; PAPR undefined" in err
     assert "Traceback" not in err

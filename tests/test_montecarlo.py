@@ -141,8 +141,16 @@ def test_independent_seeds_agree_statistically():
 def _reference_path(cfg: RunConfig):
     """Re-run one config through the composable per-frame pipeline."""
     rng = np.random.default_rng(cfg.seed)
-    frames = transmit_frames(rng, cfg.n_frames, cfg.beta, cfg.xi)
-    h = sample_rayleigh(rng, size=cfg.n_frames)
+    frames = transmit_frames(rng, cfg.n_frames, cfg.beta, cfg.xi, cfg.psi_mode)
+    if cfg.psi_mode == "full":
+        # the gains follow the seed states, one per frame whose bit is +1 (its
+        # data half repeats its reference half); a frame with d = -1
+        # correlates to 0 whatever its gain
+        plus = frames[:, cfg.beta] == frames[:, 0]
+        h = np.ones(cfg.n_frames)
+        h[plus] = sample_rayleigh(rng, size=int(np.count_nonzero(plus)))
+    else:
+        h = sample_rayleigh(rng, size=cfg.n_frames)
     received = np.array([
         apply_channel(frame, ChannelDraw(h_mag=h[i], r=cfg.r, alpha=cfg.alpha),
                       cfg.circuit.p_t)
@@ -180,7 +188,7 @@ def test_bypass_mode_matches_composed_pipeline():
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_measure_papr_matches_per_frame_chain(mode, beta, xi):
     n = 3000
-    frames = transmit_frames(np.random.default_rng(23), n, beta, xi)
+    frames = transmit_frames(np.random.default_rng(23), n, beta, xi, mode)
     stream = frames.sum(axis=1) if mode == "full" else frames.ravel()
     got = measure_papr(beta, mode, n_frames=n, seed=23, xi=xi)
     assert got.plain == pytest.approx(empirical_papr(stream), rel=1e-12)
@@ -193,17 +201,19 @@ def test_bypass_papr_from_orbit_sums_matches_per_frame_chain(beta):
     # the orbit-sum kernel's peak is the largest chip power bit for bit; its
     # mean power rounds in its own order
     n = 1000
-    stream = transmit_frames(np.random.default_rng(31), n, beta, 2).ravel()
+    stream = transmit_frames(np.random.default_rng(31), n, beta, 2, "bypass").ravel()
     got = measure_papr(beta, "bypass", n_frames=n, seed=31)
     assert got.expectation_normalized == empirical_papr(stream, mean_power=0.5)
     assert got.plain == pytest.approx(empirical_papr(stream), rel=1e-12)
 
 
 def test_measure_papr_rejects_zero_mean_power():
-    # both frames carry bit -1, so every full-mode symbol is erased
+    # seed 3 is the first seed from 1 up whose count of d = +1 frames among 2
+    # is 0 (a chance of 1/4), so every full-mode symbol is erased
+    assert _plus_frames(2, seed=3, fading=False) == [0]
     with pytest.raises(ValueError, match="realized mean power is 0; PAPR undefined"):
-        measure_papr(2, "full", n_frames=2, seed=1)
-    assert measure_papr(2, "bypass", n_frames=2, seed=1).plain > 0.0
+        measure_papr(2, "full", n_frames=2, seed=3)
+    assert measure_papr(2, "bypass", n_frames=2, seed=3).plain > 0.0
 
 
 def _kernel_stats(x0, beta, xi, mode, peak=True, rows=None):
@@ -326,66 +336,80 @@ def test_kernel_steps_beta_minus_one_times_per_batch(monkeypatch, mode):
 
 
 def _plus_frames(n_frames: int, seed: int, fading: bool, xi: int = 2) -> list[int]:
-    """Each batch's count of d = +1 frames, from a replay of the batch loop's
-    draws: seed states, data bits, then (for run_once) the fading gains."""
+    """Each full-mode batch's count k of d = +1 frames, from a replay of the
+    batch loop's draws: k, k seed states, then (for run_once) k gains."""
     rng = np.random.default_rng(seed)
     counts = []
     for start in range(0, n_frames, montecarlo._BATCH):
-        m = min(montecarlo._BATCH, n_frames - start)
-        _draw_clean_states(rng, m, xi)
-        counts.append(int(np.count_nonzero(rng.integers(0, 2, size=m))))
+        k = int(rng.binomial(min(montecarlo._BATCH, n_frames - start), 0.5))
+        _draw_clean_states(rng, k, xi)
         if fading:
-            sample_rayleigh(rng, size=m)
+            sample_rayleigh(rng, size=k)
+        counts.append(k)
     return counts
 
 
 @pytest.mark.parametrize("xi", [2, 3])
 @pytest.mark.parametrize("beta", [1, 2, 17])
 def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
-    # u = ((1 + d) * v)^2 with v the chip sum of every frame's orbit, half
-    # its Dickson sum; the one-frame run's only batch has d = -1, and the
-    # last batch at seed 0 is one such frame too
-    for n, seed in ((1, 42), (montecarlo._BATCH + 1, 0), (montecarlo._BATCH + 10, 3)):
+    # over a batch's m frames the squared correlator output is ((1 + d) v)^2
+    # with v the chip sum, half the Dickson sum: a batch yields it for its k
+    # frames with d = +1, in the order drawn, and it is 0 for the m - k
+    # others whatever their states; seed 2's one-frame batches have k = 0
+    other = np.random.default_rng(99)
+    for n, seed in ((1, 2), (montecarlo._BATCH + 1, 2), (montecarlo._BATCH + 10, 3)):
         replay = np.random.default_rng(seed)
-        sizes = []
+        counts = []
         for m, (u,), _ in montecarlo._frame_batches(np.random.default_rng(seed), n,
                                                     beta, xi, "full"):
-            x0 = _draw_clean_states(replay, m, xi)
-            d = replay.integers(0, 2, size=m) * 2 - 1
+            k = int(replay.binomial(m, 0.5))
+            x0 = np.concatenate([_draw_clean_states(replay, k, xi),
+                                 _draw_clean_states(other, m - k, xi)])
+            d = np.repeat([1, -1], [k, m - k])
             v = 0.5 * _kernel_stats(x0, beta, xi, "full")[0]
-            assert np.array_equal(u, ((1 + d) * v) ** 2)
-            sizes.append((m, int(np.count_nonzero(d == 1))))
-        if n == 1:
-            assert sizes == [(1, 0)]
-        elif seed == 0:
-            assert sizes[-1] == (1, 0)
+            every = ((1 + d) * v) ** 2
+            assert np.array_equal(u, every[:k]) and not np.any(every[k:])
+            counts.append((m, k))
+        if seed == 2:
+            assert counts[-1] == (1, 0)
+        else:
+            assert all(0 < k < m for m, k in counts)
 
 
-#: full-mode results where a batch has no d = +1 frame, equal to those of
-#: iterating every frame's orbit: (beta, xi, run mean, run standard error,
-#: PAPR plain) at n_frames = _BATCH + 1 and seed 0, whose last one-frame
-#: batch carries d = -1
+#: full-mode results of a run whose last batch has no d = +1 frame: (beta,
+#: xi, run mean, run standard error, PAPR plain) at n_frames = _BATCH + 1 and
+#: seed 2, the first seed whose one-frame last batch has k = 0 at xi = 2 and 3
+#: both for run_once and for measure_papr; named by (beta, xi), as above
 _PINNED_EMPTY_BATCH = [
-    (2, 2, '0x1.d9a8d229225ccp-19', '0x1.0ca00e3681adbp-24', '0x1.fed18811f8791p+2'),
-    (2, 3, '0x1.f5a3f3a0bf99cp-19', '0x1.3550d20f27f02p-24', '0x1.02bd8c2d3ba24p+3'),
-    (17, 2, '0x1.4d057bde9d0b2p-13', '0x1.f752dde974d31p-18', '0x1.9a022cc11ca2ap+5'),
-    (17, 3, '0x1.3eeeb9bbec221p-13', '0x1.9d31b4f0d4bd2p-18', '0x1.36a74a7fe7db7p+5'),
+    (2, 2, '0x1.d4b00e9825610p-19', '0x1.e82f4d8f2dc4cp-25', '0x1.fe94102937d2ap+2'),
+    (2, 3, '0x1.ff659bede33b0p-19', '0x1.254bef81c3684p-24', '0x1.fb94dba9b0af1p+2'),
+    (17, 2, '0x1.45b1ec25d4b30p-13', '0x1.a9f553d07e527p-18', '0x1.5c13d2acb5667p+5'),
+    (17, 3, '0x1.2c2a66236783ap-13', '0x1.48e0374c53b0fp-18', '0x1.49ac779942ad5p+5'),
 ]
 
 
-@pytest.mark.parametrize("beta, xi, mean, std_error, plain", _PINNED_EMPTY_BATCH)
+@pytest.mark.parametrize("beta, xi, mean, std_error, plain", _PINNED_EMPTY_BATCH,
+                         ids=[f"{beta}-{xi}" for beta, xi, *_ in _PINNED_EMPTY_BATCH])
 def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_error,
                                                             plain):
     n = montecarlo._BATCH + 1
-    assert _plus_frames(n, seed=0, fading=True, xi=xi)[-1] == 0
-    assert _plus_frames(n, seed=0, fading=False, xi=xi)[-1] == 0
-    est = run_once(RunConfig(beta=beta, r=20.0, n_frames=n, seed=0, xi=xi)).estimate
+    assert _plus_frames(n, seed=2, fading=True, xi=xi)[-1] == 0
+    assert _plus_frames(n, seed=2, fading=False, xi=xi)[-1] == 0
+    m, stats, spare = list(montecarlo._frame_batches(np.random.default_rng(2), n, beta,
+                                                     xi, "full"))[-1]
+    assert m == 1 and all(a.size == 0 for a in stats + spare)
+    est = run_once(RunConfig(beta=beta, r=20.0, n_frames=n, seed=2, xi=xi)).estimate
     assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
-    assert measure_papr(beta, "full", n_frames=n, seed=0, xi=xi).plain.hex() == plain
-    # one frame at the default seed carries d = -1: a zero harvest
+    assert measure_papr(beta, "full", n_frames=n, seed=2, xi=xi).plain.hex() == plain
+    # the first batch's draws are those of a one-batch run, and the empty
+    # batch adds one frame of zero harvest
+    first = run_once(RunConfig(beta=beta, r=20.0, n_frames=n - 1, seed=2, xi=xi)).estimate
+    assert est.n_frames == n
+    assert est.mean == pytest.approx(first.mean * (n - 1) / n, rel=1e-14)
+    # a one-frame run at seed 2 is that empty batch alone
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a one-frame run's noise warning
-        one = run_once(RunConfig(beta=beta, r=20.0, n_frames=1, xi=xi)).estimate
+        one = run_once(RunConfig(beta=beta, r=20.0, n_frames=1, seed=2, xi=xi)).estimate
     assert one.mean == 0.0 and math.isnan(one.std_error)
 
 
@@ -445,24 +469,26 @@ def test_clean_states_redraw_a_seed_state_of_one(monkeypatch):
 #: (xi, mode, beta, float.hex() of run_once's mean and standard error, and of
 #: measure_papr's plain ratio) at seed 42, r = 20 and one full batch plus a
 #: short one; a change that means to keep every bit must keep these (the
-#: bypass rows at xi = 2 and beta >= 2 pin the orbit-sum kernel's rounding)
+#: bypass rows at xi = 2 and beta >= 2 pin the orbit-sum kernel's rounding);
+#: a row's test is named by its inputs, so a re-pinned row keeps its name
 _PINNED_BITS = [
-    (2, 'full', 1, '0x1.5c37c2edeed87p-20', '0x1.ce189f4ccc4cbp-27', '0x1.ff67fa8c8e8aap+1'),
-    (2, 'full', 2, '0x1.cf9fa367a4482p-19', '0x1.0632303d891dep-24', '0x1.fef89a89818f6p+2'),
-    (2, 'full', 17, '0x1.5f715426ed15dp-13', '0x1.61b9c5f0c71f7p-17', '0x1.6f19634d61d68p+5'),
-    (2, 'bypass', 1, '0x1.2c8c76a1f0261p-20', '0x1.c32f49d2bd613p-28', '0x1.0008a58b3036cp+1'),
-    (2, 'bypass', 2, '0x1.2c7fed1d81700p-19', '0x1.898276274a34bp-27', '0x1.00711bb5f581ep+1'),
-    (2, 'bypass', 17, '0x1.3f6374fac7eaep-16', '0x1.5c18fe9f0f85ap-24', '0x1.ffa64388c982ap+0'),
-    (3, 'full', 1, '0x1.56ae03371544fp-20', '0x1.baab18bacaa4bp-27', '0x1.ffffdbf651861p+1'),
-    (3, 'full', 2, '0x1.f44138b02af87p-19', '0x1.2862d3082a479p-24', '0x1.015571fc7a96fp+3'),
-    (3, 'full', 17, '0x1.298569794bcb7p-13', '0x1.5148a62d6907ap-18', '0x1.df52b9339f562p+4'),
-    (3, 'bypass', 1, '0x1.2b6cd0663775fp-20', '0x1.bb6e5797d8898p-28', '0x1.000923f4597ddp+1'),
-    (3, 'bypass', 2, '0x1.2bac2213c343bp-19', '0x1.818a10fb8dd04p-27', '0x1.002d4466a2418p+1'),
-    (3, 'bypass', 17, '0x1.3f08a561ea0aep-16', '0x1.59ce60f8f0985p-24', '0x1.ffd832650530ap+0'),
+    (2, 'full', 1, '0x1.57832a6c2d561p-20', '0x1.bc961bade3409p-27', '0x1.01bade7a0792fp+2'),
+    (2, 'full', 2, '0x1.cf3e2f0c55d24p-19', '0x1.ebef7adf4fbfdp-25', '0x1.0219a52a56b45p+3'),
+    (2, 'full', 17, '0x1.63d1cdf90a595p-13', '0x1.2ecf7adeb5a3cp-17', '0x1.6adf2d5224667p+5'),
+    (2, 'bypass', 1, '0x1.2b145dff27f64p-20', '0x1.bc061aa145960p-28', '0x1.000760c9e6c7cp+1'),
+    (2, 'bypass', 2, '0x1.2ad594ffa49e7p-19', '0x1.80b5bd85db9b5p-27', '0x1.0070c30317ae1p+1'),
+    (2, 'bypass', 17, '0x1.3f34b07c1fdc1p-16', '0x1.5b1ce08850668p-24', '0x1.ffa465d9152cbp+0'),
+    (3, 'full', 1, '0x1.57832a6c2d561p-20', '0x1.bc961bade3409p-27', '0x1.01bade7a0792fp+2'),
+    (3, 'full', 2, '0x1.edbe4633dcabep-19', '0x1.1c5c5118f13a2p-24', '0x1.03bf3821ab94ap+3'),
+    (3, 'full', 17, '0x1.29df234071996p-13', '0x1.57b78da2b1b19p-18', '0x1.d5eaa45ce44d7p+4'),
+    (3, 'bypass', 1, '0x1.2b13a2d383197p-20', '0x1.be257b3bf117dp-28', '0x1.0006c2e60e495p+1'),
+    (3, 'bypass', 2, '0x1.2b987ff1df691p-19', '0x1.8453703133f44p-27', '0x1.002c6a27336efp+1'),
+    (3, 'bypass', 17, '0x1.3e8b0a93193a7p-16', '0x1.595cad51647dap-24', '0x1.ffd7924ff4c1cp+0'),
 ]
 
 
-@pytest.mark.parametrize("xi, mode, beta, mean, std_error, plain", _PINNED_BITS)
+@pytest.mark.parametrize("xi, mode, beta, mean, std_error, plain", _PINNED_BITS,
+                         ids=[f"{xi}-{mode}-{beta}" for xi, mode, beta, *_ in _PINNED_BITS])
 def test_batch_loop_bits_are_pinned(xi, mode, beta, mean, std_error, plain):
     n = montecarlo._BATCH + 10
     est = run_once(RunConfig(beta=beta, r=20.0, psi_mode=mode, n_frames=n, xi=xi)).estimate
@@ -501,16 +527,67 @@ def test_draws_into_buffers_keep_the_bits_and_the_stream(draw, n_work):
 
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_frame_batches_write_into_one_workspace(mode):
-    batches = list(montecarlo._frame_batches(np.random.default_rng(1),
-                                             2 * montecarlo._BATCH + 10, 3, 2, mode))
+    n = 2 * montecarlo._BATCH + 10
+    batches = list(montecarlo._frame_batches(np.random.default_rng(1), n, 3, 2, mode))
     assert [m for m, *_ in batches] == [montecarlo._BATCH] * 2 + [10]
+    # one entry per frame drawn: the d = +1 frames in full mode, all in bypass
+    drawn = (_plus_frames(n, seed=1, fading=False) if mode == "full"
+             else [m for m, *_ in batches])
     first_stats, first_spare = batches[0][1], batches[0][2]
-    for m, stats, spare in batches:
+    for (m, stats, spare), k in zip(batches, drawn):
         assert len(spare) == montecarlo._SPARE_ROWS
-        assert all(a.size == m for a in stats + spare)
+        assert all(a.size == k for a in stats + spare)
         # every batch's rows are views of the first batch's
         assert all(np.shares_memory(a, b) for a, b in zip(stats, first_stats))
         assert all(np.shares_memory(a, b) for a, b in zip(spare, first_spare))
+
+
+def _count_sizes(monkeypatch, name: str) -> list[int]:
+    """The ``size`` of every call to montecarlo's ``name`` that draws into the
+    workspace; the redraws of seed states near a fixed point do not."""
+    real = getattr(montecarlo, name)
+    sizes = []
+
+    def counting(rng, size, **buffers):
+        if "out" in buffers:
+            sizes.append(size)
+        return real(rng, size=size, **buffers)
+
+    monkeypatch.setattr(montecarlo, name, counting)
+    return sizes
+
+
+class _RecordingGenerator:
+    """A numpy Generator that records the name of each method asked of it."""
+
+    def __init__(self, rng: np.random.Generator, calls: list[str]) -> None:
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        self._calls.append(name)
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("beta", [1, 5])
+@pytest.mark.parametrize("mode", PSI_MODES)
+def test_full_mode_draws_only_the_plus_frames(monkeypatch, mode, beta):
+    # full mode draws one count k per batch, then k seed states and k gains;
+    # bypass mode draws m of each and no data bit
+    n = montecarlo._BATCH + 10
+    drawn = _plus_frames(n, seed=1, fading=True) if mode == "full" else [montecarlo._BATCH, 10]
+    states = _count_sizes(monkeypatch, "draw_initial_state")
+    gains = _count_sizes(monkeypatch, "sample_rayleigh")
+    calls = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _RecordingGenerator(real(seed), calls))
+    run_once(RunConfig(beta=beta, r=20.0, psi_mode=mode, n_frames=n, seed=1))
+    assert states == drawn and gains == drawn
+    assert "integers" not in calls
+    assert calls.count("binomial") == (2 if mode == "full" else 0)
+    if mode == "full":
+        # about half of each batch
+        assert all(abs(k - m / 2) < 3 * math.sqrt(m) for k, m in zip(drawn, (n - 10, 10)))
 
 
 def test_run_result_deviation_fields():

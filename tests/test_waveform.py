@@ -58,5 +58,5 @@ def test_frame_sum_and_energy_identities(chips, bit):
 def test_expected_frame_energy():
     # E[sum s^2] = beta for unit-power chips, within 1% over 3e4 frames
     beta, n = 4, 30_000
-    frames = transmit_frames(np.random.default_rng(17), n, beta, 2)
+    frames = transmit_frames(np.random.default_rng(17), n, beta, 2, "bypass")
     assert float(np.sum(frames * frames)) / n == pytest.approx(beta, rel=0.01)
