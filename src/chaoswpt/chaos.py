@@ -52,11 +52,8 @@ __all__ = [
     "map_fixed_points",
 ]
 
-#: |x| may exceed 1 by at most this much before we refuse to fold it back.
-DOMAIN_TOL = 1e-12
-
-#: x0 closer than this to a fixed point of the map is rejected: the orbit
-#: would sit still (or take forever to leave) instead of mixing.
+#: ``generate_sequence`` rejects an x0 closer than this to a fixed point of
+#: the map: the orbit would sit still (or take long to leave) instead of mixing.
 FIXED_POINT_TOL = 1e-9
 
 
@@ -69,20 +66,6 @@ def _step_scalar(x: float, xi: int) -> float:
     for _ in range(xi - 2):
         prev, t = t, two_x * t - prev
     return min(1.0, max(-1.0, t))
-
-
-def _in_domain(arr: np.ndarray) -> np.ndarray:
-    """``arr``, with float dust beyond [-1, 1] clamped; a domain error if worse."""
-    if arr.size:
-        hi, lo = arr.max(), arr.min()
-        if hi > 1.0 + DOMAIN_TOL or lo < -1.0 - DOMAIN_TOL:
-            bad = hi if hi > 1.0 + DOMAIN_TOL else lo
-            raise ValueError(
-                f"chaotic state domain error: |x| > 1 + {DOMAIN_TOL:g} (got {float(bad)!r})"
-            )
-        if hi > 1.0 or lo < -1.0:
-            arr = np.clip(arr, -1.0, 1.0)
-    return arr
 
 
 def _step_rows(xi: int) -> int:
@@ -100,8 +83,10 @@ def chebyshev_step(y: np.ndarray, xi: int = 2, out=None, work=None) -> np.ndarra
     runs in ``work``, ``_step_rows(xi)`` arrays of y's shape, which is
     allocated when not given; xi = 2 needs no scratch.  There is no domain
     check, so nothing stops a y outside [-2, 2] from growing: the map keeps
-    [-2, 2], and a caller that iterates an orbit checks its seed states once
-    instead (``_in_domain``).
+    [-2, 2], and the kernel's seed states come from ``draw_initial_state``,
+    which keeps [-1, 1].  A float orbit can land on the fixed points +/-2
+    and stay there: a state within about 1e-8 of 0 steps to -2 at xi = 2,
+    then to 2 for good.
     """
     _check("xi", xi)
     if not isinstance(y, np.ndarray) or y.dtype.kind != "f":
@@ -148,21 +133,6 @@ def map_fixed_points(xi: int = 2) -> np.ndarray:
     return np.unique(np.cos(sorted(thetas)))
 
 
-def _fixed_point_mask(x0: np.ndarray, fps: np.ndarray, out=None, work=None) -> np.ndarray:
-    """True where x0 is 0 or within FIXED_POINT_TOL of one of the fixed points.
-
-    ``out`` (a bool array of x0's shape) receives the mask; ``work`` is a
-    float and a bool array of that shape for scratch.  Either is allocated
-    when not given.
-    """
-    dist, hit = (np.empty(x0.shape), np.empty(x0.shape, dtype=bool)) if work is None else work
-    bad = np.equal(x0, 0.0, out=out)
-    for fp in fps:
-        np.abs(np.subtract(x0, fp, out=dist), out=dist)
-        bad |= np.less(dist, FIXED_POINT_TOL, out=hit)
-    return bad
-
-
 def generate_sequence(x0: float, n: int, xi: int = 2) -> np.ndarray:
     """The orbit of ``x0`` as a float array of ``n`` chips, ``x0`` first.
 
@@ -176,7 +146,7 @@ def generate_sequence(x0: float, n: int, xi: int = 2) -> np.ndarray:
     for name, value in (("x0", x0), ("n", n), ("xi", xi)):
         _check(name, value)
     x0 = float(x0)
-    if _fixed_point_mask(np.array([x0]), map_fixed_points(xi))[0]:
+    if x0 == 0.0 or np.any(np.abs(x0 - map_fixed_points(xi)) < FIXED_POINT_TOL):
         raise ValueError(
             f"x0 = {x0!r} is 0 or within {FIXED_POINT_TOL:g} of a fixed point of the "
             f"degree-{xi} map; the orbit would not mix"
@@ -192,14 +162,17 @@ def draw_initial_state(rng: np.random.Generator, size: int, out=None,
                        work=None) -> np.ndarray:
     """``size`` seed states drawn from the stationary density via x = cos(pi*U).
 
-    U = 0 lands exactly on x = 1, a fixed point of every T_xi; a caller that
-    iterates the map redraws such states along with the other near-fixed
-    ones (``montecarlo._draw_clean_states``).  A float U carries only 53
-    random bits and the degree-2 map doubles the angle pi*U every step, so by
-    step 53 an orbit seeded with cos(pi*U) alone would have used them up and
-    sit near +/-1 (mean square 0.545 instead of 0.5).  A second uniform V
-    widens the angle to pi*(U + 2V/2^53), which keeps every later step's
-    angle uniform.
+    A float U carries only 53 random bits and the degree-2 map doubles the
+    angle pi*U every step, so by step 53 an orbit seeded with cos(pi*U)
+    alone would have used them up and sit near +/-1 (mean square 0.545
+    instead of 0.5).  A second uniform V widens the angle to
+    pi*(U + 2V/2^53), which keeps every later step's angle uniform.
+
+    Every state lies in [-1, 1]: cos(pi*U) does, the sub-ulp term is >= 0,
+    and it is 0 at x = -1 and far below x + 1 elsewhere.  The states are
+    used as drawn, fixed points included: U = 0 gives x = 1 (a chance of
+    2^-53), and float orbits land on the fixed points +/-1 far more often,
+    from any chip (about 3e-7 of 100-chip orbits at xi = 2).
 
     ``out`` (a float array of ``size`` entries) receives the states, and
     ``work`` is two more such arrays for scratch; either is allocated when

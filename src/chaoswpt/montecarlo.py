@@ -7,12 +7,12 @@ beta = 1 the seed state is the one chip), or the chip power and fourth-power
 sums over both symbol halves in bypass mode (``_power_sums``, plus the peak
 chip power, which only the PAPR measurement asks for).  The orbit is
 iterated in Dickson form, on the exactly scaled state y = 2x (see
-:mod:`chaoswpt.chaos`), and its seed states are domain-checked once per
-batch rather than on every step.  At xi = 2 a chip's power is the next
-Dickson state plus 2, so bypass mode there sums the orbit itself, as full
-mode does, and squares no chip.  Full mode simulates only the frames whose
-data bit is +1, since the others harvest exactly 0: each batch draws their
-count, then their seed states and gains.  Per-frame harvested-power samples
+:mod:`chaoswpt.chaos`), from seed states used as ``draw_initial_state``
+draws them.  At xi = 2 a chip's power is the next Dickson state plus 2, so
+bypass mode there sums the orbit itself, as full mode does, and squares no
+chip.  Full mode simulates only the frames whose data bit is +1, since the
+others harvest exactly 0: each batch draws their count, then their seed
+states and gains.  Per-frame harvested-power samples
 then feed the streaming accumulator, so memory stays flat no matter how
 many frames are requested.  Each run allocates one workspace of batch-sized
 rows, and every per-batch step writes into views of it; a batch allocates
@@ -32,8 +32,7 @@ import numpy as np
 from ._parallel import fork_map
 from .analytic import papr_analytic, z_with_correlator, z_without_correlator
 from .channel import path_gain, sample_rayleigh
-from .chaos import (_fixed_point_mask, _in_domain, _step_rows, chebyshev_step,
-                    draw_initial_state, map_fixed_points)
+from .chaos import _step_rows, chebyshev_step, draw_initial_state
 from .harvester import (PSI_MODES, DcAccumulator, DcEstimate, EhCircuit, _check, _scales,
                         rho_params)
 
@@ -69,6 +68,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name in ("beta", "r", "alpha", "psi_mode", "n_frames", "seed", "xi"):
             _check(name, getattr(self, name))
+        if not isinstance(self.circuit, EhCircuit):
+            raise ValueError(f"circuit must be an EhCircuit, got {self.circuit!r}")
         if self.n_frames < 100:
             warnings.warn(f"n_frames={self.n_frames} gives a very noisy estimate",
                           stacklevel=3)
@@ -106,30 +107,6 @@ class RunResult:
 SweepRow = RunResult
 
 
-def _draw_clean_states(rng: np.random.Generator, size: int, xi: int, out=None,
-                       work=None, flags=None) -> np.ndarray:
-    """Initial chip states, redrawn away from the map's fixed points.
-
-    The invariant density piles mass near +/-1, so a naive draw lands inside
-    the rejection band around a fixed point roughly every 1e5 frames; those
-    entries are simply redrawn.  ``out`` receives the states; ``work`` (two
-    float rows of ``size``) and ``flags`` (two bool rows) are scratch, and
-    each is allocated when not given.
-    """
-    fps = map_fixed_points(xi)
-    if work is None:
-        work = np.empty((2, size))
-    if flags is None:
-        flags = np.empty((2, size), dtype=bool)
-    x0 = draw_initial_state(rng, size=size, out=out, work=work)
-    while True:
-        bad = _fixed_point_mask(x0, fps, out=flags[0], work=(work[0], flags[1]))
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad == 0:
-            return x0
-        x0[bad] = draw_initial_state(rng, size=n_bad)
-
-
 def _chip_sums(x0: np.ndarray, beta: int, xi: int, out: np.ndarray,
                work: np.ndarray) -> np.ndarray:
     """The full-mode kernel: each frame's sum y_1 + ... + y_beta, in ``out``.
@@ -141,8 +118,7 @@ def _chip_sums(x0: np.ndarray, beta: int, xi: int, out: np.ndarray,
     never written.
     """
     y = work[0]
-    # the map keeps [-2, 2], so the seed states are the only ones to check
-    np.multiply(_in_domain(x0), 2.0, out=y)
+    np.multiply(x0, 2.0, out=y)
     np.copyto(out, y)
     for _ in range(beta - 1):
         chebyshev_step(y, xi, out=y, work=work[1:])
@@ -176,7 +152,7 @@ def _power_sums(x0: np.ndarray, beta: int, xi: int, out: np.ndarray,
     e2, e4 = out[0], out[1]
     m2 = out[2] if len(out) > 2 else None
     y, y2 = work[0], work[1]
-    np.multiply(_in_domain(x0), 2.0, out=y)
+    np.multiply(x0, 2.0, out=y)
     if xi == 2 and beta > 1:
         # e2 runs the sum T and e4 keeps y_2 until the last step
         chebyshev_step(y, xi, out=y)
@@ -225,9 +201,10 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
                    psi_mode: str, peak: bool = False):
     """Yield ``(m, stats, spare)`` for each batch of at most _BATCH frames.
 
-    In bypass mode a batch draws m seed states and yields ``_power_sums``'
-    rows (the peak only when ``peak`` is set); no output depends on the data
-    bits, so none is drawn.  In full mode a frame whose bit is d = -1 has the
+    Each batch makes one ``draw_initial_state`` call for its seed states,
+    and the kernel iterates every state drawn.  In bypass mode a batch draws
+    m seed states and yields ``_power_sums``' rows (the peak only when
+    ``peak`` is set); no output depends on the data bits, so none is drawn.  In full mode a frame whose bit is d = -1 has the
     correlator output (1 + d) v = 0, and no output depends on which frames
     carry +1, so a batch draws only the count k ~ Binomial(m, 1/2) of its
     d = +1 frames, then their k seed states, and yields their squared
@@ -242,7 +219,6 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
     size = min(n_frames, _BATCH)
     n_work = _SPARE_ROWS + _step_rows(xi)
     rows = np.empty((n_work + (1 if psi_mode == "full" else 2 + peak), size))
-    flags = np.empty((2, size), dtype=bool)
     remaining = n_frames
     while remaining > 0:
         m = min(remaining, _BATCH)
@@ -252,8 +228,7 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
         # the seed states take the first spare row, and the draw and then
         # the orbit use the other two as scratch, the orbit with the step's
         # rows after them
-        x0 = _draw_clean_states(rng, k, xi, out=spare[0], work=spare[1:],
-                                flags=flags[:, :k])
+        x0 = draw_initial_state(rng, size=k, out=spare[0], work=spare[1:])
         if psi_mode == "bypass":
             _power_sums(x0, beta, xi, out=out, work=work)
         else:

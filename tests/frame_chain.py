@@ -2,8 +2,9 @@
 
 ``run_once`` and ``measure_papr`` never build a chip: they reduce each frame
 to a few statistics as the orbit is iterated.  This module builds every chip
-instead.  ``transmit_frames`` draws what the kernel draws and assembles the
-frames with ``modulate``; ``apply_channel`` fades each frame, the
+instead.  ``transmit_frames`` draws what the kernel draws, steps each seed
+state's orbit chip by chip (``orbits``) and assembles the frames with
+``modulate``; ``apply_channel`` fades each frame, the
 ``FrameAccumulator`` harvests it, and ``empirical_papr`` meters the stream.
 The tests hold the fast path to this chain at the same seeds.
 """
@@ -15,9 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from chaoswpt.channel import path_gain
-from chaoswpt.chaos import generate_sequence
+from chaoswpt.chaos import _step_scalar, draw_initial_state
 from chaoswpt.harvester import DcAccumulator, DcEstimate, EhCircuit, _scales
-from chaoswpt.montecarlo import _draw_clean_states
+
+
+def orbits(x0, n: int, xi: int) -> np.ndarray:
+    """The n-chip orbit of each seed state in x0, one row each, x0 first.
+
+    Each chip is ``chaos._step_scalar`` of the one before, the step that
+    ``generate_sequence`` takes; unlike ``generate_sequence``, which refuses
+    a seed near a fixed point, this steps every state the kernel may draw.
+    """
+    chips = np.empty((np.size(x0), n))
+    for row, x in zip(chips, np.asarray(x0, dtype=float).tolist()):
+        for k in range(n):
+            row[k] = x
+            x = _step_scalar(x, xi)
+    return chips
 
 
 def modulate(bits, beta: int, chip_pool) -> np.ndarray:
@@ -61,13 +76,12 @@ def transmit_frames(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
         k = int(rng.binomial(n_frames, 0.5))
         d = other.permutation(np.repeat([1, -1], [k, n_frames - k]))
         x0 = np.empty(n_frames)
-        x0[d == 1] = _draw_clean_states(rng, k, xi)
-        x0[d == -1] = _draw_clean_states(other, n_frames - k, xi)
+        x0[d == 1] = draw_initial_state(rng, size=k)
+        x0[d == -1] = draw_initial_state(other, size=n_frames - k)
     else:
-        x0 = _draw_clean_states(rng, n_frames, xi)
+        x0 = draw_initial_state(rng, size=n_frames)
         d = other.integers(0, 2, size=n_frames) * 2 - 1
-    pool = np.concatenate([generate_sequence(a, beta, xi) for a in x0])
-    return modulate(d, beta, pool)
+    return modulate(d, beta, orbits(x0, beta, xi).ravel())
 
 
 @dataclass

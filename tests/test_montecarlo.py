@@ -9,13 +9,7 @@ from hypothesis import given, settings, strategies as st
 import chaoswpt
 from chaoswpt import montecarlo
 from chaoswpt.analytic import z_with_correlator, z_without_correlator
-from chaoswpt.chaos import (
-    FIXED_POINT_TOL,
-    _step_rows,
-    draw_initial_state,
-    generate_sequence,
-    map_fixed_points,
-)
+from chaoswpt.chaos import _step_rows, draw_initial_state
 from chaoswpt.channel import sample_rayleigh
 from chaoswpt.harvester import DcEstimate, EhCircuit, rho_params
 from chaoswpt.montecarlo import (
@@ -25,8 +19,6 @@ from chaoswpt.montecarlo import (
     SweepResult,
     SweepRow,
     _chip_sums,
-    _draw_clean_states,
-    _fixed_point_mask,
     _power_sums,
     _subseed,
     fit_scaling,
@@ -35,7 +27,7 @@ from chaoswpt.montecarlo import (
     sweep_beta,
 )
 from frame_chain import (ChannelDraw, FrameAccumulator, apply_channel, empirical_papr,
-                         transmit_frames)
+                         orbits, transmit_frames)
 
 
 def test_run_config_validation():
@@ -56,6 +48,12 @@ def test_run_config_validation():
         RunConfig(beta=1, r=1.0, seed=2**64)
     with pytest.raises(ValueError):
         RunConfig(beta=1, r=1.0, xi=1)
+
+
+@pytest.mark.parametrize("circuit", [None, {"p_t": 1.0}])
+def test_run_config_rejects_a_circuit_that_is_no_eh_circuit(circuit):
+    with pytest.raises(ValueError, match="^circuit must be an EhCircuit"):
+        RunConfig(beta=2, r=20.0, circuit=circuit)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -235,8 +233,8 @@ def _kernel_stats(x0, beta, xi, mode, peak=True, rows=None):
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_orbit_batch_stats_match_sequence_sums_for_degree_three(mode):
     # the Dickson chip sum is 2v, and the power sums run over both halves
-    x0 = _draw_clean_states(np.random.default_rng(5), 300, 3)
-    chips = np.array([generate_sequence(float(a), 6, 3) for a in x0])
+    x0 = draw_initial_state(np.random.default_rng(5), size=300)
+    chips = orbits(x0, 6, 3)
     stats = _kernel_stats(x0, 6, 3, mode)
     if mode == "full":
         expected = (2.0 * chips.sum(axis=1),)
@@ -251,7 +249,7 @@ def test_orbit_batch_stats_match_sequence_sums_for_degree_three(mode):
 def _chip_order_stats(x0, beta, xi, mode):
     """The kernel's statistics as running sums over scalar orbits, chip by
     chip, times the exact 2 of the Dickson chip sum and of the two halves."""
-    chips = np.array([generate_sequence(float(a), beta, xi) for a in x0])
+    chips = orbits(x0, beta, xi)
     if mode == "full":
         v = chips[:, 0].copy()
         for k in range(1, beta):
@@ -270,7 +268,7 @@ def _orbit_sum_stats(x0, beta):
     """Bypass sums at xi = 2 and beta >= 2 in the kernel's orbit-sum form and
     order: T = y_2 + ... + y_{beta+1} over the scalar orbit of y = 2x, then
     sum y^2 = T + 2 beta and sum y^4 = (T - y_2 + y_{beta+2}) + 4 T + 6 beta."""
-    y = 2.0 * np.array([generate_sequence(float(a), beta + 2, 2) for a in x0])
+    y = 2.0 * orbits(x0, beta + 2, 2)
     t = y[:, 1].copy()
     for k in range(2, beta + 1):
         t += y[:, k]
@@ -284,7 +282,7 @@ def _orbit_sum_stats(x0, beta):
 def test_orbit_batch_stats_are_bit_identical_to_chip_order_sums(xi, mode, beta):
     # the Dickson-form kernel scales by powers of two only, so nothing rounds
     # differently from the unscaled orbit summed in chip order
-    x0 = _draw_clean_states(np.random.default_rng(beta), 400, xi)
+    x0 = draw_initial_state(np.random.default_rng(beta), size=400)
     want = _chip_order_stats(x0, beta, xi, mode)
     got = _kernel_stats(x0, beta, xi, mode)
     assert len(got) == len(want)
@@ -342,7 +340,7 @@ def _plus_frames(n_frames: int, seed: int, fading: bool, xi: int = 2) -> list[in
     counts = []
     for start in range(0, n_frames, montecarlo._BATCH):
         k = int(rng.binomial(min(montecarlo._BATCH, n_frames - start), 0.5))
-        _draw_clean_states(rng, k, xi)
+        draw_initial_state(rng, size=k)
         if fading:
             sample_rayleigh(rng, size=k)
         counts.append(k)
@@ -363,8 +361,8 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
         for m, (u,), _ in montecarlo._frame_batches(np.random.default_rng(seed), n,
                                                     beta, xi, "full"):
             k = int(replay.binomial(m, 0.5))
-            x0 = np.concatenate([_draw_clean_states(replay, k, xi),
-                                 _draw_clean_states(other, m - k, xi)])
+            x0 = np.concatenate([draw_initial_state(replay, size=k),
+                                 draw_initial_state(other, size=m - k)])
             d = np.repeat([1, -1], [k, m - k])
             v = 0.5 * _kernel_stats(x0, beta, xi, "full")[0]
             every = ((1 + d) * v) ** 2
@@ -413,110 +411,30 @@ def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_
     assert one.mean == 0.0 and math.isnan(one.std_error)
 
 
-@pytest.mark.parametrize("xi", [2, 3, 5])
-def test_fixed_point_mask_matches_broadcast_form(xi):
-    rng = np.random.default_rng(xi)
-    x0 = draw_initial_state(rng, size=100_000)
-    fps = map_fixed_points(xi)
-    # plant exact hits, near misses on both sides of the band, and zeros
-    offsets = [0.0, 0.5 * FIXED_POINT_TOL, -0.5 * FIXED_POINT_TOL,
-               2 * FIXED_POINT_TOL, -2 * FIXED_POINT_TOL]
-    planted = np.clip([fp + o for fp in fps for o in offsets], -1.0, 1.0)
-    idx = rng.choice(x0.size, size=planted.size + 5, replace=False)
-    x0[idx[:planted.size]] = planted
-    x0[idx[planted.size:]] = 0.0
-    broadcast = np.min(np.abs(x0[:, None] - fps[None, :]), axis=1) < FIXED_POINT_TOL
-    broadcast |= x0 == 0.0
-    mask = _fixed_point_mask(x0, fps)
-    assert np.array_equal(mask, broadcast)
-    assert np.count_nonzero(mask) >= 3 * len(fps) + 5
-    # the same bits when the mask and its scratch are caller buffers
-    flags = np.empty((2, x0.size), dtype=bool)
-    into = _fixed_point_mask(x0, fps, out=flags[0], work=(np.empty(x0.size), flags[1]))
-    assert np.shares_memory(into, flags[0]) and np.array_equal(into, mask)
-
-
-def test_clean_states_redraw_a_seed_state_of_one(monkeypatch):
-    # a uniform of exactly 0 seeds x = cos(0) = 1, which is a fixed point of
-    # every degree, and only _draw_clean_states redraws it
-    class Zeros:
-        def random(self, size, out=None):
-            out = np.empty(size) if out is None else out
-            out[...] = 0.0
-            return out
-
-    assert np.array_equal(draw_initial_state(Zeros(), size=2), [1.0, 1.0])
-    real = montecarlo.draw_initial_state
-    for xi in (2, 3, 5, 7):
-        fps = map_fixed_points(xi)
-        assert 1.0 in fps.tolist()
-        sizes = []
-
-        def planting(rng, size, **buffers):
-            sizes.append(size)
-            x0 = real(rng, size=size, **buffers)
-            if len(sizes) == 1:
-                x0[3] = 1.0
-            return x0
-
-        monkeypatch.setattr(montecarlo, "draw_initial_state", planting)
-        x0 = _draw_clean_states(np.random.default_rng(xi), 100, xi)
-        assert sizes == [100, 1]
-        assert x0[3] != 1.0
-        assert not np.any(_fixed_point_mask(x0, fps))
-
-
 #: (xi, mode, beta, float.hex() of run_once's mean and standard error, and of
 #: measure_papr's plain ratio) at seed 42, r = 20 and one full batch plus a
 #: short one; a change that means to keep every bit must keep these (the
 #: bypass rows at xi = 2 and beta >= 2 pin the orbit-sum kernel's rounding);
 #: a row's test is named by its inputs, so a re-pinned row keeps its name
 _PINNED_BITS = [
-    (2, 'full', 1, '0x1.57832a6c2d561p-20', '0x1.bc961bade3409p-27', '0x1.01bade7a0792fp+2'),
-    (2, 'full', 2, '0x1.cf3e2f0c55d24p-19', '0x1.ebef7adf4fbfdp-25', '0x1.0219a52a56b45p+3'),
-    (2, 'full', 17, '0x1.63d1cdf90a595p-13', '0x1.2ecf7adeb5a3cp-17', '0x1.6adf2d5224667p+5'),
-    (2, 'bypass', 1, '0x1.2b145dff27f64p-20', '0x1.bc061aa145960p-28', '0x1.000760c9e6c7cp+1'),
-    (2, 'bypass', 2, '0x1.2ad594ffa49e7p-19', '0x1.80b5bd85db9b5p-27', '0x1.0070c30317ae1p+1'),
-    (2, 'bypass', 17, '0x1.3f34b07c1fdc1p-16', '0x1.5b1ce08850668p-24', '0x1.ffa465d9152cbp+0'),
-    (3, 'full', 1, '0x1.57832a6c2d561p-20', '0x1.bc961bade3409p-27', '0x1.01bade7a0792fp+2'),
-    (3, 'full', 2, '0x1.edbe4633dcabep-19', '0x1.1c5c5118f13a2p-24', '0x1.03bf3821ab94ap+3'),
-    (3, 'full', 17, '0x1.29df234071996p-13', '0x1.57b78da2b1b19p-18', '0x1.d5eaa45ce44d7p+4'),
-    (3, 'bypass', 1, '0x1.2b13a2d383197p-20', '0x1.be257b3bf117dp-28', '0x1.0006c2e60e495p+1'),
-    (3, 'bypass', 2, '0x1.2b987ff1df691p-19', '0x1.8453703133f44p-27', '0x1.002c6a27336efp+1'),
-    (3, 'bypass', 17, '0x1.3e8b0a93193a7p-16', '0x1.595cad51647dap-24', '0x1.ffd7924ff4c1cp+0'),
+    (2, 'full', 1, '0x1.5c3dae451c0a3p-20', '0x1.c53d1969a1d7ap-27', '0x1.01be79f78bfdbp+2'),
+    (2, 'full', 2, '0x1.d32116726ac43p-19', '0x1.0755fd141df5dp-24', '0x1.02148e5cac993p+3'),
+    (2, 'full', 17, '0x1.517b82119172ep-13', '0x1.dce7198809182p-18', '0x1.6d9cbcaa30746p+5'),
+    (2, 'bypass', 1, '0x1.2d7aeba24edf4p-20', '0x1.c0eba92f628f7p-28', '0x1.000375ee993e9p+1'),
+    (2, 'bypass', 2, '0x1.2c30e9df68004p-19', '0x1.861d2d4740910p-27', '0x1.006d9c8f333b6p+1'),
+    (2, 'bypass', 17, '0x1.3f3000cb4258cp-16', '0x1.5ad66e0fcdc58p-24', '0x1.ffa086851bec1p+0'),
+    (3, 'full', 1, '0x1.5c3dae451c0a3p-20', '0x1.c53d1969a1d7ap-27', '0x1.01be79f78bfdbp+2'),
+    (3, 'full', 2, '0x1.014db25cc43d1p-18', '0x1.2fb75b9bc2a37p-24', '0x1.03be53000d1b1p+3'),
+    (3, 'full', 17, '0x1.38bb2c3f668dap-13', '0x1.b1b472c6c63f4p-18', '0x1.d5ef1b5b8d04ap+4'),
+    (3, 'bypass', 1, '0x1.2d7aeba24edf4p-20', '0x1.c0eba92f628f7p-28', '0x1.000375ee993e9p+1'),
+    (3, 'bypass', 2, '0x1.2cf8be527935ap-19', '0x1.844902fa26d62p-27', '0x1.00280c1d1389fp+1'),
+    (3, 'bypass', 17, '0x1.3efff61c581b6p-16', '0x1.5a53399ce1897p-24', '0x1.ffd36ddb3bc97p+0'),
 ]
 
 
-#: the bypass rows as pinned when each batch drew m data bits right after its
-#: seed states; no bypass output depends on them, so with that draw put back
-#: the batch loop gives these bits again, and dropping it changed only the
-#: stream; a row's test keeps the name it had, which carries its values
-_PINNED_BITS_WITH_DATA_DRAW = [
-    (2, 'bypass', 1, '0x1.2c8c76a1f0261p-20', '0x1.c32f49d2bd613p-28', '0x1.0008a58b3036cp+1'),
-    (2, 'bypass', 2, '0x1.2c7fed1d81700p-19', '0x1.898276274a34bp-27', '0x1.00711bb5f581ep+1'),
-    (2, 'bypass', 17, '0x1.3f6374fac7eaep-16', '0x1.5c18fe9f0f85ap-24', '0x1.ffa64388c982ap+0'),
-    (3, 'bypass', 1, '0x1.2b6cd0663775fp-20', '0x1.bb6e5797d8898p-28', '0x1.000923f4597ddp+1'),
-    (3, 'bypass', 2, '0x1.2bac2213c343bp-19', '0x1.818a10fb8dd04p-27', '0x1.002d4466a2418p+1'),
-    (3, 'bypass', 17, '0x1.3f08a561ea0aep-16', '0x1.59ce60f8f0985p-24', '0x1.ffd832650530ap+0'),
-]
-
-
-@pytest.mark.parametrize(
-    "xi, mode, beta, mean, std_error, plain, data_draw",
-    [pytest.param(*row, False, id="{}-{}-{}".format(*row)) for row in _PINNED_BITS]
-    + [pytest.param(*row, True, id="-".join(map(str, row)))
-       for row in _PINNED_BITS_WITH_DATA_DRAW])
-def test_batch_loop_bits_are_pinned(monkeypatch, xi, mode, beta, mean, std_error, plain,
-                                    data_draw):
-    if data_draw:
-        real = montecarlo._draw_clean_states
-
-        def then_data_bits(rng, size, xi, **buffers):
-            x0 = real(rng, size, xi, **buffers)
-            rng.integers(0, 2, size=size)
-            return x0
-
-        monkeypatch.setattr(montecarlo, "_draw_clean_states", then_data_bits)
+@pytest.mark.parametrize("xi, mode, beta, mean, std_error, plain", _PINNED_BITS,
+                         ids=["{}-{}-{}".format(*row) for row in _PINNED_BITS])
+def test_batch_loop_bits_are_pinned(xi, mode, beta, mean, std_error, plain):
     n = montecarlo._BATCH + 10
     est = run_once(RunConfig(beta=beta, r=20.0, psi_mode=mode, n_frames=n, xi=xi)).estimate
     assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
@@ -527,7 +445,7 @@ def test_batch_loop_bits_are_pinned(monkeypatch, xi, mode, beta, mean, std_error
 @pytest.mark.parametrize("mode", PSI_MODES)
 @pytest.mark.parametrize("beta", [1, 5])
 def test_orbit_batch_stats_into_buffers_keep_the_bits(xi, mode, beta):
-    x0 = _draw_clean_states(np.random.default_rng(beta), 1000, xi)
+    x0 = draw_initial_state(np.random.default_rng(beta), size=1000)
     seeds = x0.copy()
     want = _kernel_stats(x0, beta, xi, mode)
     rows = np.full((len(want) + 2 + _step_rows(xi), x0.size), np.nan)
@@ -570,14 +488,12 @@ def test_frame_batches_write_into_one_workspace(mode):
 
 
 def _count_sizes(monkeypatch, name: str) -> list[int]:
-    """The ``size`` of every call to montecarlo's ``name`` that draws into the
-    workspace; the redraws of seed states near a fixed point do not."""
+    """The ``size`` of every call to montecarlo's ``name``."""
     real = getattr(montecarlo, name)
     sizes = []
 
     def counting(rng, size, **buffers):
-        if "out" in buffers:
-            sizes.append(size)
+        sizes.append(size)
         return real(rng, size=size, **buffers)
 
     monkeypatch.setattr(montecarlo, name, counting)

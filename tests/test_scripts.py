@@ -39,6 +39,10 @@ def test_clt_gap_runs_at_its_defaults():
     proc = _script("clt_gap.py")
     assert proc.returncode == 0, proc.stderr
     assert "asymptotic branch" in proc.stdout
+    # its asymptotic column is the library's z_with_correlator, which is the
+    # exact constant at beta = 1, so both gaps read 0 there
+    (row,) = [line.split() for line in proc.stdout.splitlines() if line.split()[:1] == ["1"]]
+    assert row[1] == row[2] and row[3:] == ["+0.00%", "+0.00%"]
 
 
 @pytest.mark.parametrize("pairs, reason", [
