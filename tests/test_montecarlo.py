@@ -51,7 +51,7 @@ def test_run_config_validation():
 
 
 @pytest.mark.parametrize("circuit", [None, {"p_t": 1.0}])
-def test_run_config_rejects_a_circuit_that_is_no_eh_circuit(circuit):
+def test_run_config_rejects_a_circuit_that_is_not_an_eh_circuit(circuit):
     with pytest.raises(ValueError, match="^circuit must be an EhCircuit"):
         RunConfig(beta=2, r=20.0, circuit=circuit)
 
