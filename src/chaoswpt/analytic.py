@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erf
 
 from .channel import path_gain
 from .harvester import _check
@@ -247,6 +245,8 @@ def oracle_cdf(oracle: PdfOracle, x) -> np.ndarray | float:
 
     A NaN point, or an array that holds one, is refused.
     """
+    from scipy.special import erf  # lazy: only the oracles need scipy
+
     arr = _points(oracle, x)
     f = oracle.family
     if f in _ONE_SIDED:
@@ -280,6 +280,8 @@ _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
 
 def _integral(oracle: PdfOracle, order: int) -> float:
     """Adaptive-quadrature integral of x**order times the density pdf_eval serves."""
+    from scipy import integrate  # lazy: only the oracles need scipy
+
     if oracle.family in _ONE_SIDED:
         # x = u**p turns the x**(1/p - 1) singularity at the origin into a
         # smooth integrand

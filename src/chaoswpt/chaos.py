@@ -139,9 +139,10 @@ def generate_sequence(x0: float, n: int, xi: int = 2) -> np.ndarray:
     The Monte-Carlo kernel iterates the Dickson state y = 2x instead, and
     power-of-two scaling is exact, so its orbit from ``x0`` is twice this one
     bit for bit (see the module docstring).  Deterministic: the same
-    (x0, n, xi) always yields the bit-identical orbit.  Degenerate seeds
-    (0, +/-1, or anything within FIXED_POINT_TOL of a fixed point) are
-    rejected.
+    (x0, n, xi) always yields the bit-identical orbit.  The seed 0 and any
+    seed within FIXED_POINT_TOL of a fixed point are refused (the ``x0`` rule
+    refuses +/-1).  Nothing else is: a seed that steps onto a fixed point
+    passes and sticks there, as 3e-9 does at xi = 2 ([3e-9, -1, 1, 1, ...]).
     """
     for name, value in (("x0", x0), ("n", n), ("xi", xi)):
         _check(name, value)

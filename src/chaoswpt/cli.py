@@ -14,7 +14,7 @@ listed in ALIASES).  Precedence: built-in defaults < --config file <
 CHAOSWPT_SEED environment variable < --set overrides.
 
 Exit status: 0 success, 1 usage or configuration error, 2 tolerance
-violation (verify-dist failures, sweep points that failed to run).
+violation (a verify-dist row that missed its gate).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -185,17 +184,7 @@ def _circuit(config: dict) -> EhCircuit:
 
 
 def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".17g")
-    # a bad sweep axis value is echoed as given, so quote it as RFC 4180 does
-    text = str(value)
-    if any(c in text for c in ',"\r\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _emit(rows: list[dict], args, config: dict) -> None:
@@ -241,42 +230,20 @@ def _cmd_run(config: dict, args) -> int:
     return 0
 
 
-def _axis_error(base: RunConfig, field: str, value) -> ValueError | None:
-    """Why ``value`` cannot fill ``field`` of ``base``, or None if it can."""
-    try:
-        dataclasses.replace(base, **{field: value})
-    except ValueError as exc:
-        return exc
-    return None
-
-
 def _cmd_sweep(config: dict, args) -> int:
     base = _run_config(config)
-    # each axis as (value, error) pairs, in the order sweep_beta nests them
     axes = []
     for key, field in _SWEEP_AXES.items():
         values = config["sweep"][key]
         _check("axis", values, f"sweep.{key}")
-        axes.append([(value, _axis_error(base, field, value)) for value in values])
-    grid = [[value for value, exc in axis if exc is None] for axis in axes]
-    # every cell on valid axis values runs in one call, so in parallel
-    points = iter(sweep_beta(*grid, base).rows if all(grid) else ())
-    failures = 0
-    rows = []
-    for cell in itertools.product(*axes):
-        values = [value for value, _ in cell]
-        exc = next((e for _, e in cell if e is not None), None)
-        if exc is None:
-            rows.append(_sweep_row(next(points)))
-            continue
-        # marker row, keep the sweep going
-        failures += 1
-        beta, r, mode = values
-        print(f"chaoswpt: sweep point beta={beta} r={r} mode={mode} "
-              f"failed: {exc}", file=sys.stderr)
-        rows.append(dict.fromkeys(SWEEP_HEADER, math.nan) | dict(zip(SWEEP_HEADER, values)))
-    _emit(rows, args, config)
-    return 2 if failures else 0
+        for i, value in enumerate(values):
+            try:
+                dataclasses.replace(base, **{field: value})
+            except ValueError as exc:
+                raise ConfigError(f"sweep.{key}[{i}]: {exc}") from exc
+        axes.append(values)
+    _emit([_sweep_row(res) for res in sweep_beta(*axes, base).rows], args, config)
+    return 0
 
 
 def _cmd_papr(config: dict, args) -> int:

@@ -123,7 +123,7 @@ class EhCircuit:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DcEstimate:
     mean: float
     std_error: float

@@ -59,6 +59,12 @@ def test_generate_sequence_rejects_degenerate_seeds():
     generate_sequence(-0.5 + 1e-6, 10, 2)
 
 
+def test_generate_sequence_passes_seeds_that_step_onto_a_fixed_point():
+    # the rule looks at the fixed points themselves, not at their preimages
+    assert generate_sequence(3e-9, 5, 2).tolist() == [3e-9, -1.0, 1.0, 1.0, 1.0]
+    assert generate_sequence(0.5 + 2e-9, 4, 3).tolist() == [0.5 + 2e-9, -1.0, -1.0, -1.0]
+
+
 def test_fixed_points_of_degree_two():
     fps = map_fixed_points(2)
     assert 1.0 in fps.tolist()

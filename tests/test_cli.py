@@ -192,34 +192,17 @@ def test_sweep_grid_rows(capsys):
     assert all(float(r["z_empirical"]) > 0 for r in rows)
 
 
-def test_sweep_keeps_going_past_bad_points(capsys):
-    code = main(["sweep", *FAST,
-                 "--set", "sweep.betas=[0,2]",
-                 "--set", "sweep.distances=[20.0]",
-                 "--set", 'sweep.modes=["full"]'])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "failed" in captured.err
-    _, rows = _csv_rows(captured.out)
-    assert len(rows) == 2
-    assert rows[0]["z_empirical"] == "nan"
-    assert float(rows[1]["z_empirical"]) > 0
-
-
-def test_sweep_marks_every_cell_on_an_invalid_axis_value(capsys):
-    code = main(["sweep", *FAST,
-                 "--set", "sweep.betas=[2,0]",
-                 "--set", 'sweep.distances=[20.0,"x"]',
-                 "--set", 'sweep.modes=["full","half"]'])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.err.count("failed") == 7
-    assert "Traceback" not in captured.err
-    _, rows = _csv_rows(captured.out)
-    assert [(r["beta"], r["r"], r["mode"]) for r in rows] == [
-        (b, r, m) for b in ("2", "0") for r in ("20", "x") for m in ("full", "half")]
-    assert float(rows[0]["z_empirical"]) > 0
-    assert all(r["z_empirical"] == "nan" for r in rows[1:])
+@pytest.mark.parametrize("expr, message", [
+    ("sweep.betas=[2,0]", "sweep.betas[1]: beta must be a positive integer, got 0"),
+    ('sweep.distances=[20.0,"x"]', "sweep.distances[1]: r must be a finite real"),
+    ('sweep.modes=["full","half"]', "sweep.modes[1]: psi_mode must be one of"),
+], ids=["beta", "distance", "mode"])
+def test_sweep_bad_axis_value_exits_1_naming_it(capsys, expr, message):
+    assert main(["sweep", *FAST, "--set", expr]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"chaoswpt: error: {message}")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("expr, key", [
@@ -246,19 +229,10 @@ def test_json_output_writes_non_finite_floats_as_null(capsys):
         assert main(["run", "--set", "n_frames=1", "--format", "json"]) == 0
     (row,) = _strict_json(capsys.readouterr().out)["rows"]
     assert row["z_stderr"] is None and row["z_analytic"] > 0
-    # a marker row has no results, and echoes its axis values: a NaN distance here
-    argv = ["sweep", *FAST, "--set", "sweep.betas=[0]", "--set", "sweep.distances=[NaN]",
-            "--set", 'sweep.modes=["full"]']
-    assert main([*argv, "--format", "json"]) == 2
+    # a NaN echoed from the config: an unused section, so the run goes ahead
+    assert main(["run", *FAST, "--set", "sweep.distances=[NaN]", "--format", "json"]) == 0
     payload = _strict_json(capsys.readouterr().out)
     assert payload["config"]["sweep"]["distances"] == [None]
-    assert payload["rows"] == [{"beta": 0, "r": None, "mode": "full",
-                                **dict.fromkeys(SWEEP_HEADER[3:], None)}]
-    # CSV writes them as nan, as before
-    assert main(argv) == 2
-    _, rows = _csv_rows(capsys.readouterr().out)
-    assert rows == [{"beta": "0", "r": "nan", "mode": "full",
-                     **dict.fromkeys(SWEEP_HEADER[3:], "nan")}]
 
 
 def test_papr_command_rows(capsys):
@@ -480,8 +454,6 @@ _ODD = st.one_of(
 _EXTREME = st.builds(lambda sign, e, k: sign * 10.0 ** (e / k),
                      st.sampled_from([1.0, -1.0]), st.sampled_from(range(-320, 309)),
                      st.sampled_from([1, 2, 4, 8]))
-#: text made of the characters a CSV cell must quote
-_CSV_TEXT = st.text(alphabet=',"\r\n ', min_size=1, max_size=4)
 #: the values a sweep axis list holds when it is valid; betas stay small
 _SWEEP_AXES = {"sweep.betas": st.integers(-1, 6),
                "sweep.distances": st.one_of(st.integers(), _EXTREME),
@@ -495,10 +467,8 @@ def _either(a, b):
 
 def _value(key):
     if key in _SWEEP_AXES:
-        # a non-list, an empty list, or a list mixing valid and odd values; a
-        # marker row echoes the odd ones, so they include CSV separators
-        odd = st.one_of(_ODD, _CSV_TEXT)
-        return _either(_ODD, st.lists(_either(_SWEEP_AXES[key], odd), max_size=3))
+        # a non-list, an empty list, or a list mixing valid and odd values
+        return _either(_ODD, st.lists(_either(_SWEEP_AXES[key], _ODD), max_size=3))
     if key in _SMALL_INT_KEYS:
         return st.one_of(st.integers(*_SMALL_INT_KEYS[key]), _ODD)
     return st.one_of(st.integers(), _ODD, _EXTREME)
@@ -564,20 +534,12 @@ def test_other_commands_fuzz_exits_cleanly(capsys, command, data):
     capsys.readouterr()
     code = main(argv)
     out, err = capsys.readouterr()
-    # verify-dist exits 2 when a family misses its gate, as it does at n = 200,
-    # and sweep when an axis holds an invalid value
-    assert code in (0, 1, 2), (argv, err)
+    # verify-dist exits 2 when a family misses its gate, as it does at n = 200
+    assert code in ((0, 1, 2) if command == "verify-dist" else (0, 1)), (argv, err)
     assert "Traceback" not in err
     if code != 1:
         header, rows = _csv_rows(out)
-        # a sweep cell on an invalid axis value is a marker row: NaN in every
-        # result column, its axis values as given, and one stderr line
-        markers = [row.get("z_empirical") == "nan" for row in rows]
-        assert sum(markers) == err.count("chaoswpt: sweep point "), (argv, err)
-        for row, marker in zip(rows, markers):
+        for row in rows:
             for col in header:
-                if col in _TEXT_COLUMNS or (marker and col in ("beta", "r")):
-                    continue
-                value = float(row[col])
-                assert math.isnan(value) if marker else math.isfinite(value), (
-                    argv, col, row[col])
+                if col not in _TEXT_COLUMNS:
+                    assert math.isfinite(float(row[col])), (argv, col, row[col])

@@ -544,6 +544,14 @@ def test_run_result_deviation_fields():
     assert res.papr_bound == 8.0  # integrate-then-rectify, beta=2
 
 
+def test_run_result_is_frozen_through_its_estimate():
+    cfg = RunConfig(beta=2, r=20.0, n_frames=1000)
+    res = run_once(cfg)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.estimate.mean = 0.0
+    assert hash(res) == hash(run_once(cfg))
+
+
 def test_integrated_receiver_beats_raw_stream_at_same_distance():
     kw = dict(beta=10, r=20.0, n_frames=20_000)
     full = run_once(RunConfig(psi_mode="full", seed=3, **kw))

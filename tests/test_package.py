@@ -60,16 +60,29 @@ def test_reference_laws_are_the_readme_table():
                     for f in analytic._ONE_SIDED}
 
 
-def test_the_cli_loads_every_package_module():
-    # a module the simulator never imports belongs with the tests
+def _modules_loaded_by(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
     src = str(pathlib.Path(chaoswpt.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, chaoswpt.cli; print(*sorted(sys.modules))"
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True).stdout.split()
+    code += "; import sys; print(*sorted(sys.modules))"
+    return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout.split())
+
+
+def test_the_cli_loads_every_package_module():
+    # a module the simulator never imports belongs with the tests
+    loaded = _modules_loaded_by("import chaoswpt.cli")
     listed = {f"chaoswpt.{m.name}" for m in pkgutil.iter_modules(chaoswpt.__path__)}
-    assert listed - set(loaded) == set()
+    assert listed - loaded == set()
+
+
+def test_a_run_loads_no_scipy_quadrature_or_special_functions():
+    # only the reference oracles need scipy, so only they import it
+    loaded = _modules_loaded_by("from chaoswpt import RunConfig, run_once; "
+                                "run_once(RunConfig(beta=2, r=20.0, n_frames=1000))")
+    assert "chaoswpt.montecarlo" in loaded
+    assert {"scipy.integrate", "scipy.special"} & loaded == set()
 
 
 def test_type_rules_live_only_in_the_rule_table():
