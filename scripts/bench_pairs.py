@@ -24,7 +24,12 @@ The output holds, per workload and end-to-end metric, each side's median and
 quartiles, every run's value, and the pairs the change won (ties count for
 neither), with the metric's direction taken from ``BENCHMARK.json``.  It also
 records each side's line count of ``src/`` (``src_lines``), the net size of
-the change.
+the change, and the host's load: the CPUs this process may run on
+(``cpus``), and each run's 1-, 5- and 15-minute load averages before and
+after it (``loadavg``, per workload and side, in run order).  A wall-time
+ratio can move with the load alone (a run whose worker loses its second
+CPU reads slower against a single-threaded reference), so pairs taken at
+different loads can be told apart.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -74,13 +80,18 @@ def export(ref: str, dest: Path) -> None:
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """perfbench's result object, with the host's load averages around the run
+    under ``loadavg``."""
+    before = os.getloadavg()
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["loadavg"] = {"before": before, "after": os.getloadavg()}
+    return result
 
 
 def quartiles(values: list[float]) -> dict:
@@ -136,6 +147,7 @@ def main(argv=None) -> int:
               "change_source_sha256": source_sha256(ROOT),
               "started": datetime.now(timezone.utc).isoformat(timespec="seconds"),
               "python": platform.python_version(), "seconds": seconds,
+              "cpus": len(os.sched_getaffinity(0)),
               "first_seed": args.first_seed,
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -163,6 +175,7 @@ def main(argv=None) -> int:
                 "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
                 "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
                 "end_to_end": compare(runs["parent"], runs["change"], spec["end_to_end"]),
+                "loadavg": {side: [r["loadavg"] for r in runs[side]] for side in runs},
                 "per_layer": {side: {name: m["value"] for name, m in t["metrics"].items()}
                               for side, t in traced.items()},
             }

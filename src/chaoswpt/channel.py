@@ -2,7 +2,8 @@
 
 One channel draw applies to a whole frame (block fading).  The magnitude
 |h| is Rayleigh with unit mean square power, sampled by inverting its CDF:
-|h| = sqrt(-ln U) for U uniform on (0, 1].
+|h| = sqrt(-ln U) for U uniform on (0, 1].  Only the distribution battery
+draws it: ``montecarlo.run_once`` integrates it out of each frame.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from .harvester import _check
 __all__ = ["sample_rayleigh", "path_gain"]
 
 
-def sample_rayleigh(rng: np.random.Generator, size: int, out=None) -> np.ndarray:
+def sample_rayleigh(rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` Rayleigh magnitudes with E[|h|^2] = 1, via inverse-CDF sampling.
 
     numpy's ``random()`` covers [0, 1); mapping U -> 1-U puts it on (0, 1]
-    so the log never sees zero.  ``out`` (a float array of ``size``
-    entries) receives the magnitudes; it is allocated when not given.
+    so the log never sees zero.
     """
-    h = rng.random(size, out=out)
+    h = rng.random(size)
     np.negative(np.log1p(np.negative(h, out=h), out=h), out=h)
     return np.sqrt(h, out=h)
 

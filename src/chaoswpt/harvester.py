@@ -166,7 +166,7 @@ class DcAccumulator:
     def add_moments(self, n: int, w_sum: float, w_sumsq: float) -> None:
         """Merge the count, sum and sum of squares of n per-frame statistics w.
 
-        ``run_once`` defines w, the rectifier output of one frame.
+        ``run_once`` defines w, a frame's expected rectifier output over its gain.
         """
         _check("n", n)
         self._n += int(n)

@@ -12,8 +12,8 @@ draws them.  At xi = 2 a chip's power is the next Dickson state plus 2, so
 bypass mode there sums the orbit itself, as full mode does, and squares no
 chip.  Full mode simulates only the frames whose data bit is +1, since the
 others harvest exactly 0: each batch draws their count, then their seed
-states and gains.  Per-frame harvested-power samples
-then feed the streaming accumulator, so memory stays flat no matter how
+states.  Each frame's expected harvest over its fading gain (``run_once``)
+then feeds the streaming accumulator, so memory stays flat no matter how
 many frames are requested.  Each run allocates one workspace of batch-sized
 rows, and every per-batch step writes into views of it; a batch allocates
 no array.
@@ -47,6 +47,8 @@ __all__ = [
     "sweep_beta",
     "fit_scaling",
     "measure_papr",
+    # no longer called here, but kept bound: tracers patch it by this name
+    "sample_rayleigh",
 ]
 
 _BATCH = 1 << 16
@@ -238,47 +240,37 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
 
 
 def run_once(config: RunConfig) -> RunResult:
-    """Estimate harvested DC at one operating point, with its closed form."""
+    """Estimate harvested DC at one operating point, with its closed form.
+
+    A frame's w is its expected harvest given its orbit, a*g*s2 + 2*b*g^2*s4
+    for the sums s2, s4 of y^2, y^4 over the samples y the rectifier sees and
+    g = p_t * r**-alpha: the Rayleigh gain is integrated out (E[h^2] = 1,
+    E[h^4] = 2), not drawn, and the standard error is that of this estimator.
+    """
     rng = np.random.default_rng(config.seed)
     acc = DcAccumulator()
     a, b = _scales(config.circuit)
     gain = config._gain()
-    # each frame's rectifier output is w = k2*R*sum(y^2) + k4*R^2*sum(y^4)
-    # over the samples y the rectifier sees: one integrated value per frame
-    # in full mode, every chip in bypass mode
+    a_g, b_g = a * gain, 2.0 * b * gain * gain
     # a gain near the float64 limit can overflow the rectifier polynomial;
     # that is reported below as an error, not as a warning and an inf row
-    # every step writes into the batch's spare rows p, q and s, and repeats
-    # the operations, operands and order of the expression beside it, so
-    # the bits are those of the plain expressions
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, stats, (p, q, s) in _frame_batches(rng, config.n_frames, config.beta,
+        for m, stats, (p, q, _) in _frame_batches(rng, config.n_frames, config.beta,
                                                    config.xi, config.psi_mode):
-            # one gain per frame drawn: a full-mode frame with d = -1
-            # harvests 0 whatever its gain
-            h = sample_rayleigh(rng, size=p.size, out=p)
-            c2 = np.multiply(h, gain, out=q)  # c2 = gain * h * h, the squared
-            c2 *= h                           # amplitude scale per frame
+            # in the spare rows p and q, step for step as the expression beside it
             if config.psi_mode == "full":
+                # one integrated value: s2 = u, s4 = u^2, w = (b_g * u + a_g) * u
                 (u,) = stats
-                # the rectifier sees one integrated value per symbol:
-                # y2 = u * c2, and w = a * y2 + b * y2 * y2
-                y2 = np.multiply(u, c2, out=p)
-                w = np.multiply(y2, a, out=q)
-                t = np.multiply(y2, b, out=s)
-                t *= y2
+                w = np.multiply(u, b_g, out=p)
+                w += a_g
+                w *= u
             else:
-                # raw chip stream: w = a * c2 * e2 + b * c2 * c2 * e4, with e2
-                # and e4 the frame's power sums over both symbol halves
+                # every chip: w = a_g * e2 + b_g * e4, over both symbol halves
                 e2, e4 = stats
-                t = np.multiply(c2, b, out=s)
-                t *= c2
-                t *= e4
-                w = np.multiply(c2, a, out=p)
-                w *= e2
-            w += t
+                w = np.multiply(e2, a_g, out=p)
+                w += np.multiply(e4, b_g, out=q)
             # the m frames' sums: the full-mode frames not drawn add w = 0
-            acc.add_moments(m, float(np.sum(w)), float(np.sum(np.multiply(w, w, out=s))))
+            acc.add_moments(m, float(np.sum(w)), float(np.sum(np.multiply(w, w, out=q))))
         estimate = acc.result()
 
     closed_form = z_with_correlator if config.psi_mode == "full" else z_without_correlator

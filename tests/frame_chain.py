@@ -4,7 +4,7 @@
 to a few statistics as the orbit is iterated.  This module builds every chip
 instead.  ``transmit_frames`` draws what the kernel draws, steps each seed
 state's orbit chip by chip (``orbits``) and assembles the frames with
-``modulate``; ``apply_channel`` fades each frame, the
+``modulate``; ``apply_channel`` scales each frame by the link's gain, the
 ``FrameAccumulator`` harvests it, and ``empirical_papr`` meters the stream.
 The tests hold the fast path to this chain at the same seeds.
 """
@@ -113,11 +113,18 @@ def apply_channel(samples, draw: ChannelDraw, p_t: float) -> np.ndarray:
 
 
 class FrameAccumulator(DcAccumulator):
-    """A ``DcAccumulator`` fed whole frames through a rectifier circuit."""
+    """A ``DcAccumulator`` fed whole frames through a rectifier circuit.
 
-    def __init__(self, circuit: EhCircuit) -> None:
+    ``mean_h4`` weights the quartic term.  At 1 each frame is harvested as
+    it is.  At 2, the E[|h|^4] of unit-power Rayleigh fading, an unfaded
+    frame is harvested at its expected output over a block gain |h| drawn
+    for it, since E[|h|^2] = 1 leaves the quadratic term as it is.
+    """
+
+    def __init__(self, circuit: EhCircuit, mean_h4: float = 1.0) -> None:
         super().__init__()
         self.circuit = circuit
+        self.mean_h4 = mean_h4
 
     def add_frames(self, frame_samples) -> None:
         """Add a batch shaped (n_frames, samples_per_frame).
@@ -132,7 +139,7 @@ class FrameAccumulator(DcAccumulator):
             raise ValueError("frame batch must be a nonempty 1-D or 2-D array")
         a, b = _scales(self.circuit)
         p2 = frames * frames
-        w = a * p2.sum(axis=1) + b * (p2 * p2).sum(axis=1)
+        w = a * p2.sum(axis=1) + self.mean_h4 * b * (p2 * p2).sum(axis=1)
         self.add_moments(w.size, float(w.sum()), float((w * w).sum()))
 
 

@@ -10,8 +10,7 @@ import chaoswpt
 from chaoswpt import montecarlo
 from chaoswpt.analytic import z_with_correlator, z_without_correlator
 from chaoswpt.chaos import _step_rows, draw_initial_state
-from chaoswpt.channel import sample_rayleigh
-from chaoswpt.harvester import DcEstimate, EhCircuit, rho_params
+from chaoswpt.harvester import DcEstimate, EhCircuit, _scales, rho_params
 from chaoswpt.montecarlo import (
     PSI_MODES,
     RunConfig,
@@ -137,24 +136,16 @@ def test_independent_seeds_agree_statistically():
 
 
 def _reference_path(cfg: RunConfig):
-    """Re-run one config through the composable per-frame pipeline."""
+    """Re-run one config through the composable per-frame pipeline.
+
+    The frames pass the link unfaded, and the accumulator integrates the
+    Rayleigh gain out of each (E[|h|^4] = 2), as ``run_once`` does.
+    """
     rng = np.random.default_rng(cfg.seed)
     frames = transmit_frames(rng, cfg.n_frames, cfg.beta, cfg.xi, cfg.psi_mode)
-    if cfg.psi_mode == "full":
-        # the gains follow the seed states, one per frame whose bit is +1 (its
-        # data half repeats its reference half); a frame with d = -1
-        # correlates to 0 whatever its gain
-        plus = frames[:, cfg.beta] == frames[:, 0]
-        h = np.ones(cfg.n_frames)
-        h[plus] = sample_rayleigh(rng, size=int(np.count_nonzero(plus)))
-    else:
-        h = sample_rayleigh(rng, size=cfg.n_frames)
-    received = np.array([
-        apply_channel(frame, ChannelDraw(h_mag=h[i], r=cfg.r, alpha=cfg.alpha),
-                      cfg.circuit.p_t)
-        for i, frame in enumerate(frames)
-    ])
-    acc = FrameAccumulator(cfg.circuit)
+    unfaded = ChannelDraw(h_mag=1.0, r=cfg.r, alpha=cfg.alpha)
+    received = apply_channel(frames, unfaded, cfg.circuit.p_t)
+    acc = FrameAccumulator(cfg.circuit, mean_h4=2.0)
     if cfg.psi_mode == "full":
         # the full-symbol correlator hands the rectifier one sum per frame
         acc.add_frames(received.sum(axis=1))
@@ -179,6 +170,39 @@ def test_bypass_mode_matches_composed_pipeline():
         ref = _reference_path(cfg)
         assert fast.estimate.mean == pytest.approx(ref.mean, rel=1e-12)
         assert fast.estimate.std_error == pytest.approx(ref.std_error, rel=1e-12)
+
+
+def _single_chip_frame_variance(a_g: float, b_g: float, mean_h: list[int]) -> float:
+    """Exact variance of a beta = 1 full-mode frame's w = D * (a_g*H2*u + b_g*H4*u^2).
+
+    D is the bit's factor, 1 with probability 1/2 (a d = -1 frame harvests
+    0); u = 4x^2 for x arcsine on [-1, 1], so E[u^j] = 4^j E[x^(2j)] =
+    C(2j, j); H2^i H4^j is h^(2i + 4j), whose moment is mean_h[i + 2j].
+    """
+    eu = [math.comb(2 * j, j) for j in range(5)]
+    mean = 0.5 * (a_g * mean_h[1] * eu[1] + b_g * mean_h[2] * eu[2])
+    square = 0.5 * (a_g * a_g * mean_h[2] * eu[2] + 2 * a_g * b_g * mean_h[3] * eu[3]
+                    + b_g * b_g * mean_h[4] * eu[4])
+    return square - mean * mean
+
+
+def test_integrating_the_gain_out_gives_the_exact_conditional_variance():
+    # conditional Monte Carlo: w = a*g*u + 2*b*g^2*u^2 is the expectation of
+    # the drawn-gain harvest a*g*h^2*u + b*g^2*h^4*u^2 over h^2 ~ Exp(1),
+    # whose moments are E[h^(2k)] = k!
+    cfg = RunConfig(beta=1, r=20.0, psi_mode="full", n_frames=2_000_000, seed=7)
+    a, b = _scales(cfg.circuit)
+    g = cfg._gain()
+    conditional = math.sqrt(_single_chip_frame_variance(a * g, 2 * b * g * g, [1] * 5)
+                            / cfg.n_frames)
+    drawn = math.sqrt(_single_chip_frame_variance(a * g, b * g * g,
+                                                  [math.factorial(k) for k in range(5)])
+                      / cfg.n_frames)
+    assert (conditional, drawn) == (pytest.approx(1.3258e-9, rel=1e-4),
+                                    pytest.approx(2.3515e-9, rel=1e-4))
+    se = run_once(cfg).estimate.std_error
+    assert se == pytest.approx(conditional, rel=0.03)
+    assert se < 0.6 * drawn
 
 
 @pytest.mark.parametrize("xi", [2, 3, 4, 6])
@@ -208,7 +232,7 @@ def test_bypass_papr_from_orbit_sums_matches_per_frame_chain(beta):
 def test_measure_papr_rejects_zero_mean_power():
     # seed 3 is the first seed from 1 up whose count of d = +1 frames among 2
     # is 0 (a chance of 1/4), so every full-mode symbol is erased
-    assert _plus_frames(2, seed=3, fading=False) == [0]
+    assert _plus_frames(2, seed=3) == [0]
     with pytest.raises(ValueError, match="realized mean power is 0; PAPR undefined"):
         measure_papr(2, "full", n_frames=2, seed=3)
     assert measure_papr(2, "bypass", n_frames=2, seed=3).plain > 0.0
@@ -322,27 +346,25 @@ def test_kernel_steps_beta_minus_one_times_per_batch(monkeypatch, mode):
             assert sizes == [montecarlo._BATCH] * steps + [10] * steps
         else:
             # full mode steps only the states of a batch's d = +1 frames
-            k1, k2 = _plus_frames(n, seed=1, fading=True)
+            k1, k2 = _plus_frames(n, seed=1)
             assert sizes == [k1] * (beta - 1) + [k2] * (beta - 1)
     sizes.clear()
     measure_papr(3, mode, n_frames=500, seed=1)
     if mode == "bypass":
         assert sizes == [500] * 4
     else:
-        (k,) = _plus_frames(500, seed=1, fading=False)
+        (k,) = _plus_frames(500, seed=1)
         assert 0 < k < 500 and sizes == [k, k]
 
 
-def _plus_frames(n_frames: int, seed: int, fading: bool, xi: int = 2) -> list[int]:
+def _plus_frames(n_frames: int, seed: int) -> list[int]:
     """Each full-mode batch's count k of d = +1 frames, from a replay of the
-    batch loop's draws: k, k seed states, then (for run_once) k gains."""
+    batch loop's draws: k, then k seed states."""
     rng = np.random.default_rng(seed)
     counts = []
     for start in range(0, n_frames, montecarlo._BATCH):
         k = int(rng.binomial(min(montecarlo._BATCH, n_frames - start), 0.5))
         draw_initial_state(rng, size=k)
-        if fading:
-            sample_rayleigh(rng, size=k)
         counts.append(k)
     return counts
 
@@ -376,13 +398,13 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
 
 #: full-mode results of a run whose last batch has no d = +1 frame: (beta,
 #: xi, run mean, run standard error, PAPR plain) at n_frames = _BATCH + 1 and
-#: seed 2, the first seed whose one-frame last batch has k = 0 at xi = 2 and 3
-#: both for run_once and for measure_papr; named by (beta, xi), as above
+#: seed 2, the first seed whose one-frame last batch has k = 0 (run_once and
+#: measure_papr draw the same counts at every xi); named by (beta, xi)
 _PINNED_EMPTY_BATCH = [
-    (2, 2, '0x1.d4b00e9825610p-19', '0x1.e82f4d8f2dc4cp-25', '0x1.fe94102937d2ap+2'),
-    (2, 3, '0x1.ff659bede33b0p-19', '0x1.254bef81c3684p-24', '0x1.fb94dba9b0af1p+2'),
-    (17, 2, '0x1.45b1ec25d4b30p-13', '0x1.a9f553d07e527p-18', '0x1.5c13d2acb5667p+5'),
-    (17, 3, '0x1.2c2a66236783ap-13', '0x1.48e0374c53b0fp-18', '0x1.49ac779942ad5p+5'),
+    (2, 2, '0x1.d3b3647d59996p-19', '0x1.01b2683203672p-25', '0x1.fe94102937d2ap+2'),
+    (2, 3, '0x1.fefcfa585beefp-19', '0x1.2c141b872c290p-25', '0x1.fb94dba9b0af1p+2'),
+    (17, 2, '0x1.4b2ff09c57437p-13', '0x1.c6afb8ba106f3p-19', '0x1.5c13d2acb5667p+5'),
+    (17, 3, '0x1.38b500ed334d9p-13', '0x1.5b7c0a2e2b259p-19', '0x1.49ac779942ad5p+5'),
 ]
 
 
@@ -391,8 +413,7 @@ _PINNED_EMPTY_BATCH = [
 def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_error,
                                                             plain):
     n = montecarlo._BATCH + 1
-    assert _plus_frames(n, seed=2, fading=True, xi=xi)[-1] == 0
-    assert _plus_frames(n, seed=2, fading=False, xi=xi)[-1] == 0
+    assert _plus_frames(n, seed=2)[-1] == 0
     m, stats, spare = list(montecarlo._frame_batches(np.random.default_rng(2), n, beta,
                                                      xi, "full"))[-1]
     assert m == 1 and all(a.size == 0 for a in stats + spare)
@@ -417,18 +438,18 @@ def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_
 #: bypass rows at xi = 2 and beta >= 2 pin the orbit-sum kernel's rounding);
 #: a row's test is named by its inputs, so a re-pinned row keeps its name
 _PINNED_BITS = [
-    (2, 'full', 1, '0x1.5c3dae451c0a3p-20', '0x1.c53d1969a1d7ap-27', '0x1.01be79f78bfdbp+2'),
-    (2, 'full', 2, '0x1.d32116726ac43p-19', '0x1.0755fd141df5dp-24', '0x1.02148e5cac993p+3'),
-    (2, 'full', 17, '0x1.517b82119172ep-13', '0x1.dce7198809182p-18', '0x1.6d9cbcaa30746p+5'),
-    (2, 'bypass', 1, '0x1.2d7aeba24edf4p-20', '0x1.c0eba92f628f7p-28', '0x1.000375ee993e9p+1'),
-    (2, 'bypass', 2, '0x1.2c30e9df68004p-19', '0x1.861d2d4740910p-27', '0x1.006d9c8f333b6p+1'),
-    (2, 'bypass', 17, '0x1.3f3000cb4258cp-16', '0x1.5ad66e0fcdc58p-24', '0x1.ffa086851bec1p+0'),
-    (3, 'full', 1, '0x1.5c3dae451c0a3p-20', '0x1.c53d1969a1d7ap-27', '0x1.01be79f78bfdbp+2'),
-    (3, 'full', 2, '0x1.014db25cc43d1p-18', '0x1.2fb75b9bc2a37p-24', '0x1.03be53000d1b1p+3'),
-    (3, 'full', 17, '0x1.38bb2c3f668dap-13', '0x1.b1b472c6c63f4p-18', '0x1.d5ef1b5b8d04ap+4'),
-    (3, 'bypass', 1, '0x1.2d7aeba24edf4p-20', '0x1.c0eba92f628f7p-28', '0x1.000375ee993e9p+1'),
-    (3, 'bypass', 2, '0x1.2cf8be527935ap-19', '0x1.844902fa26d62p-27', '0x1.00280c1d1389fp+1'),
-    (3, 'bypass', 17, '0x1.3efff61c581b6p-16', '0x1.5a53399ce1897p-24', '0x1.ffd36ddb3bc97p+0'),
+    (2, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb74p-28', '0x1.01be79f78bfdbp+2'),
+    (2, 'full', 2, '0x1.cd6c72469054ep-19', '0x1.fece5f508151ep-26', '0x1.02148e5cac993p+3'),
+    (2, 'full', 17, '0x1.506d780963074p-13', '0x1.d0ed5d69b9086p-19', '0x1.6d9cbcaa30746p+5'),
+    (2, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997cp-29', '0x1.000375ee993e9p+1'),
+    (2, 'bypass', 2, '0x1.2bc1a32caffc1p-19', '0x1.33885af421f2dp-28', '0x1.006d9c8f333b6p+1'),
+    (2, 'bypass', 17, '0x1.3f46ac28935dfp-16', '0x1.c5a6dc847c400p-27', '0x1.ffa086851bec1p+0'),
+    (3, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb74p-28', '0x1.01be79f78bfdbp+2'),
+    (3, 'full', 2, '0x1.f2b6c67d34b5fp-19', '0x1.295e668182652p-25', '0x1.03be53000d1b1p+3'),
+    (3, 'full', 17, '0x1.32607ad264e8ap-13', '0x1.4620d7d7691d7p-19', '0x1.d5ef1b5b8d04ap+4'),
+    (3, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997cp-29', '0x1.000375ee993e9p+1'),
+    (3, 'bypass', 2, '0x1.2c132cdb6ed3bp-19', '0x1.30e7d224f1a1fp-28', '0x1.00280c1d1389fp+1'),
+    (3, 'bypass', 17, '0x1.3f237a0629f23p-16', '0x1.bda933c53e9dfp-27', '0x1.ffd36ddb3bc97p+0'),
 ]
 
 
@@ -457,13 +478,11 @@ def test_orbit_batch_stats_into_buffers_keep_the_bits(xi, mode, beta):
     assert np.array_equal(x0, seeds)
 
 
-@pytest.mark.parametrize("draw, n_work", [(draw_initial_state, 2), (sample_rayleigh, 0)])
-def test_draws_into_buffers_keep_the_bits_and_the_stream(draw, n_work):
+def test_draws_into_buffers_keep_the_bits_and_the_stream():
     rng, rng_out = np.random.default_rng(8), np.random.default_rng(8)
-    want = draw(rng, size=1000)
-    rows = np.full((1 + n_work, 1500), np.nan)
-    work = {"work": rows[1:, :1000]} if n_work else {}
-    got = draw(rng_out, size=1000, out=rows[0, :1000], **work)
+    want = draw_initial_state(rng, size=1000)
+    rows = np.full((3, 1500), np.nan)
+    got = draw_initial_state(rng_out, size=1000, out=rows[0, :1000], work=rows[1:, :1000])
     assert np.shares_memory(got, rows[0])
     assert np.array_equal(got, want)
     # the same stream was consumed, so the next draw matches too
@@ -476,7 +495,7 @@ def test_frame_batches_write_into_one_workspace(mode):
     batches = list(montecarlo._frame_batches(np.random.default_rng(1), n, 3, 2, mode))
     assert [m for m, *_ in batches] == [montecarlo._BATCH] * 2 + [10]
     # one entry per frame drawn: the d = +1 frames in full mode, all in bypass
-    drawn = (_plus_frames(n, seed=1, fading=False) if mode == "full"
+    drawn = (_plus_frames(n, seed=1) if mode == "full"
              else [m for m, *_ in batches])
     first_stats, first_spare = batches[0][1], batches[0][2]
     for (m, stats, spare), k in zip(batches, drawn):
@@ -514,10 +533,10 @@ class _RecordingGenerator:
 @pytest.mark.parametrize("beta", [1, 5])
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_full_mode_draws_only_the_plus_frames(monkeypatch, mode, beta):
-    # full mode draws one count k per batch, then k seed states and k gains;
-    # bypass mode draws m of each and no data bit
+    # full mode draws one count k per batch, then k seed states; bypass mode
+    # draws m seed states and no data bit; neither draws a fading gain
     n = montecarlo._BATCH + 10
-    drawn = _plus_frames(n, seed=1, fading=True) if mode == "full" else [montecarlo._BATCH, 10]
+    drawn = _plus_frames(n, seed=1) if mode == "full" else [montecarlo._BATCH, 10]
     states = _count_sizes(monkeypatch, "draw_initial_state")
     gains = _count_sizes(monkeypatch, "sample_rayleigh")
     calls = []
@@ -525,7 +544,7 @@ def test_full_mode_draws_only_the_plus_frames(monkeypatch, mode, beta):
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: _RecordingGenerator(real(seed), calls))
     run_once(RunConfig(beta=beta, r=20.0, psi_mode=mode, n_frames=n, seed=1))
-    assert states == drawn and gains == drawn
+    assert states == drawn and gains == []
     assert "integers" not in calls
     assert calls.count("binomial") == (2 if mode == "full" else 0)
     if mode == "full":

@@ -1,8 +1,11 @@
 import csv
+import importlib.util
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -59,3 +62,34 @@ def test_bench_pairs_rejects_a_bad_pairs_entry(tmp_path, pairs, reason):
     assert proc.returncode == 2
     assert f"--pairs {pairs!r}: {reason}" in proc.stderr
     assert "Traceback" not in proc.stderr and not out.exists()
+
+
+def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
+    # a stand-in for git and perfbench: the pairs run, and the report holds
+    # the CPU count and every run's load averages before and after it
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    result = {"failed": 0, "attempted": 1,
+              "metrics": {m: {"value": 1.0} for m in ("setup_s", "wall_rel", "peak_rss_mb")}}
+
+    def perfbench(cmd, **kw):
+        assert cmd[1] == "perfbench/run.py"
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result) + "\n")
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "subprocess", types.SimpleNamespace(run=perfbench))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--out", str(out),
+                             "--pairs", "single-chip=2"]) == 0
+    report = json.loads(out.read_text())
+    assert report["cpus"] == len(os.sched_getaffinity(0)) >= 1
+    loads = report["workloads"]["single-chip"]["loadavg"]
+    assert sorted(loads) == ["change", "parent"]
+    for runs in loads.values():
+        assert len(runs) == 2
+        for run in runs:
+            assert sorted(run) == ["after", "before"]
+            assert all(len(v) == 3 and min(v) >= 0.0 for v in run.values())
