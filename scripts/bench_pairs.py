@@ -26,10 +26,16 @@ neither), with the metric's direction taken from ``BENCHMARK.json``.  It also
 records each side's line count of ``src/`` (``src_lines``), the net size of
 the change, and the host's load: the CPUs this process may run on
 (``cpus``), and each run's 1-, 5- and 15-minute load averages before and
-after it (``loadavg``, per workload and side, in run order).  A wall-time
+after it (``loadavg``, per workload and side, in run order), and each
+run's CPU seconds (``cpu_s``, in the same order): its own (``run``, the
+user and system time of the run and every process it waited for) and the
+host's busy time over the run (``host_busy``, the user, nice, system, irq
+and softirq time of ``/proc/stat``'s cpu line, over all CPUs).  A wall-time
 ratio can move with the load alone (a run whose worker loses its second
 CPU reads slower against a single-threaded reference), so pairs taken at
-different loads can be told apart.
+different loads can be told apart; the load average counts the run's own
+processes, where the host's busy time less the run's own is what the other
+processes took.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -79,10 +86,26 @@ def export(ref: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def host_busy_seconds() -> float:
+    """The host's busy CPU seconds since boot, over all CPUs, from /proc/stat."""
+    with open("/proc/stat", encoding="ascii") as fh:
+        ticks = fh.readline().split()[1:]
+    # user, nice, system, irq, softirq; idle, iowait, steal and the guest
+    # times (already in user and nice) are left out
+    return sum(int(ticks[i]) for i in (0, 1, 2, 5, 6)) / os.sysconf("SC_CLK_TCK")
+
+
+def children_cpu_seconds() -> float:
+    """User and system seconds of every child this process has waited for."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """perfbench's result object, with the host's load averages around the run
-    under ``loadavg``."""
+    under ``loadavg`` and the CPU seconds over it under ``cpu_s``."""
     before = os.getloadavg()
+    cpu_before, busy_before = children_cpu_seconds(), host_busy_seconds()
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -90,6 +113,8 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["cpu_s"] = {"run": children_cpu_seconds() - cpu_before,
+                       "host_busy": host_busy_seconds() - busy_before}
     result["loadavg"] = {"before": before, "after": os.getloadavg()}
     return result
 
@@ -176,6 +201,7 @@ def main(argv=None) -> int:
                 "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
                 "end_to_end": compare(runs["parent"], runs["change"], spec["end_to_end"]),
                 "loadavg": {side: [r["loadavg"] for r in runs[side]] for side in runs},
+                "cpu_s": {side: [r["cpu_s"] for r in runs[side]] for side in runs},
                 "per_layer": {side: {name: m["value"] for name, m in t["metrics"].items()}
                               for side, t in traced.items()},
             }

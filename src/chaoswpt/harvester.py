@@ -151,7 +151,7 @@ def rho_params(circuit: EhCircuit) -> tuple[float, float]:
 
 
 class DcAccumulator:
-    """Streaming mean/std-error accumulator for the per-frame DC statistic.
+    """Streaming moments of the per-frame drives (s2, s4) of a harvest c2*s2 + c4*s4.
 
     Frame batches can be fed in any grouping; merging partial sums is
     associative, so batched and one-shot runs agree to the last bit as long
@@ -160,25 +160,23 @@ class DcAccumulator:
 
     def __init__(self) -> None:
         self._n = 0
-        self._sum = 0.0
-        self._sumsq = 0.0
+        self._sums = [0.0] * 5
 
-    def add_moments(self, n: int, w_sum: float, w_sumsq: float) -> None:
-        """Merge the count, sum and sum of squares of n per-frame statistics w.
-
-        ``run_once`` defines w, a frame's expected rectifier output over its gain.
-        """
+    def add_moments(self, n: int, sums) -> None:
+        """Merge n frames' sums of s2, s4, s2*s2, s2*s4 and s4*s4, in that order."""
         _check("n", n)
         self._n += int(n)
-        self._sum += float(w_sum)
-        self._sumsq += float(w_sumsq)
+        self._sums = [total + float(x) for total, x in zip(self._sums, sums, strict=True)]
 
-    def result(self) -> DcEstimate:
+    def result(self, c2: float, c4: float) -> DcEstimate:
+        """Mean and standard error of w = c2*s2 + c4*s4 over the frames."""
         if self._n == 0:
             raise ValueError("no frames accumulated")
-        mean = self._sum / self._n
+        s2, s4, s22, s24, s44 = self._sums
+        mean = (c2 * s2 + c4 * s4) / self._n
         if self._n > 1:
-            var = max(self._sumsq / self._n - mean * mean, 0.0) * self._n / (self._n - 1)
+            mean_sq = (c2 * c2 * s22 + 2.0 * c2 * c4 * s24 + c4 * c4 * s44) / self._n
+            var = max(mean_sq - mean * mean, 0.0) * self._n / (self._n - 1)
             se = math.sqrt(var / self._n)
         else:
             se = float("nan")

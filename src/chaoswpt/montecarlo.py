@@ -12,11 +12,11 @@ draws them.  At xi = 2 a chip's power is the next Dickson state plus 2, so
 bypass mode there sums the orbit itself, as full mode does, and squares no
 chip.  Full mode simulates only the frames whose data bit is +1, since the
 others harvest exactly 0: each batch draws their count, then their seed
-states.  Each frame's expected harvest over its fading gain (``run_once``)
-then feeds the streaming accumulator, so memory stays flat no matter how
-many frames are requested.  Each run allocates one workspace of batch-sized
-rows, and every per-batch step writes into views of it; a batch allocates
-no array.
+states.  The moments of each frame's drives (s2, s4), whose weighted sum is
+its expected harvest over its fading gain, stream into an accumulator, so
+memory stays flat however many frames are requested and one orbit run serves
+every distance.  Each run allocates one workspace of batch-sized rows; every
+per-batch step writes into views of it, and a batch allocates no array.
 """
 
 from __future__ import annotations
@@ -203,24 +203,25 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
                    psi_mode: str, peak: bool = False):
     """Yield ``(m, stats, spare)`` for each batch of at most _BATCH frames.
 
-    Each batch makes one ``draw_initial_state`` call for its seed states,
-    and the kernel iterates every state drawn.  In bypass mode a batch draws
-    m seed states and yields ``_power_sums``' rows (the peak only when
-    ``peak`` is set); no output depends on the data bits, so none is drawn.  In full mode a frame whose bit is d = -1 has the
-    correlator output (1 + d) v = 0, and no output depends on which frames
-    carry +1, so a batch draws only the count k ~ Binomial(m, 1/2) of its
-    d = +1 frames, then their k seed states, and yields their squared
-    correlator outputs u = (2v)^2: k values, which stand for m frames with
-    m - k zeros.  A caller's own draws for the batch follow the yield.  One
-    workspace is allocated per call, and every batch step writes into it:
-    ``stats`` and the ``_SPARE_ROWS`` scratch rows in ``spare`` are views of
-    it, so they hold one entry per frame drawn (k or m) and stay valid only
-    until the next batch.  At xi >= 3 the workspace also holds the map
-    step's scratch rows.
+    ``stats`` starts with the frames' drives (s2, s4).  Each batch makes one
+    ``draw_initial_state`` call for its seed states, and the kernel iterates
+    every state drawn.  In bypass mode a batch draws m seed states and
+    yields ``_power_sums``' rows (the peak only when ``peak`` is set); no
+    output depends on the data bits, so none is drawn.  In full mode a frame
+    whose bit is d = -1 has the correlator output (1 + d) v = 0, and no
+    output depends on which frames carry +1, so a batch draws only the count
+    k ~ Binomial(m, 1/2) of its d = +1 frames, then their k seed states, and
+    yields their squared correlator outputs u = (2v)^2 and u^2: k values
+    each, which stand for m frames with m - k zeros.  A caller's own draws
+    for the batch follow the yield.  One workspace is allocated per call,
+    and every batch step writes into it: ``stats`` and the ``_SPARE_ROWS``
+    scratch rows in ``spare`` are views of it, so they hold one entry per
+    frame drawn (k or m) and stay valid only until the next batch.  At
+    xi >= 3 the workspace also holds the map step's scratch rows.
     """
     size = min(n_frames, _BATCH)
     n_work = _SPARE_ROWS + _step_rows(xi)
-    rows = np.empty((n_work + (1 if psi_mode == "full" else 2 + peak), size))
+    rows = np.empty((n_work + 2 + (peak and psi_mode == "bypass"), size))
     remaining = n_frames
     while remaining > 0:
         m = min(remaining, _BATCH)
@@ -236,43 +237,32 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
         else:
             u = _chip_sums(x0, beta, xi, out=out[0], work=work)
             u *= u
+            np.multiply(u, u, out=out[1])
         yield m, tuple(out), tuple(spare)
 
 
-def run_once(config: RunConfig) -> RunResult:
-    """Estimate harvested DC at one operating point, with its closed form.
-
-    A frame's w is its expected harvest given its orbit, a*g*s2 + 2*b*g^2*s4
-    for the sums s2, s4 of y^2, y^4 over the samples y the rectifier sees and
-    g = p_t * r**-alpha: the Rayleigh gain is integrated out (E[h^2] = 1,
-    E[h^4] = 2), not drawn, and the standard error is that of this estimator.
-    """
-    rng = np.random.default_rng(config.seed)
+def _orbit_moments(config: RunConfig) -> DcAccumulator:
+    """The moments of the drives (s2, s4) over the frames of the orbit run
+    that ``config``'s seed, frame count, map degree, beta and mode fix."""
     acc = DcAccumulator()
+    rng = np.random.default_rng(config.seed)
+    for m, (s2, s4, *_), (p, *_) in _frame_batches(rng, config.n_frames, config.beta,
+                                                    config.xi, config.psi_mode):
+        # products into the spare row p, then plain sums: @, np.dot and np.vdot
+        # call BLAS, whose threads oversubscribe the CPUs that a sweep's forked
+        # workers already hold; the full-mode frames not drawn add 0 to each sum
+        products = [np.sum(np.multiply(x, y, out=p)) for x, y in ((s2, s2), (s2, s4), (s4, s4))]
+        acc.add_moments(m, [np.sum(s2), np.sum(s4), *products])
+    return acc
+
+
+def _row(config: RunConfig, acc: DcAccumulator) -> RunResult:
+    """``config``'s ``run_once`` result from the moments of its orbit run; the
+    weights are Python floats, so a gain near the float64 limit gives an inf
+    or NaN estimate, not a warning, and that is reported as an error."""
     a, b = _scales(config.circuit)
     gain = config._gain()
-    a_g, b_g = a * gain, 2.0 * b * gain * gain
-    # a gain near the float64 limit can overflow the rectifier polynomial;
-    # that is reported below as an error, not as a warning and an inf row
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m, stats, (p, q, _) in _frame_batches(rng, config.n_frames, config.beta,
-                                                   config.xi, config.psi_mode):
-            # in the spare rows p and q, step for step as the expression beside it
-            if config.psi_mode == "full":
-                # one integrated value: s2 = u, s4 = u^2, w = (b_g * u + a_g) * u
-                (u,) = stats
-                w = np.multiply(u, b_g, out=p)
-                w += a_g
-                w *= u
-            else:
-                # every chip: w = a_g * e2 + b_g * e4, over both symbol halves
-                e2, e4 = stats
-                w = np.multiply(e2, a_g, out=p)
-                w += np.multiply(e4, b_g, out=q)
-            # the m frames' sums: the full-mode frames not drawn add w = 0
-            acc.add_moments(m, float(np.sum(w)), float(np.sum(np.multiply(w, w, out=q))))
-        estimate = acc.result()
-
+    estimate = acc.result(a * gain, 2.0 * b * gain * gain)
     closed_form = z_with_correlator if config.psi_mode == "full" else z_without_correlator
     z = closed_form(config.beta, config.r, config.alpha, *rho_params(config.circuit))
     # one frame has no standard error: it is NaN by definition
@@ -287,6 +277,17 @@ def run_once(config: RunConfig) -> RunResult:
     return RunResult(beta=config.beta, r=config.r, psi_mode=config.psi_mode,
                      estimate=estimate, z_analytic=z,
                      papr_bound=papr_analytic(config.psi_mode, config.beta))
+
+
+def run_once(config: RunConfig) -> RunResult:
+    """Estimate harvested DC at one operating point, with its closed form.
+
+    A frame's w is its expected harvest given its orbit, a*g*s2 + 2*b*g^2*s4
+    for the sums s2, s4 of y^2, y^4 over the samples y the rectifier sees and
+    g = p_t * r**-alpha: the Rayleigh gain is integrated out (E[h^2] = 1,
+    E[h^4] = 2), not drawn, and the standard error is that of this estimator.
+    """
+    return _row(config, _orbit_moments(config))
 
 
 @dataclass(frozen=True)
@@ -304,13 +305,13 @@ class SweepResult:
         return out
 
 
-def _subseed(seed: int, beta: int, r: float, psi_mode: str) -> int:
-    """Deterministic per-point seed from the row coordinates.
+def _subseed(seed: int, beta: int, psi_mode: str) -> int:
+    """Deterministic seed of a sweep's (beta, mode) group, shared by its rows.
 
-    Hash-derived so every grid cell gets a decorrelated stream regardless of
-    sweep ordering or which other cells are present.
+    Hash-derived so every group gets a decorrelated stream regardless of
+    sweep ordering or which other groups are present.
     """
-    tag = f"{seed}|{beta}|{float(r).hex()}|{PSI_MODES.index(psi_mode)}"
+    tag = f"{seed}|{beta}|{PSI_MODES.index(psi_mode)}"
     return int(hashlib.sha256(tag.encode()).hexdigest()[:16], 16)
 
 
@@ -319,9 +320,9 @@ def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
 
     ``base`` supplies everything that is not swept (alpha, circuit, n_frames,
     seed, map degree); its own beta/r/psi_mode are ignored.  Each row is the
-    ``run_once`` result of its cell at the cell's own seed (``_subseed``).
-    The cells run in parallel (see ``_parallel.fork_map``), so the rows equal
-    those of a serial run.
+    ``run_once`` result of its cell at its (beta, mode) group's seed
+    (``_subseed``); each group's orbit run is simulated once, in parallel
+    (see ``_parallel.fork_map``), and gives every distance's row.
     """
     betas, distances, modes = list(betas), list(distances), list(modes)
     for name, axis in (("betas", betas), ("distances", distances), ("modes", modes)):
@@ -331,12 +332,13 @@ def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
     cells = [dataclasses.replace(base, beta=beta, r=r, psi_mode=mode)
              for beta in betas for r in distances for mode in modes]
     cfgs = [dataclasses.replace(c, beta=int(c.beta), r=float(c.r),
-                                seed=_subseed(base.seed, c.beta, c.r, c.psi_mode))
+                                seed=_subseed(base.seed, c.beta, c.psi_mode))
             for c in cells]
-    # costliest cells first, so that no process is left with a long one last
-    order = sorted(range(len(cfgs)), key=lambda i: -cfgs[i].beta)
-    results = dict(zip(order, fork_map(run_once, [cfgs[i] for i in order])))
-    return SweepResult(rows=[results[i] for i in range(len(cfgs))])
+    groups = {(c.beta, c.psi_mode): c for c in cfgs}
+    # costliest groups first, so that no process is left with a long one last
+    keys = sorted(groups, key=lambda key: -key[0])
+    moments = dict(zip(keys, fork_map(_orbit_moments, [groups[k] for k in keys])))
+    return SweepResult(rows=[_row(c, moments[c.beta, c.psi_mode]) for c in cfgs])
 
 
 @dataclass(frozen=True)
@@ -360,10 +362,11 @@ def fit_scaling(result: SweepResult, r: float, psi_mode: str) -> FitResult:
     the (unweighted) least-squares solution.
     """
     rows = result.select(r=r, psi_mode=psi_mode)
-    if len(rows) < 5:
-        raise ValueError(
-            f"need at least 5 sweep points at r={r}, mode={psi_mode!r}; got {len(rows)}"
-        )
+    # a repeated beta adds no point to the quadratic, only a weight
+    betas = sorted({s.beta for s in rows})
+    if len(betas) < 5:
+        raise ValueError(f"need at least 5 distinct betas at r={r}, mode={psi_mode!r}; "
+                         f"got {betas}")
     x = np.array([s.beta for s in rows], dtype=float)
     y = np.array([s.estimate.mean for s in rows], dtype=float)
     se = np.array([s.estimate.std_error for s in rows], dtype=float)
@@ -406,10 +409,10 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = RunConfig.n_frames,
     peak = 0.0
     power_sum = 0.0
     for _, stats, _ in _frame_batches(rng, n_frames, beta, xi, psi_mode, peak=True):
-        # each frame's power comes first and its peak last: u and u again in
-        # full mode (a batch with no d = +1 frame yields none), the sum and
-        # the peak of the chip powers in bypass mode
-        peak = max(peak, float(np.max(stats[-1], initial=0.0)))
+        # each frame's power comes first: u in full mode (a batch with no
+        # d = +1 frame yields none), the sum of the chip powers in bypass
+        # mode; the peak is u's, or the peak chip power in the last row
+        peak = max(peak, float(np.max(stats[0 if psi_mode == "full" else -1], initial=0.0)))
         power_sum += float(np.sum(stats[0]))
     # one power per frame in full mode (0 where d = -1), one per chip (2*beta
     # a frame) in bypass

@@ -11,13 +11,14 @@ The tests hold the fast path to this chain at the same seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from chaoswpt.channel import path_gain
 from chaoswpt.chaos import _step_scalar, draw_initial_state
-from chaoswpt.harvester import DcAccumulator, DcEstimate, EhCircuit, _scales
+from chaoswpt.harvester import DcEstimate, EhCircuit, _scales
 
 
 def orbits(x0, n: int, xi: int) -> np.ndarray:
@@ -112,19 +113,22 @@ def apply_channel(samples, draw: ChannelDraw, p_t: float) -> np.ndarray:
     return scale * samples
 
 
-class FrameAccumulator(DcAccumulator):
-    """A ``DcAccumulator`` fed whole frames through a rectifier circuit.
+class FrameAccumulator:
+    """Streaming mean and standard error of whole frames' rectifier outputs.
 
-    ``mean_h4`` weights the quartic term.  At 1 each frame is harvested as
-    it is.  At 2, the E[|h|^4] of unit-power Rayleigh fading, an unfaded
-    frame is harvested at its expected output over a block gain |h| drawn
-    for it, since E[|h|^2] = 1 leaves the quadratic term as it is.
+    It harvests each frame through the circuit and keeps the count, sum and
+    sum of squares of the per-frame harvests w itself, apart from the
+    library's accumulator.  ``mean_h4`` weights the quartic term.  At 1 each
+    frame is harvested as it is.  At 2, the E[|h|^4] of unit-power Rayleigh
+    fading, an unfaded frame is harvested at its expected output over a
+    block gain |h| drawn for it, since E[|h|^2] = 1 leaves the quadratic
+    term as it is.
     """
 
     def __init__(self, circuit: EhCircuit, mean_h4: float = 1.0) -> None:
-        super().__init__()
         self.circuit = circuit
         self.mean_h4 = mean_h4
+        self.n, self.w_sum, self.w_sumsq = 0, 0.0, 0.0
 
     def add_frames(self, frame_samples) -> None:
         """Add a batch shaped (n_frames, samples_per_frame).
@@ -140,7 +144,19 @@ class FrameAccumulator(DcAccumulator):
         a, b = _scales(self.circuit)
         p2 = frames * frames
         w = a * p2.sum(axis=1) + self.mean_h4 * b * (p2 * p2).sum(axis=1)
-        self.add_moments(w.size, float(w.sum()), float((w * w).sum()))
+        self.n += w.size
+        self.w_sum += float(w.sum())
+        self.w_sumsq += float((w * w).sum())
+
+    def result(self) -> DcEstimate:
+        """The sample mean of w, and its standard error (NaN for one frame)."""
+        if self.n == 0:
+            raise ValueError("no frames accumulated")
+        mean = self.w_sum / self.n
+        if self.n == 1:
+            return DcEstimate(mean=mean, std_error=float("nan"), n_frames=1)
+        var = max(self.w_sumsq / self.n - mean * mean, 0.0) * self.n / (self.n - 1)
+        return DcEstimate(mean=mean, std_error=math.sqrt(var / self.n), n_frames=self.n)
 
 
 def harvest_dc(frame_samples, circuit: EhCircuit) -> DcEstimate:

@@ -38,9 +38,6 @@ _MALFORMED = [
     (generate_sequence, (0.3, 2.5), "n"),
     (generate_sequence, (0.3, True), "n"),
     (chebyshev_step, (0.3, 2.0), "xi"),
-    (DcAccumulator().add_moments, (2.5, 1.0, 1.0), "n"),
-    (DcAccumulator().add_moments, (True, 1.0, 1.0), "n"),
-    (DcAccumulator().add_moments, ("3", 1.0, 1.0), "n"),
     (select, (2.7,), "beta"),
     (select, ("2",), "beta"),
     (select, (None, "x"), "r"),
@@ -181,21 +178,25 @@ def test_accumulator_chunking_matches_one_shot():
     assert chunked.n_frames == one_shot.n_frames == 1000
 
 
-def test_accumulator_add_moments_equivalence():
-    circuit = EhCircuit(k2=1.0, k4=1.0, r_ant=1.0, p_t=1.0)
-    frames = np.array([[1.0], [2.0], [3.0]])
-    direct = FrameAccumulator(circuit)
-    direct.add_frames(frames)
-
-    # per-frame outputs are w = y^2 + y^4
-    w = frames[:, 0] ** 2 + frames[:, 0] ** 4
-    raw = DcAccumulator()
-    raw.add_moments(len(w), float(w.sum()), float((w * w).sum()))
-
-    assert raw.result().mean == pytest.approx(direct.result().mean, rel=1e-14)
-    assert raw.result().std_error == pytest.approx(
-        direct.result().std_error, rel=1e-14
-    )
+def test_accumulator_result_is_the_mean_and_se_of_the_weighted_drives():
+    # fed in chunks, the moments of (s2, s4) give the sample mean and
+    # standard error of w = c2*s2 + c4*s4 at any weights
+    rng = np.random.default_rng(4)
+    s2 = rng.exponential(size=1000)
+    s4 = s2 * s2 + rng.exponential(size=1000)
+    acc = DcAccumulator()
+    for x, y in zip(np.array_split(s2, 7), np.array_split(s4, 7)):
+        acc.add_moments(x.size, [x.sum(), y.sum(), (x * x).sum(), (x * y).sum(),
+                                 (y * y).sum()])
+    for c2, c4 in ((1.0, 0.0), (0.17, 957.25), (3e-6, 2e-9)):
+        w = c2 * s2 + c4 * s4
+        got = acc.result(c2, c4)
+        assert got.n_frames == w.size
+        assert got.mean == pytest.approx(w.mean(), rel=1e-14)
+        assert got.std_error == pytest.approx(w.std(ddof=1) / math.sqrt(w.size), rel=1e-12)
+    for n in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=r"\bn must be"):
+            DcAccumulator().add_moments(n, [1.0] * 5)
 
 
 def test_accumulator_edge_cases():

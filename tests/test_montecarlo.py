@@ -373,15 +373,16 @@ def _plus_frames(n_frames: int, seed: int) -> list[int]:
 @pytest.mark.parametrize("beta", [1, 2, 17])
 def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
     # over a batch's m frames the squared correlator output is ((1 + d) v)^2
-    # with v the chip sum, half the Dickson sum: a batch yields it for its k
-    # frames with d = +1, in the order drawn, and it is 0 for the m - k
-    # others whatever their states; seed 2's one-frame batches have k = 0
+    # with v the chip sum, half the Dickson sum: a batch yields it and its
+    # square for its k frames with d = +1, in the order drawn, and it is 0
+    # for the m - k others whatever their states; seed 2's one-frame batches
+    # have k = 0
     other = np.random.default_rng(99)
     for n, seed in ((1, 2), (montecarlo._BATCH + 1, 2), (montecarlo._BATCH + 10, 3)):
         replay = np.random.default_rng(seed)
         counts = []
-        for m, (u,), _ in montecarlo._frame_batches(np.random.default_rng(seed), n,
-                                                    beta, xi, "full"):
+        for m, (u, u2), _ in montecarlo._frame_batches(np.random.default_rng(seed), n,
+                                                       beta, xi, "full"):
             k = int(replay.binomial(m, 0.5))
             x0 = np.concatenate([draw_initial_state(replay, size=k),
                                  draw_initial_state(other, size=m - k)])
@@ -389,6 +390,7 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
             v = 0.5 * _kernel_stats(x0, beta, xi, "full")[0]
             every = ((1 + d) * v) ** 2
             assert np.array_equal(u, every[:k]) and not np.any(every[k:])
+            assert np.array_equal(u2, u * u)
             counts.append((m, k))
         if seed == 2:
             assert counts[-1] == (1, 0)
@@ -401,10 +403,10 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
 #: seed 2, the first seed whose one-frame last batch has k = 0 (run_once and
 #: measure_papr draw the same counts at every xi); named by (beta, xi)
 _PINNED_EMPTY_BATCH = [
-    (2, 2, '0x1.d3b3647d59996p-19', '0x1.01b2683203672p-25', '0x1.fe94102937d2ap+2'),
-    (2, 3, '0x1.fefcfa585beefp-19', '0x1.2c141b872c290p-25', '0x1.fb94dba9b0af1p+2'),
+    (2, 2, '0x1.d3b3647d59995p-19', '0x1.01b2683203672p-25', '0x1.fe94102937d2ap+2'),
+    (2, 3, '0x1.fefcfa585bef0p-19', '0x1.2c141b872c28fp-25', '0x1.fb94dba9b0af1p+2'),
     (17, 2, '0x1.4b2ff09c57437p-13', '0x1.c6afb8ba106f3p-19', '0x1.5c13d2acb5667p+5'),
-    (17, 3, '0x1.38b500ed334d9p-13', '0x1.5b7c0a2e2b259p-19', '0x1.49ac779942ad5p+5'),
+    (17, 3, '0x1.38b500ed334d8p-13', '0x1.5b7c0a2e2b259p-19', '0x1.49ac779942ad5p+5'),
 ]
 
 
@@ -438,17 +440,17 @@ def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_
 #: bypass rows at xi = 2 and beta >= 2 pin the orbit-sum kernel's rounding);
 #: a row's test is named by its inputs, so a re-pinned row keeps its name
 _PINNED_BITS = [
-    (2, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb74p-28', '0x1.01be79f78bfdbp+2'),
-    (2, 'full', 2, '0x1.cd6c72469054ep-19', '0x1.fece5f508151ep-26', '0x1.02148e5cac993p+3'),
-    (2, 'full', 17, '0x1.506d780963074p-13', '0x1.d0ed5d69b9086p-19', '0x1.6d9cbcaa30746p+5'),
-    (2, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997cp-29', '0x1.000375ee993e9p+1'),
-    (2, 'bypass', 2, '0x1.2bc1a32caffc1p-19', '0x1.33885af421f2dp-28', '0x1.006d9c8f333b6p+1'),
-    (2, 'bypass', 17, '0x1.3f46ac28935dfp-16', '0x1.c5a6dc847c400p-27', '0x1.ffa086851bec1p+0'),
-    (3, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb74p-28', '0x1.01be79f78bfdbp+2'),
+    (2, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb73p-28', '0x1.01be79f78bfdbp+2'),
+    (2, 'full', 2, '0x1.cd6c72469054ep-19', '0x1.fece5f508151dp-26', '0x1.02148e5cac993p+3'),
+    (2, 'full', 17, '0x1.506d780963073p-13', '0x1.d0ed5d69b9086p-19', '0x1.6d9cbcaa30746p+5'),
+    (2, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997ep-29', '0x1.000375ee993e9p+1'),
+    (2, 'bypass', 2, '0x1.2bc1a32caffc0p-19', '0x1.33885af421f2fp-28', '0x1.006d9c8f333b6p+1'),
+    (2, 'bypass', 17, '0x1.3f46ac28935dep-16', '0x1.c5a6dc847c424p-27', '0x1.ffa086851bec1p+0'),
+    (3, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb73p-28', '0x1.01be79f78bfdbp+2'),
     (3, 'full', 2, '0x1.f2b6c67d34b5fp-19', '0x1.295e668182652p-25', '0x1.03be53000d1b1p+3'),
-    (3, 'full', 17, '0x1.32607ad264e8ap-13', '0x1.4620d7d7691d7p-19', '0x1.d5ef1b5b8d04ap+4'),
-    (3, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997cp-29', '0x1.000375ee993e9p+1'),
-    (3, 'bypass', 2, '0x1.2c132cdb6ed3bp-19', '0x1.30e7d224f1a1fp-28', '0x1.00280c1d1389fp+1'),
+    (3, 'full', 17, '0x1.32607ad264e89p-13', '0x1.4620d7d7691d7p-19', '0x1.d5ef1b5b8d04ap+4'),
+    (3, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997ep-29', '0x1.000375ee993e9p+1'),
+    (3, 'bypass', 2, '0x1.2c132cdb6ed3cp-19', '0x1.30e7d224f1a1ap-28', '0x1.00280c1d1389fp+1'),
     (3, 'bypass', 17, '0x1.3f237a0629f23p-16', '0x1.bda933c53e9dfp-27', '0x1.ffd36ddb3bc97p+0'),
 ]
 
@@ -664,11 +666,47 @@ def test_sweep_keeps_integer_distances_as_floats():
 
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_sweep_cell_is_run_once_at_its_subseed(mode):
+    # one (beta, mode) group's rows share its seed at every distance
     base = RunConfig(beta=1, r=1.0, n_frames=3000, seed=23, xi=3)
-    cell = sweep_beta([4], [25.0], [mode], base).rows[0]
-    cfg = dataclasses.replace(base, beta=4, r=25.0, psi_mode=mode,
-                              seed=_subseed(23, 4, 25.0, mode))
-    assert cell == run_once(cfg)
+    rows = sweep_beta([4], [25.0, 40.0], [mode], base).rows
+    assert rows == [run_once(dataclasses.replace(base, beta=4, r=r, psi_mode=mode,
+                                                 seed=_subseed(23, 4, mode)))
+                    for r in (25.0, 40.0)]
+
+
+@pytest.mark.parametrize("mode", PSI_MODES)
+def test_sweep_simulates_each_orbit_run_once(monkeypatch, mode):
+    # one (beta, mode) group runs serially; the serial map makes sure that
+    # every step, in any number of jobs, is counted in this process
+    monkeypatch.setattr(montecarlo, "fork_map", lambda fn, items: [fn(x) for x in items])
+    real = montecarlo.chebyshev_step
+    chips = []
+
+    def counting(x, xi=2, out=None, **kw):
+        chips.append(x.size)
+        return real(x, xi, out=out, **kw)
+
+    monkeypatch.setattr(montecarlo, "chebyshev_step", counting)
+    base = RunConfig(beta=1, r=1.0, n_frames=3000, seed=5)
+    counts = []
+    for distances in ([20.0], [20.0, 30.0]):
+        chips.clear()
+        sweep_beta([6], distances, [mode], base)
+        counts.append(sum(chips))
+    assert counts[0] > 0 and counts[1] == counts[0]
+
+
+@pytest.mark.parametrize("mode", PSI_MODES)
+def test_linear_rectifier_rows_scale_with_the_path_gain(mode):
+    # with k4 = 0 a frame's harvest is a*g*s2, and both rows weight one orbit
+    # run's moments, so they differ by the ratio of their gains alone
+    circuit = EhCircuit(k2=0.0034, k4=0.0, r_ant=50.0, p_t=1.0)
+    base = RunConfig(beta=1, r=1.0, alpha=3.5, n_frames=3000, seed=9, circuit=circuit)
+    near, far = sweep_beta([5], [20.0, 30.0], [mode], base).rows
+    ratio = 1.5 ** 3.5
+    assert near.estimate.mean / far.estimate.mean == pytest.approx(ratio, rel=1e-14)
+    assert near.estimate.std_error / far.estimate.std_error == pytest.approx(ratio,
+                                                                            rel=1e-14)
 
 
 def test_one_result_type():
@@ -747,6 +785,17 @@ def test_fit_needs_five_points():
     res10 = _synthetic_sweep(range(2, 22, 2), 20.0, "full", lambda b: float(b))
     with pytest.raises(ValueError):
         fit_scaling(res10, 30.0, "full")
+
+
+@pytest.mark.parametrize("betas", [[10, 10, 10, 20, 20], [10, 20] * 3])
+def test_fit_needs_five_distinct_betas(betas):
+    # a repeated beta shares its seed, so its rows are one point counted
+    # again, and the quadratic stays rank-deficient
+    base = RunConfig(beta=1, r=1.0, n_frames=2000, seed=3)
+    res = sweep_beta(betas, [20.0], ["full"], base)
+    assert len(res.rows) == len(betas)
+    with pytest.raises(ValueError, match=r"5 distinct betas .* got \[10, 20\]$"):
+        fit_scaling(res, 20.0, "full")
 
 
 def test_fit_quadratic_term_is_null_on_raw_stream_mc_data():

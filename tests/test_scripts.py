@@ -65,8 +65,10 @@ def test_bench_pairs_rejects_a_bad_pairs_entry(tmp_path, pairs, reason):
 
 
 def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
-    # a stand-in for git and perfbench: the pairs run, and the report holds
-    # the CPU count and every run's load averages before and after it
+    # a stand-in for git and perfbench, which spends CPU time in a child: the
+    # pairs run, and the report holds the CPU count, every run's load
+    # averages before and after it, and the CPU seconds of the run and of
+    # the host over it
     path = ROOT / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
     bench_pairs = importlib.util.module_from_spec(spec)
@@ -76,6 +78,7 @@ def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
 
     def perfbench(cmd, **kw):
         assert cmd[1] == "perfbench/run.py"
+        subprocess.run([sys.executable, "-c", "sum(range(3_000_000))"], check=True)
         return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result) + "\n")
 
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
@@ -93,3 +96,10 @@ def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
         for run in runs:
             assert sorted(run) == ["after", "before"]
             assert all(len(v) == 3 and min(v) >= 0.0 for v in run.values())
+    cpu = report["workloads"]["single-chip"]["cpu_s"]
+    assert sorted(cpu) == ["change", "parent"]
+    for runs in cpu.values():
+        assert len(runs) == 2
+        for run in runs:
+            assert sorted(run) == ["host_busy", "run"]
+            assert run["run"] > 0.0 and run["host_busy"] > 0.0
