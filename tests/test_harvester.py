@@ -38,6 +38,10 @@ _MALFORMED = [
     (generate_sequence, (0.3, 2.5), "n"),
     (generate_sequence, (0.3, True), "n"),
     (chebyshev_step, (0.3, 2.0), "xi"),
+    # n is checked before the sums are read
+    (DcAccumulator().add_moments, (2.5, 1.0), "n"),
+    (DcAccumulator().add_moments, (True, 1.0), "n"),
+    (DcAccumulator().add_moments, ("3", 1.0), "n"),
     (select, (2.7,), "beta"),
     (select, ("2",), "beta"),
     (select, (None, "x"), "r"),
@@ -178,7 +182,7 @@ def test_accumulator_chunking_matches_one_shot():
     assert chunked.n_frames == one_shot.n_frames == 1000
 
 
-def test_accumulator_result_is_the_mean_and_se_of_the_weighted_drives():
+def test_accumulator_add_moments_equivalence():
     # fed in chunks, the moments of (s2, s4) give the sample mean and
     # standard error of w = c2*s2 + c4*s4 at any weights
     rng = np.random.default_rng(4)
