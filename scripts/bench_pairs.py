@@ -28,14 +28,16 @@ the change, and the host's load: the CPUs this process may run on
 (``cpus``), and each run's 1-, 5- and 15-minute load averages before and
 after it (``loadavg``, per workload and side, in run order), and each
 run's CPU seconds (``cpu_s``, in the same order): its own (``run``, the
-user and system time of the run and every process it waited for) and the
+user and system time of the run and every process it waited for), the
 host's busy time over the run (``host_busy``, the user, nice, system, irq
-and softirq time of ``/proc/stat``'s cpu line, over all CPUs).  A wall-time
+and softirq time of ``/proc/stat``'s cpu line, over all CPUs) and its
+steal time over the run (``host_steal``, the same line's steal column: the
+time a hypervisor gave this host's CPUs to other guests).  A wall-time
 ratio can move with the load alone (a run whose worker loses its second
 CPU reads slower against a single-threaded reference), so pairs taken at
 different loads can be told apart; the load average counts the run's own
 processes, where the host's busy time less the run's own is what the other
-processes took.
+processes took, and the steal time what other guests took.
 """
 
 from __future__ import annotations
@@ -86,13 +88,15 @@ def export(ref: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def host_busy_seconds() -> float:
-    """The host's busy CPU seconds since boot, over all CPUs, from /proc/stat."""
+def host_cpu_seconds() -> tuple[float, float]:
+    """The host's busy and steal CPU seconds since boot, over all CPUs, from
+    /proc/stat."""
     with open("/proc/stat", encoding="ascii") as fh:
-        ticks = fh.readline().split()[1:]
-    # user, nice, system, irq, softirq; idle, iowait, steal and the guest
-    # times (already in user and nice) are left out
-    return sum(int(ticks[i]) for i in (0, 1, 2, 5, 6)) / os.sysconf("SC_CLK_TCK")
+        ticks = [int(t) for t in fh.readline().split()[1:]]
+    hz = os.sysconf("SC_CLK_TCK")
+    # busy is user, nice, system, irq and softirq (idle, iowait and the guest
+    # times, already in user and nice, are left out); steal is the 8th field
+    return sum(ticks[i] for i in (0, 1, 2, 5, 6)) / hz, ticks[7] / hz
 
 
 def children_cpu_seconds() -> float:
@@ -105,7 +109,7 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     """perfbench's result object, with the host's load averages around the run
     under ``loadavg`` and the CPU seconds over it under ``cpu_s``."""
     before = os.getloadavg()
-    cpu_before, busy_before = children_cpu_seconds(), host_busy_seconds()
+    cpu_before, (busy_before, steal_before) = children_cpu_seconds(), host_cpu_seconds()
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -113,8 +117,9 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    busy, steal = host_cpu_seconds()
     result["cpu_s"] = {"run": children_cpu_seconds() - cpu_before,
-                       "host_busy": host_busy_seconds() - busy_before}
+                       "host_busy": busy - busy_before, "host_steal": steal - steal_before}
     result["loadavg"] = {"before": before, "after": os.getloadavg()}
     return result
 

@@ -216,22 +216,24 @@ def _sweep_row(res: RunResult) -> dict:
         res.z_analytic, res.rel_dev, res.papr_bound)))
 
 
-def _run_config(config: dict) -> RunConfig:
-    return RunConfig(beta=config["run"]["beta"], r=config["run"]["r"],
-                     alpha=config["channel"]["alpha"],
-                     psi_mode=config["run"]["psi_mode"],
+def _run_config(config: dict, beta, r, psi_mode) -> RunConfig:
+    """``config``'s run at the cell (beta, r, psi_mode) its caller picks."""
+    return RunConfig(beta=beta, r=r, alpha=config["channel"]["alpha"], psi_mode=psi_mode,
                      n_frames=config["run"]["n_frames"],
                      seed=config["run"]["seed"], xi=config["waveform"]["xi"],
                      circuit=_circuit(config))
 
 
 def _cmd_run(config: dict, args) -> int:
-    _emit([_sweep_row(run_once(_run_config(config)))], args, config)
+    run = config["run"]
+    res = run_once(_run_config(config, run["beta"], run["r"], run["psi_mode"]))
+    _emit([_sweep_row(res)], args, config)
     return 0
 
 
 def _cmd_sweep(config: dict, args) -> int:
-    base = _run_config(config)
+    # sweep_beta ignores its base's beta, r and psi_mode: placeholders stand in
+    base = _run_config(config, 1, 1.0, "full")
     axes = []
     for key, field in _SWEEP_AXES.items():
         values = config["sweep"][key]

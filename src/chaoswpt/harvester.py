@@ -1,14 +1,14 @@
 """Nonlinear RF energy-harvester model.
 
-Harvested DC is a truncated polynomial of the antenna signal y:
+Harvested DC is a truncated polynomial of the antenna signal y.  A frame's
+drives s2 and s4 are the sums of y**2 and y**4 over the samples the
+rectifier sees (one correlator output in full mode, every chip in bypass
+mode); with the Rayleigh gain integrated out, its harvest is
 
-    z = k2 * R_ant * m2 + k4 * R_ant**2 * m4
+    w = c2 * s2 + c4 * s4,  c2 = k2 * R_ant * g,  c4 = 2 * k4 * R_ant**2 * g**2
 
-where m2 and m4 estimate the second and fourth moments of the per-frame
-energy statistic.  Each frame contributes the *sum* of its samples' powers
-(for multi-sample frames) or the single integrated value (width-1 frames),
-which is the convention under which the closed forms in
-:mod:`chaoswpt.analytic` scale linearly and quadratically with beta.
+for the received gain g = p_t * r**-alpha, the convention under which the
+closed forms in :mod:`chaoswpt.analytic` scale linearly and quadratically with beta.
 """
 
 from __future__ import annotations
@@ -91,11 +91,10 @@ def _check(name: str, value, label: str | None = None) -> None:
 
 
 def _square(x: float) -> float:
-    # a float ** that overflows raises, where a product gives inf
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
+    # as a float, so that a square too large for one is inf: an int squares
+    # exactly, and a float ** that overflows raises
+    x = float(x)
+    return x * x
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ states.  The moments of each frame's drives (s2, s4), whose weighted sum is
 its expected harvest over its fading gain, stream into an accumulator, so
 memory stays flat however many frames are requested and one orbit run serves
 every distance.  Each run allocates one workspace of batch-sized rows; every
-per-batch step writes into views of it, and a batch allocates no array.
+per-batch step writes into views of it, and a batch allocates no array.  The
+batch loop reduces each batch to the five moment sums and the peak power
+itself, so no row of the workspace leaves it.
 """
 
 from __future__ import annotations
@@ -195,50 +197,48 @@ def _power_sums(x0: np.ndarray, beta: int, xi: int, out: np.ndarray,
     return out
 
 
-#: workspace rows that are free for the caller while it holds a batch
-_SPARE_ROWS = 3
-
-
 def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
                    psi_mode: str, peak: bool = False):
-    """Yield ``(m, stats, spare)`` for each batch of at most _BATCH frames.
+    """Yield ``(m, sums, top)`` for each batch of at most _BATCH frames.
 
-    ``stats`` starts with the frames' drives (s2, s4).  Each batch makes one
+    ``sums`` holds the batch's sums of the frames' drives s2, s4 and of
+    s2*s2, s2*s4 and s4*s4, in ``DcAccumulator.add_moments``' order, and
+    ``top`` its peak power (``peak`` set) or None.  Each batch makes one
     ``draw_initial_state`` call for its seed states, and the kernel iterates
-    every state drawn.  In bypass mode a batch draws m seed states and
-    yields ``_power_sums``' rows (the peak only when ``peak`` is set); no
+    every state drawn.  In bypass mode a batch draws m seed states, and its
+    drives are ``_power_sums``' rows and its peak the peak chip power; no
     output depends on the data bits, so none is drawn.  In full mode a frame
     whose bit is d = -1 has the correlator output (1 + d) v = 0, and no
     output depends on which frames carry +1, so a batch draws only the count
-    k ~ Binomial(m, 1/2) of its d = +1 frames, then their k seed states, and
-    yields their squared correlator outputs u = (2v)^2 and u^2: k values
-    each, which stand for m frames with m - k zeros.  A caller's own draws
-    for the batch follow the yield.  One workspace is allocated per call,
-    and every batch step writes into it: ``stats`` and the ``_SPARE_ROWS``
-    scratch rows in ``spare`` are views of it, so they hold one entry per
-    frame drawn (k or m) and stay valid only until the next batch.  At
-    xi >= 3 the workspace also holds the map step's scratch rows.
+    k ~ Binomial(m, 1/2) of its d = +1 frames, then their k seed states: its
+    drives are their squared correlator outputs u = (2v)^2 and u^2, and its
+    peak is the largest u; the m - k frames not drawn add 0 to every sum.
+    A caller's own draws for the batch follow the yield.  One workspace is
+    allocated per call: a seed row, two rows the draw and then the orbit
+    use as scratch, the map step's rows (at xi >= 3) and the kernel's
+    output rows.  Every batch step writes into it, and no array leaves.
     """
     size = min(n_frames, _BATCH)
-    n_work = _SPARE_ROWS + _step_rows(xi)
+    n_work = 3 + _step_rows(xi)
     rows = np.empty((n_work + 2 + (peak and psi_mode == "bypass"), size))
-    remaining = n_frames
-    while remaining > 0:
-        m = min(remaining, _BATCH)
-        remaining -= m
+    for start in range(0, n_frames, _BATCH):
+        m = min(_BATCH, n_frames - start)
         k = int(rng.binomial(m, 0.5)) if psi_mode == "full" else m
-        spare, work, out = rows[:_SPARE_ROWS, :k], rows[1:n_work, :k], rows[n_work:, :k]
-        # the seed states take the first spare row, and the draw and then
-        # the orbit use the other two as scratch, the orbit with the step's
-        # rows after them
-        x0 = draw_initial_state(rng, size=k, out=spare[0], work=spare[1:])
+        work, out = rows[1:n_work, :k], rows[n_work:, :k]
+        x0 = draw_initial_state(rng, size=k, out=rows[0, :k], work=work[:2])
         if psi_mode == "bypass":
             _power_sums(x0, beta, xi, out=out, work=work)
         else:
             u = _chip_sums(x0, beta, xi, out=out[0], work=work)
             u *= u
             np.multiply(u, u, out=out[1])
-        yield m, tuple(out), tuple(spare)
+        drives = out[:2]
+        # einsum (optimize=False) calls no BLAS, unlike @, np.dot and np.vdot,
+        # whose threads oversubscribe the CPUs a sweep's forked workers hold
+        g = np.einsum("ij,kj->ik", drives, drives)
+        top = (float(np.max(out[0 if psi_mode == "full" else 2], initial=0.0))
+               if peak else None)
+        yield m, [*drives.sum(axis=1), g[0, 0], g[0, 1], g[1, 1]], top
 
 
 def _orbit_moments(config: RunConfig) -> DcAccumulator:
@@ -246,13 +246,9 @@ def _orbit_moments(config: RunConfig) -> DcAccumulator:
     that ``config``'s seed, frame count, map degree, beta and mode fix."""
     acc = DcAccumulator()
     rng = np.random.default_rng(config.seed)
-    for m, (s2, s4, *_), (p, *_) in _frame_batches(rng, config.n_frames, config.beta,
-                                                    config.xi, config.psi_mode):
-        # products into the spare row p, then plain sums: @, np.dot and np.vdot
-        # call BLAS, whose threads oversubscribe the CPUs that a sweep's forked
-        # workers already hold; the full-mode frames not drawn add 0 to each sum
-        products = [np.sum(np.multiply(x, y, out=p)) for x, y in ((s2, s2), (s2, s4), (s4, s4))]
-        acc.add_moments(m, [np.sum(s2), np.sum(s4), *products])
+    for m, sums, _ in _frame_batches(rng, config.n_frames, config.beta, config.xi,
+                                     config.psi_mode):
+        acc.add_moments(m, sums)
     return acc
 
 
@@ -408,12 +404,11 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = RunConfig.n_frames,
     rng = np.random.default_rng(seed)
     peak = 0.0
     power_sum = 0.0
-    for _, stats, _ in _frame_batches(rng, n_frames, beta, xi, psi_mode, peak=True):
-        # each frame's power comes first: u in full mode (a batch with no
-        # d = +1 frame yields none), the sum of the chip powers in bypass
-        # mode; the peak is u's, or the peak chip power in the last row
-        peak = max(peak, float(np.max(stats[0 if psi_mode == "full" else -1], initial=0.0)))
-        power_sum += float(np.sum(stats[0]))
+    for _, sums, top in _frame_batches(rng, n_frames, beta, xi, psi_mode, peak=True):
+        # each frame's power is its drive s2: u in full mode, the sum of the
+        # chip powers in bypass mode
+        peak = max(peak, top)
+        power_sum += float(sums[0])
     # one power per frame in full mode (0 where d = -1), one per chip (2*beta
     # a frame) in bypass
     mean_power = power_sum / (n_frames if psi_mode == "full" else n_frames * 2 * beta)

@@ -192,6 +192,17 @@ def test_sweep_grid_rows(capsys):
     assert all(float(r["z_empirical"]) > 0 for r in rows)
 
 
+def test_sweep_ignores_the_run_cell(capsys):
+    # sweep_beta ignores its base's beta, r and psi_mode, so the run section's
+    # values of them, even ones that no run accepts, change no row
+    argv = ["sweep", *FAST, "--set", "sweep.betas=[1,2]", "--set", "sweep.distances=[20.0]"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    for junk in (["beta=0", "r=1e-80", "psi_mode=half"], ["beta=true", "r=null", "psi_mode=3"]):
+        assert main([*argv, *(arg for expr in junk for arg in ("--set", expr))]) == 0
+        assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("expr, message", [
     ("sweep.betas=[2,0]", "sweep.betas[1]: beta must be a positive integer, got 0"),
     ('sweep.distances=[20.0,"x"]', "sweep.distances[1]: r must be a finite real"),
@@ -294,6 +305,8 @@ def test_crossover_requires_both_distances(capsys):
     # a link's own gain r**-4 overflows: the message names the link's key
     (["crossover.r_c=30", "crossover.r_nc=1e-80"], "crossover.r_nc=1e-80"),
     (["crossover.r_c=1e-80", "crossover.r_nc=20"], "crossover.r_c=1e-80"),
+    # an integer a float holds, whose square it does not
+    (["crossover.r_c=30", "crossover.r_nc=20", "r_ant=1" + "0" * 200], "EhCircuit.r_ant"),
 ])
 def test_crossover_rejects_bad_inputs(capsys, sets, key):
     argv = ["crossover"]
@@ -419,6 +432,8 @@ def test_unrepresentable_path_gain_exits_one(capsys, expr):
     ("p_t_watts=1e-320", "EhCircuit.p_t"), ("r_ant=1e200", "EhCircuit.r_ant"),
     # an integer no float can hold
     ("r=1" + "0" * 400, "r must"), ("p_t_watts=1" + "0" * 400, "p_t_watts"),
+    # an integer a float holds, whose square it does not
+    ("r_ant=1" + "0" * 200, "EhCircuit.r_ant"),
 ])
 def test_real_keys_reject_non_finite_values(capsys, expr, key):
     assert main(["run", *FAST, "--set", expr]) == 1
@@ -430,7 +445,8 @@ def test_real_keys_reject_non_finite_values(capsys, expr, key):
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_received_scale_that_underflows_exits_one(capsys, command):
     # the path gain 1e-312 is a float; times p_t = 1e-20 it is 0
-    assert main([command, *FAST, "--set", "r=1e78", "--set", "p_t_watts=1e-20"]) == 1
+    r = "r=1e78" if command == "run" else "sweep.distances=[1e78]"
+    assert main([command, *FAST, "--set", r, "--set", "p_t_watts=1e-20"]) == 1
     err = capsys.readouterr().err
     assert "p_t=1e-20, r=1e+78, alpha=4.0" in err
     assert "Traceback" not in err

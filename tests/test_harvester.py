@@ -100,6 +100,9 @@ def test_circuit_rejects_non_finite_reals(field, value):
     ({"k2": 1e-320, "r_ant": 1e-10}, "k2*r_ant=0.0"),
     ({"k4": 1e-300, "r_ant": 1e-20}, "k4*r_ant**2=0.0"),
     ({"k4": 0.0, "r_ant": 1e200}, "k4*r_ant**2=nan"),
+    # integers a float holds, whose exact squares it does not
+    ({"r_ant": 10**200}, "k4*r_ant**2=inf"),
+    ({"p_t": 10**200}, "rho2=inf"),
 ])
 def test_circuit_rejects_scales_that_overflow_or_underflow(kw, bad):
     with pytest.raises(ValueError, match="overflows or underflows to 0") as exc:

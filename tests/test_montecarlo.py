@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -373,24 +374,29 @@ def _plus_frames(n_frames: int, seed: int) -> list[int]:
 @pytest.mark.parametrize("beta", [1, 2, 17])
 def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
     # over a batch's m frames the squared correlator output is ((1 + d) v)^2
-    # with v the chip sum, half the Dickson sum: a batch yields it and its
-    # square for its k frames with d = +1, in the order drawn, and it is 0
-    # for the m - k others whatever their states; seed 2's one-frame batches
-    # have k = 0
+    # with v the chip sum, half the Dickson sum: a batch's drives are it and
+    # its square, and its five sums and peak are those over all m frames,
+    # whose m - k frames with d = -1 are 0 whatever their states; seed 2's
+    # one-frame batches have k = 0, and give five zeros
     other = np.random.default_rng(99)
     for n, seed in ((1, 2), (montecarlo._BATCH + 1, 2), (montecarlo._BATCH + 10, 3)):
         replay = np.random.default_rng(seed)
         counts = []
-        for m, (u, u2), _ in montecarlo._frame_batches(np.random.default_rng(seed), n,
-                                                       beta, xi, "full"):
+        for m, sums, top in montecarlo._frame_batches(np.random.default_rng(seed), n,
+                                                      beta, xi, "full", peak=True):
             k = int(replay.binomial(m, 0.5))
             x0 = np.concatenate([draw_initial_state(replay, size=k),
                                  draw_initial_state(other, size=m - k)])
             d = np.repeat([1, -1], [k, m - k])
             v = 0.5 * _kernel_stats(x0, beta, xi, "full")[0]
-            every = ((1 + d) * v) ** 2
-            assert np.array_equal(u, every[:k]) and not np.any(every[k:])
-            assert np.array_equal(u2, u * u)
+            s2 = ((1 + d) * v) ** 2
+            s4 = s2 * s2
+            want = [s2.sum(), s4.sum(), (s2 * s2).sum(), (s2 * s4).sum(), (s4 * s4).sum()]
+            if k == 0:
+                assert sums == [0.0] * 5 and top == 0.0
+            else:
+                np.testing.assert_allclose(sums, want, rtol=1e-12, atol=0)
+                assert top == np.max(s2)
             counts.append((m, k))
         if seed == 2:
             assert counts[-1] == (1, 0)
@@ -403,9 +409,9 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
 #: seed 2, the first seed whose one-frame last batch has k = 0 (run_once and
 #: measure_papr draw the same counts at every xi); named by (beta, xi)
 _PINNED_EMPTY_BATCH = [
-    (2, 2, '0x1.d3b3647d59995p-19', '0x1.01b2683203672p-25', '0x1.fe94102937d2ap+2'),
-    (2, 3, '0x1.fefcfa585bef0p-19', '0x1.2c141b872c28fp-25', '0x1.fb94dba9b0af1p+2'),
-    (17, 2, '0x1.4b2ff09c57437p-13', '0x1.c6afb8ba106f3p-19', '0x1.5c13d2acb5667p+5'),
+    (2, 2, '0x1.d3b3647d59995p-19', '0x1.01b268320366bp-25', '0x1.fe94102937d2ap+2'),
+    (2, 3, '0x1.fefcfa585bef0p-19', '0x1.2c141b872c28bp-25', '0x1.fb94dba9b0af1p+2'),
+    (17, 2, '0x1.4b2ff09c57437p-13', '0x1.c6afb8ba106eep-19', '0x1.5c13d2acb5667p+5'),
     (17, 3, '0x1.38b500ed334d8p-13', '0x1.5b7c0a2e2b259p-19', '0x1.49ac779942ad5p+5'),
 ]
 
@@ -416,9 +422,9 @@ def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_
                                                             plain):
     n = montecarlo._BATCH + 1
     assert _plus_frames(n, seed=2)[-1] == 0
-    m, stats, spare = list(montecarlo._frame_batches(np.random.default_rng(2), n, beta,
-                                                     xi, "full"))[-1]
-    assert m == 1 and all(a.size == 0 for a in stats + spare)
+    m, sums, top = list(montecarlo._frame_batches(np.random.default_rng(2), n, beta, xi,
+                                                  "full", peak=True))[-1]
+    assert m == 1 and sums == [0.0] * 5 and top == 0.0
     est = run_once(RunConfig(beta=beta, r=20.0, n_frames=n, seed=2, xi=xi)).estimate
     assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
     assert measure_papr(beta, "full", n_frames=n, seed=2, xi=xi).plain.hex() == plain
@@ -440,18 +446,18 @@ def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_
 #: bypass rows at xi = 2 and beta >= 2 pin the orbit-sum kernel's rounding);
 #: a row's test is named by its inputs, so a re-pinned row keeps its name
 _PINNED_BITS = [
-    (2, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb73p-28', '0x1.01be79f78bfdbp+2'),
-    (2, 'full', 2, '0x1.cd6c72469054ep-19', '0x1.fece5f508151dp-26', '0x1.02148e5cac993p+3'),
-    (2, 'full', 17, '0x1.506d780963073p-13', '0x1.d0ed5d69b9086p-19', '0x1.6d9cbcaa30746p+5'),
-    (2, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997ep-29', '0x1.000375ee993e9p+1'),
-    (2, 'bypass', 2, '0x1.2bc1a32caffc0p-19', '0x1.33885af421f2fp-28', '0x1.006d9c8f333b6p+1'),
-    (2, 'bypass', 17, '0x1.3f46ac28935dep-16', '0x1.c5a6dc847c424p-27', '0x1.ffa086851bec1p+0'),
-    (3, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb73p-28', '0x1.01be79f78bfdbp+2'),
-    (3, 'full', 2, '0x1.f2b6c67d34b5fp-19', '0x1.295e668182652p-25', '0x1.03be53000d1b1p+3'),
-    (3, 'full', 17, '0x1.32607ad264e89p-13', '0x1.4620d7d7691d7p-19', '0x1.d5ef1b5b8d04ap+4'),
-    (3, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997ep-29', '0x1.000375ee993e9p+1'),
-    (3, 'bypass', 2, '0x1.2c132cdb6ed3cp-19', '0x1.30e7d224f1a1ap-28', '0x1.00280c1d1389fp+1'),
-    (3, 'bypass', 17, '0x1.3f237a0629f23p-16', '0x1.bda933c53e9dfp-27', '0x1.ffd36ddb3bc97p+0'),
+    (2, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb6dp-28', '0x1.01be79f78bfdbp+2'),
+    (2, 'full', 2, '0x1.cd6c72469054ep-19', '0x1.fece5f5081519p-26', '0x1.02148e5cac993p+3'),
+    (2, 'full', 17, '0x1.506d780963073p-13', '0x1.d0ed5d69b9070p-19', '0x1.6d9cbcaa30746p+5'),
+    (2, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5998ap-29', '0x1.000375ee993e9p+1'),
+    (2, 'bypass', 2, '0x1.2bc1a32caffc0p-19', '0x1.33885af421f19p-28', '0x1.006d9c8f333b6p+1'),
+    (2, 'bypass', 17, '0x1.3f46ac28935dep-16', '0x1.c5a6dc847c400p-27', '0x1.ffa086851bec1p+0'),
+    (3, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb6dp-28', '0x1.01be79f78bfdbp+2'),
+    (3, 'full', 2, '0x1.f2b6c67d34b5fp-19', '0x1.295e66818264fp-25', '0x1.03be53000d1b1p+3'),
+    (3, 'full', 17, '0x1.32607ad264e89p-13', '0x1.4620d7d7691d2p-19', '0x1.d5ef1b5b8d04ap+4'),
+    (3, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5998ap-29', '0x1.000375ee993e9p+1'),
+    (3, 'bypass', 2, '0x1.2c132cdb6ed3cp-19', '0x1.30e7d224f1a70p-28', '0x1.00280c1d1389fp+1'),
+    (3, 'bypass', 17, '0x1.3f237a0629f23p-16', '0x1.bda933c53ea4dp-27', '0x1.ffd36ddb3bc97p+0'),
 ]
 
 
@@ -493,19 +499,29 @@ def test_draws_into_buffers_keep_the_bits_and_the_stream():
 
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_frame_batches_write_into_one_workspace(mode):
-    n = 2 * montecarlo._BATCH + 10
-    batches = list(montecarlo._frame_batches(np.random.default_rng(1), n, 3, 2, mode))
-    assert [m for m, *_ in batches] == [montecarlo._BATCH] * 2 + [10]
-    # one entry per frame drawn: the d = +1 frames in full mode, all in bypass
-    drawn = (_plus_frames(n, seed=1) if mode == "full"
-             else [m for m, *_ in batches])
-    first_stats, first_spare = batches[0][1], batches[0][2]
-    for (m, stats, spare), k in zip(batches, drawn):
-        assert len(spare) == montecarlo._SPARE_ROWS
-        assert all(a.size == k for a in stats + spare)
-        # every batch's rows are views of the first batch's
-        assert all(np.shares_memory(a, b) for a, b in zip(stats, first_stats))
-        assert all(np.shares_memory(a, b) for a, b in zip(spare, first_spare))
+    # the workspace is allocated once per run and no batch allocates an
+    # array, so a four-batch run holds no more memory at its peak than a
+    # one-batch run, nor that more than the workspace; no array leaves it
+    def traced(n, peak):
+        tracemalloc.start()
+        try:
+            batches = list(montecarlo._frame_batches(np.random.default_rng(1), n, 3, 2, mode,
+                                                     peak=peak))
+            return batches, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for peak in (False, True):
+        one, one_peak = traced(montecarlo._BATCH, peak)
+        four, four_peak = traced(3 * montecarlo._BATCH + 10, peak)
+        assert [m for m, *_ in four] == [montecarlo._BATCH] * 3 + [10]
+        # the seed row, two scratch rows, the two drives and the bypass peak row
+        workspace = (5 + (peak and mode == "bypass")) * 8 * montecarlo._BATCH
+        assert workspace <= one_peak <= workspace + 64 * 1024
+        assert abs(four_peak - one_peak) <= 64 * 1024
+        for _, sums, top in one + four:
+            assert len(sums) == 5 and not any(isinstance(x, np.ndarray) for x in sums)
+            assert (top is None) != peak and not isinstance(top, np.ndarray)
 
 
 def _count_sizes(monkeypatch, name: str) -> list[int]:

@@ -67,8 +67,8 @@ def test_bench_pairs_rejects_a_bad_pairs_entry(tmp_path, pairs, reason):
 def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
     # a stand-in for git and perfbench, which spends CPU time in a child: the
     # pairs run, and the report holds the CPU count, every run's load
-    # averages before and after it, and the CPU seconds of the run and of
-    # the host over it
+    # averages before and after it, and the CPU seconds of the run and the
+    # host's busy and steal seconds over it
     path = ROOT / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
     bench_pairs = importlib.util.module_from_spec(spec)
@@ -101,5 +101,5 @@ def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
     for runs in cpu.values():
         assert len(runs) == 2
         for run in runs:
-            assert sorted(run) == ["host_busy", "run"]
-            assert run["run"] > 0.0 and run["host_busy"] > 0.0
+            assert sorted(run) == ["host_busy", "host_steal", "run"]
+            assert run["run"] > 0.0 and run["host_busy"] > 0.0 and run["host_steal"] >= 0.0
