@@ -22,7 +22,10 @@ run (perfbench's result object) is read; ``perfbench/`` is used as it is.
 
 The output holds, per workload and end-to-end metric, each side's median and
 quartiles, every run's value, and the pairs the change won (ties count for
-neither), with the metric's direction taken from ``BENCHMARK.json``.  It also
+neither), with the metric's direction taken from ``BENCHMARK.json``.
+``change_dirty`` says whether this checkout's tracked files under ``src``,
+``perfbench`` or ``BENCHMARK.json``, the files a run reads, differ from
+its HEAD.  It also
 records each side's line count of ``src/`` (``src_lines``), the net size of
 the change, and the host's load: the CPUs this process may run on
 (``cpus``), and each run's 1-, 5- and 15-minute load averages before and
@@ -59,6 +62,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: default seed of every workload's first pair; pair i runs at first seed + i
 FIRST_SEED = 301
+#: the files a benchmark run reads; an edit elsewhere leaves the change clean
+BENCH_INPUTS = ("src", "perfbench", "BENCHMARK.json")
 
 
 def git(*args: str) -> str:
@@ -173,7 +178,8 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     parent_sha = git("rev-parse", args.parent)
     report = {"parent": parent_sha, "change_head": git("rev-parse", "HEAD"),
-              "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+              "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no",
+                                       "--", *BENCH_INPUTS)),
               "change_source_sha256": source_sha256(ROOT),
               "started": datetime.now(timezone.utc).isoformat(timespec="seconds"),
               "python": platform.python_version(), "seconds": seconds,

@@ -17,6 +17,14 @@ from chaoswpt.cli import DEFAULTS
 from chaoswpt.montecarlo import RunConfig, sweep_beta
 
 
+def _in_sigmas(dev: float, se: float) -> float:
+    """dev / se as ``RunResult.excess_sigma`` divides: a standard error of 0
+    gives the signed infinity, or NaN when the deviation is 0 too."""
+    if se == 0.0:
+        return math.copysign(math.inf, dev) if dev else math.nan
+    return dev / se
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     # the grid of `chaoswpt sweep`
@@ -59,7 +67,7 @@ def main() -> int:
                            near[0].estimate.std_error)
         marker = "+" if diff > 0 else "-"
         print(f"beta={beta:4d}  far-full minus near-bypass: {diff:+.3e} "
-              f"({diff / sigma:+.1f} sigma) {marker}")
+              f"({_in_sigmas(diff, sigma):+.1f} sigma) {marker}")
     return 0
 
 

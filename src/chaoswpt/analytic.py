@@ -7,7 +7,11 @@ that the end-to-end sampler is validated against.
 The harvest closed forms and the crossover take plain numbers: the
 spreading factor beta, the link (r, alpha) and the rectifier's lumped gains
 (rho1, rho2), which :func:`chaoswpt.harvester.rho_params` derives from a
-circuit.  Each checks its inputs against the library's rule table.
+circuit.  Each checks its inputs against the library's rule table.  The
+link and the gains enter only through the harvest weights (c2, c4) of
+``_weights``, which the simulator multiplies its frames' drives by too, so
+each closed form is c2 E[s2] + c4 E[s4] with E[s2] = beta, and the forms
+differ only in the fourth-order drive moment E[s4].
 
 Every density here is exact for single-chip symbols (beta = 1); the
 correlated-output family for beta > 1 ("S_clt") rests on a Gaussian
@@ -75,26 +79,35 @@ def papr_analytic(psi_mode: str, beta: int) -> float:
     return 2.0 if psi_mode == "bypass" else 4.0 * int(beta)
 
 
-def _link_gain(beta: int, r: float, alpha: float, rho1: float, rho2: float) -> float:
-    """Path gain of the link, once the operating point has passed its rules."""
-    for name, value in (("beta", beta), ("rho1", rho1), ("rho2", rho2)):
-        _check(name, value)
-    return path_gain(r, alpha)  # it checks r and alpha
+def _weights(r: float, alpha: float, rho1: float, rho2: float,
+             label: str = "r") -> tuple[float, float]:
+    """The harvest weights (c2, c4) = (rho1 g, 2 rho2 g^2) of a link, g = r**-alpha.
+
+    A frame whose drives are s2 and s4 harvests c2 s2 + c4 s4 on average
+    over the Rayleigh gain (E[h^2] = 1, E[h^4] = 2), so every harvest here
+    is c2 E[s2] + c4 E[s4].  An error names the link's distance by ``label``.
+    """
+    _check("rho1", rho1)
+    _check("rho2", rho2)
+    g = path_gain(r, alpha, label)  # it checks r and alpha
+    return rho1 * g, 2.0 * rho2 * g * g
 
 
 def z_with_correlator(beta: int, r: float, alpha: float,
                       rho1: float, rho2: float) -> float:
     """Harvested DC with full-symbol integration ahead of the rectifier.
 
-    beta = 1 is exact; beta > 1 uses the Gaussian chip-sum model and is
-    intentionally NOT continuous with the beta = 1 value (the two derivations
-    disagree at beta = 1 by design, so no interpolation is attempted).
+    z = rho1 g + 6 rho2 g^2 at beta = 1, which is exact, and
+    z = rho1 g beta + 12 rho2 g^2 beta^2 above it, from the Gaussian
+    chip-sum model: c2 beta + c4 E[s4] with E[s4] = 3, or 6 beta^2.  The
+    beta > 1 branch is intentionally NOT continuous with the beta = 1 value
+    (the two derivations disagree at beta = 1 by design, so no interpolation
+    is attempted).
     """
-    g = _link_gain(beta, r, alpha, rho1, rho2)
-    if beta == 1:
-        return g * rho1 + 6.0 * g * g * rho2
+    _check("beta", beta)
+    c2, c4 = _weights(r, alpha, rho1, rho2)
     b = float(beta)
-    return g * rho1 * b + 12.0 * g * g * rho2 * b * b
+    return c2 * b + c4 * (3.0 if beta == 1 else 6.0 * b * b)
 
 
 def z_with_correlator_exact(beta: int, r: float, alpha: float, rho1: float,
@@ -103,7 +116,8 @@ def z_with_correlator_exact(beta: int, r: float, alpha: float, rho1: float,
 
     z = rho1 g beta + 16 rho2 g^2 E[V^4] for the chip sum V = x_1 + ... +
     x_beta of a degree-xi orbit under its invariant law (E[h^4] = 2 and
-    E[(1 + d)^4] = 8 give the 16).  With x_k = cos(xi^k theta), a mean of
+    E[(1 + d)^4] = 8 give the 16), that is c2 beta + c4 E[s4] with
+    E[s4] = 8 E[V^4].  With x_k = cos(xi^k theta), a mean of
     cosines is 2^-4 times the count of sign patterns of the frequencies that
     sum to 0, so E[V^4] = 3/4 beta^2 - 3/8 beta + c: the pairings give the
     first two terms, and c counts the relations beyond them, 3/2 max(beta -
@@ -111,19 +125,25 @@ def z_with_correlator_exact(beta: int, r: float, alpha: float, rho1: float,
     n), and 0 at xi >= 4.  At beta = 1 it is ``z_with_correlator``'s exact
     value; at large beta it tends to the Gaussian model's 3/4 beta^2.
     """
-    g = _link_gain(beta, r, alpha, rho1, rho2)
+    _check("beta", beta)
+    c2, c4 = _weights(r, alpha, rho1, rho2)
     _check("xi", xi)
     b = float(beta)
     c = {2: 1.5 * max(b - 2.0, 0.0), 3: 0.5 * (b - 1.0)}.get(int(xi), 0.0)
-    return g * rho1 * b + 16.0 * g * g * rho2 * (0.75 * b * b - 0.375 * b + c)
+    return c2 * b + c4 * 8.0 * (0.75 * b * b - 0.375 * b + c)
 
 
 def z_without_correlator(beta: int, r: float, alpha: float,
                          rho1: float, rho2: float) -> float:
-    """Harvested DC for the raw chip stream (no integration), any beta."""
-    g = _link_gain(beta, r, alpha, rho1, rho2)
+    """Harvested DC for the raw chip stream (no integration), any beta.
+
+    z = rho1 g beta + 3/2 rho2 g^2 beta: c2 beta + c4 E[s4] with
+    E[s4] = 3/4 beta.
+    """
+    _check("beta", beta)
+    c2, c4 = _weights(r, alpha, rho1, rho2)
     b = float(beta)
-    return g * rho1 * b + 1.5 * g * g * rho2 * b
+    return c2 * b + c4 * 0.75 * b
 
 
 def beta_crossover(r_c: float, r_nc: float, alpha: float, rho1: float, rho2: float,
@@ -131,26 +151,23 @@ def beta_crossover(r_c: float, r_nc: float, alpha: float, rho1: float, rho2: flo
     """Spreading factor above which the correlated link out-harvests the raw one.
 
     Solves z_with_correlator(beta, r_c) >= z_without_correlator(beta, r_nc)
-    for the beta > 1 branch; the returned bound is real-valued and may fall
-    below 1 (the correlated link then wins at every spreading factor).  An
-    error names the two distances by ``labels``.
+    for the beta > 1 branch, c2_c beta + 6 c4_c beta^2 >= (c2_nc + 3/4 c4_nc)
+    beta in the two links' weights; the returned bound is real-valued and
+    may fall below 1 (the correlated link then wins at every spreading
+    factor).  An error names the two distances by ``labels``.
     """
     label_c, label_nc = labels
-    _check("r", r_c, label_c)
-    _check("r", r_nc, label_nc)
-    for name, value in (("alpha", alpha), ("rho1", rho1), ("rho2", rho2)):
-        _check(name, value)
+    c2_c, c4_c = _weights(r_c, alpha, rho1, rho2, label_c)
+    c2_nc, c4_nc = _weights(r_nc, alpha, rho1, rho2, label_nc)
     if rho2 == 0:
         raise ValueError("the crossover needs a quartic rectifier term (k4 > 0), "
                          "but rho2 = 0")
-    g_c = path_gain(r_c, alpha, label_c)
-    g_nc = path_gain(r_nc, alpha, label_nc)
-    num = rho1 * (g_nc - g_c) + 1.5 * rho2 * g_nc * g_nc
-    den = 12.0 * rho2 * g_c * g_c
+    den = 6.0 * c4_c
     if not 0.0 < den < math.inf:
-        raise ValueError(f"12*rho2*r_c**(-2*alpha) is not a finite positive float for "
-                         f"{label_c}={r_c!r}, alpha={alpha!r}, rho2={rho2!r}")
-    bound = num / den
+        raise ValueError(f"the quartic weight 6*c4={den!r} of the correlated link is not a "
+                         f"finite positive float for {label_c}={r_c!r}, alpha={alpha!r}, "
+                         f"rho2={rho2!r}")
+    bound = ((c2_nc - c2_c) + 0.75 * c4_nc) / den
     if not math.isfinite(bound):
         raise ValueError(f"the crossover bound is not a finite float for {label_c}={r_c!r}, "
                          f"{label_nc}={r_nc!r}, alpha={alpha!r} (got {bound!r})")

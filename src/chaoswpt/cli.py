@@ -290,24 +290,14 @@ def _cmd_verify_dist(config: dict, args) -> int:
     reports = verify_distributions(n_samples=config["verify"]["n_samples"],
                                    seed=config["run"]["seed"])
     rows = []
-    ok = True
     for rep in reports:
-        passed = rep.passed()
-        ok = ok and passed
-        rows.append({
-            "family": rep.family,
-            "beta": rep.beta if rep.beta is not None else 1,
-            "atom_mass": rep.atom_mass,
-            "norm_integral": rep.norm_integral,
-            "norm_target": rep.norm_target,
-            "norm_abs_err": rep.norm_abs_err,
-            "max_moment_rel_err": rep.max_moment_rel_err,
-            "ks_stat": rep.ks_stat,
-            "n": rep.n_samples,
-            "status": "ok" if passed else "FAIL",
-        })
+        row = dataclasses.asdict(rep)
+        row["beta"] = 1 if rep.beta is None else rep.beta
+        row["n"] = row.pop("n_samples")
+        row["status"] = "ok" if rep.passed() else "FAIL"
+        rows.append(row)
     _emit(rows, args, config)
-    return 0 if ok else 2
+    return 0 if all(row["status"] == "ok" for row in rows) else 2
 
 
 #: each subcommand's function and help line

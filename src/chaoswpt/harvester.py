@@ -5,10 +5,12 @@ drives s2 and s4 are the sums of y**2 and y**4 over the samples the
 rectifier sees (one correlator output in full mode, every chip in bypass
 mode); with the Rayleigh gain integrated out, its harvest is
 
-    w = c2 * s2 + c4 * s4,  c2 = k2 * R_ant * g,  c4 = 2 * k4 * R_ant**2 * g**2
+    w = c2 * s2 + c4 * s4,  c2 = rho1 * g,  c4 = 2 * rho2 * g**2
 
-for the received gain g = p_t * r**-alpha, the convention under which the
-closed forms in :mod:`chaoswpt.analytic` scale linearly and quadratically with beta.
+for the circuit's lumped gains (rho1, rho2) of :func:`rho_params` and the
+path gain g = r**-alpha, the convention under which the closed forms in
+:mod:`chaoswpt.analytic` scale linearly and quadratically with beta; the
+weights (c2, c4) are formed in one place, ``analytic._weights``.
 """
 
 from __future__ import annotations
@@ -109,16 +111,15 @@ class EhCircuit:
     def __post_init__(self) -> None:
         for name in ("k2", "k4", "r_ant", "p_t"):
             _check(name, getattr(self, name), f"EhCircuit.{name}")
-        # the scales the rectifier and the closed forms multiply by must be
-        # usable floats; a linear rectifier (k4 = 0) makes the quartic ones 0
-        (a, b), (rho1, rho2) = _scales(self), rho_params(self)
-        if not (all(0.0 < v < math.inf for v in (a, rho1))
-                and all(0.0 < v < math.inf or v == self.k4 == 0 for v in (b, rho2))):
+        # the lumped gains every harvest weight is formed from must be usable
+        # floats; a linear rectifier (k4 = 0) makes rho2 0.  A product
+        # k2*r_ant or k4*r_ant**2 that leaves float64 leaves its rho with it
+        rho1, rho2 = rho_params(self)
+        if not (0.0 < rho1 < math.inf and (0.0 < rho2 < math.inf or rho2 == self.k4 == 0)):
             raise ValueError(
                 f"EhCircuit.k2={self.k2!r}, EhCircuit.k4={self.k4!r}, "
                 f"EhCircuit.r_ant={self.r_ant!r} and EhCircuit.p_t={self.p_t!r} give "
-                f"a scale that overflows or underflows to 0: k2*r_ant={a!r}, "
-                f"k4*r_ant**2={b!r}, rho1={rho1!r}, rho2={rho2!r}"
+                f"a gain that overflows or underflows to 0: rho1={rho1!r}, rho2={rho2!r}"
             )
 
 
@@ -134,19 +135,14 @@ class DcEstimate:
         _check("n_frames", self.n_frames)
 
 
-def _scales(circuit: EhCircuit) -> tuple[float, float]:
-    """(k2*R_ant, k4*R_ant**2): the rectifier's weights on y**2 and y**4."""
-    return circuit.k2 * circuit.r_ant, circuit.k4 * _square(circuit.r_ant)
-
-
 def rho_params(circuit: EhCircuit) -> tuple[float, float]:
     """Lumped gains (rho1, rho2) = (k2*R*P_t, k4*R^2*P_t^2).
 
     These multiply the distance-normalized second and fourth moments in
     every closed form; the default circuit gives (0.17, 957.25).
     """
-    a, b = _scales(circuit)
-    return a * circuit.p_t, b * _square(circuit.p_t)
+    return (circuit.k2 * circuit.r_ant * circuit.p_t,
+            circuit.k4 * _square(circuit.r_ant) * _square(circuit.p_t))
 
 
 class DcAccumulator:

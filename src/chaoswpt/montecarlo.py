@@ -32,11 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import fork_map
-from .analytic import papr_analytic, z_with_correlator, z_without_correlator
-from .channel import path_gain, sample_rayleigh
+from .analytic import _weights, papr_analytic, z_with_correlator, z_without_correlator
+from .channel import sample_rayleigh
 from .chaos import _step_rows, chebyshev_step, draw_initial_state
-from .harvester import (PSI_MODES, DcAccumulator, DcEstimate, EhCircuit, _check, _scales,
-                        rho_params)
+from .harvester import PSI_MODES, DcAccumulator, DcEstimate, EhCircuit, _check, rho_params
 
 __all__ = [
     "RunConfig",
@@ -77,12 +76,12 @@ class RunConfig:
         if self.n_frames < 100:
             warnings.warn(f"n_frames={self.n_frames} gives a very noisy estimate",
                           stacklevel=3)
-        if not 0.0 < self._gain() < math.inf:
-            raise ValueError(f"p_t*r**-alpha overflows or underflows to 0 for "
-                             f"p_t={self.circuit.p_t!r}, r={self.r!r}, alpha={self.alpha!r}")
-
-    def _gain(self) -> float:
-        return self.circuit.p_t * path_gain(self.r, self.alpha)
+        # the weights a run multiplies its drives by; a quartic weight of 0
+        # (a linear rectifier, or one that underflows) is a real limit
+        c2, c4 = _weights(self.r, self.alpha, *rho_params(self.circuit))
+        if not (0.0 < c2 < math.inf and math.isfinite(c4)):
+            raise ValueError(f"the harvest weights c2={c2!r}, c4={c4!r} overflow or underflow "
+                             f"to 0 for r={self.r!r}, alpha={self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,15 @@ class RunResult:
 
     @property
     def excess_sigma(self) -> float:
-        """Signed deviation in units of the estimate's standard error."""
-        return (self.estimate.mean - self.z_analytic) / self.estimate.std_error
+        """Signed deviation in units of the estimate's standard error.
+
+        A standard error of 0 (every frame erased) gives the signed infinity,
+        or NaN when the deviation is 0 too, as IEEE division does.
+        """
+        dev = self.estimate.mean - self.z_analytic
+        if self.estimate.std_error == 0.0:
+            return math.copysign(math.inf, dev) if dev else math.nan
+        return dev / self.estimate.std_error
 
 
 #: a sweep row is one run's result
@@ -213,10 +219,10 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
     k ~ Binomial(m, 1/2) of its d = +1 frames, then their k seed states: its
     drives are their squared correlator outputs u = (2v)^2 and u^2, and its
     peak is the largest u; the m - k frames not drawn add 0 to every sum.
-    A caller's own draws for the batch follow the yield.  One workspace is
-    allocated per call: a seed row, two rows the draw and then the orbit
-    use as scratch, the map step's rows (at xi >= 3) and the kernel's
-    output rows.  Every batch step writes into it, and no array leaves.
+    One workspace is allocated per call: a seed row, two rows the draw and
+    then the orbit use as scratch, the map step's rows (at xi >= 3) and the
+    kernel's output rows.  Every batch step writes into it, and no array
+    leaves.
     """
     size = min(n_frames, _BATCH)
     n_work = 3 + _step_rows(xi)
@@ -256,11 +262,10 @@ def _row(config: RunConfig, acc: DcAccumulator) -> RunResult:
     """``config``'s ``run_once`` result from the moments of its orbit run; the
     weights are Python floats, so a gain near the float64 limit gives an inf
     or NaN estimate, not a warning, and that is reported as an error."""
-    a, b = _scales(config.circuit)
-    gain = config._gain()
-    estimate = acc.result(a * gain, 2.0 * b * gain * gain)
+    link = (config.r, config.alpha, *rho_params(config.circuit))
+    estimate = acc.result(*_weights(*link))
     closed_form = z_with_correlator if config.psi_mode == "full" else z_without_correlator
-    z = closed_form(config.beta, config.r, config.alpha, *rho_params(config.circuit))
+    z = closed_form(config.beta, *link)
     # one frame has no standard error: it is NaN by definition
     if not (math.isfinite(estimate.mean)
             and (estimate.n_frames == 1 or math.isfinite(estimate.std_error))
@@ -278,10 +283,11 @@ def _row(config: RunConfig, acc: DcAccumulator) -> RunResult:
 def run_once(config: RunConfig) -> RunResult:
     """Estimate harvested DC at one operating point, with its closed form.
 
-    A frame's w is its expected harvest given its orbit, a*g*s2 + 2*b*g^2*s4
-    for the sums s2, s4 of y^2, y^4 over the samples y the rectifier sees and
-    g = p_t * r**-alpha: the Rayleigh gain is integrated out (E[h^2] = 1,
-    E[h^4] = 2), not drawn, and the standard error is that of this estimator.
+    A frame's w is its expected harvest given its orbit, c2*s2 + c4*s4 for
+    the sums s2, s4 of y^2, y^4 over the samples y the rectifier sees and the
+    weights c2 = rho1*g, c4 = 2*rho2*g^2 (g = r**-alpha) that the closed forms
+    use too: the Rayleigh gain is integrated out (E[h^2] = 1, E[h^4] = 2),
+    not drawn, and the standard error is that of this estimator.
     """
     return _row(config, _orbit_moments(config))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from chaoswpt.channel import path_gain
 from chaoswpt.chaos import _step_scalar, draw_initial_state
-from chaoswpt.harvester import DcEstimate, EhCircuit, _scales
+from chaoswpt.harvester import DcEstimate, EhCircuit
 
 
 def orbits(x0, n: int, xi: int) -> np.ndarray:
@@ -141,7 +141,9 @@ class FrameAccumulator:
             frames = frames[:, None]
         if frames.ndim != 2 or frames.size == 0:
             raise ValueError("frame batch must be a nonempty 1-D or 2-D array")
-        a, b = _scales(self.circuit)
+        # the rectifier's weights k2*R_ant and k4*R_ant**2 on y**2 and y**4
+        c = self.circuit
+        a, b = c.k2 * c.r_ant, c.k4 * (float(c.r_ant) * float(c.r_ant))
         p2 = frames * frames
         w = a * p2.sum(axis=1) + self.mean_h4 * b * (p2 * p2).sum(axis=1)
         self.n += w.size

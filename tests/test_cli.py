@@ -207,7 +207,10 @@ def test_sweep_ignores_the_run_cell(capsys):
     ("sweep.betas=[2,0]", "sweep.betas[1]: beta must be a positive integer, got 0"),
     ('sweep.distances=[20.0,"x"]', "sweep.distances[1]: r must be a finite real"),
     ('sweep.modes=["full","half"]', "sweep.modes[1]: psi_mode must be one of"),
-], ids=["beta", "distance", "mode"])
+    # the gain 1e200 is a float, the quartic weight is not: refused before any
+    # cell runs
+    ("sweep.distances=[20,1e-50]", "sweep.distances[1]: the harvest weights"),
+], ids=["beta", "distance", "mode", "overflowing weight"])
 def test_sweep_bad_axis_value_exits_1_naming_it(capsys, expr, message):
     assert main(["sweep", *FAST, "--set", expr]) == 1
     out, err = capsys.readouterr()
@@ -444,11 +447,11 @@ def test_real_keys_reject_non_finite_values(capsys, expr, key):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_received_scale_that_underflows_exits_one(capsys, command):
-    # the path gain 1e-312 is a float; times p_t = 1e-20 it is 0
+    # the path gain 1e-312 is a float; times rho1 = 1.7e-21 it is 0
     r = "r=1e78" if command == "run" else "sweep.distances=[1e78]"
     assert main([command, *FAST, "--set", r, "--set", "p_t_watts=1e-20"]) == 1
     err = capsys.readouterr().err
-    assert "p_t=1e-20, r=1e+78, alpha=4.0" in err
+    assert "c2=0.0, c4=0.0 overflow or underflow to 0 for r=1e+78, alpha=4.0" in err
     assert "Traceback" not in err
 
 

@@ -70,7 +70,6 @@ def test_verify_family_report_fields():
     assert report.n_samples == 50_000
     assert report.norm_abs_err < 1e-9
     assert report.max_moment_rel_err < 1e-6
-    assert {m.order for m in report.moments} == {1, 2}
     assert report.passed()
 
 

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import chaoswpt
 from chaoswpt import montecarlo
-from chaoswpt.analytic import z_with_correlator, z_without_correlator
+from chaoswpt.analytic import _weights, z_with_correlator, z_without_correlator
 from chaoswpt.chaos import _step_rows, draw_initial_state
-from chaoswpt.harvester import DcEstimate, EhCircuit, _scales, rho_params
+from chaoswpt.harvester import DcEstimate, EhCircuit, rho_params
 from chaoswpt.montecarlo import (
     PSI_MODES,
     RunConfig,
@@ -84,12 +84,18 @@ def test_run_config_accepts_numpy_and_integer_reals():
     assert z_with_correlator(cfg.beta, cfg.r, cfg.alpha, *rho_params(cfg.circuit)) > 0
 
 
-def test_run_once_rejects_an_overflowing_harvest():
-    # the gain 1e200 is a finite float, the rectifier's quartic term is not
+def _no_frames(*args, **kwargs):
+    raise AssertionError("a frame was simulated")
+
+
+def test_run_once_rejects_an_overflowing_harvest(monkeypatch):
+    # the gain 1e200 is a finite float, the rectifier's quartic weight is not:
+    # the run is refused when it is built, before a frame is simulated
+    monkeypatch.setattr(montecarlo, "_frame_batches", _no_frames)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"r=1e-50, alpha=4\.0"):
-            run_once(RunConfig(beta=2, r=1e-50, n_frames=500))
+        with pytest.raises(ValueError, match=r"c4=inf .* r=1e-50, alpha=4\.0"):
+            RunConfig(beta=2, r=1e-50, n_frames=500)
 
 
 def test_one_frame_run_is_not_an_overflow():
@@ -188,15 +194,13 @@ def _single_chip_frame_variance(a_g: float, b_g: float, mean_h: list[int]) -> fl
 
 
 def test_integrating_the_gain_out_gives_the_exact_conditional_variance():
-    # conditional Monte Carlo: w = a*g*u + 2*b*g^2*u^2 is the expectation of
-    # the drawn-gain harvest a*g*h^2*u + b*g^2*h^4*u^2 over h^2 ~ Exp(1),
-    # whose moments are E[h^(2k)] = k!
+    # conditional Monte Carlo: w = c2*u + c4*u^2 is the expectation of the
+    # drawn-gain harvest c2*h^2*u + c4/2*h^4*u^2 over h^2 ~ Exp(1), whose
+    # moments are E[h^(2k)] = k!
     cfg = RunConfig(beta=1, r=20.0, psi_mode="full", n_frames=2_000_000, seed=7)
-    a, b = _scales(cfg.circuit)
-    g = cfg._gain()
-    conditional = math.sqrt(_single_chip_frame_variance(a * g, 2 * b * g * g, [1] * 5)
-                            / cfg.n_frames)
-    drawn = math.sqrt(_single_chip_frame_variance(a * g, b * g * g,
+    c2, c4 = _weights(cfg.r, cfg.alpha, *rho_params(cfg.circuit))
+    conditional = math.sqrt(_single_chip_frame_variance(c2, c4, [1] * 5) / cfg.n_frames)
+    drawn = math.sqrt(_single_chip_frame_variance(c2, c4 / 2,
                                                   [math.factorial(k) for k in range(5)])
                       / cfg.n_frames)
     assert (conditional, drawn) == (pytest.approx(1.3258e-9, rel=1e-4),
@@ -581,6 +585,20 @@ def test_run_result_deviation_fields():
     assert res.papr_bound == 8.0  # integrate-then-rectify, beta=2
 
 
+def test_excess_sigma_of_a_zero_standard_error():
+    # both frames carry bit -1, so both harvest exactly 0: mean 0, SE 0
+    with pytest.warns(UserWarning):
+        cfg = RunConfig(beta=2, r=20.0, n_frames=2, seed=3)
+    res = run_once(cfg)
+    assert (res.estimate.mean, res.estimate.std_error) == (0.0, 0.0)
+    assert res.excess_sigma == -math.inf
+    estimate = DcEstimate(mean=1.0, std_error=0.0, n_frames=2)
+    rows = [RunResult(beta=2, r=20.0, psi_mode="full", estimate=estimate, z_analytic=z,
+                      papr_bound=8.0) for z in (0.5, 1.0)]
+    assert rows[0].excess_sigma == math.inf
+    assert math.isnan(rows[1].excess_sigma)
+
+
 def test_run_result_is_frozen_through_its_estimate():
     cfg = RunConfig(beta=2, r=20.0, n_frames=1000)
     res = run_once(cfg)
@@ -733,16 +751,19 @@ def test_one_result_type():
 
 
 def test_run_config_rejects_a_received_scale_that_underflows():
-    # the path gain 1e-312 is a float, the transmit power times it is not
-    with pytest.raises(ValueError, match=r"^p_t\*r\*\*-alpha .* p_t=1e-20, r=1e\+78, alpha=4\.0"):
+    # the path gain 1e-312 is a float, rho1 = 1.7e-21 times it is not
+    with pytest.raises(ValueError, match=r"^the harvest weights c2=0\.0, c4=0\.0 .* "
+                                         r"for r=1e\+78, alpha=4\.0$"):
         RunConfig(beta=2, r=1e78, circuit=EhCircuit(p_t=1e-20))
 
 
-def test_run_once_rejects_a_closed_form_that_underflows():
+def test_run_once_rejects_a_closed_form_that_underflows(monkeypatch):
+    # the closed form is c2*beta + c4*E[s4] >= c2, so a run whose linear
+    # weight underflows is refused when it is built, before a frame is simulated
+    monkeypatch.setattr(montecarlo, "_frame_batches", _no_frames)
     circuit = EhCircuit(k2=1e-300, k4=0.0, r_ant=1.0, p_t=1.0)
-    cfg = RunConfig(beta=1, r=1e78, n_frames=500, circuit=circuit)
-    with pytest.raises(ValueError, match=r"r=1e\+78, alpha=4\.0.*closed form 0\.0"):
-        run_once(cfg)
+    with pytest.raises(ValueError, match=r"c2=0\.0, c4=0\.0 .* r=1e\+78, alpha=4\.0"):
+        run_once(RunConfig(beta=1, r=1e78, n_frames=500, circuit=circuit))
 
 
 def test_sweep_cells_do_not_depend_on_grid_composition():

@@ -38,6 +38,19 @@ def test_fig2_sweep_writes_the_signed_deviation(tmp_path):
     assert any(r.rel_dev < 0 for r in ref.rows)
 
 
+def test_fig2_sweep_writes_an_erased_cell(tmp_path):
+    # at this seed both full-mode frames carry bit -1: mean 0, standard error 0
+    out = tmp_path / "sweep.csv"
+    proc = _script("fig2_sweep.py", "--betas", "2", "--distances", "20",
+                   "--n-frames", "2", "--seed", "7", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    full = next(row for row in rows if row["mode"] == "full")
+    assert (full["z_empirical"], full["z_stderr"], full["excess_sigma"]) == ("0", "0", "-inf")
+    assert "far-full minus near-bypass" in proc.stdout
+
+
 def test_clt_gap_runs_at_its_defaults():
     proc = _script("clt_gap.py")
     assert proc.returncode == 0, proc.stderr
@@ -81,13 +94,22 @@ def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
         subprocess.run([sys.executable, "-c", "sum(range(3_000_000))"], check=True)
         return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result) + "\n")
 
-    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    git_calls = []
+
+    def git(*args):
+        git_calls.append(args)
+        return "0" * 40
+
+    monkeypatch.setattr(bench_pairs, "git", git)
     monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: None)
     monkeypatch.setattr(bench_pairs, "subprocess", types.SimpleNamespace(run=perfbench))
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", "HEAD", "--out", str(out),
                              "--pairs", "single-chip=2"]) == 0
     report = json.loads(out.read_text())
+    # the change reads dirty only from the files a benchmark run reads
+    assert ("status", "--porcelain", "--untracked-files=no",
+            "--", "src", "perfbench", "BENCHMARK.json") in git_calls
     assert report["cpus"] == len(os.sched_getaffinity(0)) >= 1
     loads = report["workloads"]["single-chip"]["loadavg"]
     assert sorted(loads) == ["change", "parent"]
