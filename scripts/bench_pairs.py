@@ -1,20 +1,26 @@
 #!/usr/bin/env python3
-"""Paired perfbench runs of a parent commit against this checkout.
+"""Paired perfbench runs of a parent commit against this checkout's HEAD.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_<n>.json \\
         --pairs sweep-raw=10 sweep-integrated=10 single-chip=5 dist-battery=5 \\
         [--first-seed 301]
 
-Copies the committed files of ``--parent`` into a temporary directory (with
-``git archive``, so nothing is registered in ``.git``), then runs, for each
-workload, N pairs of
+Copies the committed files of ``--parent`` and of ``HEAD`` into two
+temporary directories (with ``git archive``, so nothing is registered in
+``.git``), then runs, for each workload, N pairs of
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in the parent's copy and once in this checkout, with T the
-``run_seconds`` that ``BENCHMARK.json`` declares and the same seed S on both
-sides (``--first-seed``, 301 by default, plus the pair index), alternating
-which side runs first so that a drift in the host's load falls on both.
+once in each copy, so that both sides run from the same kind of tree and
+nothing left in the checkout (an ignored ``__pycache__``, say) is read by
+either; the checkout itself is never run.  The script refuses to start
+(exit 2, naming the paths) when the checkout's tracked files under
+``src``, ``perfbench`` or ``BENCHMARK.json``, the files a run reads,
+differ from HEAD, since the change measured is HEAD's.  T is the
+``run_seconds`` that ``BENCHMARK.json`` declares; both sides of a pair run
+at the same seed S (``--first-seed``, 301 by default, plus the pair index),
+and the pairs alternate which side runs first so that a drift in the
+host's load falls on both.
 A claim made while a change was written can so be confirmed on seeds that
 were not used then.  One ``--trace 1`` run per side and workload, at the
 first seed, adds the per-layer metrics.  Only the last stdout line of each
@@ -22,25 +28,24 @@ run (perfbench's result object) is read; ``perfbench/`` is used as it is.
 
 The output holds, per workload and end-to-end metric, each side's median and
 quartiles, every run's value, and the pairs the change won (ties count for
-neither), with the metric's direction taken from ``BENCHMARK.json``.
-``change_dirty`` says whether this checkout's tracked files under ``src``,
-``perfbench`` or ``BENCHMARK.json``, the files a run reads, differ from
-its HEAD.  It also
-records each side's line count of ``src/`` (``src_lines``), the net size of
-the change, and the host's load: the CPUs this process may run on
-(``cpus``), and each run's 1-, 5- and 15-minute load averages before and
-after it (``loadavg``, per workload and side, in run order), and each
-run's CPU seconds (``cpu_s``, in the same order): its own (``run``, the
-user and system time of the run and every process it waited for), the
-host's busy time over the run (``host_busy``, the user, nice, system, irq
-and softirq time of ``/proc/stat``'s cpu line, over all CPUs) and its
-steal time over the run (``host_steal``, the same line's steal column: the
-time a hypervisor gave this host's CPUs to other guests).  A wall-time
-ratio can move with the load alone (a run whose worker loses its second
-CPU reads slower against a single-threaded reference), so pairs taken at
-different loads can be told apart; the load average counts the run's own
-processes, where the host's busy time less the run's own is what the other
-processes took, and the steal time what other guests took.
+neither), with the metric's direction taken from ``BENCHMARK.json``.  It
+also records each side's hash of ``src/`` (``parent_source_sha256``,
+``change_source_sha256``) and its line count of ``src/`` (``src_lines``),
+both read from that side's copy (so the net size of the change), and the
+host's load: the CPUs this process may run on (``cpus``), and each run's 1-,
+5- and 15-minute load averages before and after it (``loadavg``, per
+workload and side, in run order), and each run's CPU seconds (``cpu_s``, in
+the same order): its own (``run``, the user and system time of the run and
+every process it waited for), the host's busy time over the run
+(``host_busy``, the user, nice, system, irq and softirq time of
+``/proc/stat``'s cpu line, over all CPUs) and its steal time over the run
+(``host_steal``, the same line's steal column: the time a hypervisor gave
+this host's CPUs to other guests).  A wall-time ratio can move with the load
+alone (a run whose worker loses its second CPU reads slower against a
+single-threaded reference), so pairs taken at different loads can be told
+apart; the load average counts the run's own processes, where the host's
+busy time less the run's own is what the other processes took, and the steal
+time what other guests took.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: default seed of every workload's first pair; pair i runs at first seed + i
 FIRST_SEED = 301
-#: the files a benchmark run reads; an edit elsewhere leaves the change clean
+#: the files a benchmark run reads; an edit elsewhere does not stop a comparison
 BENCH_INPUTS = ("src", "perfbench", "BENCHMARK.json")
 
 
@@ -176,23 +181,26 @@ def main(argv=None) -> int:
             ap.error(f"--pairs {item!r}: the pair count must be a positive integer")
         plan[workload] = int(n)
     seconds = spec["run_seconds"]
-    parent_sha = git("rev-parse", args.parent)
-    report = {"parent": parent_sha, "change_head": git("rev-parse", "HEAD"),
-              "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no",
-                                       "--", *BENCH_INPUTS)),
-              "change_source_sha256": source_sha256(ROOT),
+    dirty = git("diff", "--name-only", "HEAD", "--", *BENCH_INPUTS).splitlines()
+    if dirty:
+        print(f"bench_pairs.py: {', '.join(dirty)} differ from HEAD, whose committed "
+              f"files are the change measured; commit or revert them first",
+              file=sys.stderr)
+        return 2
+    parent_sha, change_sha = git("rev-parse", args.parent), git("rev-parse", "HEAD")
+    report = {"parent": parent_sha, "change_head": change_sha,
               "started": datetime.now(timezone.utc).isoformat(timespec="seconds"),
               "python": platform.python_version(), "seconds": seconds,
               "cpus": len(os.sched_getaffinity(0)),
               "first_seed": args.first_seed,
               "workloads": {}}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_dir = Path(tmp)
-        export(parent_sha, parent_dir)
-        report["parent_source_sha256"] = source_sha256(parent_dir)
-        report["src_lines"] = {"parent": source_lines(parent_dir),
-                               "change": source_lines(ROOT)}
-        sides = {"parent": parent_dir, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        sides = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        for side, sha in (("parent", parent_sha), ("change", change_sha)):
+            sides[side].mkdir()
+            export(sha, sides[side])
+            report[f"{side}_source_sha256"] = source_sha256(sides[side])
+        report["src_lines"] = {side: source_lines(path) for side, path in sides.items()}
         for workload, n in plan.items():
             runs = {"parent": [], "change": []}
             seeds = [args.first_seed + i for i in range(n)]

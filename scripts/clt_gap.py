@@ -22,6 +22,7 @@ that lands on the exact prediction rather than the asymptotic one.
 """
 
 import argparse
+import dataclasses
 import sys
 
 from chaoswpt.analytic import z_with_correlator, z_with_correlator_exact
@@ -76,7 +77,7 @@ def main() -> int:
                                      psi_mode="full", n_frames=args.mc_frames,
                                      seed=args.seed, xi=args.xi))
             # deviation of the measurement from the *exact-orbit* prediction
-            sig = (res.estimate.mean - z_orbit) / res.estimate.std_error
+            sig = dataclasses.replace(res, z_analytic=z_orbit).excess_sigma
             line += f"  {100 * res.rel_dev:>+9.2f}% {sig:>+8.1f}"
         print(line)
         if beta > 1 and abs(gap_orbit) > 0.05:

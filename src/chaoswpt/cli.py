@@ -331,13 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    shown = set()
 
     def show(message, *_):
-        # a library warning is one line, once, like every other message
-        if str(message) not in shown:
-            shown.add(str(message))
-            print(f"chaoswpt: warning: {message}", file=sys.stderr)
+        # a library warning is one line, like every other message
+        print(f"chaoswpt: warning: {message}", file=sys.stderr)
 
     with warnings.catch_warnings():
         warnings.showwarning = show

@@ -5,20 +5,20 @@ vectorized batches, streaming only the per-frame statistics the receiver mode
 needs as the orbit is iterated: the chip sum in full mode (``_chip_sums``; at
 beta = 1 the seed state is the one chip), or the chip power and fourth-power
 sums over both symbol halves in bypass mode (``_power_sums``, plus the peak
-chip power, which only the PAPR measurement asks for).  The orbit is
-iterated in Dickson form, on the exactly scaled state y = 2x (see
-:mod:`chaoswpt.chaos`), from seed states used as ``draw_initial_state``
-draws them.  At xi = 2 a chip's power is the next Dickson state plus 2, so
-bypass mode there sums the orbit itself, as full mode does, and squares no
-chip.  Full mode simulates only the frames whose data bit is +1, since the
-others harvest exactly 0: each batch draws their count, then their seed
-states.  The moments of each frame's drives (s2, s4), whose weighted sum is
-its expected harvest over its fading gain, stream into an accumulator, so
-memory stays flat however many frames are requested and one orbit run serves
-every distance.  Each run allocates one workspace of batch-sized rows; every
-per-batch step writes into views of it, and a batch allocates no array.  The
-batch loop reduces each batch to the five moment sums and the peak power
-itself, so no row of the workspace leaves it.
+chip power as one number, which only the PAPR measurement asks for).  The
+orbit is iterated in Dickson form, on the exactly scaled state y = 2x (see
+:mod:`chaoswpt.chaos`), stepped in place from seed states used as
+``draw_initial_state`` draws them.  At xi = 2 a chip's power is the next
+Dickson state plus 2, so bypass mode there runs full mode's one orbit sum,
+``_chip_sums``, and squares no chip.  Full mode simulates only the frames
+whose data bit is +1, since the others harvest exactly 0: each batch draws
+their count, then their seed states.  The moments of each frame's drives (s2,
+s4), whose weighted sum is its expected harvest over its fading gain, stream
+into an accumulator, so memory stays flat however many frames are requested
+and one orbit run serves every distance.  Each run allocates one workspace of
+batch-sized rows; every per-batch step writes into views of it, and a batch
+allocates no array.  The batch loop reduces each batch to the five moment
+sums and the peak power itself, so no row of the workspace leaves it.
 """
 
 from __future__ import annotations
@@ -73,9 +73,6 @@ class RunConfig:
             _check(name, getattr(self, name))
         if not isinstance(self.circuit, EhCircuit):
             raise ValueError(f"circuit must be an EhCircuit, got {self.circuit!r}")
-        if self.n_frames < 100:
-            warnings.warn(f"n_frames={self.n_frames} gives a very noisy estimate",
-                          stacklevel=3)
         # the weights a run multiplies its drives by; a quartic weight of 0
         # (a linear rectifier, or one that underflows) is a real limit
         c2, c4 = _weights(self.r, self.alpha, *rho_params(self.circuit))
@@ -117,37 +114,40 @@ class RunResult:
 SweepRow = RunResult
 
 
-def _chip_sums(x0: np.ndarray, beta: int, xi: int, out: np.ndarray,
-               work: np.ndarray) -> np.ndarray:
-    """The full-mode kernel: each frame's sum y_1 + ... + y_beta, in ``out``.
+def _chip_sums(y: np.ndarray, beta: int, xi: int, out: np.ndarray, work: np.ndarray,
+               peak: bool = False) -> float | None:
+    """The one running sum over Dickson states: y_1 + ... + y_beta, in ``out``.
 
-    Iterates the orbits of the seed states x0 (the first chips) at once, on
-    the Dickson state y = 2x, so the sum is exactly 2v for the chip sum v: on
-    a frame whose bit is d = +1, the correlator output (1 + d) v.  ``work``
-    holds y, then the map step's scratch rows (``chaos._step_rows``).  x0 is
-    never written.
+    Steps the states y = y_1 in place, beta - 1 times, and adds each into
+    ``out``; ``work`` is the map step's scratch rows (``chaos._step_rows``).
+    Returns the largest state, as a float, when ``peak`` is set, and None
+    otherwise.  From y = 2x the sum is exactly 2v for the chip sum v: on a
+    frame whose bit is d = +1, the correlator output (1 + d) v.
     """
-    y = work[0]
-    np.multiply(x0, 2.0, out=y)
     np.copyto(out, y)
+    top = float(np.max(y)) if peak else None
     for _ in range(beta - 1):
-        chebyshev_step(y, xi, out=y, work=work[1:])
+        chebyshev_step(y, xi, out=y, work=work)
         out += y
-    return out
+        if peak:
+            top = max(top, float(np.max(y)))
+    return top
 
 
-def _power_sums(x0: np.ndarray, beta: int, xi: int, out: np.ndarray,
-                work: np.ndarray) -> np.ndarray:
+def _power_sums(y: np.ndarray, beta: int, xi: int, out: np.ndarray, work: np.ndarray,
+                peak: bool = False) -> float | None:
     """The bypass-mode kernel: each frame's sums of x^2 and x^4, in ``out``.
 
-    The sums run over both symbol halves, whose chips are the orbit's up to
-    sign, so each is twice the orbit's: the sums of y^2 and y^4 scaled by 1/2
-    and 1/8, which is exact.  A third row of ``out``, when there is one,
-    gets the peak x^2.  ``work`` holds y and y^2, then the map step's scratch
-    rows; x0 is never written.
+    Steps the Dickson states y = y_1 in place.  The sums run over both
+    symbol halves, whose chips are the orbit's up to sign, so each is twice
+    the orbit's: the sums of y^2 and y^4 scaled by 1/2 and 1/8, which is
+    exact.  Returns the peak x^2 over every chip, as a float, when ``peak``
+    is set, and None otherwise.  ``work`` holds y^2, then the map step's
+    scratch rows.
 
     At xi = 2 and beta >= 2 no chip is squared: y_{k+1} = y_k^2 - 2 makes
-    every chip power the next chip plus 2, so with T = y_2 + ... + y_{beta+1},
+    every chip power the next chip plus 2, so with T = y_2 + ... + y_{beta+1}
+    (``_chip_sums`` from y_2),
 
         sum y_k^2 = T + 2 beta,
         sum y_k^4 = (T - y_2 + y_{beta+2}) + 4 T + 6 beta,
@@ -158,49 +158,39 @@ def _power_sums(x0: np.ndarray, beta: int, xi: int, out: np.ndarray,
     consecutive chips, one has |y| >= 1), where the relation is exact (see
     the chaos module) and fl(fl(y^2) - 2) keeps the order of the powers;
     the two sums can differ from chip-order ones in their last few bits.
+    The peak is scaled once, after the maximum: fl(t + 2) and the exact
+    factor 1/4 keep the order, so that is the maximum of the scaled powers.
     """
-    e2, e4 = out[0], out[1]
-    m2 = out[2] if len(out) > 2 else None
-    y, y2 = work[0], work[1]
-    np.multiply(x0, 2.0, out=y)
+    e2, e4 = out
+    y2 = work[0]
     if xi == 2 and beta > 1:
-        # e2 runs the sum T and e4 keeps y_2 until the last step
+        # e4 keeps y_2 until the last step
         chebyshev_step(y, xi, out=y)
-        np.copyto(e2, y)
         np.copyto(e4, y)
-        if m2 is not None:
-            np.copyto(m2, y)
-        for _ in range(beta - 1):
-            chebyshev_step(y, xi, out=y)
-            e2 += y
-            if m2 is not None:
-                np.maximum(m2, y, out=m2)
+        top = _chip_sums(y, beta, xi, out=e2, work=work[1:], peak=peak)
         chebyshev_step(y, xi, out=y)
         np.subtract(e2, e4, out=e4)
         e4 += y
         e4 += np.multiply(e2, 4.0, out=y2)
         e4 += 6.0 * beta
         e2 += 2.0 * beta
-        if m2 is not None:
-            m2 += 2.0
+        if peak:
+            top += 2.0
     else:
         np.multiply(y, y, out=e2)
         np.multiply(e2, e2, out=e4)
-        if m2 is not None:
-            np.copyto(m2, e2)
+        top = float(np.max(e2)) if peak else None
         for _ in range(beta - 1):
-            chebyshev_step(y, xi, out=y, work=work[2:])
+            chebyshev_step(y, xi, out=y, work=work[1:])
             np.multiply(y, y, out=y2)
             e2 += y2
-            if m2 is not None:
-                np.maximum(m2, y2, out=m2)
+            if peak:
+                top = max(top, float(np.max(y2)))
             y2 *= y2
             e4 += y2
     e2 *= 0.5
     e4 *= 0.125
-    if m2 is not None:
-        m2 *= 0.25
-    return out
+    return top * 0.25 if peak else None
 
 
 def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
@@ -210,40 +200,41 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
     ``sums`` holds the batch's sums of the frames' drives s2, s4 and of
     s2*s2, s2*s4 and s4*s4, in ``DcAccumulator.add_moments``' order, and
     ``top`` its peak power (``peak`` set) or None.  Each batch makes one
-    ``draw_initial_state`` call for its seed states, and the kernel iterates
-    every state drawn.  In bypass mode a batch draws m seed states, and its
-    drives are ``_power_sums``' rows and its peak the peak chip power; no
-    output depends on the data bits, so none is drawn.  In full mode a frame
-    whose bit is d = -1 has the correlator output (1 + d) v = 0, and no
-    output depends on which frames carry +1, so a batch draws only the count
+    ``draw_initial_state`` call for its seed states, doubles them into the
+    Dickson states y = 2x in place (exact), and the kernel steps every state
+    drawn.  In bypass mode a batch draws m seed states, and its drives are
+    ``_power_sums``' rows and its peak the peak chip power; no output
+    depends on the data bits, so none is drawn.  In full mode a frame whose
+    bit is d = -1 has the correlator output (1 + d) v = 0, and no output
+    depends on which frames carry +1, so a batch draws only the count
     k ~ Binomial(m, 1/2) of its d = +1 frames, then their k seed states: its
     drives are their squared correlator outputs u = (2v)^2 and u^2, and its
     peak is the largest u; the m - k frames not drawn add 0 to every sum.
-    One workspace is allocated per call: a seed row, two rows the draw and
-    then the orbit use as scratch, the map step's rows (at xi >= 3) and the
-    kernel's output rows.  Every batch step writes into it, and no array
-    leaves.
+    One workspace of 4 + ``_step_rows(xi)`` rows is allocated per call: the
+    state row, a y^2 row, the map step's rows (at xi >= 3) and the two
+    drive rows, which are the draw's scratch until the kernel fills them.
+    Every batch step writes into it, and no array leaves.
     """
     size = min(n_frames, _BATCH)
-    n_work = 3 + _step_rows(xi)
-    rows = np.empty((n_work + 2 + (peak and psi_mode == "bypass"), size))
+    n_step = _step_rows(xi)
+    rows = np.empty((4 + n_step, size))
     for start in range(0, n_frames, _BATCH):
         m = min(_BATCH, n_frames - start)
         k = int(rng.binomial(m, 0.5)) if psi_mode == "full" else m
-        work, out = rows[1:n_work, :k], rows[n_work:, :k]
-        x0 = draw_initial_state(rng, size=k, out=rows[0, :k], work=work[:2])
+        work, drives = rows[1:2 + n_step, :k], rows[2 + n_step:, :k]
+        y = draw_initial_state(rng, size=k, out=rows[0, :k], work=drives)
+        y *= 2.0
         if psi_mode == "bypass":
-            _power_sums(x0, beta, xi, out=out, work=work)
+            top = _power_sums(y, beta, xi, out=drives, work=work, peak=peak)
         else:
-            u = _chip_sums(x0, beta, xi, out=out[0], work=work)
+            u = drives[0]
+            _chip_sums(y, beta, xi, out=u, work=work[1:])
             u *= u
-            np.multiply(u, u, out=out[1])
-        drives = out[:2]
+            np.multiply(u, u, out=drives[1])
+            top = float(np.max(u, initial=0.0)) if peak else None
         # einsum (optimize=False) calls no BLAS, unlike @, np.dot and np.vdot,
         # whose threads oversubscribe the CPUs a sweep's forked workers hold
         g = np.einsum("ij,kj->ik", drives, drives)
-        top = (float(np.max(out[0 if psi_mode == "full" else 2], initial=0.0))
-               if peak else None)
         yield m, [*drives.sum(axis=1), g[0, 0], g[0, 1], g[1, 1]], top
 
 
@@ -280,6 +271,13 @@ def _row(config: RunConfig, acc: DcAccumulator) -> RunResult:
                      papr_bound=papr_analytic(config.psi_mode, config.beta))
 
 
+def _warn_if_noisy(config: RunConfig) -> None:
+    """Warn, at the line that called the run, when it has under 100 frames."""
+    if config.n_frames < 100:
+        warnings.warn(f"n_frames={config.n_frames} gives a very noisy estimate",
+                      stacklevel=3)
+
+
 def run_once(config: RunConfig) -> RunResult:
     """Estimate harvested DC at one operating point, with its closed form.
 
@@ -287,8 +285,10 @@ def run_once(config: RunConfig) -> RunResult:
     the sums s2, s4 of y^2, y^4 over the samples y the rectifier sees and the
     weights c2 = rho1*g, c4 = 2*rho2*g^2 (g = r**-alpha) that the closed forms
     use too: the Rayleigh gain is integrated out (E[h^2] = 1, E[h^4] = 2),
-    not drawn, and the standard error is that of this estimator.
+    not drawn, and the standard error is that of this estimator.  A run of
+    fewer than 100 frames raises a UserWarning.
     """
+    _warn_if_noisy(config)
     return _row(config, _orbit_moments(config))
 
 
@@ -324,11 +324,13 @@ def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
     seed, map degree); its own beta/r/psi_mode are ignored.  Each row is the
     ``run_once`` result of its cell at its (beta, mode) group's seed
     (``_subseed``); each group's orbit run is simulated once, in parallel
-    (see ``_parallel.fork_map``), and gives every distance's row.
+    (see ``_parallel.fork_map``), and gives every distance's row.  A base of
+    fewer than 100 frames raises one UserWarning for the whole sweep.
     """
     betas, distances, modes = list(betas), list(distances), list(modes)
     for name, axis in (("betas", betas), ("distances", distances), ("modes", modes)):
         _check("axis", axis, name)
+    _warn_if_noisy(base)
     # the raw values are validated (True is no beta, 2.7 is not 2), and only
     # then normalized, so that rows and seeds see plain ints and floats
     cells = [dataclasses.replace(base, beta=beta, r=r, psi_mode=mode)

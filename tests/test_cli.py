@@ -347,7 +347,8 @@ def test_papr_with_zero_mean_power_exits_one(capsys):
 
 @pytest.mark.parametrize("command, n_frames", [("run", 1), ("sweep", 50)])
 def test_a_library_warning_is_one_line_once(capsys, command, n_frames):
-    # the sweep meets the warning twice: building its base point and its cells
+    # the library warns once per run request: run_once for the run, and
+    # sweep_beta for the sweep's base, not once per cell
     for _ in range(2):  # and again in a second call in the same process
         assert main([command, "--set", f"n_frames={n_frames}"]) == 0
         assert capsys.readouterr().err.splitlines() == [

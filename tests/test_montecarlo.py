@@ -99,9 +99,9 @@ def test_run_once_rejects_an_overflowing_harvest(monkeypatch):
 
 
 def test_one_frame_run_is_not_an_overflow():
+    cfg = RunConfig(beta=2, r=20.0, n_frames=1)
     with pytest.warns(UserWarning):
-        cfg = RunConfig(beta=2, r=20.0, n_frames=1)
-    est = run_once(cfg).estimate
+        est = run_once(cfg).estimate
     assert math.isfinite(est.mean)
     assert math.isnan(est.std_error)  # one frame has no spread
 
@@ -113,8 +113,18 @@ def test_measure_papr_rejects_non_integer_beta(value):
 
 
 def test_run_config_warns_on_tiny_runs():
-    with pytest.warns(UserWarning):
-        RunConfig(beta=1, r=1.0, n_frames=50)
+    # building the config is silent; each run of it warns once, at the
+    # caller's line, and so does a sweep from it, however many cells it has
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = RunConfig(beta=1, r=1.0, n_frames=50)
+        dataclasses.replace(cfg, beta=2)
+    for run in (lambda: run_once(cfg),
+                lambda: sweep_beta([1, 2], [1.0, 2.0], PSI_MODES, cfg)):
+        with pytest.warns(UserWarning, match="^n_frames=50 gives a very noisy estimate$") \
+                as caught:
+            run()
+        assert [w.filename for w in caught] == [__file__]
 
 
 def test_run_once_reports_the_closed_form_at_its_own_point():
@@ -244,53 +254,60 @@ def test_measure_papr_rejects_zero_mean_power():
 
 
 def _kernel_stats(x0, beta, xi, mode, peak=True, rows=None):
-    """The mode's kernel on the seed states x0: ``_chip_sums`` or ``_power_sums``.
+    """The mode's kernel on the Dickson states y = 2 x0: ``_chip_sums`` or
+    ``_power_sums``'s sums, then its scalar peak (None without ``peak``).
 
-    ``rows`` (NaN-filled when not given) holds the statistics, then y, y^2
-    and the map step's scratch rows; the bypass peak row is there when
-    ``peak`` is set.
+    ``rows`` (NaN-filled when not given) holds the sums, then y, y^2 and the
+    map step's scratch rows; x0 is not written.
     """
-    n_stats = 1 if mode == "full" else 2 + peak
+    n_stats = 1 if mode == "full" else 2
     if rows is None:
         rows = np.full((n_stats + 2 + _step_rows(xi), x0.size), np.nan)
-    out, work = rows[:n_stats], rows[n_stats:]
+    out, y, work = rows[:n_stats], rows[n_stats], rows[n_stats + 1:]
+    np.multiply(x0, 2.0, out=y)
     if mode == "full":
-        return (_chip_sums(x0, beta, xi, out=out[0], work=work),)
-    return tuple(_power_sums(x0, beta, xi, out=out, work=work))
+        top = _chip_sums(y, beta, xi, out=out[0], work=work[1:], peak=peak)
+    else:
+        top = _power_sums(y, beta, xi, out=out, work=work, peak=peak)
+    return (*out, top)
 
 
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_orbit_batch_stats_match_sequence_sums_for_degree_three(mode):
-    # the Dickson chip sum is 2v, and the power sums run over both halves
+    # the Dickson chip sum is 2v, and the power sums run over both halves;
+    # the peak is the largest state 2x in full mode, the largest chip power
+    # in bypass mode, over all frames
     x0 = draw_initial_state(np.random.default_rng(5), size=300)
     chips = orbits(x0, 6, 3)
     stats = _kernel_stats(x0, 6, 3, mode)
     if mode == "full":
-        expected = (2.0 * chips.sum(axis=1),)
+        expected = (2.0 * chips.sum(axis=1), 2.0 * chips.max())
     else:
         expected = (2.0 * (chips ** 2).sum(axis=1), 2.0 * (chips ** 4).sum(axis=1),
-                    (chips ** 2).max(axis=1))
+                    (chips ** 2).max())
     assert len(stats) == len(expected)
+    assert isinstance(stats[-1], float)
     for got, want in zip(stats, expected):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def _chip_order_stats(x0, beta, xi, mode):
     """The kernel's statistics as running sums over scalar orbits, chip by
-    chip, times the exact 2 of the Dickson chip sum and of the two halves."""
+    chip, times the exact 2 of the Dickson chip sum and of the two halves,
+    then the peak over all frames: the largest state 2x in full mode, the
+    largest chip power in bypass mode."""
     chips = orbits(x0, beta, xi)
     if mode == "full":
         v = chips[:, 0].copy()
         for k in range(1, beta):
             v += chips[:, k]
-        return (2.0 * v,)
+        return 2.0 * v, 2.0 * chips.max()
     sq = chips * chips
-    e2, e4, m2 = sq[:, 0].copy(), sq[:, 0] * sq[:, 0], sq[:, 0].copy()
+    e2, e4 = sq[:, 0].copy(), sq[:, 0] * sq[:, 0]
     for k in range(1, beta):
         e2 += sq[:, k]
         e4 += sq[:, k] * sq[:, k]
-        np.maximum(m2, sq[:, k], out=m2)
-    return 2.0 * e2, 2.0 * e4, m2
+    return 2.0 * e2, 2.0 * e4, sq.max()
 
 
 def _orbit_sum_stats(x0, beta):
@@ -314,11 +331,11 @@ def test_orbit_batch_stats_are_bit_identical_to_chip_order_sums(xi, mode, beta):
     x0 = draw_initial_state(np.random.default_rng(beta), size=400)
     want = _chip_order_stats(x0, beta, xi, mode)
     got = _kernel_stats(x0, beta, xi, mode)
-    assert len(got) == len(want)
-    # without the peak row, bypass mode fills the two sums alone, same bits
+    assert len(got) == len(want) and isinstance(got[-1], float)
+    # without the peak, each kernel fills the same sums, same bits
     alone = _kernel_stats(x0, beta, xi, mode, peak=False)
-    assert len(alone) == (1 if mode == "full" else 2)
-    assert all(np.array_equal(a, g) for a, g in zip(alone, got))
+    assert alone[-1] is None
+    assert all(np.array_equal(a, g) for a, g in zip(alone[:-1], got[:-1]))
     if mode == "bypass" and xi == 2 and beta >= 2:
         # bypass at xi = 2 sums the orbit instead of the chip powers: its
         # two sums are that form's bits, a few ulp from the chip-order ones,
@@ -478,16 +495,18 @@ def test_batch_loop_bits_are_pinned(xi, mode, beta, mean, std_error, plain):
 @pytest.mark.parametrize("mode", PSI_MODES)
 @pytest.mark.parametrize("beta", [1, 5])
 def test_orbit_batch_stats_into_buffers_keep_the_bits(xi, mode, beta):
+    # the sums are written into views of the given rows, and the peak is a
+    # float: that of the short batch's frames alone
     x0 = draw_initial_state(np.random.default_rng(beta), size=1000)
-    seeds = x0.copy()
     want = _kernel_stats(x0, beta, xi, mode)
-    rows = np.full((len(want) + 2 + _step_rows(xi), x0.size), np.nan)
+    short = _kernel_stats(x0[:600], beta, xi, mode)
+    rows = np.full((len(want) + 1 + _step_rows(xi), x0.size), np.nan)
     # a full batch, then a short one in views of the same rows
-    for m in (x0.size, 600):
-        got = _kernel_stats(x0[:m], beta, xi, mode, rows=rows[:, :m])
-        assert all(np.shares_memory(g, rows) for g in got)
-        assert all(np.array_equal(g, w[:m]) for g, w in zip(got, want))
-    assert np.array_equal(x0, seeds)
+    for m, top in ((x0.size, want[-1]), (600, short[-1])):
+        *sums, peak = _kernel_stats(x0[:m], beta, xi, mode, rows=rows[:, :m])
+        assert all(np.shares_memory(s, rows) for s in sums)
+        assert all(np.array_equal(s, w[:m]) for s, w in zip(sums, want))
+        assert type(peak) is float and peak == top
 
 
 def test_draws_into_buffers_keep_the_bits_and_the_stream():
@@ -519,8 +538,8 @@ def test_frame_batches_write_into_one_workspace(mode):
         one, one_peak = traced(montecarlo._BATCH, peak)
         four, four_peak = traced(3 * montecarlo._BATCH + 10, peak)
         assert [m for m, *_ in four] == [montecarlo._BATCH] * 3 + [10]
-        # the seed row, two scratch rows, the two drives and the bypass peak row
-        workspace = (5 + (peak and mode == "bypass")) * 8 * montecarlo._BATCH
+        # the state row, the y^2 row and the two drives, with or without the peak
+        workspace = 4 * 8 * montecarlo._BATCH
         assert workspace <= one_peak <= workspace + 64 * 1024
         assert abs(four_peak - one_peak) <= 64 * 1024
         for _, sums, top in one + four:
@@ -587,9 +606,9 @@ def test_run_result_deviation_fields():
 
 def test_excess_sigma_of_a_zero_standard_error():
     # both frames carry bit -1, so both harvest exactly 0: mean 0, SE 0
+    cfg = RunConfig(beta=2, r=20.0, n_frames=2, seed=3)
     with pytest.warns(UserWarning):
-        cfg = RunConfig(beta=2, r=20.0, n_frames=2, seed=3)
-    res = run_once(cfg)
+        res = run_once(cfg)
     assert (res.estimate.mean, res.estimate.std_error) == (0.0, 0.0)
     assert res.excess_sigma == -math.inf
     estimate = DcEstimate(mean=1.0, std_error=0.0, n_frames=2)

@@ -49,6 +49,10 @@ def test_fig2_sweep_writes_an_erased_cell(tmp_path):
     full = next(row for row in rows if row["mode"] == "full")
     assert (full["z_empirical"], full["z_stderr"], full["excess_sigma"]) == ("0", "0", "-inf")
     assert "far-full minus near-bypass" in proc.stdout
+    # the two-frame sweep warns once, at the script's own line
+    (warning,) = [line for line in proc.stderr.splitlines() if "Warning" in line]
+    assert "fig2_sweep.py:" in warning
+    assert warning.endswith("UserWarning: n_frames=2 gives a very noisy estimate")
 
 
 def test_clt_gap_runs_at_its_defaults():
@@ -59,6 +63,15 @@ def test_clt_gap_runs_at_its_defaults():
     # exact constant at beta = 1, so both gaps read 0 there
     (row,) = [line.split() for line in proc.stdout.splitlines() if line.split()[:1] == ["1"]]
     assert row[1] == row[2] and row[3:] == ["+0.00%", "+0.00%"]
+
+
+def test_clt_gap_spot_check_of_an_erased_run():
+    # at this seed both frames carry bit -1: standard error 0, so the
+    # measurement sits -inf standard errors from the exact-orbit prediction
+    proc = _script("clt_gap.py", "--betas", "2", "--mc-frames", "2", "--seed", "3")
+    assert proc.returncode == 0, proc.stderr
+    (row,) = [line.split() for line in proc.stdout.splitlines() if line.split()[:1] == ["2"]]
+    assert row[-2:] == ["-100.00%", "-inf"]
 
 
 @pytest.mark.parametrize("pairs, reason", [
@@ -77,20 +90,28 @@ def test_bench_pairs_rejects_a_bad_pairs_entry(tmp_path, pairs, reason):
     assert "Traceback" not in proc.stderr and not out.exists()
 
 
-def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
-    # a stand-in for git and perfbench, which spends CPU time in a child: the
-    # pairs run, and the report holds the CPU count, every run's load
-    # averages before and after it, and the CPU seconds of the run and the
-    # host's busy and steal seconds over it
+def _bench_pairs_module():
     path = ROOT / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
+    # a stand-in for git and perfbench, which spends CPU time in a child: the
+    # parent and HEAD are both exported and every run is made in an export,
+    # none in the checkout; the report holds the CPU count, every run's load
+    # averages before and after it, and the CPU seconds of the run and the
+    # host's busy and steal seconds over it
+    bench_pairs = _bench_pairs_module()
     result = {"failed": 0, "attempted": 1,
               "metrics": {m: {"value": 1.0} for m in ("setup_s", "wall_rel", "peak_rss_mb")}}
+    exports, run_dirs = {}, []
 
-    def perfbench(cmd, **kw):
+    def perfbench(cmd, cwd, **kw):
         assert cmd[1] == "perfbench/run.py"
+        run_dirs.append(cwd)
         subprocess.run([sys.executable, "-c", "sum(range(3_000_000))"], check=True)
         return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result) + "\n")
 
@@ -98,18 +119,27 @@ def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
 
     def git(*args):
         git_calls.append(args)
-        return "0" * 40
+        if args[0] == "diff":
+            return ""  # a clean checkout
+        return {"HEAD~1": "1" * 40, "HEAD": "2" * 40}[args[1]]
 
     monkeypatch.setattr(bench_pairs, "git", git)
-    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: exports.setdefault(ref, dest))
     monkeypatch.setattr(bench_pairs, "subprocess", types.SimpleNamespace(run=perfbench))
     out = tmp_path / "bench.json"
-    assert bench_pairs.main(["--parent", "HEAD", "--out", str(out),
+    assert bench_pairs.main(["--parent", "HEAD~1", "--out", str(out),
                              "--pairs", "single-chip=2"]) == 0
     report = json.loads(out.read_text())
     # the change reads dirty only from the files a benchmark run reads
-    assert ("status", "--porcelain", "--untracked-files=no",
-            "--", "src", "perfbench", "BENCHMARK.json") in git_calls
+    assert ("diff", "--name-only", "HEAD", "--", "src", "perfbench",
+            "BENCHMARK.json") in git_calls
+    assert (report["parent"], report["change_head"]) == ("1" * 40, "2" * 40)
+    assert sorted(exports) == ["1" * 40, "2" * 40]
+    assert exports["1" * 40] != exports["2" * 40]
+    # two pairs and one traced run, each on both sides, all in the exports
+    assert sorted(map(str, run_dirs)) == sorted(map(str, [*exports.values()] * 3))
+    assert ROOT not in map(pathlib.Path, run_dirs)
+    assert "change_dirty" not in report
     assert report["cpus"] == len(os.sched_getaffinity(0)) >= 1
     loads = report["workloads"]["single-chip"]["loadavg"]
     assert sorted(loads) == ["change", "parent"]
@@ -125,3 +155,26 @@ def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
         for run in runs:
             assert sorted(run) == ["host_busy", "host_steal", "run"]
             assert run["run"] > 0.0 and run["host_busy"] > 0.0 and run["host_steal"] >= 0.0
+
+
+def test_bench_pairs_refuses_a_checkout_that_differs_from_head(tmp_path, monkeypatch, capsys):
+    # the change measured is HEAD's export, so an uncommitted edit to a file
+    # a run reads is refused, by name, before anything is exported or run
+    bench_pairs = _bench_pairs_module()
+
+    def git(*args):
+        assert args[0] == "diff"
+        return "BENCHMARK.json\nsrc/chaoswpt/montecarlo.py"
+
+    def refuse(*args, **kw):
+        raise AssertionError("exported or ran with a dirty checkout")
+
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "export", refuse)
+    monkeypatch.setattr(bench_pairs, "subprocess", types.SimpleNamespace(run=refuse))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "HEAD~1", "--out", str(out),
+                             "--pairs", "single-chip=2"]) == 2
+    err = capsys.readouterr().err
+    assert "BENCHMARK.json, src/chaoswpt/montecarlo.py differ from HEAD" in err
+    assert not out.exists()
