@@ -5,22 +5,26 @@ vectorized batches, streaming only the per-frame statistics the receiver mode
 needs as the orbit is iterated: the chip sum in full mode (``_chip_sums``; at
 beta = 1 the seed state is the one chip), or the chip power and fourth-power
 sums over both symbol halves in bypass mode (``_power_sums``, plus the peak
-chip power as one number, which only the PAPR measurement asks for).  The
-orbit is iterated in Dickson form, on the exactly scaled state y = 2x (see
+chip power as one number, which only the PAPR measurement asks for).  Chips
+1 ... beta of an orbit do not depend on how long it runs, so one orbit run
+serves every beta: the kernel steps each orbit to the largest beta asked for
+and reads each beta's statistics as the running sum passes it.  The orbit is
+iterated in Dickson form, on the exactly scaled state y = 2x (see
 :mod:`chaoswpt.chaos`), stepped in place from seed states used as
 ``draw_initial_state`` draws them.  At xi = 2 a chip's power is the next
 Dickson state plus 2, so bypass mode there runs full mode's one orbit sum,
-``_chip_sums``, and squares no chip.  Full mode simulates only the frames
-whose data bit is +1, since the others harvest exactly 0: each batch draws
-their count, then their seed states.  The moments of each frame's drives (s2,
-s4), whose weighted sum is its expected harvest over its fading gain, stream
-into an accumulator, so memory stays flat however many frames are requested
-and one orbit run serves every distance.  Each run allocates one workspace of
-batch-sized rows; every per-batch step writes into views of it, and a batch
-allocates no array.  The batch loop reduces each batch to the five moment
-sums and the peak power itself, so no row of the workspace leaves it.
+``_chip_sums``, and squares no chip past the first.  Full mode simulates
+only the frames whose data bit is +1, since the others harvest exactly 0:
+each batch draws their count, then their seed states.  The moments of each
+frame's drives (s2, s4), whose weighted sum is its expected harvest over its
+fading gain, stream into an accumulator, so memory stays flat however many
+frames are requested and one orbit run serves every distance too.  A
+sweep's rows in one mode thus share one stream, and it keeps their
+covariance for the fit.  Each run allocates one workspace, a batch-sized
+state row and rows one column block wide; every per-batch step writes into
+views of it, and the batch loop reduces each block itself, so no row of the
+workspace leaves it.
 """
-
 from __future__ import annotations
 
 import dataclasses
@@ -53,6 +57,9 @@ __all__ = [
 ]
 
 _BATCH = 1 << 16
+#: the kernel's column block: a fixed width, so that a beta's sums round the
+#: same whatever other betas share its orbit run
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -114,36 +121,66 @@ class RunResult:
 SweepRow = RunResult
 
 
-def _chip_sums(y: np.ndarray, beta: int, xi: int, out: np.ndarray, work: np.ndarray,
-               peak: bool = False) -> float | None:
-    """The one running sum over Dickson states: y_1 + ... + y_beta, in ``out``.
+def _chip_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, work: np.ndarray, read,
+               ahead: bool = False, peak: bool = False) -> float | None:
+    """The one running sum over Dickson states, read at each beta of ``betas``.
 
-    Steps the states y = y_1 in place, beta - 1 times, and adds each into
-    ``out``; ``work`` is the map step's scratch rows (``chaos._step_rows``).
-    Returns the largest state, as a float, when ``peak`` is set, and None
+    Steps the states y = y_1 in place and keeps out = y_1 + ... + y_n, the
+    sum of the n states so far; ``work`` is the map step's scratch rows
+    (``chaos._step_rows``).  Once n reaches betas[i] (ascending, distinct)
+    it calls ``read(i)``, with y = y_n, or with ``ahead`` set y = y_{n+1},
+    one step past the sum, which the sum adds before it goes on.  Returns
+    the largest state summed, as a float, when ``peak`` is set, and None
     otherwise.  From y = 2x the sum is exactly 2v for the chip sum v: on a
     frame whose bit is d = +1, the correlator output (1 + d) v.
     """
     np.copyto(out, y)
     top = float(np.max(y)) if peak else None
-    for _ in range(beta - 1):
-        chebyshev_step(y, xi, out=y, work=work)
-        out += y
-        if peak:
-            top = max(top, float(np.max(y)))
+    n, stepped = 1, False
+    for i, beta in enumerate(betas):
+        for _ in range(n, beta):
+            if not stepped:
+                chebyshev_step(y, xi, out=y, work=work)
+            stepped = False
+            out += y
+            if peak:
+                top = max(top, float(np.max(y)))
+        n = beta
+        if ahead:
+            chebyshev_step(y, xi, out=y, work=work)
+            stepped = True
+        read(i)
     return top
 
 
-def _power_sums(y: np.ndarray, beta: int, xi: int, out: np.ndarray, work: np.ndarray,
-                peak: bool = False) -> float | None:
-    """The bypass-mode kernel: each frame's sums of x^2 and x^4, in ``out``.
+def _correlator_drives(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray,
+                       work: np.ndarray) -> None:
+    """The full-mode kernel: betas[i]'s drives u = (2v)^2 and u^2, for the
+    chip sum v, in out[2i] and out[2i + 1]; ``_chip_sums`` runs in rows[0],
+    except at a largest beta of 1, whose sum is y itself and is not copied."""
+    s = y if betas[-1] == 1 else rows[0]
+
+    def read(i):
+        u = np.multiply(s, s, out=out[2 * i])
+        np.multiply(u, u, out=out[2 * i + 1])
+
+    if s is y:
+        read(0)
+    else:
+        _chip_sums(y, betas, xi, out=s, work=work, read=read)
+
+
+def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray,
+                work: np.ndarray, peak: bool = False) -> float | None:
+    """The bypass-mode kernel: betas[i]'s sums of x^2 and x^4, in out[2i]
+    and out[2i + 1].
 
     Steps the Dickson states y = y_1 in place.  The sums run over both
     symbol halves, whose chips are the orbit's up to sign, so each is twice
     the orbit's: the sums of y^2 and y^4 scaled by 1/2 and 1/8, which is
-    exact.  Returns the peak x^2 over every chip, as a float, when ``peak``
-    is set, and None otherwise.  ``work`` holds y^2, then the map step's
-    scratch rows.
+    exact.  Returns the peak x^2 over the largest beta's chips, as a float,
+    when ``peak`` is set, and None otherwise.  ``rows`` holds three rows:
+    the running sums of y^2 and y^4 and y^2 itself.
 
     At xi = 2 and beta >= 2 no chip is squared: y_{k+1} = y_k^2 - 2 makes
     every chip power the next chip plus 2, so with T = y_2 + ... + y_{beta+1}
@@ -153,100 +190,154 @@ def _power_sums(y: np.ndarray, beta: int, xi: int, out: np.ndarray, work: np.nda
         sum y_k^4 = (T - y_2 + y_{beta+2}) + 4 T + 6 beta,
 
     over k = 1 ... beta, and the peak chip power is max(y_2 ... y_{beta+1})
-    + 2: beta + 1 map steps and one running sum.  The peak keeps the
-    chip-order bits, since the largest power lies in [1, 4] (of two
-    consecutive chips, one has |y| >= 1), where the relation is exact (see
-    the chaos module) and fl(fl(y^2) - 2) keeps the order of the powers;
-    the two sums can differ from chip-order ones in their last few bits.
-    The peak is scaled once, after the maximum: fl(t + 2) and the exact
-    factor 1/4 keep the order, so that is the maximum of the scaled powers.
+    + 2: beta + 1 map steps and one running sum, read at every beta.  The
+    peak keeps the chip-order bits, since the largest power lies in [1, 4]
+    (of two consecutive chips, one has |y| >= 1), where the relation is
+    exact (see the chaos module) and fl(fl(y^2) - 2) keeps the order of the
+    powers; the two sums can differ from chip-order ones in their last few
+    bits.  The peak is scaled once, after the maximum: fl(t + 2) and the
+    exact factor 1/4 keep the order, so that is the maximum of the scaled
+    powers.
     """
-    e2, e4 = out
-    y2 = work[0]
-    if xi == 2 and beta > 1:
-        # e4 keeps y_2 until the last step
-        chebyshev_step(y, xi, out=y)
-        np.copyto(e4, y)
-        top = _chip_sums(y, beta, xi, out=e2, work=work[1:], peak=peak)
-        chebyshev_step(y, xi, out=y)
-        np.subtract(e2, e4, out=e4)
-        e4 += y
-        e4 += np.multiply(e2, 4.0, out=y2)
-        e4 += 6.0 * beta
-        e2 += 2.0 * beta
-        if peak:
-            top += 2.0
-    else:
+    e2, e4, y2 = rows
+    # the betas read from squared chips: all of them, or at xi = 2 a beta of 1
+    squared = betas if xi != 2 else [beta for beta in betas if beta == 1]
+    top = None
+    if squared:
         np.multiply(y, y, out=e2)
         np.multiply(e2, e2, out=e4)
         top = float(np.max(e2)) if peak else None
-        for _ in range(beta - 1):
-            chebyshev_step(y, xi, out=y, work=work[1:])
-            np.multiply(y, y, out=y2)
-            e2 += y2
-            if peak:
-                top = max(top, float(np.max(y2)))
-            y2 *= y2
-            e4 += y2
-    e2 *= 0.5
-    e4 *= 0.125
+        n = 1
+        for i, beta in enumerate(squared):
+            for _ in range(n, beta):
+                chebyshev_step(y, xi, out=y, work=work)
+                np.multiply(y, y, out=y2)
+                e2 += y2
+                if peak:
+                    top = max(top, float(np.max(y2)))
+                y2 *= y2
+                e4 += y2
+            n = beta
+            np.multiply(e2, 0.5, out=out[2 * i])
+            np.multiply(e4, 0.125, out=out[2 * i + 1])
+    summed = betas[len(squared):]
+    if summed:
+        # e4 keeps y_2, e2 is the running sum T
+        chebyshev_step(y, xi, out=y)
+        np.copyto(e4, y)
+
+        def read(i):
+            beta, row = summed[i], 2 * (len(squared) + i)
+            f2, f4 = out[row], out[row + 1]
+            np.multiply(e2, 4.0, out=f2)
+            np.subtract(e2, e4, out=f4)
+            f4 += y
+            f4 += f2
+            f4 += 6.0 * beta
+            np.add(e2, 2.0 * beta, out=f2)
+            f2 *= 0.5
+            f4 *= 0.125
+
+        top = _chip_sums(y, summed, xi, out=e2, work=work, read=read, ahead=True, peak=peak)
+        if peak:
+            top += 2.0
     return top * 0.25 if peak else None
 
 
-def _frame_batches(rng: np.random.Generator, n_frames: int, beta: int, xi: int,
+def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
                    psi_mode: str, peak: bool = False):
-    """Yield ``(m, sums, top)`` for each batch of at most _BATCH frames.
+    """Yield ``(m, sums, cross, top)`` for each batch of at most _BATCH frames.
 
-    ``sums`` holds the batch's sums of the frames' drives s2, s4 and of
-    s2*s2, s2*s4 and s4*s4, in ``DcAccumulator.add_moments``' order, and
-    ``top`` its peak power (``peak`` set) or None.  Each batch makes one
-    ``draw_initial_state`` call for its seed states, doubles them into the
-    Dickson states y = 2x in place (exact), and the kernel steps every state
-    drawn.  In bypass mode a batch draws m seed states, and its drives are
-    ``_power_sums``' rows and its peak the peak chip power; no output
-    depends on the data bits, so none is drawn.  In full mode a frame whose
-    bit is d = -1 has the correlator output (1 + d) v = 0, and no output
-    depends on which frames carry +1, so a batch draws only the count
-    k ~ Binomial(m, 1/2) of its d = +1 frames, then their k seed states: its
-    drives are their squared correlator outputs u = (2v)^2 and u^2, and its
-    peak is the largest u; the m - k frames not drawn add 0 to every sum.
-    One workspace of 4 + ``_step_rows(xi)`` rows is allocated per call: the
-    state row, a y^2 row, the map step's rows (at xi >= 3) and the two
-    drive rows, which are the draw's scratch until the kernel fills them.
-    Every batch step writes into it, and no array leaves.
+    One orbit run serves the B betas of ``betas`` (ascending, distinct).
+    ``sums[i]`` holds the batch's sums of betas[i]'s drives s2, s4 and of
+    s2*s2, s2*s4 and s4*s4, in ``DcAccumulator.add_moments``' order;
+    ``cross`` the (2B, 2B) products of all the drives summed over the
+    frames (rows 2i, 2i + 1 are betas[i]'s s2, s4), or None at B = 1; and
+    ``top`` the largest beta's peak power (``peak`` set) or None.
+
+    Each batch makes one ``draw_initial_state`` call for its seed states,
+    doubles them into the Dickson states y = 2x in place (exact), and the
+    kernel steps every state drawn.  In bypass mode a batch draws m seed
+    states, and its drives are ``_power_sums``' rows and its peak the peak
+    chip power; no output depends on the data bits, so none is drawn.  In
+    full mode a frame whose bit is d = -1 has the correlator output
+    (1 + d) v = 0, and no output depends on which frames carry +1, so a
+    batch draws only the count k ~ Binomial(m, 1/2) of its d = +1 frames,
+    then their k seed states: its drives are their squared correlator
+    outputs u = (2v)^2 and u^2, and its peak is the largest u; the m - k
+    frames not drawn add 0 to every sum.  No draw depends on ``betas``.
+
+    The kernel steps the states in column blocks of _BLOCK, a fixed width,
+    so a beta's sums keep their bits whatever else is in ``betas``: per
+    block, each beta's row sums and one BLAS-free ``einsum`` Gram product
+    give the numbers a row prints, and at B >= 2 one ``@`` product gives
+    ``cross``.  One workspace is allocated per call: the batch's state row,
+    then 2B drive rows, three kernel rows and the map step's rows (at
+    xi >= 3), one block wide; the draw's two scratch rows overlap the block
+    rows, which the kernel fills only after the draw.  Every batch step
+    writes into it, and no row of it leaves.
     """
+    nb = len(betas)
     size = min(n_frames, _BATCH)
-    n_step = _step_rows(xi)
-    rows = np.empty((4 + n_step, size))
+    width = min(size, _BLOCK)
+    n_rows = 2 * nb + 3 + _step_rows(xi)
+    space = np.empty(size + max(2 * size, n_rows * width))
+    state, rest = space[:size], space[size:]
+    rows = rest[:n_rows * width].reshape(n_rows, width)
+    kernel_rows, work = rows[2 * nb:2 * nb + 3], rows[2 * nb + 3:]
+    # each beta's row sums and Gram product of one block
+    block_sums, block_grams = np.empty((nb, 2)), np.empty((nb, 2, 2))
     for start in range(0, n_frames, _BATCH):
         m = min(_BATCH, n_frames - start)
         k = int(rng.binomial(m, 0.5)) if psi_mode == "full" else m
-        work, drives = rows[1:2 + n_step, :k], rows[2 + n_step:, :k]
-        y = draw_initial_state(rng, size=k, out=rows[0, :k], work=drives)
+        y = draw_initial_state(rng, size=k, out=state[:k], work=rest[:2 * k].reshape(2, k))
         y *= 2.0
-        if psi_mode == "bypass":
-            top = _power_sums(y, beta, xi, out=drives, work=work, peak=peak)
-        else:
-            u = drives[0]
-            _chip_sums(y, beta, xi, out=u, work=work[1:])
-            u *= u
-            np.multiply(u, u, out=drives[1])
-            top = float(np.max(u, initial=0.0)) if peak else None
-        # einsum (optimize=False) calls no BLAS, unlike @, np.dot and np.vdot,
-        # whose threads oversubscribe the CPUs a sweep's forked workers hold
-        g = np.einsum("ij,kj->ik", drives, drives)
-        yield m, [*drives.sum(axis=1), g[0, 0], g[0, 1], g[1, 1]], top
+        sums, grams = np.zeros((nb, 2)), np.zeros((nb, 2, 2))
+        cross = np.zeros((2 * nb, 2 * nb)) if nb > 1 else None
+        top = 0.0 if peak else None
+        for j in range(0, k, _BLOCK):
+            w = min(_BLOCK, k - j)
+            drives = rows[:2 * nb, :w]
+            if psi_mode == "bypass":
+                t = _power_sums(y[j:j + w], betas, xi, out=drives, rows=kernel_rows[:, :w],
+                                work=work[:, :w], peak=peak)
+            else:
+                _correlator_drives(y[j:j + w], betas, xi, out=drives,
+                                   rows=kernel_rows[:, :w], work=work[:, :w])
+                t = float(np.max(drives[-2])) if peak else None
+            if peak:
+                top = max(top, t)
+            for i in range(nb):
+                d = drives[2 * i:2 * i + 2]
+                # einsum (optimize=False) calls no BLAS, so these sums do
+                # not depend on the BLAS build or its thread count
+                d.sum(axis=1, out=block_sums[i])
+                np.einsum("ij,kj->ik", d, d, out=block_grams[i])
+            sums += block_sums
+            grams += block_grams
+            if cross is not None:
+                cross += drives @ drives.T
+        moments = [[*s, g[0][0], g[0][1], g[1][1]]
+                   for s, g in zip(sums.tolist(), grams.tolist())]
+        yield m, moments, cross, top
 
 
-def _orbit_moments(config: RunConfig) -> DcAccumulator:
+def _orbit_moments(config: RunConfig, betas) -> tuple[list[DcAccumulator], np.ndarray | None]:
     """The moments of the drives (s2, s4) over the frames of the orbit run
-    that ``config``'s seed, frame count, map degree, beta and mode fix."""
-    acc = DcAccumulator()
+    that ``config``'s seed, frame count, map degree and mode fix, read at
+    each beta of ``betas`` (ascending, distinct): one accumulator per beta,
+    and ``_frame_batches``' cross products summed over the run (None for
+    one beta)."""
+    accs = [DcAccumulator() for _ in betas]
+    total = None
     rng = np.random.default_rng(config.seed)
-    for m, sums, _ in _frame_batches(rng, config.n_frames, config.beta, config.xi,
-                                     config.psi_mode):
-        acc.add_moments(m, sums)
-    return acc
+    for m, sums, cross, _ in _frame_batches(rng, config.n_frames, betas, config.xi,
+                                            config.psi_mode):
+        for acc, s in zip(accs, sums):
+            acc.add_moments(m, s)
+        if cross is not None:
+            total = cross if total is None else total + cross
+    return accs, total
 
 
 def _row(config: RunConfig, acc: DcAccumulator) -> RunResult:
@@ -289,12 +380,25 @@ def run_once(config: RunConfig) -> RunResult:
     fewer than 100 frames raises a UserWarning.
     """
     _warn_if_noisy(config)
-    return _row(config, _orbit_moments(config))
+    (acc,), _ = _orbit_moments(config, (config.beta,))
+    return _row(config, acc)
 
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's rows, and the covariance of each (r, psi_mode) series' means.
+
+    ``covariance[r, psi_mode]`` is the matrix over that series' rows, in
+    the order ``select(r=r, psi_mode=psi_mode)`` gives them: a sweep's rows
+    in one mode share one orbit run, so their errors are correlated, and
+    its diagonal is each row's std_error squared.  A SweepResult built from
+    bare rows has none, and ``fit_scaling`` then takes the rows as
+    independent.  It does not take part in ``==``.
+    """
+
     rows: list[RunResult]
+    covariance: dict[tuple[float, str], np.ndarray] = field(default_factory=dict,
+                                                            compare=False, repr=False)
 
     def select(self, *, beta: int | None = None, r: float | None = None,
                psi_mode: str | None = None) -> list[RunResult]:
@@ -307,14 +411,38 @@ class SweepResult:
         return out
 
 
-def _subseed(seed: int, beta: int, psi_mode: str) -> int:
-    """Deterministic seed of a sweep's (beta, mode) group, shared by its rows.
+def _subseed(seed: int, psi_mode: str) -> int:
+    """Deterministic seed of a sweep's mode group, shared by its rows.
 
     Hash-derived so every group gets a decorrelated stream regardless of
     sweep ordering or which other groups are present.
     """
-    tag = f"{seed}|{beta}|{PSI_MODES.index(psi_mode)}"
+    tag = f"{seed}|{PSI_MODES.index(psi_mode)}"
     return int(hashlib.sha256(tag.encode()).hexdigest()[:16], 16)
+
+
+def _covariance(series, cross, c2: float, c4: float) -> np.ndarray:
+    """The covariance of the means of one series' rows, which share one run.
+
+    ``series`` holds each row's (place in the run's betas, estimate), and
+    ``cross`` the run's summed products of drives (None for one beta).
+    With n frames and G the cross sums of (s2, s4) between two betas,
+    M = (c2^2 G22 + c2 c4 (G24 + G42) + c4^2 G44) / n and the covariance is
+    (M - mu_i mu_j) / (n - 1).  Two rows at one beta are one row: their
+    entry is its std_error squared, so the diagonal is each row's.
+    """
+    at = np.array([i for i, _ in series])
+    n = series[0][1].n_frames
+    se = np.array([est.std_error for _, est in series])
+    cov = np.outer(se, se)
+    if cross is not None and n > 1:
+        mean = np.array([est.mean for _, est in series])
+        g = cross.reshape(len(cross) // 2, 2, len(cross) // 2, 2)[at][:, :, at]
+        m = (c2 * c2 * g[:, 0, :, 0] + c2 * c4 * (g[:, 0, :, 1] + g[:, 1, :, 0])
+             + c4 * c4 * g[:, 1, :, 1]) / n
+        apart = at[:, None] != at
+        cov[apart] = ((m - np.outer(mean, mean)) / (n - 1))[apart]
+    return cov
 
 
 def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
@@ -322,10 +450,13 @@ def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
 
     ``base`` supplies everything that is not swept (alpha, circuit, n_frames,
     seed, map degree); its own beta/r/psi_mode are ignored.  Each row is the
-    ``run_once`` result of its cell at its (beta, mode) group's seed
-    (``_subseed``); each group's orbit run is simulated once, in parallel
-    (see ``_parallel.fork_map``), and gives every distance's row.  A base of
-    fewer than 100 frames raises one UserWarning for the whole sweep.
+    ``run_once`` result of its cell at its mode group's seed (``_subseed``):
+    each mode's orbit run is simulated once, stepped to the largest beta,
+    and gives every beta's and every distance's row.  The modes run in
+    parallel (see ``_parallel.fork_map``), so a one-mode sweep runs in the
+    caller.  The rows of one mode share one stream, and the result carries
+    each (distance, mode) series' covariance.  A base of fewer than 100
+    frames raises one UserWarning for the whole sweep.
     """
     betas, distances, modes = list(betas), list(distances), list(modes)
     for name, axis in (("betas", betas), ("distances", distances), ("modes", modes)):
@@ -336,13 +467,21 @@ def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
     cells = [dataclasses.replace(base, beta=beta, r=r, psi_mode=mode)
              for beta in betas for r in distances for mode in modes]
     cfgs = [dataclasses.replace(c, beta=int(c.beta), r=float(c.r),
-                                seed=_subseed(base.seed, c.beta, c.psi_mode))
+                                seed=_subseed(base.seed, c.psi_mode))
             for c in cells]
-    groups = {(c.beta, c.psi_mode): c for c in cfgs}
-    # costliest groups first, so that no process is left with a long one last
-    keys = sorted(groups, key=lambda key: -key[0])
-    moments = dict(zip(keys, fork_map(_orbit_moments, [groups[k] for k in keys])))
-    return SweepResult(rows=[_row(c, moments[c.beta, c.psi_mode]) for c in cfgs])
+    grid = sorted({c.beta for c in cfgs})
+    at = {beta: i for i, beta in enumerate(grid)}
+    groups = {c.psi_mode: c for c in cfgs}
+    runs = dict(zip(groups, fork_map(lambda c: _orbit_moments(c, grid), groups.values())))
+    rows = [_row(c, runs[c.psi_mode][0][at[c.beta]]) for c in cfgs]
+    rho = rho_params(base.circuit)
+    covariance = {}
+    for r, mode in dict.fromkeys((row.r, row.psi_mode) for row in rows):
+        series = [(at[row.beta], row.estimate) for row in rows
+                  if (row.r, row.psi_mode) == (r, mode)]
+        covariance[r, mode] = _covariance(series, runs[mode][1],
+                                          *_weights(r, base.alpha, *rho))
+    return SweepResult(rows=rows, covariance=covariance)
 
 
 @dataclass(frozen=True)
@@ -362,8 +501,10 @@ def fit_scaling(result: SweepResult, r: float, psi_mode: str) -> FitResult:
     Filters the sweep to one (distance, mode) series; the fitted c2 exposes
     the quadratic growth of the integrate-then-rectify receiver, and should
     be statistically null for the raw stream.  Coefficient standard errors
-    come from propagating each point's Monte-Carlo standard error through
-    the (unweighted) least-squares solution.
+    propagate the series' covariance (``SweepResult.covariance``) through
+    the (unweighted) least-squares solution P: Var(coef) = P Sigma P^T.  A
+    series without one, as from bare rows, is taken as independent rows,
+    Sigma = diag(se^2).
     """
     rows = result.select(r=r, psi_mode=psi_mode)
     # a repeated beta adds no point to the quadratic, only a weight
@@ -374,12 +515,14 @@ def fit_scaling(result: SweepResult, r: float, psi_mode: str) -> FitResult:
     x = np.array([s.beta for s in rows], dtype=float)
     y = np.array([s.estimate.mean for s in rows], dtype=float)
     se = np.array([s.estimate.std_error for s in rows], dtype=float)
+    cov = result.covariance.get((float(r), psi_mode))
+    if cov is None:
+        cov = np.diag(se * se)
     design = np.vander(x, 3)  # columns: beta^2, beta, 1
     pinv = np.linalg.pinv(design)
     c2, c1, c0 = pinv @ y
-    # Var(coef) = P diag(se^2) P^T for the fixed linear map P = pinv
-    coef_var = (pinv * pinv) @ (se * se)
-    s2, s1, s0 = np.sqrt(coef_var)
+    coef_var = np.einsum("ij,jk,ik->i", pinv, cov, pinv)
+    s2, s1, s0 = np.sqrt(np.maximum(coef_var, 0.0))
     return FitResult(c0=float(c0), c1=float(c1), c2=float(c2),
                      c0_stderr=float(s0), c1_stderr=float(s1),
                      c2_stderr=float(s2), n_points=len(rows))
@@ -412,11 +555,12 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = RunConfig.n_frames,
     rng = np.random.default_rng(seed)
     peak = 0.0
     power_sum = 0.0
-    for _, sums, top in _frame_batches(rng, n_frames, beta, xi, psi_mode, peak=True):
+    for _, (sums,), _, top in _frame_batches(rng, n_frames, (beta,), xi, psi_mode,
+                                             peak=True):
         # each frame's power is its drive s2: u in full mode, the sum of the
         # chip powers in bypass mode
         peak = max(peak, top)
-        power_sum += float(sums[0])
+        power_sum += sums[0]
     # one power per frame in full mode (0 where d = -1), one per chip (2*beta
     # a frame) in bypass
     mean_power = power_sum / (n_frames if psi_mode == "full" else n_frames * 2 * beta)

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -253,22 +256,31 @@ def test_measure_papr_rejects_zero_mean_power():
     assert measure_papr(2, "bypass", n_frames=2, seed=3).plain > 0.0
 
 
-def _kernel_stats(x0, beta, xi, mode, peak=True, rows=None):
-    """The mode's kernel on the Dickson states y = 2 x0: ``_chip_sums`` or
-    ``_power_sums``'s sums, then its scalar peak (None without ``peak``).
+def _kernel_rows(mode, xi, size):
+    """NaN-filled rows for ``_kernel_stats``: the sums, y, the three kernel
+    rows and the map step's scratch rows."""
+    return np.full(((1 if mode == "full" else 2) + 4 + _step_rows(xi), size), np.nan)
 
-    ``rows`` (NaN-filled when not given) holds the sums, then y, y^2 and the
-    map step's scratch rows; x0 is not written.
+
+def _kernel_stats(x0, beta, xi, mode, peak=True, rows=None):
+    """The mode's kernel on the Dickson states y = 2 x0, read at one beta:
+    ``_chip_sums`` or ``_power_sums``'s sums, then its scalar peak (None
+    without ``peak``).
+
+    ``rows`` (``_kernel_rows`` when not given) holds the sums, then y, the
+    kernel's rows and the map step's scratch rows; x0 is not written.
     """
     n_stats = 1 if mode == "full" else 2
     if rows is None:
-        rows = np.full((n_stats + 2 + _step_rows(xi), x0.size), np.nan)
-    out, y, work = rows[:n_stats], rows[n_stats], rows[n_stats + 1:]
+        rows = _kernel_rows(mode, xi, x0.size)
+    out, y = rows[:n_stats], rows[n_stats]
+    kernel, work = rows[n_stats + 1:n_stats + 4], rows[n_stats + 4:]
     np.multiply(x0, 2.0, out=y)
     if mode == "full":
-        top = _chip_sums(y, beta, xi, out=out[0], work=work[1:], peak=peak)
+        top = _chip_sums(y, (beta,), xi, out=out[0], work=work, read=lambda i: None,
+                         peak=peak)
     else:
-        top = _power_sums(y, beta, xi, out=out, work=work, peak=peak)
+        top = _power_sums(y, (beta,), xi, out=out, rows=kernel, work=work, peak=peak)
     return (*out, top)
 
 
@@ -347,9 +359,16 @@ def test_orbit_batch_stats_are_bit_identical_to_chip_order_sums(xi, mode, beta):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def _blocks(k: int) -> list[int]:
+    """The widths of the kernel's column blocks over k states: 2^14 each,
+    whatever the betas, and the rest."""
+    return [min(1 << 14, k - j) for j in range(0, k, 1 << 14)]
+
+
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_kernel_steps_beta_minus_one_times_per_batch(monkeypatch, mode):
-    # the kernel must call the step through montecarlo's own name
+    # the kernel must call the step through montecarlo's own name; it steps
+    # each column block of a batch's states in turn, to the largest beta
     real = montecarlo.chebyshev_step
     sizes = []
 
@@ -359,17 +378,25 @@ def test_kernel_steps_beta_minus_one_times_per_batch(monkeypatch, mode):
 
     monkeypatch.setattr(montecarlo, "chebyshev_step", counting)
     n = montecarlo._BATCH + 10  # one full batch and a short one
-    for beta in (1, 2, 5):
+    # full mode steps only the states of a batch's d = +1 frames: the count
+    # of the mode group's stream in a sweep
+    drawn = {"full": _plus_frames(n, seed=1), "bypass": [montecarlo._BATCH, 10]}
+    base = RunConfig(beta=1, r=20.0, psi_mode=mode, n_frames=n, seed=1)
+    sweep = dataclasses.replace(base, seed=_subseed(1, mode))
+    drawn_sweep = {"full": _plus_frames(n, seed=sweep.seed), "bypass": drawn["bypass"]}
+    for betas in ([1], [2], [5], [1, 2, 5], [5, 3]):
         sizes.clear()
-        run_once(RunConfig(beta=beta, r=20.0, psi_mode=mode, n_frames=n, seed=1))
-        if mode == "bypass":
-            # at xi = 2 bypass mode steps past the last chip: beta + 1 steps
-            steps = beta + 1 if beta > 1 else 0
-            assert sizes == [montecarlo._BATCH] * steps + [10] * steps
+        if len(betas) == 1:
+            run_once(dataclasses.replace(base, beta=betas[0]))
+            counts = drawn[mode]
         else:
-            # full mode steps only the states of a batch's d = +1 frames
-            k1, k2 = _plus_frames(n, seed=1)
-            assert sizes == [k1] * (beta - 1) + [k2] * (beta - 1)
+            sweep_beta(betas, [20.0], [mode], base)
+            counts = drawn_sweep[mode]
+        top = max(betas)
+        # at xi = 2 bypass mode steps past the last chip: beta + 1 steps
+        steps = (top + 1 if top > 1 else 0) if mode == "bypass" else top - 1
+        assert sizes == [w for k in counts for w in _blocks(k) for _ in range(steps)]
+        assert len(_blocks(counts[0])) > 1
     sizes.clear()
     measure_papr(3, mode, n_frames=500, seed=1)
     if mode == "bypass":
@@ -403,8 +430,8 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
     for n, seed in ((1, 2), (montecarlo._BATCH + 1, 2), (montecarlo._BATCH + 10, 3)):
         replay = np.random.default_rng(seed)
         counts = []
-        for m, sums, top in montecarlo._frame_batches(np.random.default_rng(seed), n,
-                                                      beta, xi, "full", peak=True):
+        for m, (sums,), _, top in montecarlo._frame_batches(np.random.default_rng(seed), n,
+                                                            (beta,), xi, "full", peak=True):
             k = int(replay.binomial(m, 0.5))
             x0 = np.concatenate([draw_initial_state(replay, size=k),
                                  draw_initial_state(other, size=m - k)])
@@ -430,10 +457,10 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
 #: seed 2, the first seed whose one-frame last batch has k = 0 (run_once and
 #: measure_papr draw the same counts at every xi); named by (beta, xi)
 _PINNED_EMPTY_BATCH = [
-    (2, 2, '0x1.d3b3647d59995p-19', '0x1.01b268320366bp-25', '0x1.fe94102937d2ap+2'),
-    (2, 3, '0x1.fefcfa585bef0p-19', '0x1.2c141b872c28bp-25', '0x1.fb94dba9b0af1p+2'),
-    (17, 2, '0x1.4b2ff09c57437p-13', '0x1.c6afb8ba106eep-19', '0x1.5c13d2acb5667p+5'),
-    (17, 3, '0x1.38b500ed334d8p-13', '0x1.5b7c0a2e2b259p-19', '0x1.49ac779942ad5p+5'),
+    (2, 2, '0x1.d3b3647d59995p-19', '0x1.01b2683203674p-25', '0x1.fe94102937d2ap+2'),
+    (2, 3, '0x1.fefcfa585bef0p-19', '0x1.2c141b872c28ep-25', '0x1.fb94dba9b0af1p+2'),
+    (17, 2, '0x1.4b2ff09c57437p-13', '0x1.c6afb8ba106e8p-19', '0x1.5c13d2acb5667p+5'),
+    (17, 3, '0x1.38b500ed334d8p-13', '0x1.5b7c0a2e2b259p-19', '0x1.49ac779942ad6p+5'),
 ]
 
 
@@ -443,8 +470,8 @@ def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_
                                                             plain):
     n = montecarlo._BATCH + 1
     assert _plus_frames(n, seed=2)[-1] == 0
-    m, sums, top = list(montecarlo._frame_batches(np.random.default_rng(2), n, beta, xi,
-                                                  "full", peak=True))[-1]
+    m, (sums,), _, top = list(montecarlo._frame_batches(np.random.default_rng(2), n, (beta,),
+                                                        xi, "full", peak=True))[-1]
     assert m == 1 and sums == [0.0] * 5 and top == 0.0
     est = run_once(RunConfig(beta=beta, r=20.0, n_frames=n, seed=2, xi=xi)).estimate
     assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
@@ -468,17 +495,17 @@ def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_
 #: a row's test is named by its inputs, so a re-pinned row keeps its name
 _PINNED_BITS = [
     (2, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb6dp-28', '0x1.01be79f78bfdbp+2'),
-    (2, 'full', 2, '0x1.cd6c72469054ep-19', '0x1.fece5f5081519p-26', '0x1.02148e5cac993p+3'),
-    (2, 'full', 17, '0x1.506d780963073p-13', '0x1.d0ed5d69b9070p-19', '0x1.6d9cbcaa30746p+5'),
-    (2, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5998ap-29', '0x1.000375ee993e9p+1'),
-    (2, 'bypass', 2, '0x1.2bc1a32caffc0p-19', '0x1.33885af421f19p-28', '0x1.006d9c8f333b6p+1'),
-    (2, 'bypass', 17, '0x1.3f46ac28935dep-16', '0x1.c5a6dc847c400p-27', '0x1.ffa086851bec1p+0'),
+    (2, 'full', 2, '0x1.cd6c72469054ep-19', '0x1.fece5f508151cp-26', '0x1.02148e5cac993p+3'),
+    (2, 'full', 17, '0x1.506d780963073p-13', '0x1.d0ed5d69b9083p-19', '0x1.6d9cbcaa30745p+5'),
+    (2, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe59977p-29', '0x1.000375ee993e9p+1'),
+    (2, 'bypass', 2, '0x1.2bc1a32caffc0p-19', '0x1.33885af421f45p-28', '0x1.006d9c8f333b6p+1'),
+    (2, 'bypass', 17, '0x1.3f46ac28935dep-16', '0x1.c5a6dc847c412p-27', '0x1.ffa086851bec1p+0'),
     (3, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb6dp-28', '0x1.01be79f78bfdbp+2'),
-    (3, 'full', 2, '0x1.f2b6c67d34b5fp-19', '0x1.295e66818264fp-25', '0x1.03be53000d1b1p+3'),
-    (3, 'full', 17, '0x1.32607ad264e89p-13', '0x1.4620d7d7691d2p-19', '0x1.d5ef1b5b8d04ap+4'),
-    (3, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5998ap-29', '0x1.000375ee993e9p+1'),
-    (3, 'bypass', 2, '0x1.2c132cdb6ed3cp-19', '0x1.30e7d224f1a70p-28', '0x1.00280c1d1389fp+1'),
-    (3, 'bypass', 17, '0x1.3f237a0629f23p-16', '0x1.bda933c53ea4dp-27', '0x1.ffd36ddb3bc97p+0'),
+    (3, 'full', 2, '0x1.f2b6c67d34b5fp-19', '0x1.295e66818264ep-25', '0x1.03be53000d1b1p+3'),
+    (3, 'full', 17, '0x1.32607ad264e8ap-13', '0x1.4620d7d7691d3p-19', '0x1.d5ef1b5b8d04cp+4'),
+    (3, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe59977p-29', '0x1.000375ee993e9p+1'),
+    (3, 'bypass', 2, '0x1.2c132cdb6ed3cp-19', '0x1.30e7d224f1a09p-28', '0x1.00280c1d1389fp+1'),
+    (3, 'bypass', 17, '0x1.3f237a0629f23p-16', '0x1.bda933c53ea03p-27', '0x1.ffd36ddb3bc97p+0'),
 ]
 
 
@@ -500,7 +527,7 @@ def test_orbit_batch_stats_into_buffers_keep_the_bits(xi, mode, beta):
     x0 = draw_initial_state(np.random.default_rng(beta), size=1000)
     want = _kernel_stats(x0, beta, xi, mode)
     short = _kernel_stats(x0[:600], beta, xi, mode)
-    rows = np.full((len(want) + 1 + _step_rows(xi), x0.size), np.nan)
+    rows = _kernel_rows(mode, xi, x0.size)
     # a full batch, then a short one in views of the same rows
     for m, top in ((x0.size, want[-1]), (600, short[-1])):
         *sums, peak = _kernel_stats(x0[:m], beta, xi, mode, rows=rows[:, :m])
@@ -525,26 +552,35 @@ def test_frame_batches_write_into_one_workspace(mode):
     # the workspace is allocated once per run and no batch allocates an
     # array, so a four-batch run holds no more memory at its peak than a
     # one-batch run, nor that more than the workspace; no array leaves it
-    def traced(n, peak):
+    def traced(n, betas, peak):
         tracemalloc.start()
         try:
-            batches = list(montecarlo._frame_batches(np.random.default_rng(1), n, 3, 2, mode,
-                                                     peak=peak))
+            batches = list(montecarlo._frame_batches(np.random.default_rng(1), n, betas, 2,
+                                                     mode, peak=peak))
             return batches, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    for peak in (False, True):
-        one, one_peak = traced(montecarlo._BATCH, peak)
-        four, four_peak = traced(3 * montecarlo._BATCH + 10, peak)
-        assert [m for m, *_ in four] == [montecarlo._BATCH] * 3 + [10]
-        # the state row, the y^2 row and the two drives, with or without the peak
-        workspace = 4 * 8 * montecarlo._BATCH
-        assert workspace <= one_peak <= workspace + 64 * 1024
-        assert abs(four_peak - one_peak) <= 64 * 1024
-        for _, sums, top in one + four:
-            assert len(sums) == 5 and not any(isinstance(x, np.ndarray) for x in sums)
-            assert (top is None) != peak and not isinstance(top, np.ndarray)
+    for betas in ((3,), (2, 3, 7, 11)):
+        for peak in (False, True):
+            one, one_peak = traced(montecarlo._BATCH, betas, peak)
+            four, four_peak = traced(3 * montecarlo._BATCH + 10, betas, peak)
+            assert [m for m, *_ in four] == [montecarlo._BATCH] * 3 + [10]
+            # the state row, then the larger of the draw's two scratch rows
+            # and the block rows: two drives per beta and three kernel rows,
+            # 2^14 wide whatever the betas, with or without the peak
+            rows = max(2 * montecarlo._BATCH, (2 * len(betas) + 3) * (1 << 14))
+            workspace = 8 * (montecarlo._BATCH + rows)
+            assert workspace <= one_peak <= workspace + 64 * 1024
+            assert abs(four_peak - one_peak) <= 64 * 1024
+            for _, sums, cross, top in one + four:
+                assert len(sums) == len(betas)
+                assert all(len(row) == 5 and all(type(x) is float for x in row)
+                           for row in sums)
+                # the products across betas come only with more than one
+                assert (cross is None) == (len(betas) == 1)
+                assert cross is None or cross.shape == (2 * len(betas),) * 2
+                assert (top is None) != peak and not isinstance(top, np.ndarray)
 
 
 def _count_sizes(monkeypatch, name: str) -> list[int]:
@@ -719,18 +755,21 @@ def test_sweep_keeps_integer_distances_as_floats():
 
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_sweep_cell_is_run_once_at_its_subseed(mode):
-    # one (beta, mode) group's rows share its seed at every distance
-    base = RunConfig(beta=1, r=1.0, n_frames=3000, seed=23, xi=3)
-    rows = sweep_beta([4], [25.0, 40.0], [mode], base).rows
-    assert rows == [run_once(dataclasses.replace(base, beta=4, r=r, psi_mode=mode,
-                                                 seed=_subseed(23, 4, mode)))
-                    for r in (25.0, 40.0)]
+    # one mode group's rows share its seed at every beta and distance, and
+    # each is the one-beta run at that seed, bit for bit
+    betas, distances = [1, 2, 5, 17], [25.0, 40.0]
+    for xi in (2, 3):
+        base = RunConfig(beta=1, r=1.0, n_frames=3000, seed=23, xi=xi)
+        rows = sweep_beta(betas, distances, [mode], base).rows
+        assert rows == [run_once(dataclasses.replace(base, beta=beta, r=r, psi_mode=mode,
+                                                     seed=_subseed(23, mode)))
+                        for beta in betas for r in distances]
 
 
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_sweep_simulates_each_orbit_run_once(monkeypatch, mode):
-    # one (beta, mode) group runs serially; the serial map makes sure that
-    # every step, in any number of jobs, is counted in this process
+    # one mode group runs serially; the serial map makes sure that every
+    # step, in any number of jobs, is counted in this process
     monkeypatch.setattr(montecarlo, "fork_map", lambda fn, items: [fn(x) for x in items])
     real = montecarlo.chebyshev_step
     chips = []
@@ -742,11 +781,12 @@ def test_sweep_simulates_each_orbit_run_once(monkeypatch, mode):
     monkeypatch.setattr(montecarlo, "chebyshev_step", counting)
     base = RunConfig(beta=1, r=1.0, n_frames=3000, seed=5)
     counts = []
-    for distances in ([20.0], [20.0, 30.0]):
+    # a second distance and a smaller beta each read the one orbit run
+    for betas, distances in (([6], [20.0]), ([6], [20.0, 30.0]), ([2, 6], [20.0])):
         chips.clear()
-        sweep_beta([6], distances, [mode], base)
+        sweep_beta(betas, distances, [mode], base)
         counts.append(sum(chips))
-    assert counts[0] > 0 and counts[1] == counts[0]
+    assert counts[0] > 0 and counts[1:] == [counts[0]] * 2
 
 
 @pytest.mark.parametrize("mode", PSI_MODES)
@@ -852,6 +892,90 @@ def test_fit_needs_five_distinct_betas(betas):
     assert len(res.rows) == len(betas)
     with pytest.raises(ValueError, match=r"5 distinct betas .* got \[10, 20\]$"):
         fit_scaling(res, 20.0, "full")
+
+
+def _frame_harvests(seed, n, betas, xi, mode, c2, c4):
+    """Each frame's harvest w = c2*s2 + c4*s4 at every beta, one row per
+    frame, from drives built chip by chip over the draws of a mode group's
+    run at ``seed``: k and k seed states in full mode, whose other n - k
+    frames harvest 0, or n seed states in bypass mode."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.binomial(n, 0.5)) if mode == "full" else n
+    chips = orbits(draw_initial_state(rng, size=k), max(betas), xi)
+    w = np.zeros((n, len(betas)))
+    for i, beta in enumerate(betas):
+        head = chips[:, :beta]
+        if mode == "full":
+            s2 = (2.0 * head.sum(axis=1)) ** 2  # the correlator output (1 + d) v, d = +1
+            s4 = s2 * s2
+        else:
+            s2, s4 = 2.0 * (head ** 2).sum(axis=1), 2.0 * (head ** 4).sum(axis=1)
+        w[:k, i] = c2 * s2 + c4 * s4
+    return w
+
+
+@pytest.mark.parametrize("mode", PSI_MODES)
+def test_fit_carries_the_rows_covariance(mode):
+    # the rows of one mode share one run, so the fit's coefficients are the
+    # frame mean of the projection P w of each frame's harvests, and their
+    # standard errors are its sample spread, which a fit that took the rows
+    # as independent would miss
+    betas, n, r = [1, 2, 3, 5, 8], 3000, 20.0
+    base = RunConfig(beta=1, r=1.0, n_frames=n, seed=31)
+    res = sweep_beta(betas, [r], [mode], base)
+    rows = res.select(r=r, psi_mode=mode)
+    cov = res.covariance[r, mode]
+    se = np.array([row.estimate.std_error for row in rows])
+    np.testing.assert_allclose(np.diag(cov), se * se, rtol=1e-12, atol=0)
+    c2, c4 = _weights(r, base.alpha, *rho_params(base.circuit))
+    w = _frame_harvests(_subseed(31, mode), n, betas, 2, mode, c2, c4)
+    np.testing.assert_allclose([row.estimate.mean for row in rows], w.mean(axis=0),
+                               rtol=1e-12)
+    coef = w @ np.linalg.pinv(np.vander(np.array(betas, dtype=float), 3)).T
+    want = np.sqrt(coef.var(axis=0, ddof=1) / n)
+    fit = fit_scaling(res, r, mode)
+    np.testing.assert_allclose([fit.c2_stderr, fit.c1_stderr, fit.c0_stderr], want,
+                               rtol=1e-10, atol=0)
+    # the rows are correlated, so the diagonal alone gives other errors
+    bare = fit_scaling(SweepResult(rows=res.rows), r, mode)
+    assert (bare.c2, bare.c1, bare.c0) == (fit.c2, fit.c1, fit.c0)
+    assert abs(bare.c2_stderr / fit.c2_stderr - 1) > 0.01
+
+
+def test_repeated_beta_rows_are_fully_correlated():
+    base = RunConfig(beta=1, r=1.0, n_frames=2000, seed=3)
+    res = sweep_beta([4, 9, 4], [20.0, 20.0], ["bypass"], base)
+    cov = res.covariance[20.0, "bypass"]
+    rows = res.select(r=20.0, psi_mode="bypass")
+    assert cov.shape == (6, 6) and np.array_equal(cov, cov.T)
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            if a.beta == b.beta:
+                assert cov[i, j] == a.estimate.std_error ** 2
+            else:
+                assert 0.0 < cov[i, j] < a.estimate.std_error * b.estimate.std_error
+
+
+def test_fit_does_not_depend_on_the_blas_thread_count():
+    # the products across betas are one BLAS call per block; the fit they
+    # feed must read the same at any thread count
+    code = ("from chaoswpt.montecarlo import RunConfig, sweep_beta, fit_scaling\n"
+            "res = sweep_beta(range(1, 90, 11), [20.0, 30.0], ['full', 'bypass'],\n"
+            "                 RunConfig(beta=1, r=1.0, n_frames=40_000, seed=5))\n"
+            "for mode in ('full', 'bypass'):\n"
+            "    for r in (20.0, 30.0):\n"
+            "        fit = fit_scaling(res, r, mode)\n"
+            "        print(*(float(v).hex() for v in vars(fit).values()))\n")
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 4
 
 
 def test_fit_quadratic_term_is_null_on_raw_stream_mc_data():

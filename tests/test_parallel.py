@@ -9,7 +9,7 @@ from chaoswpt import _parallel
 from chaoswpt._parallel import fork_map
 from chaoswpt.distcheck import verify_distributions
 from chaoswpt.harvester import EhCircuit
-from chaoswpt.montecarlo import RunConfig, sweep_beta
+from chaoswpt.montecarlo import RunConfig, fit_scaling, sweep_beta
 
 
 @pytest.fixture
@@ -58,13 +58,17 @@ def test_fork_map_runs_every_job_once_and_the_caller_takes_a_share(pool):
 def test_sweep_pool_matches_serial(pool, monkeypatch):
     base = RunConfig(beta=1, r=20.0, n_frames=3000, seed=11, alpha=3.5,
                      circuit=EhCircuit(k4=0.2))
-    grid = ([1, 4, 13], [15.0, 27.5], ["full", "bypass"])
+    grid = ([1, 4, 13, 2, 7], [15.0, 27.5], ["full", "bypass"])
     pooled = sweep_beta(*grid, base)
     _force_serial(monkeypatch)
     serial = sweep_beta(*grid, base)
     assert pooled.rows == serial.rows
     assert [(s.beta, s.r, s.psi_mode) for s in pooled.rows] == [
         (b, r, m) for b in grid[0] for r in grid[1] for m in grid[2]]
+    # the covariance that each mode's worker sends back gives the same fit
+    for r in grid[1]:
+        for mode in grid[2]:
+            assert fit_scaling(pooled, r, mode) == fit_scaling(serial, r, mode)
 
 
 def test_verify_distributions_pool_matches_serial(pool, monkeypatch):

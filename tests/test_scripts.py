@@ -7,9 +7,11 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import chaoswpt
+from chaoswpt import montecarlo
 from chaoswpt.montecarlo import RunConfig, sweep_beta
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -39,10 +41,15 @@ def test_fig2_sweep_writes_the_signed_deviation(tmp_path):
 
 
 def test_fig2_sweep_writes_an_erased_cell(tmp_path):
-    # at this seed both full-mode frames carry bit -1: mean 0, standard error 0
+    # seed 9 is the first seed from 7 up at which the full-mode group's one
+    # batch of two frames draws no frame whose bit is +1: both are erased,
+    # so the cell reads mean 0, standard error 0
+    rng = np.random.default_rng(montecarlo._subseed(9, "full"))
+    ((m, (sums,), _, _),) = montecarlo._frame_batches(rng, 2, (2,), 2, "full")
+    assert m == 2 and sums == [0.0] * 5
     out = tmp_path / "sweep.csv"
     proc = _script("fig2_sweep.py", "--betas", "2", "--distances", "20",
-                   "--n-frames", "2", "--seed", "7", "--out", str(out))
+                   "--n-frames", "2", "--seed", "9", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
