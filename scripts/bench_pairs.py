@@ -31,7 +31,9 @@ quartiles, every run's value, and the pairs the change won (ties count for
 neither), with the metric's direction taken from ``BENCHMARK.json``.  It
 also records each side's hash of ``src/`` (``parent_source_sha256``,
 ``change_source_sha256``) and its line count of ``src/`` (``src_lines``),
-both read from that side's copy (so the net size of the change), and the
+both read from that side's copy (so the net size of the change), the
+numpy version (``numpy``) and BLAS build (``blas``, its name and version)
+that every run imports, since both sides run on this interpreter, and the
 host's load: the CPUs this process may run on (``cpus``), and each run's 1-,
 5- and 15-minute load averages before and after it (``loadavg``, per
 workload and side, in run order), and each run's CPU seconds (``cpu_s``, in
@@ -62,6 +64,8 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -113,6 +117,12 @@ def children_cpu_seconds() -> float:
     """User and system seconds of every child this process has waited for."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     return usage.ru_utime + usage.ru_stime
+
+
+def blas_build() -> dict:
+    """The name and version of the BLAS this interpreter's numpy is built with."""
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas["name"], "version": blas["version"]}
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -190,7 +200,8 @@ def main(argv=None) -> int:
     parent_sha, change_sha = git("rev-parse", args.parent), git("rev-parse", "HEAD")
     report = {"parent": parent_sha, "change_head": change_sha,
               "started": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-              "python": platform.python_version(), "seconds": seconds,
+              "python": platform.python_version(), "numpy": numpy.__version__,
+              "blas": blas_build(), "seconds": seconds,
               "cpus": len(os.sched_getaffinity(0)),
               "first_seed": args.first_seed,
               "workloads": {}}

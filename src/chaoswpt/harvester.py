@@ -148,9 +148,9 @@ def rho_params(circuit: EhCircuit) -> tuple[float, float]:
 class DcAccumulator:
     """Streaming moments of the per-frame drives (s2, s4) of a harvest c2*s2 + c4*s4.
 
-    Frame batches can be fed in any grouping; merging partial sums is
-    associative, so batched and one-shot runs agree to the last bit as long
-    as frames arrive in the same order.
+    Frame batches can be fed in any grouping, and any grouping gives the
+    same moments up to rounding; float addition is not associative, so only
+    the same grouping, merged in the same order, keeps the last bit.
     """
 
     def __init__(self) -> None:

@@ -23,7 +23,10 @@ sweep's rows in one mode thus share one stream, and it keeps their
 covariance for the fit.  Each run allocates one workspace, a batch-sized
 state row and rows one column block wide; every per-batch step writes into
 views of it, and the batch loop reduces each block itself, so no row of the
-workspace leaves it.
+workspace leaves it: one row sum and one Gram product of the block's drives
+give every beta's moments and the products across betas.  Means and PAPRs
+use no BLAS; a standard error comes through that product, so it depends on
+the BLAS build, but not on its thread count.
 """
 from __future__ import annotations
 
@@ -246,14 +249,15 @@ def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray
 
 def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
                    psi_mode: str, peak: bool = False):
-    """Yield ``(m, sums, cross, top)`` for each batch of at most _BATCH frames.
+    """Yield ``(m, sums, gram, top)`` for each batch of at most _BATCH frames.
 
     One orbit run serves the B betas of ``betas`` (ascending, distinct).
-    ``sums[i]`` holds the batch's sums of betas[i]'s drives s2, s4 and of
-    s2*s2, s2*s4 and s4*s4, in ``DcAccumulator.add_moments``' order;
-    ``cross`` the (2B, 2B) products of all the drives summed over the
-    frames (rows 2i, 2i + 1 are betas[i]'s s2, s4), or None at B = 1; and
-    ``top`` the largest beta's peak power (``peak`` set) or None.
+    ``gram`` is the (2B, 2B) products of all the drives summed over the
+    frames (rows 2i, 2i + 1 are betas[i]'s s2, s4); ``sums[i]`` holds the
+    batch's sums of betas[i]'s drives s2, s4 and, from ``gram``'s diagonal
+    2x2 block, of s2*s2, s2*s4 and s4*s4, in ``DcAccumulator.add_moments``'
+    order; and ``top`` is the largest beta's peak power (``peak`` set) or
+    None.
 
     Each batch makes one ``draw_initial_state`` call for its seed states,
     doubles them into the Dickson states y = 2x in place (exact), and the
@@ -268,36 +272,37 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
     frames not drawn add 0 to every sum.  No draw depends on ``betas``.
 
     The kernel steps the states in column blocks of _BLOCK, a fixed width,
-    so a beta's sums keep their bits whatever else is in ``betas``: per
-    block, each beta's row sums and one BLAS-free ``einsum`` Gram product
-    give the numbers a row prints, and at B >= 2 one ``@`` product gives
-    ``cross``.  One workspace is allocated per call: the batch's state row,
-    then 2B drive rows, three kernel rows and the map step's rows (at
-    xi >= 3), one block wide; the draw's two scratch rows overlap the block
-    rows, which the kernel fills only after the draw.  Every batch step
-    writes into it, and no row of it leaves.
+    and each block is reduced by one row sum and one ``@`` product of all
+    its drives, at every B.  The row sums call no BLAS, and the BLAS rounds
+    a diagonal block of the product as the product of that beta's two rows
+    alone (a property of its kernel, which the sweep tests check), so a
+    beta's sums keep their bits whatever else is in ``betas``.  One
+    workspace is allocated per call: the batch's state row, then 2B drive
+    rows, three kernel rows and the map step's rows (at xi >= 3), one block
+    wide; the draw's two scratch rows overlap the block rows, which the
+    kernel fills only after the draw.  Every batch step writes into it, and
+    no row of it leaves.
     """
-    nb = len(betas)
     size = min(n_frames, _BATCH)
     width = min(size, _BLOCK)
-    n_rows = 2 * nb + 3 + _step_rows(xi)
+    nd = 2 * len(betas)
+    n_rows = nd + 3 + _step_rows(xi)
     space = np.empty(size + max(2 * size, n_rows * width))
     state, rest = space[:size], space[size:]
     rows = rest[:n_rows * width].reshape(n_rows, width)
-    kernel_rows, work = rows[2 * nb:2 * nb + 3], rows[2 * nb + 3:]
-    # each beta's row sums and Gram product of one block
-    block_sums, block_grams = np.empty((nb, 2)), np.empty((nb, 2, 2))
+    kernel_rows, work = rows[nd:nd + 3], rows[nd + 3:]
+    # one block's row sums and Gram product
+    block_sums, block_gram = np.empty(nd), np.empty((nd, nd))
     for start in range(0, n_frames, _BATCH):
         m = min(_BATCH, n_frames - start)
         k = int(rng.binomial(m, 0.5)) if psi_mode == "full" else m
         y = draw_initial_state(rng, size=k, out=state[:k], work=rest[:2 * k].reshape(2, k))
         y *= 2.0
-        sums, grams = np.zeros((nb, 2)), np.zeros((nb, 2, 2))
-        cross = np.zeros((2 * nb, 2 * nb)) if nb > 1 else None
+        sums, gram = np.zeros(nd), np.zeros((nd, nd))
         top = 0.0 if peak else None
         for j in range(0, k, _BLOCK):
             w = min(_BLOCK, k - j)
-            drives = rows[:2 * nb, :w]
+            drives = rows[:nd, :w]
             if psi_mode == "bypass":
                 t = _power_sums(y[j:j + w], betas, xi, out=drives, rows=kernel_rows[:, :w],
                                 work=work[:, :w], peak=peak)
@@ -307,36 +312,28 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
                 t = float(np.max(drives[-2])) if peak else None
             if peak:
                 top = max(top, t)
-            for i in range(nb):
-                d = drives[2 * i:2 * i + 2]
-                # einsum (optimize=False) calls no BLAS, so these sums do
-                # not depend on the BLAS build or its thread count
-                d.sum(axis=1, out=block_sums[i])
-                np.einsum("ij,kj->ik", d, d, out=block_grams[i])
+            drives.sum(axis=1, out=block_sums)
+            np.matmul(drives, drives.T, out=block_gram)
             sums += block_sums
-            grams += block_grams
-            if cross is not None:
-                cross += drives @ drives.T
-        moments = [[*s, g[0][0], g[0][1], g[1][1]]
-                   for s, g in zip(sums.tolist(), grams.tolist())]
-        yield m, moments, cross, top
+            gram += block_gram
+        s, g = sums.tolist(), gram.tolist()
+        yield m, [[s[a], s[a + 1], g[a][a], g[a][a + 1], g[a + 1][a + 1]]
+                  for a in range(0, nd, 2)], gram, top
 
 
-def _orbit_moments(config: RunConfig, betas) -> tuple[list[DcAccumulator], np.ndarray | None]:
+def _orbit_moments(config: RunConfig, betas) -> tuple[list[DcAccumulator], np.ndarray]:
     """The moments of the drives (s2, s4) over the frames of the orbit run
     that ``config``'s seed, frame count, map degree and mode fix, read at
     each beta of ``betas`` (ascending, distinct): one accumulator per beta,
-    and ``_frame_batches``' cross products summed over the run (None for
-    one beta)."""
+    and ``_frame_batches``' Gram products summed over the run."""
     accs = [DcAccumulator() for _ in betas]
-    total = None
+    total = np.zeros((2 * len(betas),) * 2)
     rng = np.random.default_rng(config.seed)
-    for m, sums, cross, _ in _frame_batches(rng, config.n_frames, betas, config.xi,
-                                            config.psi_mode):
+    for m, sums, gram, _ in _frame_batches(rng, config.n_frames, betas, config.xi,
+                                           config.psi_mode):
         for acc, s in zip(accs, sums):
             acc.add_moments(m, s)
-        if cross is not None:
-            total = cross if total is None else total + cross
+        total += gram
     return accs, total
 
 
@@ -421,12 +418,12 @@ def _subseed(seed: int, psi_mode: str) -> int:
     return int(hashlib.sha256(tag.encode()).hexdigest()[:16], 16)
 
 
-def _covariance(series, cross, c2: float, c4: float) -> np.ndarray:
+def _covariance(series, gram, c2: float, c4: float) -> np.ndarray:
     """The covariance of the means of one series' rows, which share one run.
 
     ``series`` holds each row's (place in the run's betas, estimate), and
-    ``cross`` the run's summed products of drives (None for one beta).
-    With n frames and G the cross sums of (s2, s4) between two betas,
+    ``gram`` the run's summed products of drives.  With n frames and G the
+    sums of products of (s2, s4) between two betas,
     M = (c2^2 G22 + c2 c4 (G24 + G42) + c4^2 G44) / n and the covariance is
     (M - mu_i mu_j) / (n - 1).  Two rows at one beta are one row: their
     entry is its std_error squared, so the diagonal is each row's.
@@ -435,9 +432,9 @@ def _covariance(series, cross, c2: float, c4: float) -> np.ndarray:
     n = series[0][1].n_frames
     se = np.array([est.std_error for _, est in series])
     cov = np.outer(se, se)
-    if cross is not None and n > 1:
+    if n > 1:
         mean = np.array([est.mean for _, est in series])
-        g = cross.reshape(len(cross) // 2, 2, len(cross) // 2, 2)[at][:, :, at]
+        g = gram.reshape(len(gram) // 2, 2, len(gram) // 2, 2)[at][:, :, at]
         m = (c2 * c2 * g[:, 0, :, 0] + c2 * c4 * (g[:, 0, :, 1] + g[:, 1, :, 0])
              + c4 * c4 * g[:, 1, :, 1]) / n
         apart = at[:, None] != at

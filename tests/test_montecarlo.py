@@ -457,10 +457,10 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
 #: seed 2, the first seed whose one-frame last batch has k = 0 (run_once and
 #: measure_papr draw the same counts at every xi); named by (beta, xi)
 _PINNED_EMPTY_BATCH = [
-    (2, 2, '0x1.d3b3647d59995p-19', '0x1.01b2683203674p-25', '0x1.fe94102937d2ap+2'),
-    (2, 3, '0x1.fefcfa585bef0p-19', '0x1.2c141b872c28ep-25', '0x1.fb94dba9b0af1p+2'),
-    (17, 2, '0x1.4b2ff09c57437p-13', '0x1.c6afb8ba106e8p-19', '0x1.5c13d2acb5667p+5'),
-    (17, 3, '0x1.38b500ed334d8p-13', '0x1.5b7c0a2e2b259p-19', '0x1.49ac779942ad6p+5'),
+    (2, 2, '0x1.d3b3647d59995p-19', '0x1.01b2683203671p-25', '0x1.fe94102937d2ap+2'),
+    (2, 3, '0x1.fefcfa585bef0p-19', '0x1.2c141b872c290p-25', '0x1.fb94dba9b0af1p+2'),
+    (17, 2, '0x1.4b2ff09c57437p-13', '0x1.c6afb8ba106f4p-19', '0x1.5c13d2acb5667p+5'),
+    (17, 3, '0x1.38b500ed334d8p-13', '0x1.5b7c0a2e2b25ap-19', '0x1.49ac779942ad6p+5'),
 ]
 
 
@@ -494,18 +494,18 @@ def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_
 #: bypass rows at xi = 2 and beta >= 2 pin the orbit-sum kernel's rounding);
 #: a row's test is named by its inputs, so a re-pinned row keeps its name
 _PINNED_BITS = [
-    (2, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb6dp-28', '0x1.01be79f78bfdbp+2'),
-    (2, 'full', 2, '0x1.cd6c72469054ep-19', '0x1.fece5f508151cp-26', '0x1.02148e5cac993p+3'),
-    (2, 'full', 17, '0x1.506d780963073p-13', '0x1.d0ed5d69b9083p-19', '0x1.6d9cbcaa30745p+5'),
-    (2, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe59977p-29', '0x1.000375ee993e9p+1'),
-    (2, 'bypass', 2, '0x1.2bc1a32caffc0p-19', '0x1.33885af421f45p-28', '0x1.006d9c8f333b6p+1'),
-    (2, 'bypass', 17, '0x1.3f46ac28935dep-16', '0x1.c5a6dc847c412p-27', '0x1.ffa086851bec1p+0'),
-    (3, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb6dp-28', '0x1.01be79f78bfdbp+2'),
-    (3, 'full', 2, '0x1.f2b6c67d34b5fp-19', '0x1.295e66818264ep-25', '0x1.03be53000d1b1p+3'),
-    (3, 'full', 17, '0x1.32607ad264e8ap-13', '0x1.4620d7d7691d3p-19', '0x1.d5ef1b5b8d04cp+4'),
-    (3, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe59977p-29', '0x1.000375ee993e9p+1'),
-    (3, 'bypass', 2, '0x1.2c132cdb6ed3cp-19', '0x1.30e7d224f1a09p-28', '0x1.00280c1d1389fp+1'),
-    (3, 'bypass', 17, '0x1.3f237a0629f23p-16', '0x1.bda933c53ea03p-27', '0x1.ffd36ddb3bc97p+0'),
+    (2, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb74p-28', '0x1.01be79f78bfdbp+2'),
+    (2, 'full', 2, '0x1.cd6c72469054ep-19', '0x1.fece5f508151dp-26', '0x1.02148e5cac993p+3'),
+    (2, 'full', 17, '0x1.506d780963073p-13', '0x1.d0ed5d69b9087p-19', '0x1.6d9cbcaa30745p+5'),
+    (2, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997ep-29', '0x1.000375ee993e9p+1'),
+    (2, 'bypass', 2, '0x1.2bc1a32caffc0p-19', '0x1.33885af421f2fp-28', '0x1.006d9c8f333b6p+1'),
+    (2, 'bypass', 17, '0x1.3f46ac28935dep-16', '0x1.c5a6dc847c424p-27', '0x1.ffa086851bec1p+0'),
+    (3, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb74p-28', '0x1.01be79f78bfdbp+2'),
+    (3, 'full', 2, '0x1.f2b6c67d34b5fp-19', '0x1.295e668182652p-25', '0x1.03be53000d1b1p+3'),
+    (3, 'full', 17, '0x1.32607ad264e8ap-13', '0x1.4620d7d7691d8p-19', '0x1.d5ef1b5b8d04cp+4'),
+    (3, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997ep-29', '0x1.000375ee993e9p+1'),
+    (3, 'bypass', 2, '0x1.2c132cdb6ed3cp-19', '0x1.30e7d224f1a1cp-28', '0x1.00280c1d1389fp+1'),
+    (3, 'bypass', 17, '0x1.3f237a0629f23p-16', '0x1.bda933c53e9f1p-27', '0x1.ffd36ddb3bc97p+0'),
 ]
 
 
@@ -573,13 +573,16 @@ def test_frame_batches_write_into_one_workspace(mode):
             workspace = 8 * (montecarlo._BATCH + rows)
             assert workspace <= one_peak <= workspace + 64 * 1024
             assert abs(four_peak - one_peak) <= 64 * 1024
-            for _, sums, cross, top in one + four:
+            for _, sums, gram, top in one + four:
                 assert len(sums) == len(betas)
                 assert all(len(row) == 5 and all(type(x) is float for x in row)
                            for row in sums)
-                # the products across betas come only with more than one
-                assert (cross is None) == (len(betas) == 1)
-                assert cross is None or cross.shape == (2 * len(betas),) * 2
+                # every batch yields the products of all its drives, at any
+                # number of betas, and each beta's products are its block
+                assert gram.shape == (2 * len(betas),) * 2
+                for i, row in enumerate(sums):
+                    g = gram[2 * i:2 * i + 2, 2 * i:2 * i + 2]
+                    assert row[2:] == [g[0, 0], g[0, 1], g[1, 1]] and g[1, 0] == g[0, 1]
                 assert (top is None) != peak and not isinstance(top, np.ndarray)
 
 
@@ -943,29 +946,43 @@ def test_fit_carries_the_rows_covariance(mode):
 
 
 def test_repeated_beta_rows_are_fully_correlated():
+    # the second grid runs one beta, and every entry of its covariance is
+    # se_i * se_j
     base = RunConfig(beta=1, r=1.0, n_frames=2000, seed=3)
-    res = sweep_beta([4, 9, 4], [20.0, 20.0], ["bypass"], base)
-    cov = res.covariance[20.0, "bypass"]
-    rows = res.select(r=20.0, psi_mode="bypass")
-    assert cov.shape == (6, 6) and np.array_equal(cov, cov.T)
-    for i, a in enumerate(rows):
-        for j, b in enumerate(rows):
-            if a.beta == b.beta:
-                assert cov[i, j] == a.estimate.std_error ** 2
-            else:
-                assert 0.0 < cov[i, j] < a.estimate.std_error * b.estimate.std_error
+    for betas, distances in (([4, 9, 4], [20.0, 20.0]), ([4, 4], [20.0, 30.0])):
+        res = sweep_beta(betas, distances, ["bypass"], base)
+        assert sorted(res.covariance) == [(r, "bypass") for r in sorted(set(distances))]
+        for r in set(distances):
+            cov = res.covariance[r, "bypass"]
+            rows = res.select(r=r, psi_mode="bypass")
+            n = len(betas) * distances.count(r)
+            assert cov.shape == (n, n) and np.array_equal(cov, cov.T)
+            for i, a in enumerate(rows):
+                for j, b in enumerate(rows):
+                    if a.beta == b.beta:
+                        assert cov[i, j] == a.estimate.std_error ** 2
+                        assert cov[i, j] == a.estimate.std_error * b.estimate.std_error
+                    else:
+                        assert 0.0 < cov[i, j] < a.estimate.std_error * b.estimate.std_error
 
 
 def test_fit_does_not_depend_on_the_blas_thread_count():
-    # the products across betas are one BLAS call per block; the fit they
-    # feed must read the same at any thread count
-    code = ("from chaoswpt.montecarlo import RunConfig, sweep_beta, fit_scaling\n"
-            "res = sweep_beta(range(1, 90, 11), [20.0, 30.0], ['full', 'bypass'],\n"
-            "                 RunConfig(beta=1, r=1.0, n_frames=40_000, seed=5))\n"
+    # each block's products are one BLAS call, and every row's standard
+    # error, the covariance and the fit come from them: all must read the
+    # same at any thread count, and so must a one-beta run
+    code = ("from chaoswpt.montecarlo import RunConfig, run_once, sweep_beta, fit_scaling\n"
+            "base = RunConfig(beta=1, r=1.0, n_frames=40_000, seed=5)\n"
+            "res = sweep_beta(range(1, 90, 11), [20.0, 30.0], ['full', 'bypass'], base)\n"
             "for mode in ('full', 'bypass'):\n"
             "    for r in (20.0, 30.0):\n"
             "        fit = fit_scaling(res, r, mode)\n"
-            "        print(*(float(v).hex() for v in vars(fit).values()))\n")
+            "        print(*(float(v).hex() for v in vars(fit).values()))\n"
+            "for row in res.rows:\n"
+            "    print(row.estimate.mean.hex(), row.estimate.std_error.hex())\n"
+            "for cov in res.covariance.values():\n"
+            "    print(*(float(v).hex() for v in cov.ravel()))\n"
+            "est = run_once(base).estimate\n"
+            "print(est.mean.hex(), est.std_error.hex())\n")
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     outs = []
     for threads in ("1", "2"):
@@ -975,7 +992,9 @@ def test_fit_does_not_depend_on_the_blas_thread_count():
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
-    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 4
+    # four fits, 9 betas x 2 distances x 2 modes rows, four covariances and
+    # the one-beta run
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 4 + 36 + 4 + 1
 
 
 def test_fit_quadratic_term_is_null_on_raw_stream_mc_data():

@@ -148,6 +148,11 @@ def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
     assert ROOT not in map(pathlib.Path, run_dirs)
     assert "change_dirty" not in report
     assert report["cpus"] == len(os.sched_getaffinity(0)) >= 1
+    # every run imports this interpreter's numpy and its BLAS
+    assert report["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert report["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert all(type(v) is str and v for v in report["blas"].values())
     loads = report["workloads"]["single-chip"]["loadavg"]
     assert sorted(loads) == ["change", "parent"]
     for runs in loads.values():
