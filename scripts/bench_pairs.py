@@ -47,7 +47,12 @@ alone (a run whose worker loses its second CPU reads slower against a
 single-threaded reference), so pairs taken at different loads can be told
 apart; the load average counts the run's own processes, where the host's
 busy time less the run's own is what the other processes took, and the steal
-time what other guests took.
+time what other guests took.  Each run also records its median pass time
+(``pass_s``, perfbench's ``extras.wall_s``) and its median yardstick time
+(``ref_s``, the median of ``worker.ref_walls``, the reference kernel's
+runs), read from the run's ``perfbench/out/<workload>-seed<S>-trace<T>.json``
+in the export, per workload and side in run order, so that a ``wall_rel``
+move splits into the program's time and the reference kernel's.
 """
 
 from __future__ import annotations
@@ -127,7 +132,8 @@ def blas_build() -> dict:
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """perfbench's result object, with the host's load averages around the run
-    under ``loadavg`` and the CPU seconds over it under ``cpu_s``."""
+    under ``loadavg``, the CPU seconds over it under ``cpu_s``, and its median
+    pass and yardstick times under ``times``."""
     before = os.getloadavg()
     cpu_before, (busy_before, steal_before) = children_cpu_seconds(), host_cpu_seconds()
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -137,6 +143,10 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = json.loads((checkout / "perfbench" / "out"
+                         / f"{workload}-seed{seed}-trace{trace}.json").read_text())
+    result["times"] = {"pass_s": record["extras"]["wall_s"],
+                       "ref_s": statistics.median(record["worker"]["ref_walls"])}
     busy, steal = host_cpu_seconds()
     result["cpu_s"] = {"run": children_cpu_seconds() - cpu_before,
                        "host_busy": busy - busy_before, "host_steal": steal - steal_before}
@@ -232,6 +242,7 @@ def main(argv=None) -> int:
                 "end_to_end": compare(runs["parent"], runs["change"], spec["end_to_end"]),
                 "loadavg": {side: [r["loadavg"] for r in runs[side]] for side in runs},
                 "cpu_s": {side: [r["cpu_s"] for r in runs[side]] for side in runs},
+                "times": {side: [r["times"] for r in runs[side]] for side in runs},
                 "per_layer": {side: {name: m["value"] for name, m in t["metrics"].items()}
                               for side, t in traced.items()},
             }

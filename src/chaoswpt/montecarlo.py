@@ -3,9 +3,10 @@
 The simulator never materializes whole chip blocks: frames are processed in
 vectorized batches, streaming only the per-frame statistics the receiver mode
 needs as the orbit is iterated: the chip sum in full mode (``_chip_sums``; at
-beta = 1 the seed state is the one chip), or the chip power and fourth-power
-sums over both symbol halves in bypass mode (``_power_sums``, plus the peak
-chip power as one number, which only the PAPR measurement asks for).  Chips
+beta = 1 the seed state is the one chip), or in bypass mode two raw rows
+that an exact affine map turns into the chip power and fourth-power sums
+over both symbol halves (``_power_sums``, plus the peak chip power as one
+number, which only the PAPR measurement asks for).  Chips
 1 ... beta of an orbit do not depend on how long it runs, so one orbit run
 serves every beta: the kernel steps each orbit to the largest beta asked for
 and reads each beta's statistics as the running sum passes it.  The orbit is
@@ -23,10 +24,12 @@ sweep's rows in one mode thus share one stream, and it keeps their
 covariance for the fit.  Each run allocates one workspace, a batch-sized
 state row and rows one column block wide; every per-batch step writes into
 views of it, and the batch loop reduces each block itself, so no row of the
-workspace leaves it: one row sum and one Gram product of the block's drives
-give every beta's moments and the products across betas.  Means and PAPRs
-use no BLAS; a standard error comes through that product, so it depends on
-the BLAS build, but not on its thread count.
+workspace leaves it: one row sum and one Gram product of the block's rows
+give every beta's moments and the products across betas.  Full mode's rows
+are the drives; bypass mode's are raw, and one exact affine map per batch
+(``_drive_map``) gives the drives' sums and products from theirs.  Means
+and PAPRs use no BLAS; a standard error comes through that product, so it
+depends on the BLAS build, but not on its thread count.
 """
 from __future__ import annotations
 
@@ -173,38 +176,44 @@ def _correlator_drives(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.
         _chip_sums(y, betas, xi, out=s, work=work, read=read)
 
 
+def _orbit_summed(beta: int, xi: int) -> bool:
+    """Whether bypass mode reads beta from the orbit sum, not squared chips."""
+    return xi == 2 and beta >= 2
+
+
 def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray,
                 work: np.ndarray, peak: bool = False) -> float | None:
-    """The bypass-mode kernel: betas[i]'s sums of x^2 and x^4, in out[2i]
-    and out[2i + 1].
+    """The bypass-mode kernel: betas[i]'s two raw rows, in out[2i] and
+    out[2i + 1], which ``_drive_map`` maps to its drives, the sums of x^2
+    and x^4 over both symbol halves.
 
-    Steps the Dickson states y = y_1 in place.  The sums run over both
-    symbol halves, whose chips are the orbit's up to sign, so each is twice
-    the orbit's: the sums of y^2 and y^4 scaled by 1/2 and 1/8, which is
-    exact.  Returns the peak x^2 over the largest beta's chips, as a float,
-    when ``peak`` is set, and None otherwise.  ``rows`` holds three rows:
-    the running sums of y^2 and y^4 and y^2 itself.
+    Steps the Dickson states y = y_1 in place.  Returns the peak x^2 over
+    the largest beta's chips, as a float, when ``peak`` is set, and None
+    otherwise.  ``rows`` holds three rows: the running sums of y^2 and y^4
+    and y^2 itself.  A beta read from squared chips (each beta at xi >= 3,
+    beta = 1 at xi = 2) has the raw rows sum y_k^2 and sum y_k^4 over k =
+    1 ... beta.
 
     At xi = 2 and beta >= 2 no chip is squared: y_{k+1} = y_k^2 - 2 makes
     every chip power the next chip plus 2, so with T = y_2 + ... + y_{beta+1}
-    (``_chip_sums`` from y_2),
+    (``_chip_sums`` from y_2) and D = y_{beta+2} - y_2,
 
         sum y_k^2 = T + 2 beta,
-        sum y_k^4 = (T - y_2 + y_{beta+2}) + 4 T + 6 beta,
+        sum y_k^4 = (T - y_2 + y_{beta+2}) + 4 T + 6 beta = 5 T + D + 6 beta,
 
-    over k = 1 ... beta, and the peak chip power is max(y_2 ... y_{beta+1})
-    + 2: beta + 1 map steps and one running sum, read at every beta.  The
-    peak keeps the chip-order bits, since the largest power lies in [1, 4]
-    (of two consecutive chips, one has |y| >= 1), where the relation is
-    exact (see the chaos module) and fl(fl(y^2) - 2) keeps the order of the
-    powers; the two sums can differ from chip-order ones in their last few
-    bits.  The peak is scaled once, after the maximum: fl(t + 2) and the
+    over k = 1 ... beta, and the raw rows are T (a copy of the running sum)
+    and D: beta + 1 map steps, one running sum, and two row writes at each
+    beta.  The peak chip power is max(y_2 ... y_{beta+1}) + 2.  The peak
+    keeps the chip-order bits, since the largest power lies in [1, 4] (of
+    two consecutive chips, one has |y| >= 1), where the relation is exact
+    (see the chaos module) and fl(fl(y^2) - 2) keeps the order of the
+    powers.  The peak is scaled once, after the maximum: fl(t + 2) and the
     exact factor 1/4 keep the order, so that is the maximum of the scaled
     powers.
     """
     e2, e4, y2 = rows
     # the betas read from squared chips: all of them, or at xi = 2 a beta of 1
-    squared = betas if xi != 2 else [beta for beta in betas if beta == 1]
+    squared = [beta for beta in betas if not _orbit_summed(beta, xi)]
     top = None
     if squared:
         np.multiply(y, y, out=e2)
@@ -221,8 +230,8 @@ def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray
                 y2 *= y2
                 e4 += y2
             n = beta
-            np.multiply(e2, 0.5, out=out[2 * i])
-            np.multiply(e4, 0.125, out=out[2 * i + 1])
+            np.copyto(out[2 * i], e2)
+            np.copyto(out[2 * i + 1], e4)
     summed = betas[len(squared):]
     if summed:
         # e4 keeps y_2, e2 is the running sum T
@@ -230,21 +239,51 @@ def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray
         np.copyto(e4, y)
 
         def read(i):
-            beta, row = summed[i], 2 * (len(squared) + i)
-            f2, f4 = out[row], out[row + 1]
-            np.multiply(e2, 4.0, out=f2)
-            np.subtract(e2, e4, out=f4)
-            f4 += y
-            f4 += f2
-            f4 += 6.0 * beta
-            np.add(e2, 2.0 * beta, out=f2)
-            f2 *= 0.5
-            f4 *= 0.125
+            row = 2 * (len(squared) + i)
+            np.copyto(out[row], e2)
+            np.subtract(y, e4, out=out[row + 1])
 
         top = _chip_sums(y, summed, xi, out=e2, work=work, read=read, ahead=True, peak=peak)
         if peak:
             top += 2.0
     return top * 0.25 if peak else None
+
+
+def _drive_map(betas, xi: int, k: int, sums: np.ndarray,
+               gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bypass mode's drives summed over k frames, from ``_power_sums``' raw
+    rows summed over them: the row sums ``sums`` and products ``gram``.
+
+    The one place that states the bypass drive formulas.  Both symbol
+    halves carry the orbit's chips up to sign, and x = y/2, so betas[i]'s
+    drives are an exact affine map of its raw rows (a, b): s2 = a/2 + c2
+    and s4 = q a + b/8 + c4, with q = 5/8, c2 = beta and c4 = 3 beta/4 for
+    the orbit sum (xi = 2, beta >= 2: a = T, b = D) and q = c2 = c4 = 0 for
+    squared chips.  With A the map's linear part and c its constants, the
+    drives' sums are A S + k c, and their products A G A^T + (A S) c^T +
+    c (A S)^T + k c c^T.  No BLAS is called.  The products keep the upper
+    triangle of A G A^T, mirrored, and add symmetric terms, so they are
+    exactly symmetric, and betas[i]'s 2x2 diagonal block, like its sums,
+    comes from its own raw sums and block alone.  Squared chips' drives are
+    the raw ones times powers of two: the same bits as scaling each frame.
+    """
+    summed = [_orbit_summed(beta, xi) for beta in betas]
+    q = np.array([[0.625 if s else 0.0] for s in summed])
+    c = np.array([(beta * f if s else 0.0) for beta, s in zip(betas, summed)
+                  for f in (1.0, 0.75)])
+
+    def linear(v):
+        # A along v's first axis
+        a, b = v[0::2], v[1::2]
+        out = np.empty_like(v)
+        out[0::2] = 0.5 * a
+        out[1::2] = q * a + 0.125 * b
+        return out
+
+    u = linear(sums[:, None])[:, 0]
+    g = linear(linear(gram).T)
+    g = np.triu(g) + np.triu(g, 1).T
+    return u + k * c, g + (np.outer(u, c) + np.outer(c, u)) + k * np.outer(c, c)
 
 
 def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
@@ -262,8 +301,10 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
     Each batch makes one ``draw_initial_state`` call for its seed states,
     doubles them into the Dickson states y = 2x in place (exact), and the
     kernel steps every state drawn.  In bypass mode a batch draws m seed
-    states, and its drives are ``_power_sums``' rows and its peak the peak
-    chip power; no output depends on the data bits, so none is drawn.  In
+    states, ``_power_sums`` writes two raw rows per beta, and ``_drive_map``
+    maps the batch's raw sums and products to its drives'; its peak is the
+    peak chip power.  No bypass output depends on the data bits, so none
+    is drawn.  In
     full mode a frame whose bit is d = -1 has the correlator output
     (1 + d) v = 0, and no output depends on which frames carry +1, so a
     batch draws only the count k ~ Binomial(m, 1/2) of its d = +1 frames,
@@ -273,11 +314,12 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
 
     The kernel steps the states in column blocks of _BLOCK, a fixed width,
     and each block is reduced by one row sum and one ``@`` product of all
-    its drives, at every B.  The row sums call no BLAS, and the BLAS rounds
-    a diagonal block of the product as the product of that beta's two rows
-    alone (a property of its kernel, which the sweep tests check), so a
-    beta's sums keep their bits whatever else is in ``betas``.  One
-    workspace is allocated per call: the batch's state row, then 2B drive
+    its 2B rows, at every B.  The row sums and the map call no BLAS, the
+    map reads each beta's sums and diagonal block alone, and the BLAS
+    rounds a diagonal block of the product as the product of that beta's
+    two rows alone (a property of its kernel, which the sweep tests check),
+    so a beta's sums keep their bits whatever else is in ``betas``.  One
+    workspace is allocated per call: the batch's state row, then 2B output
     rows, three kernel rows and the map step's rows (at xi >= 3), one block
     wide; the draw's two scratch rows overlap the block rows, which the
     kernel fills only after the draw.  Every batch step writes into it, and
@@ -302,20 +344,22 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
         top = 0.0 if peak else None
         for j in range(0, k, _BLOCK):
             w = min(_BLOCK, k - j)
-            drives = rows[:nd, :w]
+            block = rows[:nd, :w]
             if psi_mode == "bypass":
-                t = _power_sums(y[j:j + w], betas, xi, out=drives, rows=kernel_rows[:, :w],
+                t = _power_sums(y[j:j + w], betas, xi, out=block, rows=kernel_rows[:, :w],
                                 work=work[:, :w], peak=peak)
             else:
-                _correlator_drives(y[j:j + w], betas, xi, out=drives,
+                _correlator_drives(y[j:j + w], betas, xi, out=block,
                                    rows=kernel_rows[:, :w], work=work[:, :w])
-                t = float(np.max(drives[-2])) if peak else None
+                t = float(np.max(block[-2])) if peak else None
             if peak:
                 top = max(top, t)
-            drives.sum(axis=1, out=block_sums)
-            np.matmul(drives, drives.T, out=block_gram)
+            block.sum(axis=1, out=block_sums)
+            np.matmul(block, block.T, out=block_gram)
             sums += block_sums
             gram += block_gram
+        if psi_mode == "bypass":
+            sums, gram = _drive_map(betas, xi, k, sums, gram)
         s, g = sums.tolist(), gram.tolist()
         yield m, [[s[a], s[a + 1], g[a][a], g[a][a + 1], g[a + 1][a + 1]]
                   for a in range(0, nd, 2)], gram, top

@@ -262,13 +262,26 @@ def _kernel_rows(mode, xi, size):
     return np.full(((1 if mode == "full" else 2) + 4 + _step_rows(xi), size), np.nan)
 
 
-def _kernel_stats(x0, beta, xi, mode, peak=True, rows=None):
-    """The mode's kernel on the Dickson states y = 2 x0, read at one beta:
-    ``_chip_sums`` or ``_power_sums``'s sums, then its scalar peak (None
-    without ``peak``).
+def _frame_drives(a, b, beta, xi):
+    """Each frame's bypass drives (sum x^2, sum x^4 over both halves) from
+    ``_power_sums``' raw rows (a, b), as ``_drive_map`` states them: the
+    squared chips' sums of y^2 and y^4 times 1/2 and 1/8, or at xi = 2 and
+    beta >= 2 the orbit sum T and D = y_{beta+2} - y_2 in s2 = T/2 + beta
+    and s4 = 5T/8 + D/8 + 3 beta/4."""
+    if xi == 2 and beta >= 2:
+        return 0.5 * a + beta, 0.625 * a + 0.125 * b + 0.75 * beta
+    return 0.5 * a, 0.125 * b
 
-    ``rows`` (``_kernel_rows`` when not given) holds the sums, then y, the
-    kernel's rows and the map step's scratch rows; x0 is not written.
+
+def _kernel_stats(x0, beta, xi, mode, peak=True, rows=None, raw=False):
+    """The mode's kernel on the Dickson states y = 2 x0, read at one beta:
+    ``_chip_sums``' sum or each frame's two bypass drives (``_power_sums``'
+    raw rows themselves with ``raw``), then its scalar peak (None without
+    ``peak``).
+
+    ``rows`` (``_kernel_rows`` when not given) holds the kernel's output
+    rows, then y, the kernel's rows and the map step's scratch rows; x0 is
+    not written.
     """
     n_stats = 1 if mode == "full" else 2
     if rows is None:
@@ -281,6 +294,8 @@ def _kernel_stats(x0, beta, xi, mode, peak=True, rows=None):
                          peak=peak)
     else:
         top = _power_sums(y, (beta,), xi, out=out, rows=kernel, work=work, peak=peak)
+        if not raw:
+            out = _frame_drives(*out, beta, xi)
     return (*out, top)
 
 
@@ -322,24 +337,24 @@ def _chip_order_stats(x0, beta, xi, mode):
     return 2.0 * e2, 2.0 * e4, sq.max()
 
 
-def _orbit_sum_stats(x0, beta):
-    """Bypass sums at xi = 2 and beta >= 2 in the kernel's orbit-sum form and
-    order: T = y_2 + ... + y_{beta+1} over the scalar orbit of y = 2x, then
-    sum y^2 = T + 2 beta and sum y^4 = (T - y_2 + y_{beta+2}) + 4 T + 6 beta."""
+def _orbit_sum_rows(x0, beta):
+    """Bypass raw rows at xi = 2 and beta >= 2 in the kernel's order:
+    T = y_2 + ... + y_{beta+1} over the scalar orbit of y = 2x, and
+    D = y_{beta+2} - y_2."""
     y = 2.0 * orbits(x0, beta + 2, 2)
     t = y[:, 1].copy()
     for k in range(2, beta + 1):
         t += y[:, k]
-    e4 = (t - y[:, 1]) + y[:, beta + 1] + 4.0 * t + 6.0 * beta
-    return (t + 2.0 * beta) * 0.5, e4 * 0.125
+    return t, y[:, beta + 1] - y[:, 1]
 
 
 @pytest.mark.parametrize("xi", [2, 3])
 @pytest.mark.parametrize("mode", PSI_MODES)
 @pytest.mark.parametrize("beta", [1, 2, 17])
 def test_orbit_batch_stats_are_bit_identical_to_chip_order_sums(xi, mode, beta):
-    # the Dickson-form kernel scales by powers of two only, so nothing rounds
-    # differently from the unscaled orbit summed in chip order
+    # the Dickson-form kernel and the squared chips' map scale by powers of
+    # two only, so nothing rounds differently from the unscaled orbit summed
+    # in chip order
     x0 = draw_initial_state(np.random.default_rng(beta), size=400)
     want = _chip_order_stats(x0, beta, xi, mode)
     got = _kernel_stats(x0, beta, xi, mode)
@@ -350,13 +365,38 @@ def test_orbit_batch_stats_are_bit_identical_to_chip_order_sums(xi, mode, beta):
     assert all(np.array_equal(a, g) for a, g in zip(alone[:-1], got[:-1]))
     if mode == "bypass" and xi == 2 and beta >= 2:
         # bypass at xi = 2 sums the orbit instead of the chip powers: its
-        # two sums are that form's bits, a few ulp from the chip-order ones,
-        # and its peak is still the chip-order peak
-        assert all(np.array_equal(g, w) for g, w in zip(got, _orbit_sum_stats(x0, beta)))
+        # raw rows are that form's bits, its drives a few ulp from the
+        # chip-order ones, and its peak is still the chip-order peak
+        rows = _kernel_stats(x0, beta, xi, mode, raw=True)[:2]
+        assert all(np.array_equal(g, w) for g, w in zip(rows, _orbit_sum_rows(x0, beta)))
         for g, w in zip(got[:2], want[:2]):
             assert np.max(np.abs(g - w) / w) <= 1e-14
         got, want = got[2:], want[2:]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_drive_map_gives_the_chip_order_sums_and_products():
+    # bypass at xi = 2 over two column blocks, one beta read from squared
+    # chips and three from the orbit sum in one run: each beta's five sums
+    # and the products across betas are those of each frame's sum x^2 and
+    # sum x^4 over both halves, chip by chip, and the products are exactly
+    # symmetric
+    betas, n = (1, 2, 5, 17), montecarlo._BLOCK + 100
+    ((m, sums, gram, _),) = montecarlo._frame_batches(np.random.default_rng(4), n, betas, 2,
+                                                      "bypass")
+    chips = orbits(draw_initial_state(np.random.default_rng(4), size=n), max(betas), 2)
+    sq = chips * chips
+    drives = np.concatenate([[2.0 * sq[:, :beta].sum(axis=1),
+                              2.0 * (sq[:, :beta] ** 2).sum(axis=1)] for beta in betas])
+    want = drives @ drives.T
+    assert m == n and np.array_equal(gram, gram.T)
+    for i, row in enumerate(sums):
+        a = 2 * i
+        np.testing.assert_allclose(row, [drives[a].sum(), drives[a + 1].sum(), want[a, a],
+                                         want[a, a + 1], want[a + 1, a + 1]], rtol=1e-12)
+    np.testing.assert_allclose(gram, want, rtol=1e-12)
+    # s2 at beta = 2 against s4 at beta = 17, as a sum over the frames
+    assert gram[2, 7] == pytest.approx(np.sum(drives[2] * drives[7]), rel=1e-12)
 
 
 def _blocks(k: int) -> list[int]:
@@ -498,7 +538,7 @@ _PINNED_BITS = [
     (2, 'full', 2, '0x1.cd6c72469054ep-19', '0x1.fece5f508151dp-26', '0x1.02148e5cac993p+3'),
     (2, 'full', 17, '0x1.506d780963073p-13', '0x1.d0ed5d69b9087p-19', '0x1.6d9cbcaa30745p+5'),
     (2, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997ep-29', '0x1.000375ee993e9p+1'),
-    (2, 'bypass', 2, '0x1.2bc1a32caffc0p-19', '0x1.33885af421f2fp-28', '0x1.006d9c8f333b6p+1'),
+    (2, 'bypass', 2, '0x1.2bc1a32caffc1p-19', '0x1.33885af421f2fp-28', '0x1.006d9c8f333b5p+1'),
     (2, 'bypass', 17, '0x1.3f46ac28935dep-16', '0x1.c5a6dc847c424p-27', '0x1.ffa086851bec1p+0'),
     (3, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb74p-28', '0x1.01be79f78bfdbp+2'),
     (3, 'full', 2, '0x1.f2b6c67d34b5fp-19', '0x1.295e668182652p-25', '0x1.03be53000d1b1p+3'),
@@ -525,12 +565,12 @@ def test_orbit_batch_stats_into_buffers_keep_the_bits(xi, mode, beta):
     # the sums are written into views of the given rows, and the peak is a
     # float: that of the short batch's frames alone
     x0 = draw_initial_state(np.random.default_rng(beta), size=1000)
-    want = _kernel_stats(x0, beta, xi, mode)
-    short = _kernel_stats(x0[:600], beta, xi, mode)
+    want = _kernel_stats(x0, beta, xi, mode, raw=True)
+    short = _kernel_stats(x0[:600], beta, xi, mode, raw=True)
     rows = _kernel_rows(mode, xi, x0.size)
     # a full batch, then a short one in views of the same rows
     for m, top in ((x0.size, want[-1]), (600, short[-1])):
-        *sums, peak = _kernel_stats(x0[:m], beta, xi, mode, rows=rows[:, :m])
+        *sums, peak = _kernel_stats(x0[:m], beta, xi, mode, rows=rows[:, :m], raw=True)
         assert all(np.shares_memory(s, rows) for s in sums)
         assert all(np.array_equal(s, w[:m]) for s, w in zip(sums, want))
         assert type(peak) is float and peak == top

@@ -109,8 +109,9 @@ def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
     # a stand-in for git and perfbench, which spends CPU time in a child: the
     # parent and HEAD are both exported and every run is made in an export,
     # none in the checkout; the report holds the CPU count, every run's load
-    # averages before and after it, and the CPU seconds of the run and the
-    # host's busy and steal seconds over it
+    # averages before and after it, the CPU seconds of the run and the
+    # host's busy and steal seconds over it, and the median pass and
+    # yardstick times from the record the run writes in its export
     bench_pairs = _bench_pairs_module()
     result = {"failed": 0, "attempted": 1,
               "metrics": {m: {"value": 1.0} for m in ("setup_s", "wall_rel", "peak_rss_mb")}}
@@ -120,6 +121,14 @@ def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
         assert cmd[1] == "perfbench/run.py"
         run_dirs.append(cwd)
         subprocess.run([sys.executable, "-c", "sum(range(3_000_000))"], check=True)
+        args = dict(zip(cmd[2::2], cmd[3::2]))
+        out = pathlib.Path(cwd, "perfbench", "out")
+        out.mkdir(parents=True, exist_ok=True)
+        # the pass time tells the sides apart; the yardstick's median is 0.2
+        pass_s = 0.01 if cwd == exports["1" * 40] else 0.02
+        record = {"extras": {"wall_s": pass_s}, "worker": {"ref_walls": [0.3, 0.1, 0.2]}}
+        (out / f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json"
+         ).write_text(json.dumps(record))
         return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result) + "\n")
 
     git_calls = []
@@ -167,6 +176,9 @@ def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
         for run in runs:
             assert sorted(run) == ["host_busy", "host_steal", "run"]
             assert run["run"] > 0.0 and run["host_busy"] > 0.0 and run["host_steal"] >= 0.0
+    times = report["workloads"]["single-chip"]["times"]
+    assert times == {"parent": [{"pass_s": 0.01, "ref_s": 0.2}] * 2,
+                     "change": [{"pass_s": 0.02, "ref_s": 0.2}] * 2}
 
 
 def test_bench_pairs_refuses_a_checkout_that_differs_from_head(tmp_path, monkeypatch, capsys):
