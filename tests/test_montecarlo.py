@@ -626,6 +626,33 @@ def test_frame_batches_write_into_one_workspace(mode):
                 assert (top is None) != peak and not isinstance(top, np.ndarray)
 
 
+@pytest.mark.parametrize("mode", PSI_MODES)
+def test_workspace_rows_start_on_a_cache_line(monkeypatch, mode):
+    # a row that straddles 64-byte cache lines slows every pass over it: the
+    # seed row and every row the kernel steps through start on a line (the
+    # draw's second scratch row starts k floats in, wherever that is)
+    seen = []
+
+    def spy(name, keys):
+        real = getattr(montecarlo, name)
+
+        def call(*args, **kw):
+            for key in keys:
+                if kw[key].size:
+                    seen.extend(row.ctypes.data % 64 for row in np.atleast_2d(kw[key]))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(montecarlo, name, call)
+
+    spy("draw_initial_state", ("out",))
+    for name in ("_power_sums", "_correlator_drives"):
+        spy(name, ("out", "rows", "work"))
+    n = montecarlo._BATCH + (1 << 14) + 10
+    for xi in (2, 3):
+        list(montecarlo._frame_batches(np.random.default_rng(1), n, (1, 2, 5), xi, mode))
+    assert len(seen) > 20 and set(seen) == {0}
+
+
 def _count_sizes(monkeypatch, name: str) -> list[int]:
     """The ``size`` of every call to montecarlo's ``name``."""
     real = getattr(montecarlo, name)
