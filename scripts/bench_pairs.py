@@ -25,6 +25,8 @@ A claim made while a change was written can so be confirmed on seeds that
 were not used then.  One ``--trace 1`` run per side and workload, at the
 first seed, adds the per-layer metrics.  Only the last stdout line of each
 run (perfbench's result object) is read; ``perfbench/`` is used as it is.
+Stopped with SIGTERM, the script kills the run in progress, removes its
+temporary directory and exits with status 143.
 
 The output holds, per workload and end-to-end metric, each side's median and
 quartiles, every run's value, and the pairs the change won (ties count for
@@ -63,6 +65,7 @@ import json
 import os
 import platform
 import resource
+import signal
 import statistics
 import subprocess
 import sys
@@ -179,7 +182,22 @@ def compare(parent: list[dict], change: list[dict], declared: list[dict]) -> dic
     return out
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    """``_compare``, with SIGTERM raising SystemExit: its default action ends
+    the process at once, which would leave the temporary directory and the
+    run in progress behind, where SystemExit unwinds both."""
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _compare(argv)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _compare(argv) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, help="git ref of the parent commit")

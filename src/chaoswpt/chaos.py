@@ -7,6 +7,11 @@ The chip source is the degree-xi Chebyshev map on [-1, 1],
 iterated from an initial state x0.  Orbits of this map distribute their
 samples according to the arcsine law f(x) = 1/(pi*sqrt(1-x^2)), which is
 what every closed-form moment in :mod:`chaoswpt.analytic` relies on.
+An arcsine chip is cos(pi*U) for a uniform U, formed in one place,
+``_cos_pi``, from one sine of the exact angle pi*(1 - 2U)/4 in
+[-pi/4, pi/4]; ``draw_initial_state`` seeds the orbits with
+it, and :mod:`chaoswpt.distcheck` draws its single-chip families' chips
+with it.
 
 The map is evaluated as the exact polynomial it equals on [-1, 1]:
 T_2(x) = 2x^2 - 1, and the three-term recurrence
@@ -159,6 +164,32 @@ def generate_sequence(x0: float, n: int, xi: int = 2) -> np.ndarray:
     return out
 
 
+def _cos_pi(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """cos(pi*u) for the uniforms u in [0, 1) in ``x``, in place, through one
+    sine on [-pi/4, pi/4]; ``c`` (an array of x's shape) receives cos(phi).
+
+    With d = 1 - 2u, exact, and phi = pi*d/4, cos(pi*u) = sin(2 phi) =
+    2 sin(phi) cos(phi).  glibc's sine and cosine switch code paths at
+    |x| = 0.855, which cos(pi*u) crosses at random, mispredicting the
+    branch, and the sine on [-pi/4, pi/4] never does: it costs about half
+    as much.  c = sqrt(1 - s^2) for s = sin(phi) is well conditioned since
+    s^2 <= 1/2.  phi is formed as (u - 1/2) * (-pi/2), whose subtraction
+    is exact and whose factor is pi/4 times a power of two, so it is
+    fl(pi*d/4); the sine is odd, so the state carries d's sign with no
+    separate pass.  The clip is needed: 2sc rounds to +/-(1 + 2^-52) at
+    some u near 0 and 1 (the first at u = 6/2^53 and 1 - 6/2^53), and a state
+    outside [-1, 1] makes the orbit run off to infinity.
+    """
+    x -= 0.5
+    x *= -0.5 * np.pi
+    np.sin(x, out=x)
+    np.multiply(x, x, out=c)
+    np.sqrt(np.subtract(1.0, c, out=c), out=c)
+    x *= c
+    x += x
+    return np.clip(x, -1.0, 1.0, out=x)
+
+
 def draw_initial_state(rng: np.random.Generator, size: int, out=None,
                        work=None) -> np.ndarray:
     """``size`` seed states drawn from the stationary density via x = cos(pi*U).
@@ -168,23 +199,29 @@ def draw_initial_state(rng: np.random.Generator, size: int, out=None,
     alone would have used them up and sit near +/-1 (mean square 0.545
     instead of 0.5).  A second uniform V widens the angle to
     pi*(U + 2V/2^53), which keeps every later step's angle uniform.
+    cos(pi*U) comes from ``_cos_pi``, one sine on the fast range, within
+    about half an ulp on average (cos of the rounded pi*U errs by several
+    ulps, and by hundreds near x = 0, where chip 54's mean square read
+    5.5 standard errors low over 2^24 draws); the V term's sin(pi*U) is
+    2 cos(phi)^2 - 1 of its fold.
 
-    Every state lies in [-1, 1]: cos(pi*U) does, the sub-ulp term is >= 0,
-    and it is 0 at x = -1 and far below x + 1 elsewhere.  The states are
-    used as drawn, fixed points included: U = 0 gives x = 1 (a chance of
-    2^-53), and float orbits land on the fixed points +/-1 far more often,
-    from any chip (about 3e-7 of 100-chip orbits at xi = 2).
+    Every state lies in [-1, 1]: ``_cos_pi`` clips to it, and the sub-ulp
+    term is >= 0 and far below x + 1 (below 1e-23 where x rounds to -1).
+    The states are used as drawn, fixed points included: U = 0 gives x = 1
+    (a chance of 2^-53), and float orbits land on the fixed points +/-1 far
+    more often, from any chip (about 3e-7 of 100-chip orbits at xi = 2).
 
     ``out`` (a float array of ``size`` entries) receives the states, and
     ``work`` is two more such arrays for scratch; either is allocated when
     not given.  The stream and the bits do not depend on which.
     """
-    t, v = (None, None) if work is None else work
-    x = rng.random(size, out=out)
-    np.cos(np.multiply(x, np.pi, out=x), out=x)
-    # cos(pi*(u + 2v/2^53)) to first order in the sub-ulp term; sin(pi*u) >= 0
-    t = np.multiply(x, x, out=t)
-    np.sqrt(np.subtract(1.0, t, out=t), out=t)
-    t *= 2.0 * np.pi * 2.0 ** -53
-    t *= rng.random(size, out=v)
-    return np.subtract(x, t, out=x)
+    c, v = (np.empty(size), None) if work is None else work
+    x = _cos_pi(rng.random(size, out=out), c)
+    # cos(pi*(u + 2v/2^53)) to first order in the sub-ulp term, whose factor
+    # k*sin(pi*u) = 2k c^2 - k is >= 0, since c^2 >= 1/2
+    k = 2.0 * np.pi * 2.0 ** -53
+    c *= c
+    c *= 2.0 * k
+    c -= k
+    c *= rng.random(size, out=v)
+    return np.subtract(x, c, out=x)

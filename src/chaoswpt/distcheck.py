@@ -18,6 +18,7 @@ import numpy as np
 from ._parallel import fork_map
 from .analytic import PdfOracle, make_oracle, oracle_cdf, oracle_moment, oracle_normalization
 from .channel import sample_rayleigh
+from .chaos import _cos_pi
 from .harvester import _check
 
 __all__ = [
@@ -54,8 +55,9 @@ def sample_family(family: str, n: int, rng: np.random.Generator,
     """Draw n samples of a reference family through the physical chain.
 
     For the single-chip families the chip is one fresh arcsine draw per
-    symbol; S_clt instead draws the chip-sum from its Gaussian model
-    N(0, beta/2), because that family *is* the Gaussian-model law (real chip
+    symbol, cos(pi*U) formed as the simulator forms its seed states
+    (``chaos._cos_pi``); S_clt instead draws the chip-sum from its Gaussian
+    model N(0, beta/2), because that family *is* the Gaussian-model law (real chip
     sums differ from it in the fourth moment, which is exactly the kind of
     discrepancy the harvested-DC tests quantify elsewhere).
     """
@@ -67,9 +69,7 @@ def sample_family(family: str, n: int, rng: np.random.Generator,
     if family == "S_clt":
         chip = rng.normal(0.0, math.sqrt(beta / 2.0), size=n)
     else:
-        chip = rng.random(n)
-        chip *= np.pi
-        np.cos(chip, out=chip)
+        chip = _cos_pi(rng.random(n), np.empty(n))
     if family in ("S_b1", "Z_b1", "P_b1", "S_clt"):
         bits = rng.integers(0, 2, size=n)
         bits *= 2  # 1 + d for the data bit d = 2 * bits - 1

@@ -249,10 +249,10 @@ def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray
     return top * 0.25 if peak else None
 
 
-def _drive_map(betas, xi: int, k: int, sums: np.ndarray,
-               gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bypass mode's drives summed over k frames, from ``_power_sums``' raw
-    rows summed over them: the row sums ``sums`` and products ``gram``.
+def _drive_map(betas, xi: int):
+    """Bypass mode's map from ``_power_sums``' raw rows to the drives, for
+    one run: ``to_drives(k, sums, gram)`` overwrites the raw rows' row sums
+    ``sums`` and products ``gram`` over k frames with the drives'.
 
     The one place that states the bypass drive formulas.  Both symbol
     halves carry the orbit's chips up to sign, and x = y/2, so betas[i]'s
@@ -261,29 +261,41 @@ def _drive_map(betas, xi: int, k: int, sums: np.ndarray,
     the orbit sum (xi = 2, beta >= 2: a = T, b = D) and q = c2 = c4 = 0 for
     squared chips.  With A the map's linear part and c its constants, the
     drives' sums are A S + k c, and their products A G A^T + (A S) c^T +
-    c (A S)^T + k c c^T.  No BLAS is called.  The products keep the upper
-    triangle of A G A^T, mirrored, and add symmetric terms, so they are
-    exactly symmetric, and betas[i]'s 2x2 diagonal block, like its sums,
-    comes from its own raw sums and block alone.  Squared chips' drives are
-    the raw ones times powers of two: the same bits as scaling each frame.
+    c (A S)^T + k c c^T.  No BLAS is called.  The products keep the lower
+    triangle of A G A^T (A applied to the rows, then to the columns),
+    mirrored, and add symmetric terms, so they are exactly symmetric, and
+    betas[i]'s 2x2 diagonal block, like its sums, comes from its own raw
+    sums and block alone.  Squared chips' drives are the raw ones times
+    powers of two: the same bits as scaling each frame.
     """
     summed = [_orbit_summed(beta, xi) for beta in betas]
     q = np.array([[0.625 if s else 0.0] for s in summed])
     c = np.array([(beta * f if s else 0.0) for beta, s in zip(betas, summed)
                   for f in (1.0, 0.75)])
+    cc = np.outer(c, c)
+    upper = np.triu_indices(c.size, 1)
+    # q a for every row pair's a, and the sums' and products' terms in c
+    qa, uc = np.empty((len(betas), c.size)), np.empty_like(cc)
 
     def linear(v):
-        # A along v's first axis
+        # A along v's first axis, in place: (a, b) -> (a/2, q a + b/8)
         a, b = v[0::2], v[1::2]
-        out = np.empty_like(v)
-        out[0::2] = 0.5 * a
-        out[1::2] = q * a + 0.125 * b
-        return out
+        b *= 0.125
+        b += np.multiply(q, a, out=qa[:, :v.shape[1]])
+        a *= 0.5
 
-    u = linear(sums[:, None])[:, 0]
-    g = linear(linear(gram).T)
-    g = np.triu(g) + np.triu(g, 1).T
-    return u + k * c, g + (np.outer(u, c) + np.outer(c, u)) + k * np.outer(c, c)
+    def to_drives(k, sums, gram):
+        linear(sums[:, None])
+        linear(gram)
+        linear(gram.T)
+        gram[upper] = gram.T[upper]
+        np.outer(sums, c, out=uc)
+        np.add(uc, uc.T, out=uc)
+        gram += uc
+        gram += np.multiply(cc, k, out=uc)
+        sums += np.multiply(c, k, out=uc[0])
+
+    return to_drives
 
 
 def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
@@ -301,9 +313,9 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
     Each batch makes one ``draw_initial_state`` call for its seed states,
     doubles them into the Dickson states y = 2x in place (exact), and the
     kernel steps every state drawn.  In bypass mode a batch draws m seed
-    states, ``_power_sums`` writes two raw rows per beta, and ``_drive_map``
-    maps the batch's raw sums and products to its drives'; its peak is the
-    peak chip power.  No bypass output depends on the data bits, so none
+    states, ``_power_sums`` writes two raw rows per beta, and the run's
+    ``_drive_map`` maps the batch's raw sums and products to its drives';
+    its peak is the peak chip power.  No bypass output depends on the data bits, so none
     is drawn.  In
     full mode a frame whose bit is d = -1 has the correlator output
     (1 + d) v = 0, and no output depends on which frames carry +1, so a
@@ -340,6 +352,7 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
     kernel_rows, work = rows[nd:nd + 3], rows[nd + 3:]
     # one block's row sums and Gram product
     block_sums, block_gram = np.empty(nd), np.empty((nd, nd))
+    to_drives = _drive_map(betas, xi) if psi_mode == "bypass" else None
     for start in range(0, n_frames, _BATCH):
         m = min(_BATCH, n_frames - start)
         k = int(rng.binomial(m, 0.5)) if psi_mode == "full" else m
@@ -363,8 +376,8 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
             np.matmul(block, block.T, out=block_gram)
             sums += block_sums
             gram += block_gram
-        if psi_mode == "bypass":
-            sums, gram = _drive_map(betas, xi, k, sums, gram)
+        if to_drives:
+            to_drives(k, sums, gram)
         s, g = sums.tolist(), gram.tolist()
         yield m, [[s[a], s[a + 1], g[a][a], g[a][a + 1], g[a + 1][a + 1]]
                   for a in range(0, nd, 2)], gram, top

@@ -145,10 +145,12 @@ class _Uniforms:
 
 def test_draw_initial_state_stays_in_its_domain():
     # the kernel steps the states as drawn, with no range check: the draw
-    # must keep [-1, 1] at the extreme uniforms U and V, and over real draws
-    top = 1.0 - 2.0 ** -53
-    u = np.repeat([0.0, 2.0 ** -53, 0.5, top], 2)
-    v = np.tile([0.0, top], 4)
+    # must keep [-1, 1] at the extreme uniforms U and V, and over real draws;
+    # 6/2^53 and 1 - 6/2^53 are the first U at which 2 sin(phi) cos(phi)
+    # rounds past +/-1, so they need the clip
+    ulp, top = 2.0 ** -53, 1.0 - 2.0 ** -53
+    u = np.repeat([0.0, ulp, 6 * ulp, 0.5, 1.0 - 6 * ulp, top], 2)
+    v = np.tile([0.0, top], 6)
     x0 = draw_initial_state(_Uniforms(u, v), size=u.size)
     assert np.all((-1.0 <= x0) & (x0 <= 1.0))
     # U = 0 seeds the fixed point x = 1, and it is used as drawn
@@ -273,3 +275,24 @@ def test_orbits_stay_stationary_where_the_seed_bits_run_out():
         chebyshev_step(y, 2, out=y)
     se = math.sqrt(0.375 - 0.25) / math.sqrt(n)
     assert abs(float(np.mean(y * y)) / 4.0 - 0.5) < 5 * se
+
+
+def test_chip_54_keeps_the_arcsine_mean_square():
+    # the doubling map has used up U's 53 bits by chip 54, so that chip reads
+    # the seed's last bits: seeded with cos of the rounded pi*U, which errs by
+    # up to hundreds of ulps near x = 0, its mean square over these draws
+    # read 5.6 standard errors below 1/2; seeds 1-8 and 2^21 draws each, in
+    # chunks of 2^16 so that memory stays flat
+    n, chunk = 1 << 21, 1 << 16
+    y, work = np.empty(chunk), np.empty((2, chunk))
+    total = 0.0
+    for seed in range(1, 9):
+        rng = np.random.default_rng(seed)
+        for _ in range(n // chunk):
+            draw_initial_state(rng, chunk, out=y, work=work)
+            y *= 2.0
+            for _ in range(53):
+                chebyshev_step(y, 2, out=y)
+            total += float(y @ y)
+    se = math.sqrt((0.375 - 0.25) / (8 * n))
+    assert abs(total / 4.0 / (8 * n) - 0.5) < 4 * se

@@ -3,8 +3,10 @@ import importlib.util
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import textwrap
 import types
 
 import numpy as np
@@ -202,3 +204,31 @@ def test_bench_pairs_refuses_a_checkout_that_differs_from_head(tmp_path, monkeyp
     err = capsys.readouterr().err
     assert "BENCHMARK.json, src/chaoswpt/montecarlo.py differ from HEAD" in err
     assert not out.exists()
+
+
+def test_bench_pairs_cleans_up_when_terminated(tmp_path):
+    # SIGTERM (pkill's default) arrives while the exports are made: the
+    # script must unwind, so that its temporary directory is removed, and
+    # not end at once, as the signal's default action does
+    child = textwrap.dedent(f"""
+        import importlib.util, os, signal
+        spec = importlib.util.spec_from_file_location(
+            "bench_pairs", {str(ROOT / "scripts" / "bench_pairs.py")!r})
+        bench_pairs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_pairs)
+        bench_pairs.git = lambda *args: "" if args[0] == "diff" else "1" * 40
+
+        def export(ref, dest):
+            (dest / "src").mkdir()
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        bench_pairs.export = export
+        bench_pairs.main(["--parent", "HEAD~1", "--out", "bench.json",
+                          "--pairs", "single-chip=1"])
+    """)
+    proc = subprocess.run([sys.executable, "-c", child], cwd=tmp_path,
+                          env={**os.environ, "TMPDIR": str(tmp_path)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 128 + signal.SIGTERM, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
