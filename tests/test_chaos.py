@@ -281,7 +281,7 @@ def test_chip_54_keeps_the_arcsine_mean_square():
     # the doubling map has used up U's 53 bits by chip 54, so that chip reads
     # the seed's last bits: seeded with cos of the rounded pi*U, which errs by
     # up to hundreds of ulps near x = 0, its mean square over these draws
-    # read 5.6 standard errors below 1/2; seeds 1-8 and 2^21 draws each, in
+    # read 5.5 standard errors below 1/2; seeds 1-8 and 2^21 draws each, in
     # chunks of 2^16 so that memory stays flat
     n, chunk = 1 << 21, 1 << 16
     y, work = np.empty(chunk), np.empty((2, chunk))
