@@ -10,7 +10,10 @@ mode); with the Rayleigh gain integrated out, its harvest is
 for the circuit's lumped gains (rho1, rho2) of :func:`rho_params` and the
 path gain g = r**-alpha, the convention under which the closed forms in
 :mod:`chaoswpt.analytic` scale linearly and quadratically with beta; the
-weights (c2, c4) are formed in one place, ``analytic._weights``.
+weights (c2, c4) are formed in one place, ``analytic._weights``.  The drives
+are an affine function of the rows a simulation's kernel writes, so w is
+too, and :class:`DcAccumulator` keeps those rows' moments over a run and
+applies each harvest's weights afterwards.
 """
 
 from __future__ import annotations
@@ -146,33 +149,62 @@ def rho_params(circuit: EhCircuit) -> tuple[float, float]:
 
 
 class DcAccumulator:
-    """Streaming moments of the per-frame drives (s2, s4) of a harvest c2*s2 + c4*s4.
+    """Streaming moments of an orbit run's rows, two per beta, and the harvests they weight.
 
-    Frame batches can be fed in any grouping, and any grouping gives the
-    same moments up to rounding; float addition is not associative, so only
-    the same grouping, merged in the same order, keeps the last bit.
+    Keeps the frame count, the 2B row sums and their (2B, 2B) Gram, sized by
+    the first batch added; the weights apply afterwards, so one run serves
+    every weighting.  Any grouping of the frames into batches gives the same
+    moments up to rounding; only the same grouping, merged in the same
+    order, keeps the last bit.
     """
 
     def __init__(self) -> None:
         self._n = 0
-        self._sums = [0.0] * 5
+        self._sums = self._gram = None
 
-    def add_moments(self, n: int, sums) -> None:
-        """Merge n frames' sums of s2, s4, s2*s2, s2*s4 and s4*s4, in that order."""
+    def add_moments(self, n: int, sums, gram) -> None:
+        """Merge n frames' row sums (2B) and sums of row products ((2B, 2B))."""
         _check("n", n)
+        if self._sums is None:
+            self._sums, self._gram = np.zeros(np.shape(sums)), np.zeros(np.shape(gram))
         self._n += int(n)
-        self._sums = [total + float(x) for total, x in zip(self._sums, sums, strict=True)]
+        self._sums += sums
+        self._gram += gram
 
-    def result(self, c2: float, c4: float) -> DcEstimate:
-        """Mean and standard error of w = c2*s2 + c4*s4 over the frames."""
+    @np.errstate(over="ignore", invalid="ignore")
+    def result(self, at, a, k) -> tuple[list[DcEstimate], np.ndarray]:
+        """Each harvest's estimate, and the covariance of their means.
+
+        Harvest j is w = a1*r1 + a2*r2 + k on beta ``at[j]``'s rows
+        (2 at[j], 2 at[j] + 1), with (a1, a2) = ``a[j]`` and k = ``k[j]``,
+        which moves its mean only.  With n frames, mu_i harvest i's mean
+        less its k, and G_pq the Gram's entry for row p of harvest i's pair
+        and row q of harvest j's, M_ij = (t11 + (t12 + t21) + t22) / n for
+        t_pq = a_p,i a_q,j G_pq: the cross term pairs one harvest's a1 with
+        the other's a2, and on the diagonal it is exactly 2 t12.  The
+        covariance is (M_ij - mu_i mu_j) / (n - 1), and a standard error
+        squared max(M_ii - mu_i^2, 0) n / (n - 1) / n.  Two harvests of one
+        beta and one (a1, a2) are one statistic, with the entry se_i se_j.
+        One frame gives NaN spreads, and a weight near the float64 limit an
+        inf or NaN, not a warning.
+        """
         if self._n == 0:
             raise ValueError("no frames accumulated")
-        s2, s4, s22, s24, s44 = self._sums
-        mean = (c2 * s2 + c4 * s4) / self._n
-        if self._n > 1:
-            mean_sq = (c2 * c2 * s22 + 2.0 * c2 * c4 * s24 + c4 * c4 * s44) / self._n
-            var = max(mean_sq - mean * mean, 0.0) * self._n / (self._n - 1)
-            se = math.sqrt(var / self._n)
-        else:
-            se = float("nan")
-        return DcEstimate(mean=mean, std_error=se, n_frames=self._n)
+        n, at = self._n, np.asarray(at)
+        a1, a2 = np.asarray(a, dtype=float).T
+        s = self._sums.reshape(-1, 2)[at]
+        mu = (a1 * s[:, 0] + a2 * s[:, 1]) / n
+        se = np.full(len(at), math.nan)
+        cov = np.full((len(at),) * 2, math.nan)
+        if n > 1:
+            g = self._gram.reshape(len(self._sums) // 2, 2, -1, 2)[at][:, :, at]
+            m = (np.outer(a1, a1) * g[:, 0, :, 0]
+                 + (np.outer(a1, a2) * g[:, 0, :, 1] + np.outer(a2, a1) * g[:, 1, :, 0])
+                 + np.outer(a2, a2) * g[:, 1, :, 1]) / n
+            se = np.sqrt(np.maximum(np.diag(m) - mu * mu, 0.0) * n / (n - 1) / n)
+            cov = (m - np.outer(mu, mu)) / (n - 1)
+            same = (at[:, None] == at) & (a1[:, None] == a1) & (a2[:, None] == a2)
+            cov[same] = np.outer(se, se)[same]
+        mean = mu + k
+        return [DcEstimate(mean=float(x), std_error=float(e), n_frames=n)
+                for x, e in zip(mean, se)], cov

@@ -3,9 +3,9 @@
 The simulator never materializes whole chip blocks: frames are processed in
 vectorized batches, streaming only the per-frame statistics the receiver mode
 needs as the orbit is iterated: the chip sum in full mode (``_chip_sums``; at
-beta = 1 the seed state is the one chip), or in bypass mode two raw rows
-that an exact affine map turns into the chip power and fourth-power sums
-over both symbol halves (``_power_sums``, plus the peak chip power as one
+beta = 1 the seed state is the one chip), or in bypass mode two raw rows of
+which the chip power and fourth-power sums over both symbol halves are an
+exact affine function (``_power_sums``, plus the peak chip power as one
 number, which only the PAPR measurement asks for).  Chips
 1 ... beta of an orbit do not depend on how long it runs, so one orbit run
 serves every beta: the kernel steps each orbit to the largest beta asked for
@@ -16,20 +16,21 @@ iterated in Dickson form, on the exactly scaled state y = 2x (see
 Dickson state plus 2, so bypass mode there runs full mode's one orbit sum,
 ``_chip_sums``, and squares no chip past the first.  Full mode simulates
 only the frames whose data bit is +1, since the others harvest exactly 0:
-each batch draws their count, then their seed states.  The moments of each
-frame's drives (s2, s4), whose weighted sum is its expected harvest over its
-fading gain, stream into an accumulator, so memory stays flat however many
-frames are requested and one orbit run serves every distance too.  A
-sweep's rows in one mode thus share one stream, and it keeps their
-covariance for the fit.  Each run allocates one workspace, a batch-sized
-state row and rows one column block wide; every per-batch step writes into
-views of it, and the batch loop reduces each block itself, so no row of the
-workspace leaves it: one row sum and one Gram product of the block's rows
-give every beta's moments and the products across betas.  Full mode's rows
-are the drives; bypass mode's are raw, and one exact affine map per batch
-(``_drive_map``) gives the drives' sums and products from theirs.  Means
-and PAPRs use no BLAS; a standard error comes through that product, so it
-depends on the BLAS build, but not on its thread count.
+each batch draws their count, then their seed states.  A frame's expected
+harvest over its fading gain is the weighted sum of its drives (s2, s4), so
+an affine function of the kernel's raw rows (``_harvest_weights``): the
+moments of the raw rows stream into one accumulator per orbit run, so
+memory stays flat however many frames are requested, and the weights apply
+afterwards, so one orbit run serves every distance too.  A sweep's rows in
+one mode thus share one stream, and the accumulator gives their covariance
+for the fit from the same formula as their standard errors.  Each run
+allocates one workspace, a batch-sized state row and rows one column block
+wide; every per-batch step writes into views of it, and the batch loop
+reduces each block itself, so no row of the workspace leaves it: one row
+sum and one Gram product of the block's rows give every beta's moments and
+the products across betas.  Means and PAPRs use no BLAS; a standard error
+comes through that product, so it depends on the BLAS build, but not on
+its thread count.
 """
 from __future__ import annotations
 
@@ -181,11 +182,34 @@ def _orbit_summed(beta: int, xi: int) -> bool:
     return xi == 2 and beta >= 2
 
 
+def _harvest_weights(betas, xi: int, psi_mode: str, c2: float, c4: float):
+    """Each beta's harvest w = c2*s2 + c4*s4 as an affine function of the
+    kernel's two raw rows, w = a1*r1 + a2*r2 + k: a (B, 2) array of the
+    weights (a1, a2) and a (B,) array of the constants k.
+
+    The one place that states the bypass drive formulas.  Full mode's rows
+    are the drives: (c2, c4) and 0.  In bypass mode both symbol halves carry
+    the orbit's chips up to sign, and x = y/2, so squared chips' drives are
+    s2 = r1/2 and s4 = r2/8: (c2/2, c4/8) and 0, exact scalings.  The orbit
+    sum (xi = 2, beta >= 2; r1 = T, r2 = D, see ``_power_sums``) has
+    s2 = T/2 + beta and s4 = 5T/8 + D/8 + 3 beta/4: (c2/2 + 5 c4/8, c4/8)
+    and (c2 + 3 c4/4) beta.  The weights are formed as Python floats, so one
+    that overflows is inf, not a warning.
+    """
+    if psi_mode == "full":
+        rows = [(c2, c4, 0.0)] * len(betas)
+    else:
+        rows = [(0.5 * c2 + 0.625 * c4, 0.125 * c4, (c2 + 0.75 * c4) * int(beta))
+                if _orbit_summed(beta, xi) else (0.5 * c2, 0.125 * c4, 0.0) for beta in betas]
+    w = np.array(rows)
+    return w[:, :2], w[:, 2]
+
+
 def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray,
                 work: np.ndarray, peak: bool = False) -> float | None:
     """The bypass-mode kernel: betas[i]'s two raw rows, in out[2i] and
-    out[2i + 1], which ``_drive_map`` maps to its drives, the sums of x^2
-    and x^4 over both symbol halves.
+    out[2i + 1], of which its drives, the sums of x^2 and x^4 over both
+    symbol halves, are an exact affine function (``_harvest_weights``).
 
     Steps the Dickson states y = y_1 in place.  Returns the peak x^2 over
     the largest beta's chips, as a float, when ``peak`` is set, and None
@@ -249,93 +273,40 @@ def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray
     return top * 0.25 if peak else None
 
 
-def _drive_map(betas, xi: int):
-    """Bypass mode's map from ``_power_sums``' raw rows to the drives, for
-    one run: ``to_drives(k, sums, gram)`` overwrites the raw rows' row sums
-    ``sums`` and products ``gram`` over k frames with the drives'.
-
-    The one place that states the bypass drive formulas.  Both symbol
-    halves carry the orbit's chips up to sign, and x = y/2, so betas[i]'s
-    drives are an exact affine map of its raw rows (a, b): s2 = a/2 + c2
-    and s4 = q a + b/8 + c4, with q = 5/8, c2 = beta and c4 = 3 beta/4 for
-    the orbit sum (xi = 2, beta >= 2: a = T, b = D) and q = c2 = c4 = 0 for
-    squared chips.  With A the map's linear part and c its constants, the
-    drives' sums are A S + k c, and their products A G A^T + (A S) c^T +
-    c (A S)^T + k c c^T.  No BLAS is called.  The products keep the lower
-    triangle of A G A^T (A applied to the rows, then to the columns),
-    mirrored, and add symmetric terms, so they are exactly symmetric, and
-    betas[i]'s 2x2 diagonal block, like its sums, comes from its own raw
-    sums and block alone.  Squared chips' drives are the raw ones times
-    powers of two: the same bits as scaling each frame.
-    """
-    summed = [_orbit_summed(beta, xi) for beta in betas]
-    q = np.array([[0.625 if s else 0.0] for s in summed])
-    c = np.array([(beta * f if s else 0.0) for beta, s in zip(betas, summed)
-                  for f in (1.0, 0.75)])
-    cc = np.outer(c, c)
-    upper = np.triu_indices(c.size, 1)
-    # q a for every row pair's a, and the sums' and products' terms in c
-    qa, uc = np.empty((len(betas), c.size)), np.empty_like(cc)
-
-    def linear(v):
-        # A along v's first axis, in place: (a, b) -> (a/2, q a + b/8)
-        a, b = v[0::2], v[1::2]
-        b *= 0.125
-        b += np.multiply(q, a, out=qa[:, :v.shape[1]])
-        a *= 0.5
-
-    def to_drives(k, sums, gram):
-        linear(sums[:, None])
-        linear(gram)
-        linear(gram.T)
-        gram[upper] = gram.T[upper]
-        np.outer(sums, c, out=uc)
-        np.add(uc, uc.T, out=uc)
-        gram += uc
-        gram += np.multiply(cc, k, out=uc)
-        sums += np.multiply(c, k, out=uc[0])
-
-    return to_drives
-
-
 def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
                    psi_mode: str, peak: bool = False):
     """Yield ``(m, sums, gram, top)`` for each batch of at most _BATCH frames.
 
     One orbit run serves the B betas of ``betas`` (ascending, distinct).
-    ``gram`` is the (2B, 2B) products of all the drives summed over the
-    frames (rows 2i, 2i + 1 are betas[i]'s s2, s4); ``sums[i]`` holds the
-    batch's sums of betas[i]'s drives s2, s4 and, from ``gram``'s diagonal
-    2x2 block, of s2*s2, s2*s4 and s4*s4, in ``DcAccumulator.add_moments``'
-    order; and ``top`` is the largest beta's peak power (``peak`` set) or
-    None.
+    Rows 2i and 2i + 1 are betas[i]'s two kernel rows: its drives s2, s4 in
+    full mode, its raw rows in bypass mode (``_power_sums``).  ``sums`` is
+    the 2B row sums over the batch's frames and ``gram`` the (2B, 2B) sums
+    of their products, as ``DcAccumulator.add_moments`` takes them, and
+    ``top`` is the largest beta's peak power (``peak`` set) or None.
 
     Each batch makes one ``draw_initial_state`` call for its seed states,
     doubles them into the Dickson states y = 2x in place (exact), and the
     kernel steps every state drawn.  In bypass mode a batch draws m seed
-    states, ``_power_sums`` writes two raw rows per beta, and the run's
-    ``_drive_map`` maps the batch's raw sums and products to its drives';
-    its peak is the peak chip power.  No bypass output depends on the data bits, so none
-    is drawn.  In
-    full mode a frame whose bit is d = -1 has the correlator output
-    (1 + d) v = 0, and no output depends on which frames carry +1, so a
-    batch draws only the count k ~ Binomial(m, 1/2) of its d = +1 frames,
-    then their k seed states: its drives are their squared correlator
-    outputs u = (2v)^2 and u^2, and its peak is the largest u; the m - k
-    frames not drawn add 0 to every sum.  No draw depends on ``betas``.
+    states, and its peak is the peak chip power.  No bypass output depends
+    on the data bits, so none is drawn.  In full mode a frame whose bit is
+    d = -1 has the correlator output (1 + d) v = 0, and no output depends
+    on which frames carry +1, so a batch draws only the count
+    k ~ Binomial(m, 1/2) of its d = +1 frames, then their k seed states:
+    its drives are their squared correlator outputs u = (2v)^2 and u^2, and
+    its peak is the largest u; the m - k frames not drawn add 0 to every
+    sum.  No draw depends on ``betas``.
 
     The kernel steps the states in column blocks of _BLOCK, a fixed width,
     and each block is reduced by one row sum and one ``@`` product of all
-    its 2B rows, at every B.  The row sums and the map call no BLAS, the
-    map reads each beta's sums and diagonal block alone, and the BLAS
-    rounds a diagonal block of the product as the product of that beta's
-    two rows alone (a property of its kernel, which the sweep tests check),
-    so a beta's sums keep their bits whatever else is in ``betas``.  One
-    workspace is allocated per call: the batch's state row, then 2B output
-    rows, three kernel rows and the map step's rows (at xi >= 3), one block
-    wide; the draw's two scratch rows overlap the block rows, which the
-    kernel fills only after the draw.  Every batch step writes into it, and
-    no row of it leaves.
+    its 2B rows, at every B.  The row sums call no BLAS, and the BLAS rounds
+    a diagonal block of the product as the product of that beta's two rows
+    alone and keeps the product exactly symmetric (properties of its kernel,
+    which the sweep tests check), so a beta's sums keep their bits whatever
+    else is in ``betas``.  One workspace is allocated per call: the batch's
+    state row, then 2B output rows, three kernel rows and the map step's
+    rows (at xi >= 3), one block wide; the draw's two scratch rows overlap
+    the block rows, which the kernel fills only after the draw.  Every batch
+    step writes into it, and no row of it leaves.
     """
     size = min(n_frames, _BATCH)
     width = min(size, _BLOCK)
@@ -352,7 +323,6 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
     kernel_rows, work = rows[nd:nd + 3], rows[nd + 3:]
     # one block's row sums and Gram product
     block_sums, block_gram = np.empty(nd), np.empty((nd, nd))
-    to_drives = _drive_map(betas, xi) if psi_mode == "bypass" else None
     for start in range(0, n_frames, _BATCH):
         m = min(_BATCH, n_frames - start)
         k = int(rng.binomial(m, 0.5)) if psi_mode == "full" else m
@@ -376,49 +346,48 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
             np.matmul(block, block.T, out=block_gram)
             sums += block_sums
             gram += block_gram
-        if to_drives:
-            to_drives(k, sums, gram)
-        s, g = sums.tolist(), gram.tolist()
-        yield m, [[s[a], s[a + 1], g[a][a], g[a][a + 1], g[a + 1][a + 1]]
-                  for a in range(0, nd, 2)], gram, top
+        yield m, sums, gram, top
 
 
-def _orbit_moments(config: RunConfig, betas) -> tuple[list[DcAccumulator], np.ndarray]:
-    """The moments of the drives (s2, s4) over the frames of the orbit run
+def _orbit_moments(config: RunConfig, betas) -> DcAccumulator:
+    """The moments of the kernel's raw rows over the frames of the orbit run
     that ``config``'s seed, frame count, map degree and mode fix, read at
-    each beta of ``betas`` (ascending, distinct): one accumulator per beta,
-    and ``_frame_batches``' Gram products summed over the run."""
-    accs = [DcAccumulator() for _ in betas]
-    total = np.zeros((2 * len(betas),) * 2)
+    each beta of ``betas`` (ascending, distinct): one accumulator."""
+    acc = DcAccumulator()
     rng = np.random.default_rng(config.seed)
     for m, sums, gram, _ in _frame_batches(rng, config.n_frames, betas, config.xi,
                                            config.psi_mode):
-        for acc, s in zip(accs, sums):
-            acc.add_moments(m, s)
-        total += gram
-    return accs, total
+        acc.add_moments(m, sums, gram)
+    return acc
 
 
-def _row(config: RunConfig, acc: DcAccumulator) -> RunResult:
-    """``config``'s ``run_once`` result from the moments of its orbit run; the
-    weights are Python floats, so a gain near the float64 limit gives an inf
-    or NaN estimate, not a warning, and that is reported as an error."""
-    link = (config.r, config.alpha, *rho_params(config.circuit))
-    estimate = acc.result(*_weights(*link))
-    closed_form = z_with_correlator if config.psi_mode == "full" else z_without_correlator
-    z = closed_form(config.beta, *link)
-    # one frame has no standard error: it is NaN by definition
-    if not (math.isfinite(estimate.mean)
-            and (estimate.n_frames == 1 or math.isfinite(estimate.std_error))
-            and 0.0 < z < math.inf):
-        raise ValueError(
-            f"harvested DC is not representable in float64 for r={config.r!r}, "
-            f"alpha={config.alpha!r} (mean {estimate.mean}, standard error "
-            f"{estimate.std_error}, closed form {z})"
-        )
-    return RunResult(beta=config.beta, r=config.r, psi_mode=config.psi_mode,
-                     estimate=estimate, z_analytic=z,
-                     papr_bound=papr_analytic(config.psi_mode, config.beta))
+def _rows(configs, betas, acc: DcAccumulator) -> tuple[list[RunResult], np.ndarray]:
+    """The ``run_once`` results of ``configs``, which share one distance and
+    one mode, from the moments ``acc`` of their orbit run over ``betas``, and
+    the covariance of their means.  A weight is a float, so a gain near the
+    float64 limit gives an inf or NaN estimate, not a warning, and that is
+    reported as an error."""
+    link = (configs[0].r, configs[0].alpha, *rho_params(configs[0].circuit))
+    a, k = _harvest_weights(betas, configs[0].xi, configs[0].psi_mode, *_weights(*link))
+    at = [betas.index(c.beta) for c in configs]
+    estimates, cov = acc.result(at, a[at], k[at])
+    rows = []
+    for config, estimate in zip(configs, estimates):
+        closed_form = z_with_correlator if config.psi_mode == "full" else z_without_correlator
+        z = closed_form(config.beta, *link)
+        # one frame has no standard error: it is NaN by definition
+        if not (math.isfinite(estimate.mean)
+                and (estimate.n_frames == 1 or math.isfinite(estimate.std_error))
+                and 0.0 < z < math.inf):
+            raise ValueError(
+                f"harvested DC is not representable in float64 for r={config.r!r}, "
+                f"alpha={config.alpha!r} (mean {estimate.mean}, standard error "
+                f"{estimate.std_error}, closed form {z})"
+            )
+        rows.append(RunResult(beta=config.beta, r=config.r, psi_mode=config.psi_mode,
+                              estimate=estimate, z_analytic=z,
+                              papr_bound=papr_analytic(config.psi_mode, config.beta)))
+    return rows, cov
 
 
 def _warn_if_noisy(config: RunConfig) -> None:
@@ -439,8 +408,9 @@ def run_once(config: RunConfig) -> RunResult:
     fewer than 100 frames raises a UserWarning.
     """
     _warn_if_noisy(config)
-    (acc,), _ = _orbit_moments(config, (config.beta,))
-    return _row(config, acc)
+    betas = [config.beta]
+    (row,), _ = _rows([config], betas, _orbit_moments(config, betas))
+    return row
 
 
 @dataclass(frozen=True)
@@ -480,30 +450,6 @@ def _subseed(seed: int, psi_mode: str) -> int:
     return int(hashlib.sha256(tag.encode()).hexdigest()[:16], 16)
 
 
-def _covariance(series, gram, c2: float, c4: float) -> np.ndarray:
-    """The covariance of the means of one series' rows, which share one run.
-
-    ``series`` holds each row's (place in the run's betas, estimate), and
-    ``gram`` the run's summed products of drives.  With n frames and G the
-    sums of products of (s2, s4) between two betas,
-    M = (c2^2 G22 + c2 c4 (G24 + G42) + c4^2 G44) / n and the covariance is
-    (M - mu_i mu_j) / (n - 1).  Two rows at one beta are one row: their
-    entry is its std_error squared, so the diagonal is each row's.
-    """
-    at = np.array([i for i, _ in series])
-    n = series[0][1].n_frames
-    se = np.array([est.std_error for _, est in series])
-    cov = np.outer(se, se)
-    if n > 1:
-        mean = np.array([est.mean for _, est in series])
-        g = gram.reshape(len(gram) // 2, 2, len(gram) // 2, 2)[at][:, :, at]
-        m = (c2 * c2 * g[:, 0, :, 0] + c2 * c4 * (g[:, 0, :, 1] + g[:, 1, :, 0])
-             + c4 * c4 * g[:, 1, :, 1]) / n
-        apart = at[:, None] != at
-        cov[apart] = ((m - np.outer(mean, mean)) / (n - 1))[apart]
-    return cov
-
-
 def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
     """Cartesian sweep over spreading factors, distances and receiver modes.
 
@@ -529,17 +475,14 @@ def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
                                 seed=_subseed(base.seed, c.psi_mode))
             for c in cells]
     grid = sorted({c.beta for c in cfgs})
-    at = {beta: i for i, beta in enumerate(grid)}
     groups = {c.psi_mode: c for c in cfgs}
     runs = dict(zip(groups, fork_map(lambda c: _orbit_moments(c, grid), groups.values())))
-    rows = [_row(c, runs[c.psi_mode][0][at[c.beta]]) for c in cfgs]
-    rho = rho_params(base.circuit)
-    covariance = {}
-    for r, mode in dict.fromkeys((row.r, row.psi_mode) for row in rows):
-        series = [(at[row.beta], row.estimate) for row in rows
-                  if (row.r, row.psi_mode) == (r, mode)]
-        covariance[r, mode] = _covariance(series, runs[mode][1],
-                                          *_weights(r, base.alpha, *rho))
+    rows, covariance = [None] * len(cfgs), {}
+    for key in dict.fromkeys((c.r, c.psi_mode) for c in cfgs):
+        at = [i for i, c in enumerate(cfgs) if (c.r, c.psi_mode) == key]
+        series, covariance[key] = _rows([cfgs[i] for i in at], grid, runs[key[1]])
+        for i, row in zip(at, series):
+            rows[i] = row
     return SweepResult(rows=rows, covariance=covariance)
 
 
@@ -612,17 +555,14 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = RunConfig.n_frames,
     for name, value in (("n_frames", n_frames), ("seed", seed), ("xi", xi)):
         _check(name, value)
     rng = np.random.default_rng(seed)
-    peak = 0.0
-    power_sum = 0.0
-    for _, (sums,), _, top in _frame_batches(rng, n_frames, (beta,), xi, psi_mode,
-                                             peak=True):
-        # each frame's power is its drive s2: u in full mode, the sum of the
-        # chip powers in bypass mode
+    peak, acc = 0.0, DcAccumulator()
+    for m, sums, gram, top in _frame_batches(rng, n_frames, (beta,), xi, psi_mode, peak=True):
         peak = max(peak, top)
-        power_sum += sums[0]
-    # one power per frame in full mode (0 where d = -1), one per chip (2*beta
-    # a frame) in bypass
-    mean_power = power_sum / (n_frames if psi_mode == "full" else n_frames * 2 * beta)
+        acc.add_moments(m, sums, gram)
+    # each frame's power is its drive s2, weights (c2, c4) = (1, 0): u in full
+    # mode (0 where d = -1), the sum of its 2*beta chip powers in bypass mode
+    (power,), _ = acc.result([0], *_harvest_weights((beta,), xi, psi_mode, 1.0, 0.0))
+    mean_power = power.mean / (1 if psi_mode == "full" else 2 * beta)
     if mean_power == 0.0:
         # every full-mode frame carried bit -1, which erases the symbol
         raise ValueError(f"beta={beta}, {psi_mode} mode, n_frames={n_frames}, seed={seed}: "

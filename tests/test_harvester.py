@@ -38,10 +38,10 @@ _MALFORMED = [
     (generate_sequence, (0.3, 2.5), "n"),
     (generate_sequence, (0.3, True), "n"),
     (chebyshev_step, (0.3, 2.0), "xi"),
-    # n is checked before the sums are read
-    (DcAccumulator().add_moments, (2.5, 1.0), "n"),
-    (DcAccumulator().add_moments, (True, 1.0), "n"),
-    (DcAccumulator().add_moments, ("3", 1.0), "n"),
+    # n is checked before the sums and products are read
+    (DcAccumulator().add_moments, (2.5, 1.0, 1.0), "n"),
+    (DcAccumulator().add_moments, (True, 1.0, 1.0), "n"),
+    (DcAccumulator().add_moments, ("3", 1.0, 1.0), "n"),
     (select, (2.7,), "beta"),
     (select, ("2",), "beta"),
     (select, (None, "x"), "r"),
@@ -188,24 +188,35 @@ def test_accumulator_chunking_matches_one_shot():
 
 
 def test_accumulator_add_moments_equivalence():
-    # fed in chunks, the moments of (s2, s4) give the sample mean and
-    # standard error of w = c2*s2 + c4*s4 at any weights
+    # fed in chunks, the moments of four raw rows give the sample means,
+    # standard errors and covariance of two harvests w = a1*r1 + a2*r2 + k
+    # on two row pairs with unequal weights: the cross term of their
+    # covariance pairs the a1 of one with the a2 of the other, and a form
+    # that took the weights as shared would miss it
     rng = np.random.default_rng(4)
-    s2 = rng.exponential(size=1000)
-    s4 = s2 * s2 + rng.exponential(size=1000)
+    r1 = rng.exponential(size=1000)
+    r2 = r1 * r1 + rng.exponential(size=1000)
+    r3 = r1 + rng.exponential(size=1000)
+    r4 = r2 - 3.0 * r3 + rng.exponential(size=1000)
+    rows = np.array([r1, r2, r3, r4])
     acc = DcAccumulator()
-    for x, y in zip(np.array_split(s2, 7), np.array_split(s4, 7)):
-        acc.add_moments(x.size, [x.sum(), y.sum(), (x * x).sum(), (x * y).sum(),
-                                 (y * y).sum()])
-    for c2, c4 in ((1.0, 0.0), (0.17, 957.25), (3e-6, 2e-9)):
-        w = c2 * s2 + c4 * s4
-        got = acc.result(c2, c4)
-        assert got.n_frames == w.size
-        assert got.mean == pytest.approx(w.mean(), rel=1e-14)
-        assert got.std_error == pytest.approx(w.std(ddof=1) / math.sqrt(w.size), rel=1e-12)
+    for chunk in np.array_split(rows, 7, axis=1):
+        acc.add_moments(chunk.shape[1], chunk.sum(axis=1), chunk @ chunk.T)
+    a, k = np.array([[0.17, 957.25], [3e-6, 2e-9]]), np.array([0.0, 4e-6])
+    w = np.array([a[0, 0] * r1 + a[0, 1] * r2 + k[0], a[1, 0] * r3 + a[1, 1] * r4 + k[1]])
+    got, cov = acc.result([0, 1], a, k)
+    assert [est.n_frames for est in got] == [w.shape[1]] * 2
+    np.testing.assert_allclose([est.mean for est in got], w.mean(axis=1), rtol=1e-14)
+    se = np.array([est.std_error for est in got])
+    np.testing.assert_allclose(se, w.std(axis=1, ddof=1) / math.sqrt(w.shape[1]), rtol=1e-12)
+    want = np.cov(w) / w.shape[1]
+    assert cov[0, 1] == cov[1, 0] == pytest.approx(want[0, 1], rel=1e-12)
+    assert list(np.diag(cov)) == list(se * se)
     for n in (2.5, True, "3"):
         with pytest.raises(ValueError, match=r"\bn must be"):
-            DcAccumulator().add_moments(n, [1.0] * 5)
+            DcAccumulator().add_moments(n, [1.0] * 2, [[1.0] * 2] * 2)
+    with pytest.raises(ValueError, match="no frames accumulated"):
+        DcAccumulator().result([0], [[1.0, 0.0]], [0.0])
 
 
 def test_accumulator_edge_cases():

@@ -264,10 +264,10 @@ def _kernel_rows(mode, xi, size):
 
 def _frame_drives(a, b, beta, xi):
     """Each frame's bypass drives (sum x^2, sum x^4 over both halves) from
-    ``_power_sums``' raw rows (a, b), as ``_drive_map`` states them: the
-    squared chips' sums of y^2 and y^4 times 1/2 and 1/8, or at xi = 2 and
-    beta >= 2 the orbit sum T and D = y_{beta+2} - y_2 in s2 = T/2 + beta
-    and s4 = 5T/8 + D/8 + 3 beta/4."""
+    ``_power_sums``' raw rows (a, b), as ``_harvest_weights`` weights them:
+    the squared chips' sums of y^2 and y^4 times 1/2 and 1/8, or at xi = 2
+    and beta >= 2 the orbit sum T and D = y_{beta+2} - y_2 in
+    s2 = T/2 + beta and s4 = 5T/8 + D/8 + 3 beta/4."""
     if xi == 2 and beta >= 2:
         return 0.5 * a + beta, 0.625 * a + 0.125 * b + 0.75 * beta
     return 0.5 * a, 0.125 * b
@@ -375,28 +375,29 @@ def test_orbit_batch_stats_are_bit_identical_to_chip_order_sums(xi, mode, beta):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_drive_map_gives_the_chip_order_sums_and_products():
-    # bypass at xi = 2 over two column blocks, one beta read from squared
-    # chips and three from the orbit sum in one run: each beta's five sums
-    # and the products across betas are those of each frame's sum x^2 and
-    # sum x^4 over both halves, chip by chip, and the products are exactly
-    # symmetric
-    betas, n = (1, 2, 5, 17), montecarlo._BLOCK + 100
-    ((m, sums, gram, _),) = montecarlo._frame_batches(np.random.default_rng(4), n, betas, 2,
-                                                      "bypass")
-    chips = orbits(draw_initial_state(np.random.default_rng(4), size=n), max(betas), 2)
-    sq = chips * chips
-    drives = np.concatenate([[2.0 * sq[:, :beta].sum(axis=1),
-                              2.0 * (sq[:, :beta] ** 2).sum(axis=1)] for beta in betas])
-    want = drives @ drives.T
-    assert m == n and np.array_equal(gram, gram.T)
-    for i, row in enumerate(sums):
-        a = 2 * i
-        np.testing.assert_allclose(row, [drives[a].sum(), drives[a + 1].sum(), want[a, a],
-                                         want[a, a + 1], want[a + 1, a + 1]], rtol=1e-12)
-    np.testing.assert_allclose(gram, want, rtol=1e-12)
-    # s2 at beta = 2 against s4 at beta = 17, as a sum over the frames
-    assert gram[2, 7] == pytest.approx(np.sum(drives[2] * drives[7]), rel=1e-12)
+@pytest.mark.parametrize("k4", [0.0, 0.3829])
+@pytest.mark.parametrize("xi", [2, 3])
+def test_harvest_weights_give_the_chip_order_moments(xi, k4):
+    # bypass over two column blocks, at xi = 2 one beta read from squared
+    # chips and three from the orbit sum in one run: the weights on the raw
+    # rows give each beta's mean and standard error, and the covariance
+    # across betas, of each frame's harvest from its chip-order drives, sum
+    # x^2 and sum x^4 over both halves, with a linear rectifier and without
+    betas, n, r = [1, 2, 5, 17], montecarlo._BLOCK + 100, 20.0
+    base = RunConfig(beta=1, r=1.0, n_frames=n, seed=4, xi=xi, circuit=EhCircuit(k4=k4))
+    res = sweep_beta(betas, [r], ["bypass"], base)
+    c2, c4 = _weights(r, base.alpha, *rho_params(base.circuit))
+    x0 = draw_initial_state(np.random.default_rng(_subseed(4, "bypass")), size=n)
+    w = np.array([c2 * s2 + c4 * s4 for s2, s4, _ in
+                  (_chip_order_stats(x0, beta, xi, "bypass") for beta in betas)])
+    rows = res.select(r=r, psi_mode="bypass")
+    np.testing.assert_allclose([row.estimate.mean for row in rows], w.mean(axis=1),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose([row.estimate.std_error for row in rows],
+                               w.std(axis=1, ddof=1) / math.sqrt(n), rtol=1e-12, atol=0)
+    cov = res.covariance[r, "bypass"]
+    assert np.array_equal(cov, cov.T)
+    np.testing.assert_allclose(cov, np.cov(w) / n, rtol=1e-12, atol=0)
 
 
 def _blocks(k: int) -> list[int]:
@@ -470,7 +471,7 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
     for n, seed in ((1, 2), (montecarlo._BATCH + 1, 2), (montecarlo._BATCH + 10, 3)):
         replay = np.random.default_rng(seed)
         counts = []
-        for m, (sums,), _, top in montecarlo._frame_batches(np.random.default_rng(seed), n,
+        for m, sums, gram, top in montecarlo._frame_batches(np.random.default_rng(seed), n,
                                                             (beta,), xi, "full", peak=True):
             k = int(replay.binomial(m, 0.5))
             x0 = np.concatenate([draw_initial_state(replay, size=k),
@@ -481,15 +482,21 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
             s4 = s2 * s2
             want = [s2.sum(), s4.sum(), (s2 * s2).sum(), (s2 * s4).sum(), (s4 * s4).sum()]
             if k == 0:
-                assert sums == [0.0] * 5 and top == 0.0
+                assert _moments(sums, gram) == [0.0] * 5 and top == 0.0
             else:
-                np.testing.assert_allclose(sums, want, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(_moments(sums, gram), want, rtol=1e-12, atol=0)
                 assert top == np.max(s2)
             counts.append((m, k))
         if seed == 2:
             assert counts[-1] == (1, 0)
         else:
             assert all(0 < k < m for m, k in counts)
+
+
+def _moments(sums, gram) -> list[float]:
+    """A one-beta batch's sums of s2, s4, s2*s2, s2*s4 and s4*s4: its two
+    row sums and its Gram's entries."""
+    return [*sums.tolist(), gram[0, 0], gram[0, 1], gram[1, 1]]
 
 
 #: full-mode results of a run whose last batch has no d = +1 frame: (beta,
@@ -510,9 +517,9 @@ def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_
                                                             plain):
     n = montecarlo._BATCH + 1
     assert _plus_frames(n, seed=2)[-1] == 0
-    m, (sums,), _, top = list(montecarlo._frame_batches(np.random.default_rng(2), n, (beta,),
+    m, sums, gram, top = list(montecarlo._frame_batches(np.random.default_rng(2), n, (beta,),
                                                         xi, "full", peak=True))[-1]
-    assert m == 1 and sums == [0.0] * 5 and top == 0.0
+    assert m == 1 and _moments(sums, gram) == [0.0] * 5 and top == 0.0
     est = run_once(RunConfig(beta=beta, r=20.0, n_frames=n, seed=2, xi=xi)).estimate
     assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
     assert measure_papr(beta, "full", n_frames=n, seed=2, xi=xi).plain.hex() == plain
@@ -531,15 +538,16 @@ def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_
 #: (xi, mode, beta, float.hex() of run_once's mean and standard error, and of
 #: measure_papr's plain ratio) at seed 42, r = 20 and one full batch plus a
 #: short one; a change that means to keep every bit must keep these (the
-#: bypass rows at xi = 2 and beta >= 2 pin the orbit-sum kernel's rounding);
+#: bypass rows at xi = 2 and beta >= 2 pin the orbit-sum kernel's rounding,
+#: and that of its weights on the raw rows);
 #: a row's test is named by its inputs, so a re-pinned row keeps its name
 _PINNED_BITS = [
     (2, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb73p-28', '0x1.01be79f78bfdbp+2'),
     (2, 'full', 2, '0x1.cd6c72469054ep-19', '0x1.fece5f508151bp-26', '0x1.02148e5cac993p+3'),
     (2, 'full', 17, '0x1.506d78095473bp-13', '0x1.d0ed5d69d139fp-19', '0x1.6d9cbcaa32be5p+5'),
     (2, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997ep-29', '0x1.000375ee993e8p+1'),
-    (2, 'bypass', 2, '0x1.2bc1a32caffc1p-19', '0x1.33885af421f2fp-28', '0x1.006d9c8f333b5p+1'),
-    (2, 'bypass', 17, '0x1.3f46ac2893150p-16', '0x1.c5a6dc846b88ep-27', '0x1.ffa086851c6f4p+0'),
+    (2, 'bypass', 2, '0x1.2bc1a32caffc1p-19', '0x1.33885af421f2dp-28', '0x1.006d9c8f333b5p+1'),
+    (2, 'bypass', 17, '0x1.3f46ac2893150p-16', '0x1.c5a6dc846b89dp-27', '0x1.ffa086851c6f4p+0'),
     (3, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb73p-28', '0x1.01be79f78bfdbp+2'),
     (3, 'full', 2, '0x1.f2b6c67d34b5fp-19', '0x1.295e668182652p-25', '0x1.03be53000d1b1p+3'),
     (3, 'full', 17, '0x1.32607c92fc026p-13', '0x1.4620e2dde356ap-19', '0x1.d5f04b54aa7b8p+4'),
@@ -614,15 +622,11 @@ def test_frame_batches_write_into_one_workspace(mode):
             assert workspace <= one_peak <= workspace + 64 * 1024
             assert abs(four_peak - one_peak) <= 64 * 1024
             for _, sums, gram, top in one + four:
-                assert len(sums) == len(betas)
-                assert all(len(row) == 5 and all(type(x) is float for x in row)
-                           for row in sums)
-                # every batch yields the products of all its drives, at any
-                # number of betas, and each beta's products are its block
-                assert gram.shape == (2 * len(betas),) * 2
-                for i, row in enumerate(sums):
-                    g = gram[2 * i:2 * i + 2, 2 * i:2 * i + 2]
-                    assert row[2:] == [g[0, 0], g[0, 1], g[1, 1]] and g[1, 0] == g[0, 1]
+                # every batch yields the sums and the products of all its
+                # rows, at any number of betas, and the products are exactly
+                # symmetric
+                assert sums.shape == (2 * len(betas),)
+                assert gram.shape == (2 * len(betas),) * 2 and np.array_equal(gram, gram.T)
                 assert (top is None) != peak and not isinstance(top, np.ndarray)
 
 

@@ -47,8 +47,8 @@ def test_fig2_sweep_writes_an_erased_cell(tmp_path):
     # batch of two frames draws no frame whose bit is +1: both are erased,
     # so the cell reads mean 0, standard error 0
     rng = np.random.default_rng(montecarlo._subseed(9, "full"))
-    ((m, (sums,), _, _),) = montecarlo._frame_batches(rng, 2, (2,), 2, "full")
-    assert m == 2 and sums == [0.0] * 5
+    ((m, sums, gram, _),) = montecarlo._frame_batches(rng, 2, (2,), 2, "full")
+    assert m == 2 and not sums.any() and not gram.any()
     out = tmp_path / "sweep.csv"
     proc = _script("fig2_sweep.py", "--betas", "2", "--distances", "20",
                    "--n-frames", "2", "--seed", "9", "--out", str(out))
