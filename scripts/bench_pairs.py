@@ -32,8 +32,10 @@ The output holds, per workload and end-to-end metric, each side's median and
 quartiles, every run's value, and the pairs the change won (ties count for
 neither), with the metric's direction taken from ``BENCHMARK.json``.  It
 also records each side's hash of ``src/`` (``parent_source_sha256``,
-``change_source_sha256``) and its line count of ``src/`` (``src_lines``),
-both read from that side's copy (so the net size of the change), the
+``change_source_sha256``), its line count of ``src/`` (``src_lines``) and
+its count of the lines there that hold code (``src_code_lines``: no blank
+line, comment or docstring), all read from that side's copy (so the net
+size of the change), the
 numpy version (``numpy``) and BLAS build (``blas``, its name and version)
 that every run imports, since both sides run on this interpreter, and the
 host's load: the CPUs this process may run on (``cpus``), and each run's 1-,
@@ -60,7 +62,9 @@ move splits into the program's time and the reference kernel's.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import os
 import platform
@@ -70,6 +74,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -101,6 +106,29 @@ def source_sha256(checkout: Path) -> str:
 def source_lines(checkout: Path) -> int:
     """Lines in every src/**/*.py, as ``wc -l`` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
+def source_code_lines(checkout: Path) -> int:
+    """Lines in every src/**/*.py that hold code: blank lines, comment lines
+    and docstrings (of the module, a class or a function, found with
+    ``ast``) are not counted, so a deleted comment is no reduction."""
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    total = 0
+    for path in (checkout / "src").rglob("*.py"):
+        source = path.read_bytes()
+        code = set()
+        for tok in tokenize.tokenize(io.BytesIO(source).readline):
+            if tok.type not in layout:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                doc = node.body[0]
+                code.difference_update(range(doc.lineno, doc.end_lineno + 1))
+        total += len(code)
+    return total
 
 
 def export(ref: str, dest: Path) -> None:
@@ -240,6 +268,8 @@ def _compare(argv) -> int:
             export(sha, sides[side])
             report[f"{side}_source_sha256"] = source_sha256(sides[side])
         report["src_lines"] = {side: source_lines(path) for side, path in sides.items()}
+        report["src_code_lines"] = {side: source_code_lines(path)
+                                    for side, path in sides.items()}
         for workload, n in plan.items():
             runs = {"parent": [], "change": []}
             seeds = [args.first_seed + i for i in range(n)]

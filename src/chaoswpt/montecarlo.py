@@ -2,35 +2,36 @@
 
 The simulator never materializes whole chip blocks: frames are processed in
 vectorized batches, streaming only the per-frame statistics the receiver mode
-needs as the orbit is iterated: the chip sum in full mode (``_chip_sums``; at
-beta = 1 the seed state is the one chip), or in bypass mode two raw rows of
-which the chip power and fourth-power sums over both symbol halves are an
-exact affine function (``_power_sums``, plus the peak chip power as one
-number, which only the PAPR measurement asks for).  Chips
-1 ... beta of an orbit do not depend on how long it runs, so one orbit run
-serves every beta: the kernel steps each orbit to the largest beta asked for
-and reads each beta's statistics as the running sum passes it.  The orbit is
-iterated in Dickson form, on the exactly scaled state y = 2x (see
-:mod:`chaoswpt.chaos`), stepped in place from seed states used as
-``draw_initial_state`` draws them.  At xi = 2 a chip's power is the next
-Dickson state plus 2, so bypass mode there runs full mode's one orbit sum,
-``_chip_sums``, and squares no chip past the first.  Full mode simulates
-only the frames whose data bit is +1, since the others harvest exactly 0:
-each batch draws their count, then their seed states.  A frame's expected
-harvest over its fading gain is the weighted sum of its drives (s2, s4), so
-an affine function of the kernel's raw rows (``_harvest_weights``): the
-moments of the raw rows stream into one accumulator per orbit run, so
-memory stays flat however many frames are requested, and the weights apply
-afterwards, so one orbit run serves every distance too.  A sweep's rows in
-one mode thus share one stream, and the accumulator gives their covariance
-for the fit from the same formula as their standard errors.  Each run
-allocates one workspace, a batch-sized state row and rows one column block
-wide; every per-batch step writes into views of it, and the batch loop
-reduces each block itself, so no row of the workspace leaves it: one row
-sum and one Gram product of the block's rows give every beta's moments and
-the products across betas.  Means and PAPRs use no BLAS; a standard error
-comes through that product, so it depends on the BLAS build, but not on
-its thread count.
+needs as the orbit is iterated.  Every map step is taken by one walk along
+the orbits, ``_orbit``, iterated in Dickson form on the exactly scaled
+state y = 2x (see :mod:`chaoswpt.chaos`), stepped in place from seed states
+used as ``draw_initial_state`` draws them.  Each mode's kernel is one loop
+over that walk: full mode's (``_correlator_drives``) keeps the chip sum and
+writes its drives (at beta = 1 the seed state is the one chip), bypass
+mode's (``_power_sums``) writes two raw rows of which the chip power and
+fourth-power sums over both symbol halves are an exact affine function.
+Both return the peak power as one number, which only the PAPR measurement
+asks for.  Chips 1 ... beta of an orbit do not depend on how long it runs,
+so one orbit run serves every beta: the walk goes to the largest beta
+asked for and each beta's statistics are read as the walk passes it.  At
+xi = 2 a chip's power is the next Dickson state plus 2, so bypass mode
+there keeps one orbit sum too, and squares no chip past the first.  Full
+mode simulates only the frames whose data bit is +1, since the others
+harvest exactly 0: each batch draws their count, then their seed states.
+A frame's expected harvest over its fading gain is the weighted sum of its
+drives (s2, s4), so an affine function of the kernel's raw rows
+(``_harvest_weights``): the moments of the raw rows stream into one
+accumulator per orbit run, so memory stays flat however many frames are
+requested, and the weights apply afterwards, so one orbit run serves every
+distance too.  A sweep's rows in one mode thus share one stream, and the
+accumulator gives their covariance for the fit from the same formula as
+their standard errors.  Each run allocates one workspace, a batch-sized
+state row and rows one column block wide; every per-batch step writes into
+views of it, and the batch loop reduces each block itself, so no row of the
+workspace leaves it: one row sum and one Gram product of the block's rows
+give every beta's moments and the products across betas.  Means and PAPRs
+use no BLAS; a standard error comes through that product, so it depends on
+the BLAS build, but not on its thread count.
 """
 from __future__ import annotations
 
@@ -128,53 +129,36 @@ class RunResult:
 SweepRow = RunResult
 
 
-def _chip_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, work: np.ndarray, read,
-               ahead: bool = False, peak: bool = False) -> float | None:
-    """The one running sum over Dickson states, read at each beta of ``betas``.
-
-    Steps the states y = y_1 in place and keeps out = y_1 + ... + y_n, the
-    sum of the n states so far; ``work`` is the map step's scratch rows
-    (``chaos._step_rows``).  Once n reaches betas[i] (ascending, distinct)
-    it calls ``read(i)``, with y = y_n, or with ``ahead`` set y = y_{n+1},
-    one step past the sum, which the sum adds before it goes on.  Returns
-    the largest state summed, as a float, when ``peak`` is set, and None
-    otherwise.  From y = 2x the sum is exactly 2v for the chip sum v: on a
-    frame whose bit is d = +1, the correlator output (1 + d) v.
-    """
-    np.copyto(out, y)
-    top = float(np.max(y)) if peak else None
-    n, stepped = 1, False
-    for i, beta in enumerate(betas):
-        for _ in range(n, beta):
-            if not stepped:
-                chebyshev_step(y, xi, out=y, work=work)
-            stepped = False
-            out += y
-            if peak:
-                top = max(top, float(np.max(y)))
-        n = beta
-        if ahead:
-            chebyshev_step(y, xi, out=y, work=work)
-            stepped = True
-        read(i)
-    return top
+def _orbit(y: np.ndarray, stop: int, xi: int, work: np.ndarray):
+    """The one walk along the orbits, and montecarlo's one map step: steps
+    the Dickson states y = y_1 in place, with the step's scratch rows
+    ``work`` (``chaos._step_rows``), and yields n once y holds y_n, for
+    n = 1 ... stop."""
+    yield 1
+    for n in range(2, stop + 1):
+        chebyshev_step(y, xi, out=y, work=work)
+        yield n
 
 
 def _correlator_drives(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray,
-                       work: np.ndarray) -> None:
+                       work: np.ndarray, peak: bool = False) -> float | None:
     """The full-mode kernel: betas[i]'s drives u = (2v)^2 and u^2, for the
-    chip sum v, in out[2i] and out[2i + 1]; ``_chip_sums`` runs in rows[0],
-    except at a largest beta of 1, whose sum is y itself and is not copied."""
+    chip sum v, in out[2i] and out[2i + 1], and the largest beta's peak u as
+    a float (``peak`` set) or None.  The running sum y_1 + ... + y_n = 2v is
+    kept in rows[0], except at a largest beta of 1, whose sum is y itself
+    and is not copied."""
     s = y if betas[-1] == 1 else rows[0]
-
-    def read(i):
-        u = np.multiply(s, s, out=out[2 * i])
-        np.multiply(u, u, out=out[2 * i + 1])
-
-    if s is y:
-        read(0)
-    else:
-        _chip_sums(y, betas, xi, out=s, work=work, read=read)
+    i = 0
+    for n in _orbit(y, betas[-1], xi, work):
+        if n > 1:
+            s += y
+        elif s is not y:
+            np.copyto(s, y)
+        if n == betas[i]:
+            u = np.multiply(s, s, out=out[2 * i])
+            np.multiply(u, u, out=out[2 * i + 1])
+            i += 1
+    return float(np.max(out[-2])) if peak else None
 
 
 def _orbit_summed(beta: int, xi: int) -> bool:
@@ -209,68 +193,67 @@ def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray
                 work: np.ndarray, peak: bool = False) -> float | None:
     """The bypass-mode kernel: betas[i]'s two raw rows, in out[2i] and
     out[2i + 1], of which its drives, the sums of x^2 and x^4 over both
-    symbol halves, are an exact affine function (``_harvest_weights``).
+    symbol halves, are an exact affine function (``_harvest_weights``), and
+    the peak x^2 over the largest beta's chips as a float (``peak`` set) or
+    None.  ``rows`` holds three rows: the running sums of y^2 and y^4 and
+    y^2 itself.  Squared chips (every beta at xi >= 3, and a lone beta of 1
+    at xi = 2) give the raw rows sum y_k^2 and sum y_k^4 over k = 1 ... beta.
 
-    Steps the Dickson states y = y_1 in place.  Returns the peak x^2 over
-    the largest beta's chips, as a float, when ``peak`` is set, and None
-    otherwise.  ``rows`` holds three rows: the running sums of y^2 and y^4
-    and y^2 itself.  A beta read from squared chips (each beta at xi >= 3,
-    beta = 1 at xi = 2) has the raw rows sum y_k^2 and sum y_k^4 over k =
-    1 ... beta.
-
-    At xi = 2 and beta >= 2 no chip is squared: y_{k+1} = y_k^2 - 2 makes
-    every chip power the next chip plus 2, so with T = y_2 + ... + y_{beta+1}
-    (``_chip_sums`` from y_2) and D = y_{beta+2} - y_2,
+    At xi = 2 and a largest beta >= 2 no chip past the first is squared:
+    y_{k+1} = y_k^2 - 2 makes every chip power the next chip plus 2, so with
+    T = y_2 + ... + y_{beta+1} and D = y_{beta+2} - y_2,
 
         sum y_k^2 = T + 2 beta,
         sum y_k^4 = (T - y_2 + y_{beta+2}) + 4 T + 6 beta = 5 T + D + 6 beta,
 
-    over k = 1 ... beta, and the raw rows are T (a copy of the running sum)
-    and D: beta + 1 map steps, one running sum, and two row writes at each
-    beta.  The peak chip power is max(y_2 ... y_{beta+1}) + 2.  The peak
-    keeps the chip-order bits, since the largest power lies in [1, 4] (of
-    two consecutive chips, one has |y| >= 1), where the relation is exact
-    (see the chaos module) and fl(fl(y^2) - 2) keeps the order of the
-    powers.  The peak is scaled once, after the maximum: fl(t + 2) and the
-    exact factor 1/4 keep the order, so that is the maximum of the scaled
-    powers.
+    over k = 1 ... beta, and the raw rows are T and D, read at n = beta + 2
+    before y_n would join the running sum (a beta of 1 in the grid reads the
+    squared first state): beta + 1 map steps for the largest beta.  The
+    peak chip power is max(y_2 ... y_{beta+1}) + 2, a maximum that starts
+    below every state, as one frame's states may all be negative.  It keeps
+    the chip-order bits, since the largest power lies in [1, 4] (of two
+    consecutive chips, one has |y| >= 1), where the relation is exact (see
+    the chaos module) and fl(fl(y^2) - 2) keeps the order of the powers; and
+    it is scaled once, after the maximum, since fl(t + 2) and the exact
+    factor 1/4 keep the order too.
     """
     e2, e4, y2 = rows
-    # the betas read from squared chips: all of them, or at xi = 2 a beta of 1
-    squared = [beta for beta in betas if not _orbit_summed(beta, xi)]
-    top = None
-    if squared:
-        np.multiply(y, y, out=e2)
-        np.multiply(e2, e2, out=e4)
-        top = float(np.max(e2)) if peak else None
-        n = 1
-        for i, beta in enumerate(squared):
-            for _ in range(n, beta):
-                chebyshev_step(y, xi, out=y, work=work)
-                np.multiply(y, y, out=y2)
-                e2 += y2
-                if peak:
-                    top = max(top, float(np.max(y2)))
-                y2 *= y2
-                e4 += y2
-            n = beta
-            np.copyto(out[2 * i], e2)
-            np.copyto(out[2 * i + 1], e4)
-    summed = betas[len(squared):]
-    if summed:
-        # e4 keeps y_2, e2 is the running sum T
-        chebyshev_step(y, xi, out=y)
-        np.copyto(e4, y)
-
-        def read(i):
-            row = 2 * (len(squared) + i)
-            np.copyto(out[row], e2)
-            np.subtract(y, e4, out=out[row + 1])
-
-        top = _chip_sums(y, summed, xi, out=e2, work=work, read=read, ahead=True, peak=peak)
-        if peak:
-            top += 2.0
-    return top * 0.25 if peak else None
+    top = -math.inf
+    if not _orbit_summed(betas[-1], xi):
+        i = 0
+        for n in _orbit(y, betas[-1], xi, work):
+            sq = np.multiply(y, y, out=e2 if n == 1 else y2)
+            if peak:
+                top = max(top, float(np.max(sq)))
+            if n == 1:
+                np.multiply(e2, e2, out=e4)
+            else:
+                e2 += sq
+                sq *= sq
+                e4 += sq
+            if n == betas[i]:
+                np.copyto(out[2 * i], e2)
+                np.copyto(out[2 * i + 1], e4)
+                i += 1
+        return top * 0.25 if peak else None
+    if betas[0] == 1:
+        np.multiply(y, y, out=out[0])
+        np.multiply(out[0], out[0], out=out[1])
+    # e2 is the running sum T from y_2, e4 keeps y_2
+    reads = {beta + 2: i for i, beta in enumerate(betas) if beta > 1}
+    stop = betas[-1] + 2
+    for n in _orbit(y, stop, xi, work):
+        if n in reads:
+            np.copyto(out[2 * reads[n]], e2)
+            np.subtract(y, e4, out=out[2 * reads[n] + 1])
+        if n == 2:
+            np.copyto(e2, y)
+            np.copyto(e4, y)
+        elif 2 < n < stop:
+            e2 += y
+        if peak and 2 <= n < stop:
+            top = max(top, float(np.max(y)))
+    return (top + 2.0) * 0.25 if peak else None
 
 
 def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
@@ -278,17 +261,20 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
     """Yield ``(m, sums, gram, top)`` for each batch of at most _BATCH frames.
 
     One orbit run serves the B betas of ``betas`` (ascending, distinct).
-    Rows 2i and 2i + 1 are betas[i]'s two kernel rows: its drives s2, s4 in
-    full mode, its raw rows in bypass mode (``_power_sums``).  ``sums`` is
-    the 2B row sums over the batch's frames and ``gram`` the (2B, 2B) sums
-    of their products, as ``DcAccumulator.add_moments`` takes them, and
-    ``top`` is the largest beta's peak power (``peak`` set) or None.
+    The mode's kernel, picked once per call, is ``_correlator_drives`` or
+    ``_power_sums``, called once per block.  Rows 2i and 2i + 1 are
+    betas[i]'s two kernel rows: its drives s2, s4 in full mode, its raw rows
+    in bypass mode.  ``sums`` is the 2B row sums over the batch's frames and
+    ``gram`` the (2B, 2B) sums of their products, as
+    ``DcAccumulator.add_moments`` takes them, and ``top`` is the largest of
+    the kernel's peaks, each the largest beta's peak power (``peak`` set),
+    or None.
 
     Each batch makes one ``draw_initial_state`` call for its seed states,
     doubles them into the Dickson states y = 2x in place (exact), and the
-    kernel steps every state drawn.  In bypass mode a batch draws m seed
-    states, and its peak is the peak chip power.  No bypass output depends
-    on the data bits, so none is drawn.  In full mode a frame whose bit is
+    kernel walks every state drawn along ``_orbit``.  In bypass mode a batch
+    draws m seed states, and its peak is the peak chip power.  No bypass
+    output depends on the data bits, so none is drawn.  In full mode a frame whose bit is
     d = -1 has the correlator output (1 + d) v = 0, and no output depends
     on which frames carry +1, so a batch draws only the count
     k ~ Binomial(m, 1/2) of its d = +1 frames, then their k seed states:
@@ -296,7 +282,7 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
     its peak is the largest u; the m - k frames not drawn add 0 to every
     sum.  No draw depends on ``betas``.
 
-    The kernel steps the states in column blocks of _BLOCK, a fixed width,
+    The kernel walks the states in column blocks of _BLOCK, a fixed width,
     and each block is reduced by one row sum and one ``@`` product of all
     its 2B rows, at every B.  The row sums call no BLAS, and the BLAS rounds
     a diagonal block of the product as the product of that beta's two rows
@@ -323,6 +309,7 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
     kernel_rows, work = rows[nd:nd + 3], rows[nd + 3:]
     # one block's row sums and Gram product
     block_sums, block_gram = np.empty(nd), np.empty((nd, nd))
+    kernel = _correlator_drives if psi_mode == "full" else _power_sums
     for start in range(0, n_frames, _BATCH):
         m = min(_BATCH, n_frames - start)
         k = int(rng.binomial(m, 0.5)) if psi_mode == "full" else m
@@ -333,13 +320,8 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
         for j in range(0, k, _BLOCK):
             w = min(_BLOCK, k - j)
             block = rows[:nd, :w]
-            if psi_mode == "bypass":
-                t = _power_sums(y[j:j + w], betas, xi, out=block, rows=kernel_rows[:, :w],
-                                work=work[:, :w], peak=peak)
-            else:
-                _correlator_drives(y[j:j + w], betas, xi, out=block,
-                                   rows=kernel_rows[:, :w], work=work[:, :w])
-                t = float(np.max(block[-2])) if peak else None
+            t = kernel(y[j:j + w], betas, xi, out=block, rows=kernel_rows[:, :w],
+                       work=work[:, :w], peak=peak)
             if peak:
                 top = max(top, t)
             block.sum(axis=1, out=block_sums)

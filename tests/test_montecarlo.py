@@ -21,7 +21,7 @@ from chaoswpt.montecarlo import (
     RunResult,
     SweepResult,
     SweepRow,
-    _chip_sums,
+    _correlator_drives,
     _power_sums,
     _subseed,
     fit_scaling,
@@ -236,13 +236,16 @@ def test_measure_papr_matches_per_frame_chain(mode, beta, xi):
         empirical_papr(stream, mean_power=beta if mode == "full" else 0.5), rel=1e-12)
 
 
-@pytest.mark.parametrize("beta", [2, 3, 17, 100])
-def test_bypass_papr_from_orbit_sums_matches_per_frame_chain(beta):
+@pytest.mark.parametrize("beta, n, seed", [(2, 1000, 31), (3, 1000, 31), (17, 1000, 31),
+                                           (100, 1000, 31), (2, 1, 2)],
+                         ids=["2", "3", "17", "100", "2-1-2"])
+def test_bypass_papr_from_orbit_sums_matches_per_frame_chain(beta, n, seed):
     # the orbit-sum kernel's peak is the largest chip power bit for bit; its
-    # mean power rounds in its own order
-    n = 1000
-    stream = transmit_frames(np.random.default_rng(31), n, beta, 2, "bypass").ravel()
-    got = measure_papr(beta, "bypass", n_frames=n, seed=31)
+    # mean power rounds in its own order; seed 2's one frame has y_2 and y_3
+    # both negative, so a peak that started at 0 rather than below every
+    # state would read 2/4 here
+    stream = transmit_frames(np.random.default_rng(seed), n, beta, 2, "bypass").ravel()
+    got = measure_papr(beta, "bypass", n_frames=n, seed=seed)
     assert got.expectation_normalized == empirical_papr(stream, mean_power=0.5)
     assert got.plain == pytest.approx(empirical_papr(stream), rel=1e-12)
 
@@ -256,18 +259,18 @@ def test_measure_papr_rejects_zero_mean_power():
     assert measure_papr(2, "bypass", n_frames=2, seed=3).plain > 0.0
 
 
-def _kernel_rows(mode, xi, size):
-    """NaN-filled rows for ``_kernel_stats``: the sums, y, the three kernel
-    rows and the map step's scratch rows."""
-    return np.full(((1 if mode == "full" else 2) + 4 + _step_rows(xi), size), np.nan)
+def _kernel_rows(xi, size):
+    """NaN-filled rows for ``_kernel_stats``: the kernel's two output rows,
+    y, the three kernel rows and the map step's scratch rows."""
+    return np.full((2 + 4 + _step_rows(xi), size), np.nan)
 
 
 def _frame_drives(a, b, beta, xi):
     """Each frame's bypass drives (sum x^2, sum x^4 over both halves) from
     ``_power_sums``' raw rows (a, b), as ``_harvest_weights`` weights them:
     the squared chips' sums of y^2 and y^4 times 1/2 and 1/8, or at xi = 2
-    and beta >= 2 the orbit sum T and D = y_{beta+2} - y_2 in
-    s2 = T/2 + beta and s4 = 5T/8 + D/8 + 3 beta/4."""
+    and beta >= 2 the walk's orbit sum T = y_2 + ... + y_{beta+1} and
+    D = y_{beta+2} - y_2 in s2 = T/2 + beta and s4 = 5T/8 + D/8 + 3 beta/4."""
     if xi == 2 and beta >= 2:
         return 0.5 * a + beta, 0.625 * a + 0.125 * b + 0.75 * beta
     return 0.5 * a, 0.125 * b
@@ -275,23 +278,22 @@ def _frame_drives(a, b, beta, xi):
 
 def _kernel_stats(x0, beta, xi, mode, peak=True, rows=None, raw=False):
     """The mode's kernel on the Dickson states y = 2 x0, read at one beta:
-    ``_chip_sums``' sum or each frame's two bypass drives (``_power_sums``'
-    raw rows themselves with ``raw``), then its scalar peak (None without
-    ``peak``).
+    ``_correlator_drives``' running sum 2v or each frame's two bypass drives
+    (``_power_sums``' raw rows themselves with ``raw``), then its scalar
+    peak (None without ``peak``): the largest u = (2v)^2 in full mode, the
+    largest chip power in bypass mode, as ``measure_papr`` reads them.
 
-    ``rows`` (``_kernel_rows`` when not given) holds the kernel's output
+    ``rows`` (``_kernel_rows`` when not given) holds the kernel's two output
     rows, then y, the kernel's rows and the map step's scratch rows; x0 is
-    not written.
+    not written.  At beta = 1 full mode's sum is y itself.
     """
-    n_stats = 1 if mode == "full" else 2
     if rows is None:
-        rows = _kernel_rows(mode, xi, x0.size)
-    out, y = rows[:n_stats], rows[n_stats]
-    kernel, work = rows[n_stats + 1:n_stats + 4], rows[n_stats + 4:]
+        rows = _kernel_rows(xi, x0.size)
+    out, y, kernel, work = rows[:2], rows[2], rows[3:6], rows[6:]
     np.multiply(x0, 2.0, out=y)
     if mode == "full":
-        top = _chip_sums(y, (beta,), xi, out=out[0], work=work, read=lambda i: None,
-                         peak=peak)
+        top = _correlator_drives(y, (beta,), xi, out=out, rows=kernel, work=work, peak=peak)
+        out = (y if beta == 1 else kernel[0],)
     else:
         top = _power_sums(y, (beta,), xi, out=out, rows=kernel, work=work, peak=peak)
         if not raw:
@@ -302,13 +304,13 @@ def _kernel_stats(x0, beta, xi, mode, peak=True, rows=None, raw=False):
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_orbit_batch_stats_match_sequence_sums_for_degree_three(mode):
     # the Dickson chip sum is 2v, and the power sums run over both halves;
-    # the peak is the largest state 2x in full mode, the largest chip power
+    # the peak is the largest u = (2v)^2 in full mode, the largest chip power
     # in bypass mode, over all frames
     x0 = draw_initial_state(np.random.default_rng(5), size=300)
     chips = orbits(x0, 6, 3)
     stats = _kernel_stats(x0, 6, 3, mode)
     if mode == "full":
-        expected = (2.0 * chips.sum(axis=1), 2.0 * chips.max())
+        expected = (2.0 * chips.sum(axis=1), ((2.0 * chips.sum(axis=1)) ** 2).max())
     else:
         expected = (2.0 * (chips ** 2).sum(axis=1), 2.0 * (chips ** 4).sum(axis=1),
                     (chips ** 2).max())
@@ -321,14 +323,14 @@ def test_orbit_batch_stats_match_sequence_sums_for_degree_three(mode):
 def _chip_order_stats(x0, beta, xi, mode):
     """The kernel's statistics as running sums over scalar orbits, chip by
     chip, times the exact 2 of the Dickson chip sum and of the two halves,
-    then the peak over all frames: the largest state 2x in full mode, the
+    then the peak over all frames: the largest u = (2v)^2 in full mode, the
     largest chip power in bypass mode."""
     chips = orbits(x0, beta, xi)
     if mode == "full":
         v = chips[:, 0].copy()
         for k in range(1, beta):
             v += chips[:, k]
-        return 2.0 * v, 2.0 * chips.max()
+        return 2.0 * v, float(np.max((2.0 * v) ** 2))
     sq = chips * chips
     e2, e4 = sq[:, 0].copy(), sq[:, 0] * sq[:, 0]
     for k in range(1, beta):
@@ -409,15 +411,31 @@ def _blocks(k: int) -> list[int]:
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_kernel_steps_beta_minus_one_times_per_batch(monkeypatch, mode):
     # the kernel must call the step through montecarlo's own name; it steps
-    # each column block of a batch's states in turn, to the largest beta
-    real = montecarlo.chebyshev_step
-    sizes = []
+    # each column block of a batch's states in turn, to the largest beta,
+    # and every step is taken while the orbit walk runs
+    real, real_orbit = montecarlo.chebyshev_step, montecarlo._orbit
+    sizes, walking = [], [False]
 
     def counting(x, xi=2, out=None, **kw):
+        assert walking[0], "a map step was taken outside _orbit"
         sizes.append(x.size)
         return real(x, xi, out=out, **kw)
 
+    def orbit(*args, **kw):
+        # the flag is up only while the walk itself runs, not between yields
+        walk = real_orbit(*args, **kw)
+        while True:
+            walking[0] = True
+            try:
+                n = next(walk)
+            except StopIteration:
+                return
+            finally:
+                walking[0] = False
+            yield n
+
     monkeypatch.setattr(montecarlo, "chebyshev_step", counting)
+    monkeypatch.setattr(montecarlo, "_orbit", orbit)
     n = montecarlo._BATCH + 10  # one full batch and a short one
     # full mode steps only the states of a batch's d = +1 frames: the count
     # of the mode group's stream in a sweep
@@ -575,7 +593,7 @@ def test_orbit_batch_stats_into_buffers_keep_the_bits(xi, mode, beta):
     x0 = draw_initial_state(np.random.default_rng(beta), size=1000)
     want = _kernel_stats(x0, beta, xi, mode, raw=True)
     short = _kernel_stats(x0[:600], beta, xi, mode, raw=True)
-    rows = _kernel_rows(mode, xi, x0.size)
+    rows = _kernel_rows(xi, x0.size)
     # a full batch, then a short one in views of the same rows
     for m, top in ((x0.size, want[-1]), (600, short[-1])):
         *sums, peak = _kernel_stats(x0[:m], beta, xi, mode, rows=rows[:, :m], raw=True)

@@ -158,6 +158,8 @@ def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
     assert sorted(map(str, run_dirs)) == sorted(map(str, [*exports.values()] * 3))
     assert ROOT not in map(pathlib.Path, run_dirs)
     assert "change_dirty" not in report
+    # the stand-in exports are empty, so each side counts no line
+    assert report["src_lines"] == report["src_code_lines"] == {"parent": 0, "change": 0}
     assert report["cpus"] == len(os.sched_getaffinity(0)) >= 1
     # every run imports this interpreter's numpy and its BLAS
     assert report["numpy"] == np.__version__
@@ -181,6 +183,39 @@ def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
     times = report["workloads"]["single-chip"]["times"]
     assert times == {"parent": [{"pass_s": 0.01, "ref_s": 0.2}] * 2,
                      "change": [{"pass_s": 0.02, "ref_s": 0.2}] * 2}
+
+
+def test_bench_pairs_counts_the_lines_that_hold_code(tmp_path):
+    # blank lines, comment lines and the module's, a class's and a
+    # function's docstrings are left out of the code count; a string that
+    # is no docstring, and a line with code and a comment, are code
+    bench_pairs = _bench_pairs_module()
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(textwrap.dedent('''\
+        """A module.
+
+        Its docstring runs over three lines."""
+        # a comment
+
+        import math  # a comment after code
+
+
+        class C:
+            """One line."""
+
+            def f(self):
+                """Two
+                lines."""
+                #: an attribute comment
+                return """not a
+        docstring"""
+        '''))
+    (pkg / "b.py").write_text("\n\nx = 1\n")
+    assert bench_pairs.source_lines(tmp_path) == 20
+    # a.py's import, class and def lines and its return's two lines, and
+    # b.py's one line
+    assert bench_pairs.source_code_lines(tmp_path) == 5 + 1
 
 
 def test_bench_pairs_refuses_a_checkout_that_differs_from_head(tmp_path, monkeypatch, capsys):
