@@ -34,8 +34,11 @@ neither), with the metric's direction taken from ``BENCHMARK.json``.  It
 also records each side's hash of ``src/`` (``parent_source_sha256``,
 ``change_source_sha256``), its line count of ``src/`` (``src_lines``) and
 its count of the lines there that hold code (``src_code_lines``: no blank
-line, comment or docstring), all read from that side's copy (so the net
-size of the change), the
+line, comment or docstring), the same count per module
+(``src_code_lines_by_module``, by path under ``src/``) and over ``tests/``
+(``tests_code_lines``), so that code moved between modules or into the tests
+shows as no reduction, all read from that side's copy (so the net size of
+the change, which is also printed on stderr), the
 numpy version (``numpy``) and BLAS build (``blas``, its name and version)
 that every run imports, since both sides run on this interpreter, and the
 host's load: the CPUs this process may run on (``cpus``), and each run's 1-,
@@ -108,27 +111,36 @@ def source_lines(checkout: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
 
 
-def source_code_lines(checkout: Path) -> int:
-    """Lines in every src/**/*.py that hold code: blank lines, comment lines
-    and docstrings (of the module, a class or a function, found with
-    ``ast``) are not counted, so a deleted comment is no reduction."""
+def code_lines(path: Path) -> int:
+    """Lines of one .py file that hold code: blank lines, comment lines and
+    docstrings (of the module, a class or a function, found with ``ast``)
+    are not counted, so a deleted comment is no reduction."""
     layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
               tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
-    total = 0
-    for path in (checkout / "src").rglob("*.py"):
-        source = path.read_bytes()
-        code = set()
-        for tok in tokenize.tokenize(io.BytesIO(source).readline):
-            if tok.type not in layout:
-                code.update(range(tok.start[0], tok.end[0] + 1))
-        for node in ast.walk(ast.parse(source)):
-            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                  ast.AsyncFunctionDef))
-                    and ast.get_docstring(node, clean=False) is not None):
-                doc = node.body[0]
-                code.difference_update(range(doc.lineno, doc.end_lineno + 1))
-        total += len(code)
-    return total
+    source = path.read_bytes()
+    code = set()
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in layout:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            code.difference_update(range(doc.lineno, doc.end_lineno + 1))
+    return len(code)
+
+
+def code_lines_by_module(checkout: Path, tree: str = "src") -> dict[str, int]:
+    """``code_lines`` of every ``tree``/**/*.py, by its path under ``tree``."""
+    root = checkout / tree
+    return {str(path.relative_to(root)): code_lines(path)
+            for path in sorted(root.rglob("*.py"))}
+
+
+def source_code_lines(checkout: Path) -> int:
+    """Lines in every src/**/*.py that hold code (``code_lines``)."""
+    return sum(code_lines_by_module(checkout).values())
 
 
 def export(ref: str, dest: Path) -> None:
@@ -270,6 +282,16 @@ def _compare(argv) -> int:
         report["src_lines"] = {side: source_lines(path) for side, path in sides.items()}
         report["src_code_lines"] = {side: source_code_lines(path)
                                     for side, path in sides.items()}
+        report["src_code_lines_by_module"] = {side: code_lines_by_module(path)
+                                              for side, path in sides.items()}
+        # code moved into the tests is no reduction, so their total shows too
+        report["tests_code_lines"] = {side: sum(code_lines_by_module(path, "tests").values())
+                                      for side, path in sides.items()}
+        lines, code = report["src_lines"], report["src_code_lines"]
+        print(f"src/: {lines['parent']} -> {lines['change']} lines "
+              f"({lines['change'] - lines['parent']:+d}), {code['parent']} -> "
+              f"{code['change']} code lines ({code['change'] - code['parent']:+d})",
+              file=sys.stderr)
         for workload, n in plan.items():
             runs = {"parent": [], "change": []}
             seeds = [args.first_seed + i for i in range(n)]

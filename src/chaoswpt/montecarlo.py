@@ -10,8 +10,8 @@ over that walk: full mode's (``_correlator_drives``) keeps the chip sum and
 writes its drives (at beta = 1 the seed state is the one chip), bypass
 mode's (``_power_sums``) writes two raw rows of which the chip power and
 fourth-power sums over both symbol halves are an exact affine function.
-Both return the peak power as one number, which only the PAPR measurement
-asks for.  Chips 1 ... beta of an orbit do not depend on how long it runs,
+Both return the peak power as one number, 0.0 unless the PAPR measurement
+asks for it.  Chips 1 ... beta of an orbit do not depend on how long it runs,
 so one orbit run serves every beta: the walk goes to the largest beta
 asked for and each beta's statistics are read as the walk passes it.  At
 xi = 2 a chip's power is the next Dickson state plus 2, so bypass mode
@@ -20,18 +20,21 @@ mode simulates only the frames whose data bit is +1, since the others
 harvest exactly 0: each batch draws their count, then their seed states.
 A frame's expected harvest over its fading gain is the weighted sum of its
 drives (s2, s4), so an affine function of the kernel's raw rows
-(``_harvest_weights``): the moments of the raw rows stream into one
-accumulator per orbit run, so memory stays flat however many frames are
-requested, and the weights apply afterwards, so one orbit run serves every
-distance too.  A sweep's rows in one mode thus share one stream, and the
-accumulator gives their covariance for the fit from the same formula as
-their standard errors.  Each run allocates one workspace, a batch-sized
-state row and rows one column block wide; every per-batch step writes into
-views of it, and the batch loop reduces each block itself, so no row of the
-workspace leaves it: one row sum and one Gram product of the block's rows
-give every beta's moments and the products across betas.  Means and PAPRs
-use no BLAS; a standard error comes through that product, so it depends on
-the BLAS build, but not on its thread count.
+(``_harvest_weights``).  One batch loop, ``_orbit_moments``, serves
+``run_once``, each mode of a sweep and ``measure_papr``: it opens the run's
+one stream, draws each batch, calls the kernel on each column block and
+adds each batch's moments of the raw rows to one accumulator, so memory
+stays flat however many frames are requested, and the weights apply
+afterwards, so one orbit run serves every distance too.  A sweep's rows in
+one mode thus share one stream, and the accumulator gives their covariance
+for the fit from the same formula as their standard errors.  Each run
+allocates one workspace, a batch-sized state row and rows one column block
+wide; every per-batch step writes into views of it, and the loop reduces
+each block itself, so no row of the workspace leaves it: one row sum and
+one Gram product of the block's rows give every beta's moments and the
+products across betas.  Means and PAPRs use no BLAS; a standard error comes
+through that product, so it depends on the BLAS build, but not on its
+thread count.
 """
 from __future__ import annotations
 
@@ -141,10 +144,10 @@ def _orbit(y: np.ndarray, stop: int, xi: int, work: np.ndarray):
 
 
 def _correlator_drives(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray,
-                       work: np.ndarray, peak: bool = False) -> float | None:
+                       work: np.ndarray, peak: bool = False) -> float:
     """The full-mode kernel: betas[i]'s drives u = (2v)^2 and u^2, for the
-    chip sum v, in out[2i] and out[2i + 1], and the largest beta's peak u as
-    a float (``peak`` set) or None.  The running sum y_1 + ... + y_n = 2v is
+    chip sum v, in out[2i] and out[2i + 1], and the largest beta's peak u
+    (``peak`` set; 0.0 without).  The running sum y_1 + ... + y_n = 2v is
     kept in rows[0], except at a largest beta of 1, whose sum is y itself
     and is not copied."""
     s = y if betas[-1] == 1 else rows[0]
@@ -158,7 +161,7 @@ def _correlator_drives(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.
             u = np.multiply(s, s, out=out[2 * i])
             np.multiply(u, u, out=out[2 * i + 1])
             i += 1
-    return float(np.max(out[-2])) if peak else None
+    return float(np.max(out[-2])) if peak else 0.0
 
 
 def _orbit_summed(beta: int, xi: int) -> bool:
@@ -190,13 +193,13 @@ def _harvest_weights(betas, xi: int, psi_mode: str, c2: float, c4: float):
 
 
 def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray,
-                work: np.ndarray, peak: bool = False) -> float | None:
+                work: np.ndarray, peak: bool = False) -> float:
     """The bypass-mode kernel: betas[i]'s two raw rows, in out[2i] and
     out[2i + 1], of which its drives, the sums of x^2 and x^4 over both
     symbol halves, are an exact affine function (``_harvest_weights``), and
-    the peak x^2 over the largest beta's chips as a float (``peak`` set) or
-    None.  ``rows`` holds three rows: the running sums of y^2 and y^4 and
-    y^2 itself.  Squared chips (every beta at xi >= 3, and a lone beta of 1
+    the peak x^2 over the largest beta's chips (``peak`` set; 0.0 without).
+    ``rows`` holds three rows: the running sums of y^2 and y^4 and y^2
+    itself.  Squared chips (every beta at xi >= 3, and a lone beta of 1
     at xi = 2) give the raw rows sum y_k^2 and sum y_k^4 over k = 1 ... beta.
 
     At xi = 2 and a largest beta >= 2 no chip past the first is squared:
@@ -235,7 +238,7 @@ def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray
                 np.copyto(out[2 * i], e2)
                 np.copyto(out[2 * i + 1], e4)
                 i += 1
-        return top * 0.25 if peak else None
+        return top * 0.25 if peak else 0.0
     if betas[0] == 1:
         np.multiply(y, y, out=out[0])
         np.multiply(out[0], out[0], out=out[1])
@@ -253,30 +256,31 @@ def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray
             e2 += y
         if peak and 2 <= n < stop:
             top = max(top, float(np.max(y)))
-    return (top + 2.0) * 0.25 if peak else None
+    return (top + 2.0) * 0.25 if peak else 0.0
 
 
-def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
-                   psi_mode: str, peak: bool = False):
-    """Yield ``(m, sums, gram, top)`` for each batch of at most _BATCH frames.
+def _orbit_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str,
+                   peak: bool = False) -> tuple[DcAccumulator, float]:
+    """The run's one batch loop: the moments of the kernel's raw rows over
+    the n_frames frames of the orbit run that ``np.random.default_rng(seed)``
+    draws, read at each beta of ``betas`` (ascending, distinct), in one
+    accumulator, and the largest beta's largest peak power (0.0 without
+    ``peak``).
 
-    One orbit run serves the B betas of ``betas`` (ascending, distinct).
-    The mode's kernel, picked once per call, is ``_correlator_drives`` or
+    The mode's kernel, picked once per run, is ``_correlator_drives`` or
     ``_power_sums``, called once per block.  Rows 2i and 2i + 1 are
     betas[i]'s two kernel rows: its drives s2, s4 in full mode, its raw rows
-    in bypass mode.  ``sums`` is the 2B row sums over the batch's frames and
-    ``gram`` the (2B, 2B) sums of their products, as
-    ``DcAccumulator.add_moments`` takes them, and ``top`` is the largest of
-    the kernel's peaks, each the largest beta's peak power (``peak`` set),
-    or None.
+    in bypass mode.  Each batch of at most _BATCH frames adds its 2B row
+    sums and the (2B, 2B) sums of their products with one ``add_moments``
+    call.
 
     Each batch makes one ``draw_initial_state`` call for its seed states,
     doubles them into the Dickson states y = 2x in place (exact), and the
     kernel walks every state drawn along ``_orbit``.  In bypass mode a batch
     draws m seed states, and its peak is the peak chip power.  No bypass
-    output depends on the data bits, so none is drawn.  In full mode a frame whose bit is
-    d = -1 has the correlator output (1 + d) v = 0, and no output depends
-    on which frames carry +1, so a batch draws only the count
+    output depends on the data bits, so none is drawn.  In full mode a frame
+    whose bit is d = -1 has the correlator output (1 + d) v = 0, and no
+    output depends on which frames carry +1, so a batch draws only the count
     k ~ Binomial(m, 1/2) of its d = +1 frames, then their k seed states:
     its drives are their squared correlator outputs u = (2v)^2 and u^2, and
     its peak is the largest u; the m - k frames not drawn add 0 to every
@@ -288,12 +292,14 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
     a diagonal block of the product as the product of that beta's two rows
     alone and keeps the product exactly symmetric (properties of its kernel,
     which the sweep tests check), so a beta's sums keep their bits whatever
-    else is in ``betas``.  One workspace is allocated per call: the batch's
+    else is in ``betas``.  One workspace is allocated per run: the batch's
     state row, then 2B output rows, three kernel rows and the map step's
     rows (at xi >= 3), one block wide; the draw's two scratch rows overlap
     the block rows, which the kernel fills only after the draw.  Every batch
     step writes into it, and no row of it leaves.
     """
+    rng = np.random.default_rng(seed)
+    acc, top = DcAccumulator(), 0.0
     size = min(n_frames, _BATCH)
     width = min(size, _BLOCK)
     nd = 2 * len(betas)
@@ -307,7 +313,8 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
     state, rest = space[:size], space[size:]
     rows = rest[:n_rows * width].reshape(n_rows, width)
     kernel_rows, work = rows[nd:nd + 3], rows[nd + 3:]
-    # one block's row sums and Gram product
+    # a batch's and one block's row sums and Gram product
+    sums, gram = np.empty(nd), np.empty((nd, nd))
     block_sums, block_gram = np.empty(nd), np.empty((nd, nd))
     kernel = _correlator_drives if psi_mode == "full" else _power_sums
     for start in range(0, n_frames, _BATCH):
@@ -315,32 +322,19 @@ def _frame_batches(rng: np.random.Generator, n_frames: int, betas, xi: int,
         k = int(rng.binomial(m, 0.5)) if psi_mode == "full" else m
         y = draw_initial_state(rng, size=k, out=state[:k], work=rest[:2 * k].reshape(2, k))
         y *= 2.0
-        sums, gram = np.zeros(nd), np.zeros((nd, nd))
-        top = 0.0 if peak else None
+        sums.fill(0.0)
+        gram.fill(0.0)
         for j in range(0, k, _BLOCK):
             w = min(_BLOCK, k - j)
             block = rows[:nd, :w]
-            t = kernel(y[j:j + w], betas, xi, out=block, rows=kernel_rows[:, :w],
-                       work=work[:, :w], peak=peak)
-            if peak:
-                top = max(top, t)
+            top = max(top, kernel(y[j:j + w], betas, xi, out=block, rows=kernel_rows[:, :w],
+                                  work=work[:, :w], peak=peak))
             block.sum(axis=1, out=block_sums)
             np.matmul(block, block.T, out=block_gram)
             sums += block_sums
             gram += block_gram
-        yield m, sums, gram, top
-
-
-def _orbit_moments(config: RunConfig, betas) -> DcAccumulator:
-    """The moments of the kernel's raw rows over the frames of the orbit run
-    that ``config``'s seed, frame count, map degree and mode fix, read at
-    each beta of ``betas`` (ascending, distinct): one accumulator."""
-    acc = DcAccumulator()
-    rng = np.random.default_rng(config.seed)
-    for m, sums, gram, _ in _frame_batches(rng, config.n_frames, betas, config.xi,
-                                           config.psi_mode):
         acc.add_moments(m, sums, gram)
-    return acc
+    return acc, top
 
 
 def _rows(configs, betas, acc: DcAccumulator) -> tuple[list[RunResult], np.ndarray]:
@@ -391,7 +385,8 @@ def run_once(config: RunConfig) -> RunResult:
     """
     _warn_if_noisy(config)
     betas = [config.beta]
-    (row,), _ = _rows([config], betas, _orbit_moments(config, betas))
+    acc, _ = _orbit_moments(config.seed, config.n_frames, betas, config.xi, config.psi_mode)
+    (row,), _ = _rows([config], betas, acc)
     return row
 
 
@@ -458,7 +453,8 @@ def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
             for c in cells]
     grid = sorted({c.beta for c in cfgs})
     groups = {c.psi_mode: c for c in cfgs}
-    runs = dict(zip(groups, fork_map(lambda c: _orbit_moments(c, grid), groups.values())))
+    runs = dict(zip(groups, fork_map(lambda c: _orbit_moments(
+        c.seed, c.n_frames, grid, c.xi, c.psi_mode)[0], groups.values())))
     rows, covariance = [None] * len(cfgs), {}
     for key in dict.fromkeys((c.r, c.psi_mode) for c in cfgs):
         at = [i for i, c in enumerate(cfgs) if (c.r, c.psi_mode) == key]
@@ -536,11 +532,7 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = RunConfig.n_frames,
     bound = papr_analytic(psi_mode, beta)  # checks psi_mode and beta
     for name, value in (("n_frames", n_frames), ("seed", seed), ("xi", xi)):
         _check(name, value)
-    rng = np.random.default_rng(seed)
-    peak, acc = 0.0, DcAccumulator()
-    for m, sums, gram, top in _frame_batches(rng, n_frames, (beta,), xi, psi_mode, peak=True):
-        peak = max(peak, top)
-        acc.add_moments(m, sums, gram)
+    acc, peak = _orbit_moments(seed, n_frames, (beta,), xi, psi_mode, peak=True)
     # each frame's power is its drive s2, weights (c2, c4) = (1, 0): u in full
     # mode (0 where d = -1), the sum of its 2*beta chip powers in bypass mode
     (power,), _ = acc.result([0], *_harvest_weights((beta,), xi, psi_mode, 1.0, 0.0))

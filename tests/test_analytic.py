@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from chaoswpt.analytic import (
     z_without_correlator,
 )
 from chaoswpt.harvester import EhCircuit, rho_params
+from chip_moments import chip_sum_moment
 
 CLOSED_FORMS = (z_with_correlator, z_with_correlator_exact, z_without_correlator)
 
@@ -113,6 +116,39 @@ def test_exact_form_counts_every_relation_of_the_chip_frequencies(beta, xi):
     want = g * rho1 * beta + 16.0 * g * g * rho2 * _chip_sum_fourth_moment(beta, xi)
     assert z_with_correlator_exact(beta, 20.0, 4.0, rho1, rho2, xi) == pytest.approx(
         want, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("xi", [2, 3, 4])
+@pytest.mark.parametrize("beta", [1, 2, 3, 4])
+def test_chip_sum_moment_counts_every_signed_frequency_sum(beta, xi, m):
+    # the digit-by-digit count against every choice of a chip and a sign
+    # for each of the m slots, whose signed frequencies sum to 0
+    freq = [xi ** k for k in range(beta)]
+    zero = sum(sum(s * f for s, f in zip(signs, chips)) == 0
+               for chips in itertools.product(freq, repeat=m)
+               for signs in itertools.product((1, -1), repeat=m))
+    assert chip_sum_moment(m, beta, xi) == Fraction(zero, 2 ** m)
+
+
+@pytest.mark.parametrize("xi", [2, 3, 4, 5, 6])
+def test_exact_form_is_the_counted_fourth_moment(xi):
+    # at r = alpha = rho1 = 1 and rho2 = 1/2 both weights are 1, so the form
+    # is beta + 8 E[V^4], and every term of it is dyadic: the hand-derived
+    # relations of the chip frequencies are every relation the count finds
+    for beta in range(1, 18):
+        z = z_with_correlator_exact(beta, 1.0, 1.0, 1.0, 0.5, xi)
+        assert Fraction(z) == beta + 8 * chip_sum_moment(4, beta, xi), beta
+
+
+@pytest.mark.parametrize("xi", [2, 3, 4, 5])
+def test_chip_sum_second_and_third_moments(xi):
+    # chips are uncorrelated, E[x^2] = 1/2; the sum is skewed only at xi = 2,
+    # where 2n = n + n gives each pair of consecutive chips a third moment
+    for beta in range(1, 18):
+        assert chip_sum_moment(2, beta, xi) == Fraction(beta, 2)
+        skew = Fraction(3, 4) * (beta - 1) if xi == 2 else 0
+        assert chip_sum_moment(3, beta, xi) == skew, beta
 
 
 def test_exact_form_meets_both_branches_of_the_paper_form():

@@ -14,7 +14,7 @@ import chaoswpt
 from chaoswpt import montecarlo
 from chaoswpt.analytic import _weights, z_with_correlator, z_without_correlator
 from chaoswpt.chaos import _step_rows, draw_initial_state
-from chaoswpt.harvester import DcEstimate, EhCircuit, rho_params
+from chaoswpt.harvester import DcAccumulator, DcEstimate, EhCircuit, rho_params
 from chaoswpt.montecarlo import (
     PSI_MODES,
     RunConfig,
@@ -94,7 +94,7 @@ def _no_frames(*args, **kwargs):
 def test_run_once_rejects_an_overflowing_harvest(monkeypatch):
     # the gain 1e200 is a finite float, the rectifier's quartic weight is not:
     # the run is refused when it is built, before a frame is simulated
-    monkeypatch.setattr(montecarlo, "_frame_batches", _no_frames)
+    monkeypatch.setattr(montecarlo, "_orbit_moments", _no_frames)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"c4=inf .* r=1e-50, alpha=4\.0"):
@@ -280,7 +280,7 @@ def _kernel_stats(x0, beta, xi, mode, peak=True, rows=None, raw=False):
     """The mode's kernel on the Dickson states y = 2 x0, read at one beta:
     ``_correlator_drives``' running sum 2v or each frame's two bypass drives
     (``_power_sums``' raw rows themselves with ``raw``), then its scalar
-    peak (None without ``peak``): the largest u = (2v)^2 in full mode, the
+    peak (0.0 without ``peak``): the largest u = (2v)^2 in full mode, the
     largest chip power in bypass mode, as ``measure_papr`` reads them.
 
     ``rows`` (``_kernel_rows`` when not given) holds the kernel's two output
@@ -363,7 +363,7 @@ def test_orbit_batch_stats_are_bit_identical_to_chip_order_sums(xi, mode, beta):
     assert len(got) == len(want) and isinstance(got[-1], float)
     # without the peak, each kernel fills the same sums, same bits
     alone = _kernel_stats(x0, beta, xi, mode, peak=False)
-    assert alone[-1] is None
+    assert type(alone[-1]) is float and alone[-1] == 0.0
     assert all(np.array_equal(a, g) for a, g in zip(alone[:-1], got[:-1]))
     if mode == "bypass" and xi == 2 and beta >= 2:
         # bypass at xi = 2 sums the orbit instead of the chip powers: its
@@ -482,15 +482,15 @@ def _plus_frames(n_frames: int, seed: int) -> list[int]:
 def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
     # over a batch's m frames the squared correlator output is ((1 + d) v)^2
     # with v the chip sum, half the Dickson sum: a batch's drives are it and
-    # its square, and its five sums and peak are those over all m frames,
-    # whose m - k frames with d = -1 are 0 whatever their states; seed 2's
-    # one-frame batches have k = 0, and give five zeros
+    # its square, and the run's five sums and peak are those over all its
+    # frames, whose frames with d = -1 are 0 whatever their states; seed 2's
+    # one-frame batches have k = 0, and a one-frame run gives five zeros
     other = np.random.default_rng(99)
     for n, seed in ((1, 2), (montecarlo._BATCH + 1, 2), (montecarlo._BATCH + 10, 3)):
         replay = np.random.default_rng(seed)
-        counts = []
-        for m, sums, gram, top in montecarlo._frame_batches(np.random.default_rng(seed), n,
-                                                            (beta,), xi, "full", peak=True):
+        counts, want, peak = [], np.zeros(5), 0.0
+        for start in range(0, n, montecarlo._BATCH):
+            m = min(montecarlo._BATCH, n - start)
             k = int(replay.binomial(m, 0.5))
             x0 = np.concatenate([draw_initial_state(replay, size=k),
                                  draw_initial_state(other, size=m - k)])
@@ -498,23 +498,25 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
             v = 0.5 * _kernel_stats(x0, beta, xi, "full")[0]
             s2 = ((1 + d) * v) ** 2
             s4 = s2 * s2
-            want = [s2.sum(), s4.sum(), (s2 * s2).sum(), (s2 * s4).sum(), (s4 * s4).sum()]
-            if k == 0:
-                assert _moments(sums, gram) == [0.0] * 5 and top == 0.0
-            else:
-                np.testing.assert_allclose(_moments(sums, gram), want, rtol=1e-12, atol=0)
-                assert top == np.max(s2)
+            want += [s2.sum(), s4.sum(), (s2 * s2).sum(), (s2 * s4).sum(), (s4 * s4).sum()]
+            peak = max(peak, float(np.max(s2)))
             counts.append((m, k))
+        acc, top = montecarlo._orbit_moments(seed, n, (beta,), xi, "full", peak=True)
+        assert acc._n == n and top == peak
+        if n == 1:
+            assert _moments(acc) == [0.0] * 5 and top == 0.0
+        else:
+            np.testing.assert_allclose(_moments(acc), want, rtol=1e-12, atol=0)
         if seed == 2:
             assert counts[-1] == (1, 0)
         else:
             assert all(0 < k < m for m, k in counts)
 
 
-def _moments(sums, gram) -> list[float]:
-    """A one-beta batch's sums of s2, s4, s2*s2, s2*s4 and s4*s4: its two
-    row sums and its Gram's entries."""
-    return [*sums.tolist(), gram[0, 0], gram[0, 1], gram[1, 1]]
+def _moments(acc) -> list[float]:
+    """A one-beta run's sums of s2, s4, s2*s2, s2*s4 and s4*s4: its
+    accumulator's two row sums and its Gram's entries."""
+    return [*acc._sums.tolist(), acc._gram[0, 0], acc._gram[0, 1], acc._gram[1, 1]]
 
 
 #: full-mode results of a run whose last batch has no d = +1 frame: (beta,
@@ -535,9 +537,11 @@ def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_
                                                             plain):
     n = montecarlo._BATCH + 1
     assert _plus_frames(n, seed=2)[-1] == 0
-    m, sums, gram, top = list(montecarlo._frame_batches(np.random.default_rng(2), n, (beta,),
-                                                        xi, "full", peak=True))[-1]
-    assert m == 1 and _moments(sums, gram) == [0.0] * 5 and top == 0.0
+    # the one-frame last batch adds a frame and five zeros to the run's sums
+    (acc, top), (first, first_top) = (
+        montecarlo._orbit_moments(2, size, (beta,), xi, "full", peak=True) for size in (n, n - 1))
+    assert (acc._n, first._n) == (n, n - 1)
+    assert _moments(acc) == _moments(first) and top == first_top
     est = run_once(RunConfig(beta=beta, r=20.0, n_frames=n, seed=2, xi=xi)).estimate
     assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
     assert measure_papr(beta, "full", n_frames=n, seed=2, xi=xi).plain.hex() == plain
@@ -621,9 +625,8 @@ def test_frame_batches_write_into_one_workspace(mode):
     def traced(n, betas, peak):
         tracemalloc.start()
         try:
-            batches = list(montecarlo._frame_batches(np.random.default_rng(1), n, betas, 2,
-                                                     mode, peak=peak))
-            return batches, tracemalloc.get_traced_memory()[1]
+            run = montecarlo._orbit_moments(1, n, betas, 2, mode, peak=peak)
+            return run, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
@@ -631,7 +634,7 @@ def test_frame_batches_write_into_one_workspace(mode):
         for peak in (False, True):
             one, one_peak = traced(montecarlo._BATCH, betas, peak)
             four, four_peak = traced(3 * montecarlo._BATCH + 10, betas, peak)
-            assert [m for m, *_ in four] == [montecarlo._BATCH] * 3 + [10]
+            assert (one[0]._n, four[0]._n) == (montecarlo._BATCH, 3 * montecarlo._BATCH + 10)
             # the state row, then the larger of the draw's two scratch rows
             # and the block rows: two drives per beta and three kernel rows,
             # 2^14 wide whatever the betas, with or without the peak
@@ -639,13 +642,13 @@ def test_frame_batches_write_into_one_workspace(mode):
             workspace = 8 * (montecarlo._BATCH + rows)
             assert workspace <= one_peak <= workspace + 64 * 1024
             assert abs(four_peak - one_peak) <= 64 * 1024
-            for _, sums, gram, top in one + four:
-                # every batch yields the sums and the products of all its
-                # rows, at any number of betas, and the products are exactly
-                # symmetric
-                assert sums.shape == (2 * len(betas),)
-                assert gram.shape == (2 * len(betas),) * 2 and np.array_equal(gram, gram.T)
-                assert (top is None) != peak and not isinstance(top, np.ndarray)
+            for acc, top in (one, four):
+                # the run keeps the sums and the products of all its rows, at
+                # any number of betas, and the products are exactly symmetric
+                assert acc._sums.shape == (2 * len(betas),)
+                assert acc._gram.shape == (2 * len(betas),) * 2
+                assert np.array_equal(acc._gram, acc._gram.T)
+                assert type(top) is float and (top > 0.0) == peak
 
 
 @pytest.mark.parametrize("mode", PSI_MODES)
@@ -671,7 +674,7 @@ def test_workspace_rows_start_on_a_cache_line(monkeypatch, mode):
         spy(name, ("out", "rows", "work"))
     n = montecarlo._BATCH + (1 << 14) + 10
     for xi in (2, 3):
-        list(montecarlo._frame_batches(np.random.default_rng(1), n, (1, 2, 5), xi, mode))
+        montecarlo._orbit_moments(1, n, (1, 2, 5), xi, mode)
     assert len(seen) > 20 and set(seen) == {0}
 
 
@@ -881,6 +884,49 @@ def test_sweep_simulates_each_orbit_run_once(monkeypatch, mode):
     assert counts[0] > 0 and counts[1:] == [counts[0]] * 2
 
 
+def test_one_batch_loop_owns_every_stream(monkeypatch):
+    # every Monte-Carlo generator is opened inside the batch loop, one per
+    # orbit run at that run's seed, and each run adds one batch's moments per
+    # _BATCH frames (the count perfbench reads as harvester.add_moments_calls);
+    # the serial map keeps a sweep's mode jobs in this process
+    monkeypatch.setattr(montecarlo, "fork_map", lambda fn, items: [fn(x) for x in items])
+    real_rng, real_add = np.random.default_rng, DcAccumulator.add_moments
+    real_loop = montecarlo._orbit_moments
+    events, looping = [], [False]
+
+    def rng(seed):
+        assert looping[0], "a generator was opened outside the batch loop"
+        events.append(("rng", seed))
+        return real_rng(seed)
+
+    def add(self, n, sums, gram):
+        events.append(("add", n))
+        return real_add(self, n, sums, gram)
+
+    def loop(*args, **kw):
+        looping[0] = True
+        try:
+            return real_loop(*args, **kw)
+        finally:
+            looping[0] = False
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    monkeypatch.setattr(DcAccumulator, "add_moments", add)
+    monkeypatch.setattr(montecarlo, "_orbit_moments", loop)
+    n = 2 * montecarlo._BATCH + 10
+    batches = [("add", montecarlo._BATCH)] * 2 + [("add", 10)]
+    base = RunConfig(beta=3, r=20.0, n_frames=n, seed=5)
+    run_once(base)
+    assert events == [("rng", 5), *batches]
+    events.clear()
+    sweep_beta([2, 3], [20.0, 30.0], ["full", "bypass"], base)
+    assert events == [event for mode in ("full", "bypass")
+                      for event in (("rng", _subseed(5, mode)), *batches)]
+    events.clear()
+    measure_papr(3, "bypass", n_frames=n, seed=8)
+    assert events == [("rng", 8), *batches]
+
+
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_linear_rectifier_rows_scale_with_the_path_gain(mode):
     # with k4 = 0 a frame's harvest is a*g*s2, and both rows weight one orbit
@@ -911,7 +957,7 @@ def test_run_config_rejects_a_received_scale_that_underflows():
 def test_run_once_rejects_a_closed_form_that_underflows(monkeypatch):
     # the closed form is c2*beta + c4*E[s4] >= c2, so a run whose linear
     # weight underflows is refused when it is built, before a frame is simulated
-    monkeypatch.setattr(montecarlo, "_frame_batches", _no_frames)
+    monkeypatch.setattr(montecarlo, "_orbit_moments", _no_frames)
     circuit = EhCircuit(k2=1e-300, k4=0.0, r_ant=1.0, p_t=1.0)
     with pytest.raises(ValueError, match=r"c2=0\.0, c4=0\.0 .* r=1e\+78, alpha=4\.0"):
         run_once(RunConfig(beta=1, r=1e78, n_frames=500, circuit=circuit))

@@ -46,9 +46,8 @@ def test_fig2_sweep_writes_an_erased_cell(tmp_path):
     # seed 9 is the first seed from 7 up at which the full-mode group's one
     # batch of two frames draws no frame whose bit is +1: both are erased,
     # so the cell reads mean 0, standard error 0
-    rng = np.random.default_rng(montecarlo._subseed(9, "full"))
-    ((m, sums, gram, _),) = montecarlo._frame_batches(rng, 2, (2,), 2, "full")
-    assert m == 2 and not sums.any() and not gram.any()
+    acc, _ = montecarlo._orbit_moments(montecarlo._subseed(9, "full"), 2, (2,), 2, "full")
+    assert acc._n == 2 and not acc._sums.any() and not acc._gram.any()
     out = tmp_path / "sweep.csv"
     proc = _script("fig2_sweep.py", "--betas", "2", "--distances", "20",
                    "--n-frames", "2", "--seed", "9", "--out", str(out))
@@ -107,7 +106,7 @@ def _bench_pairs_module():
     return bench_pairs
 
 
-def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
+def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch, capsys):
     # a stand-in for git and perfbench, which spends CPU time in a child: the
     # parent and HEAD are both exported and every run is made in an export,
     # none in the checkout; the report holds the CPU count, every run's load
@@ -160,6 +159,9 @@ def test_bench_pairs_records_the_host_load(tmp_path, monkeypatch):
     assert "change_dirty" not in report
     # the stand-in exports are empty, so each side counts no line
     assert report["src_lines"] == report["src_code_lines"] == {"parent": 0, "change": 0}
+    assert report["src_code_lines_by_module"] == {"parent": {}, "change": {}}
+    assert report["tests_code_lines"] == {"parent": 0, "change": 0}
+    assert "src/: 0 -> 0 lines (+0), 0 -> 0 code lines (+0)" in capsys.readouterr().err
     assert report["cpus"] == len(os.sched_getaffinity(0)) >= 1
     # every run imports this interpreter's numpy and its BLAS
     assert report["numpy"] == np.__version__
@@ -216,6 +218,9 @@ def test_bench_pairs_counts_the_lines_that_hold_code(tmp_path):
     # a.py's import, class and def lines and its return's two lines, and
     # b.py's one line
     assert bench_pairs.source_code_lines(tmp_path) == 5 + 1
+    # the same count per module, by path under src/
+    assert bench_pairs.code_lines_by_module(tmp_path) == {"pkg/a.py": 5, "pkg/b.py": 1}
+    assert bench_pairs.code_lines_by_module(tmp_path, "tests") == {}
 
 
 def test_bench_pairs_refuses_a_checkout_that_differs_from_head(tmp_path, monkeypatch, capsys):
