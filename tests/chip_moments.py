@@ -14,28 +14,24 @@ digits plus a - (c - a) must be a multiple of xi, whose quotient carries on.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 
 def chip_sum_moment(m: int, beta: int, xi: int) -> Fraction:
     """E[V^m] for the chip sum of beta chips of a degree-xi orbit, exactly."""
-
-    @lru_cache(maxsize=None)
-    def count(p: int, left: int, carry: int) -> int:
-        # the sign patterns of the ``left`` slots still free that cancel the
-        # carry with chips p ... beta - 1; a carry is never cancelled without
-        # a slot, since dividing it by xi leaves it nonzero
-        if left == 0 or p == beta:
-            return int(left == 0 and carry == 0)
-        total = 0
-        for c in range(left + 1):
-            ways = comb(left, c)
-            for a in range(c + 1):
-                t = carry + 2 * a - c
-                if t % xi == 0:
-                    total += ways * comb(c, a) * count(p + 1, left - c, t // xi)
-        return total
-
-    return Fraction(count(0, m, 0), 2 ** m)
+    # (slots left, carry) -> the number of ways the chips so far reach it;
+    # the carry stays within +-m
+    ways = {(m, 0): 1}
+    for _ in range(beta):
+        after = defaultdict(int)
+        for (left, carry), n in ways.items():
+            for c in range(left + 1):
+                took = n * comb(left, c)
+                for a in range(c + 1):
+                    t = carry + 2 * a - c
+                    if t % xi == 0:
+                        after[left - c, t // xi] += took * comb(c, a)
+        ways = after
+    return Fraction(ways.get((0, 0), 0), 2 ** m)
