@@ -5,7 +5,10 @@ physical transformation chain (chip draw, data bit, Rayleigh gain, square /
 fourth power) rather than inverting the closed-form density — and compared
 against the oracle three ways: normalization of the continuous part, moments
 against their closed-form values, and a Kolmogorov-Smirnov distance on the
-full CDF including the point mass at zero.
+full CDF including the point mass at zero.  Where the data bit erases half
+the symbols onto that atom, only the count of the others is drawn for it,
+and the KS distance counts the erased symbols at 0 rather than holding them:
+it sorts the off-atom samples in place and evaluates the CDF at those alone.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ def expected_moments(family: str, beta: int | None = None) -> list[tuple[int, fl
 
 def sample_family(family: str, n: int, rng: np.random.Generator,
                   beta: int | None = None) -> np.ndarray:
-    """Draw n samples of a reference family through the physical chain.
+    """Draw n symbols of a reference family through the physical chain.
 
     For the single-chip families the chip is one fresh arcsine draw per
     symbol, cos(pi*U) formed as the simulator forms its seed states
@@ -60,20 +63,26 @@ def sample_family(family: str, n: int, rng: np.random.Generator,
     model N(0, beta/2), because that family *is* the Gaussian-model law (real chip
     sums differ from it in the fourth moment, which is exactly the kind of
     discrepancy the harvested-DC tests quantify elsewhere).
+
+    In S_b1, Z_b1, P_b1 and S_clt the data bit d = -1 erases the symbol onto
+    the atom at exactly 0.  Those families draw the count k ~ Binomial(n, 1/2)
+    of d = +1 symbols, as full mode's batch loop does, and return only those
+    k samples, h * 2 * chip and its powers: pass n to ``ks_statistic`` to put
+    the other n - k at 0.  Delta_b1 and Theta_b1 have no atom and return n.
     """
     _check("n", n)
     PdfOracle(family, beta)  # checks the (family, beta) pair; draws stay physical
+    erased = family in ("S_b1", "Z_b1", "P_b1", "S_clt")
+    size = int(rng.binomial(n, 0.5)) if erased else n
     # each sample is built in place on the Rayleigh draw, with the operands
     # in the order of h * (1 + d) * chip; powers are chains of squarings
-    h = sample_rayleigh(rng, size=n)
+    h = sample_rayleigh(rng, size=size)
     if family == "S_clt":
-        chip = rng.normal(0.0, math.sqrt(beta / 2.0), size=n)
+        chip = rng.normal(0.0, math.sqrt(beta / 2.0), size=size)
     else:
-        chip = _cos_pi(rng.random(n), np.empty(n))
-    if family in ("S_b1", "Z_b1", "P_b1", "S_clt"):
-        bits = rng.integers(0, 2, size=n)
-        bits *= 2  # 1 + d for the data bit d = 2 * bits - 1
-        h *= bits
+        chip = _cos_pi(rng.random(size), np.empty(size))
+    if erased:
+        h *= 2.0  # 1 + d for d = +1
     h *= chip
     if family in ("S_b1", "S_clt"):
         return h
@@ -87,34 +96,49 @@ def sample_family(family: str, n: int, rng: np.random.Generator,
     return h
 
 
-def ks_statistic(samples: np.ndarray, oracle: PdfOracle) -> float:
-    """Kolmogorov-Smirnov distance against the oracle's full CDF.
+def ks_statistic(samples: np.ndarray, oracle: PdfOracle, n: int | None = None) -> float:
+    """Kolmogorov-Smirnov distance of n symbols against the oracle's full CDF.
 
-    Handles the point mass at zero exactly: the supremum is evaluated at
-    every distinct sample value from both the right (both CDFs after their
-    jump) and the left (both before it).
+    ``samples`` holds the symbols off the zero atom, exact zeros among them
+    allowed; the other n - samples.size (n defaults to samples.size) sit at
+    exactly 0.  The array is sorted in place, and the CDF is evaluated only
+    at its values and once at 0.  The sample of 1-based rank r has the ECDF
+    r/n from the right and r/n - 1/n from the left, where r counts every
+    zero below a positive sample; at 0 the whole atom's count jumps at once,
+    and the CDF's left limit there drops by the oracle's atom.  Equal
+    nonzero samples take ranks one apart instead of one shared count, which
+    moves the supremum by at most a few ulp.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValueError("samples must be a nonempty 1-D array")
-    n = samples.size
-    vals, counts = np.unique(samples, return_counts=True)
-    # two buffers: the right-hand ECDF cumsum(counts) / n and the left-hand
-    # one, ecdf_right - counts / n; each becomes its distance to the CDF
-    right = np.cumsum(counts, out=np.empty(vals.size))
-    right /= n
-    left = np.divide(counts, n, out=np.empty(vals.size))
-    np.subtract(right, left, out=left)
-    del counts  # free before the CDF's temporaries are made
-    cdf = np.asarray(oracle_cdf(oracle, vals), dtype=float)
-    right -= cdf
-    dist_right = np.max(np.abs(right, out=right))
-    # the CDF's left limit differs from it only at zero, by the atom there
-    zero = np.searchsorted(vals, 0.0)
-    if zero < vals.size and vals[zero] == 0.0:
-        cdf[zero] -= oracle.atom_at_zero
-    left -= cdf
-    return float(max(dist_right, np.max(np.abs(left, out=left))))
+    if samples.ndim != 1:
+        raise ValueError("samples must be a 1-D array")
+    n = samples.size if n is None else n
+    _check("n", n)
+    if n < samples.size:
+        raise ValueError(f"n must be at least the {samples.size} samples given, got {n!r}")
+    samples.sort()
+    below = int(np.searchsorted(samples, 0.0, side="left"))
+    above = int(np.searchsorted(samples, 0.0, side="right"))
+    zeros = n - samples.size + above - below
+    step = 1.0 / n
+    # per side: the right-hand ECDF, its distance to the CDF, and the
+    # left-hand one's, in three buffers of the side's size
+    extremes = []
+    for part, first in ((samples[:below], 1), (samples[above:], below + zeros + 1)):
+        if part.size:
+            right = np.arange(first, first + part.size, dtype=float)
+            right /= n
+            left = np.subtract(right, step)
+            cdf = oracle_cdf(oracle, part)
+            right -= cdf
+            left -= cdf
+            extremes += [right.max(), -right.min(), left.max(), -left.min()]
+    if zeros:
+        at_zero = oracle_cdf(oracle, 0.0)
+        right = (below + zeros) / n
+        extremes += [abs(right - at_zero),
+                     abs(right - zeros / n - (at_zero - oracle.atom_at_zero))]
+    return float(np.max(extremes))
 
 
 @dataclass(frozen=True)
@@ -147,7 +171,7 @@ def verify_family(family: str, n_samples: int, rng: np.random.Generator,
     moment_err = max(abs(oracle_moment(oracle, k) - t) / abs(t)
                      for k, t in expected_moments(family, beta=beta))
     samples = sample_family(family, n_samples, rng, beta=beta)
-    ks = ks_statistic(samples, oracle)
+    ks = ks_statistic(samples, oracle, n_samples)
     return FamilyReport(family=family, beta=oracle.beta, atom_mass=oracle.atom_at_zero,
                         norm_integral=norm, norm_target=target,
                         norm_abs_err=abs(norm - target), max_moment_rel_err=moment_err,

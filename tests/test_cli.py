@@ -375,6 +375,8 @@ def test_verify_dist_battery(capsys):
     assert len(rows) == 7
     assert all(row["status"] == "ok" for row in rows)
     assert all(float(row["ks_stat"]) < 0.005 for row in rows)
+    # n counts the symbols, erased ones included, not the off-atom draws
+    assert all(row["n"] == "150000" for row in rows)
     assert {row["family"] for row in rows} == {
         "S_b1", "Z_b1", "P_b1", "S_clt", "Delta_b1", "Theta_b1"}
 
