@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from chaoswpt.analytic import beta_crossover, make_oracle, oracle_moment, papr_analytic
 from chaoswpt.channel import path_gain
 from chaoswpt.chaos import chebyshev_step, generate_sequence
-from chaoswpt.distcheck import expected_moments, sample_family
+from chaoswpt.distcheck import expected_moments, ks_statistic, sample_family
 from chaoswpt.harvester import DcAccumulator, DcEstimate, EhCircuit, rho_params
 from chaoswpt.montecarlo import SweepResult, fit_scaling
 from frame_chain import FrameAccumulator, harvest_dc
@@ -35,6 +35,8 @@ _MALFORMED = [
     (expected_moments, ("S_clt", 2.5), "beta"),
     (sample_family, ("S_clt", 4, _RNG, 2.5), "beta"),
     (sample_family, ("Z_b1", 2.5, _RNG), "n"),
+    (ks_statistic, (np.ones(1), make_oracle("Z_b1"), 2.5), "n"),
+    (ks_statistic, (np.ones(1), make_oracle("Z_b1"), True), "n"),
     (generate_sequence, (0.3, 2.5), "n"),
     (generate_sequence, (0.3, True), "n"),
     (chebyshev_step, (0.3, 2.0), "xi"),
