@@ -13,9 +13,10 @@ link and the gains enter only through the harvest weights (c2, c4) of
 each closed form is c2 E[s2] + c4 E[s4] with E[s2] = beta, and the forms
 differ only in the fourth-order drive moment E[s4].
 
-Every density here is exact for single-chip symbols (beta = 1); the
-correlated-output family for beta > 1 ("S_clt") rests on a Gaussian
-approximation of the chip sum, and its moments inherit that approximation.
+Every density here is exact for single-chip symbols (beta = 1, the
+default); the correlated-output family for beta > 1 ("S_clt") rests on a
+Gaussian approximation of the chip sum, and its moments inherit that
+approximation.  One table, ``_LAWS``, holds every family's law.
 """
 
 from __future__ import annotations
@@ -54,15 +55,14 @@ __all__ = [
 #            power, beta = 1
 FAMILIES = ("S_b1", "Z_b1", "P_b1", "S_clt", "Delta_b1", "Theta_b1")
 
-#: probability mass sitting exactly at zero (the data bit erases half of
-#: all correlated symbols)
-_ATOMS = {"S_b1": 0.5, "Z_b1": 0.5, "P_b1": 0.5, "S_clt": 0.5,
-          "Delta_b1": 0.0, "Theta_b1": 0.0}
-#: (s, p) of each one-sided family: off its atom, X = s*|G|**p with
-#: G ~ N(0, 1/2), so P(X <= x) = atom + (1 - atom)*erf((x/s)**(1/p)) on
-#: [0, inf), and the density blows up like x**(1/p - 1) at the origin; the
-#: two-sided families (on the whole real line) have no row
-_ONE_SIDED = {"Z_b1": (4.0, 2), "P_b1": (16.0, 4), "Delta_b1": (2.0, 2), "Theta_b1": (2.0, 4)}
+#: each family's (atom, s, p): mass atom at exactly 0 (the data bit erases
+#: half of all correlated symbols), and otherwise X = s*G**p, G ~ N(0, 1/2).
+#: For even p that is s*|G|**p on [0, inf), with P(X <= x) = atom + (1 -
+#: atom)*erf((x/s)**(1/p)) and a density that blows up like x**(1/p - 1) at
+#: 0; p = 1 is the signed s*G.  S_clt's row holds its atom alone: its law is
+#: the Laplace law of scale sqrt(beta).
+_LAWS = {"S_b1": (0.5, 2.0, 1), "Z_b1": (0.5, 4.0, 2), "P_b1": (0.5, 16.0, 4),
+         "S_clt": (0.5, None, None), "Delta_b1": (0.0, 2.0, 2), "Theta_b1": (0.0, 2.0, 4)}
 
 
 def papr_analytic(psi_mode: str, beta: int) -> float:
@@ -180,33 +180,36 @@ def beta_crossover(r_c: float, r_nc: float, alpha: float, rho1: float, rho2: flo
 
 @dataclass(frozen=True)
 class PdfOracle:
-    """One of the six reference families; its atom and support follow from it."""
+    """One of the six reference families at spreading factor ``beta``: 1 for
+    the single-chip laws, at least 2 for S_clt.  The atom and the support
+    are read off the family's row of ``_LAWS``.
+    """
 
     family: str
-    beta: int | None = None
+    beta: int = 1
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.beta is not None:
-            _check("beta", self.beta)
+        _check("beta", self.beta)
         if self.family == "S_clt":
-            if self.beta is None or self.beta < 2:
+            if self.beta < 2:
                 raise ValueError("S_clt needs an integer beta >= 2")
-        elif self.beta not in (None, 1):
+        elif self.beta != 1:
             raise ValueError(f"{self.family} is defined for beta = 1 only")
 
     @property
     def atom_at_zero(self) -> float:
         """Probability mass sitting exactly at zero."""
-        return _ATOMS[self.family]
+        return _LAWS[self.family][0]
 
     @property
     def support(self) -> tuple[float, float]:
-        return (0.0, math.inf) if self.family in _ONE_SIDED else (-math.inf, math.inf)
+        p = _LAWS[self.family][2]
+        return (-math.inf, math.inf) if p in (None, 1) else (0.0, math.inf)
 
 
-def make_oracle(family: str, beta: int | None = None) -> PdfOracle:
+def make_oracle(family: str, beta: int = 1) -> PdfOracle:
     """Oracle for one of the six reference families."""
     return PdfOracle(family, beta)
 
@@ -222,20 +225,18 @@ def _points(oracle: PdfOracle, x) -> np.ndarray:
 
 
 def _density(oracle: PdfOracle, x: np.ndarray) -> np.ndarray:
-    """Continuous part of the oracle density, vectorized, no domain checks."""
-    f = oracle.family
-    if f in _ONE_SIDED:
-        # d/dx of atom + (1 - atom)*erf((x/s)**(1/p)), with the power law
-        # taken of x itself so that a subnormal x keeps its bits
-        s, p = _ONE_SIDED[f]
-        c = (1.0 - _ATOMS[f]) * 2.0 / (p * math.sqrt(math.pi) * s ** (1.0 / p))
-        return c * x ** (1.0 / p - 1.0) * np.exp(-(x / s) ** (2.0 / p))
-    if f == "S_b1":
-        return np.exp(-x * x / 4.0) / (4.0 * math.sqrt(math.pi))
-    if f == "S_clt":
+    """Continuous part of the oracle density, vectorized, no domain checks.
+
+    For a Gaussian-power row it is d/dx of its CDF, with the power law taken
+    of x itself so that a subnormal x keeps its bits; the signed row (p = 1)
+    spreads the same mass over both sides of the origin, at half the height.
+    """
+    atom, s, p = _LAWS[oracle.family]
+    if p is None:  # S_clt's Laplace law of scale sqrt(beta)
         sb = math.sqrt(oracle.beta)
         return np.exp(-np.abs(x) / sb) / (4.0 * sb)
-    raise AssertionError(f)
+    c = (1.0 - atom) * (1.0 if p == 1 else 2.0) / (p * math.sqrt(math.pi) * s ** (1.0 / p))
+    return c * x ** (1.0 / p - 1.0) * np.exp(-(x / s) ** (2.0 / p))
 
 
 def pdf_eval(oracle: PdfOracle, point: float) -> float:
@@ -246,7 +247,7 @@ def pdf_eval(oracle: PdfOracle, point: float) -> float:
     too.
     """
     point = float(point)
-    if oracle.family in _ONE_SIDED:
+    if oracle.support[0] == 0.0:
         if point == 0.0:
             raise ValueError(
                 f"{oracle.family} has an integrable singularity at 0; "
@@ -260,15 +261,22 @@ def pdf_eval(oracle: PdfOracle, point: float) -> float:
 def oracle_cdf(oracle: PdfOracle, x) -> np.ndarray | float:
     """Full CDF, including any probability mass at zero (vectorized).
 
-    A NaN point, or an array that holds one, is refused.
+    For the signed row (p = 1) of ``_LAWS`` it is (1 - atom)*(1 + erf(x/s))/2
+    plus the atom from 0 on.  A NaN point, or an array that holds one, is
+    refused.
     """
     from scipy.special import erf  # lazy: only the oracles need scipy
 
     arr = _points(oracle, x)
-    f = oracle.family
-    if f in _ONE_SIDED:
-        s, p = _ONE_SIDED[f]
-        atom = _ATOMS[f]
+    atom, s, p = _LAWS[oracle.family]
+    if p is None:  # S_clt's Laplace law of scale sqrt(beta)
+        sb = math.sqrt(oracle.beta)
+        out = np.where(arr < 0.0,
+                       0.25 * np.exp(np.minimum(arr, 0.0) / sb),
+                       1.0 - 0.25 * np.exp(-np.maximum(arr, 0.0) / sb))
+    elif p == 1:
+        out = (1.0 + erf(arr / s)) * (0.5 * (1.0 - atom)) + atom * (arr >= 0.0)
+    else:
         # atom + (1 - atom)*erf((max(x, 0)/s)**(1/p)), and 0 below the origin,
         # one IEEE operation at a time in the one array it returns
         out = np.maximum(arr, 0.0, out=np.empty_like(arr))
@@ -278,15 +286,6 @@ def oracle_cdf(oracle: PdfOracle, x) -> np.ndarray | float:
         out *= 1.0 - atom
         out += atom
         out[arr < 0.0] = 0.0
-    elif f == "S_b1":
-        out = (1.0 + erf(arr / 2.0)) / 4.0 + 0.5 * (arr >= 0.0)
-    elif f == "S_clt":
-        sb = math.sqrt(oracle.beta)
-        out = np.where(arr < 0.0,
-                       0.25 * np.exp(np.minimum(arr, 0.0) / sb),
-                       1.0 - 0.25 * np.exp(-np.maximum(arr, 0.0) / sb))
-    else:
-        raise AssertionError(f)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
@@ -299,10 +298,10 @@ def _integral(oracle: PdfOracle, order: int) -> float:
     """Adaptive-quadrature integral of x**order times the density pdf_eval serves."""
     from scipy import integrate  # lazy: only the oracles need scipy
 
-    if oracle.family in _ONE_SIDED:
+    if oracle.support[0] == 0.0:
         # x = u**p turns the x**(1/p - 1) singularity at the origin into a
         # smooth integrand
-        p = _ONE_SIDED[oracle.family][1]
+        p = _LAWS[oracle.family][2]
         val, _ = integrate.quad(
             lambda u: p * u ** (p * order + p - 1) * _density(oracle, u ** p),
             0.0, np.inf, **_QUAD_OPTS)

@@ -292,7 +292,6 @@ def _cmd_verify_dist(config: dict, args) -> int:
     rows = []
     for rep in reports:
         row = dataclasses.asdict(rep)
-        row["beta"] = 1 if rep.beta is None else rep.beta
         row["n"] = row.pop("n_samples")
         row["status"] = "ok" if rep.passed() else "FAIL"
         rows.append(row)

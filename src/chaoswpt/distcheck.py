@@ -44,7 +44,7 @@ MOMENT_REL_TOL = 1e-5
 KS_TOL = 5e-3
 
 
-def expected_moments(family: str, beta: int | None = None) -> list[tuple[int, float]]:
+def expected_moments(family: str, beta: int = 1) -> list[tuple[int, float]]:
     """Closed-form moments the quadrature must reproduce, as (order, value)."""
     PdfOracle(family, beta)  # checks the (family, beta) pair
     if family == "S_clt":
@@ -54,7 +54,7 @@ def expected_moments(family: str, beta: int | None = None) -> list[tuple[int, fl
 
 
 def sample_family(family: str, n: int, rng: np.random.Generator,
-                  beta: int | None = None) -> np.ndarray:
+                  beta: int = 1) -> np.ndarray:
     """Draw n symbols of a reference family through the physical chain.
 
     For the single-chip families the chip is one fresh arcsine draw per
@@ -146,7 +146,7 @@ class FamilyReport:
     """One family's checks, its fields in the order of a ``verify-dist`` row."""
 
     family: str
-    beta: int | None
+    beta: int
     atom_mass: float
     norm_integral: float
     norm_target: float
@@ -164,7 +164,7 @@ class FamilyReport:
 
 
 def verify_family(family: str, n_samples: int, rng: np.random.Generator,
-                  beta: int | None = None) -> FamilyReport:
+                  beta: int = 1) -> FamilyReport:
     oracle = make_oracle(family, beta=beta)
     norm = oracle_normalization(oracle)
     target = 1.0 - oracle.atom_at_zero
@@ -180,14 +180,14 @@ def verify_family(family: str, n_samples: int, rng: np.random.Generator,
 
 #: the standard verification battery: all five single-chip families plus the
 #: Gaussian-model family at a small and a moderate spreading factor
-DEFAULT_BATTERY: tuple[tuple[str, int | None], ...] = (
-    ("S_b1", None),
-    ("Z_b1", None),
-    ("P_b1", None),
+DEFAULT_BATTERY: tuple[tuple[str, int], ...] = (
+    ("S_b1", 1),
+    ("Z_b1", 1),
+    ("P_b1", 1),
     ("S_clt", 4),
     ("S_clt", 25),
-    ("Delta_b1", None),
-    ("Theta_b1", None),
+    ("Delta_b1", 1),
+    ("Theta_b1", 1),
 )
 
 

@@ -242,7 +242,7 @@ def test_crossover_bound_property(r_c, r_nc, alpha, rho1, rho2):
 
 def test_oracle_fields():
     assert FAMILIES == ("S_b1", "Z_b1", "P_b1", "S_clt", "Delta_b1", "Theta_b1")
-    atoms = {f: make_oracle(f, beta=4 if f == "S_clt" else None).atom_at_zero
+    atoms = {f: make_oracle(f, beta=4 if f == "S_clt" else 1).atom_at_zero
              for f in FAMILIES}
     assert atoms == {
         "S_b1": 0.5,
@@ -257,6 +257,9 @@ def test_oracle_fields():
     assert make_oracle("Z_b1").support == (0.0, math.inf)
     assert make_oracle("Theta_b1").support == (0.0, math.inf)
     assert PdfOracle("S_b1") == make_oracle("S_b1")
+    # a single-chip family's beta is 1, not left unset
+    assert PdfOracle("Z_b1") == PdfOracle("Z_b1", 1)
+    assert make_oracle("Z_b1").beta == 1
 
 
 def test_oracle_validation():
@@ -330,7 +333,7 @@ def test_pdf_singular_families_reject_origin():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_oracles_refuse_a_nan_point(family):
-    oracle = make_oracle(family, beta=4 if family == "S_clt" else None)
+    oracle = make_oracle(family, beta=4 if family == "S_clt" else 1)
     with pytest.raises(ValueError, match=rf"^{family}: the point x is NaN$"):
         pdf_eval(oracle, math.nan)
     with pytest.raises(ValueError, match=rf"^{family}: the point x is NaN$"):
@@ -351,7 +354,7 @@ def test_cdf_frozen_values():
 @given(st.sampled_from(FAMILIES), st.floats(-30.0, 60.0), st.floats(0.0, 30.0))
 @settings(max_examples=200)
 def test_cdf_is_monotone_and_bounded(family, x, step):
-    beta = 4 if family == "S_clt" else None
+    beta = 4 if family == "S_clt" else 1
     oracle = make_oracle(family, beta=beta)
     lo = float(oracle_cdf(oracle, x))
     hi = float(oracle_cdf(oracle, x + step))
@@ -365,8 +368,7 @@ def test_one_sided_cdf_is_built_in_its_result(family):
     x = 3.0 * np.random.default_rng(4).standard_normal(1_000_000)
     x[:4] = [0.0, -0.0, 5e-324, -5e-324]
     oracle = make_oracle(family)
-    s, p = analytic._ONE_SIDED[family]
-    atom = oracle.atom_at_zero
+    atom, s, p = analytic._LAWS[family]
     want = np.where(x < 0.0, 0.0, atom + (1.0 - atom) * erf((np.maximum(x, 0.0) / s) ** (1.0 / p)))
     tracemalloc.start()
     try:
@@ -381,7 +383,7 @@ def test_one_sided_cdf_is_built_in_its_result(family):
 
 def test_cdf_limits():
     for family in FAMILIES:
-        beta = 4 if family == "S_clt" else None
+        beta = 4 if family == "S_clt" else 1
         oracle = make_oracle(family, beta=beta)
         assert oracle_cdf(oracle, 1e6) == pytest.approx(1.0, abs=1e-9)
         assert oracle_cdf(oracle, -1e6) == pytest.approx(0.0, abs=1e-9)
@@ -397,7 +399,7 @@ def test_normalization_targets():
         "Theta_b1": 1.0,
     }
     for family, target in targets.items():
-        beta = 4 if family == "S_clt" else None
+        beta = 4 if family == "S_clt" else 1
         oracle = make_oracle(family, beta=beta)
         assert oracle_normalization(oracle) == pytest.approx(target, abs=1e-9)
 
@@ -417,7 +419,7 @@ def test_battery_integrates_the_served_density(monkeypatch, family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_density_is_the_derivative_of_the_cdf(family):
-    oracle = make_oracle(family, beta=4 if family == "S_clt" else None)
+    oracle = make_oracle(family, beta=4 if family == "S_clt" else 1)
     points = [0.3, 1.0, 2.5, 7.0]
     if oracle.support[0] < 0.0:
         points += [-0.7, -2.5]
@@ -429,18 +431,18 @@ def test_density_is_the_derivative_of_the_cdf(family):
 
 def test_moment_targets():
     cases = [
-        ("S_b1", None, 2, 1.0),
-        ("S_b1", None, 4, 6.0),
-        ("Z_b1", None, 1, 1.0),
-        ("Z_b1", None, 2, 6.0),
-        ("P_b1", None, 1, 6.0),
+        ("S_b1", 1, 2, 1.0),
+        ("S_b1", 1, 4, 6.0),
+        ("Z_b1", 1, 1, 1.0),
+        ("Z_b1", 1, 2, 6.0),
+        ("P_b1", 1, 1, 6.0),
         ("S_clt", 4, 2, 4.0),
         ("S_clt", 4, 4, 192.0),
         ("S_clt", 25, 2, 25.0),
         ("S_clt", 25, 4, 7500.0),
-        ("Delta_b1", None, 1, 1.0),
-        ("Delta_b1", None, 2, 3.0),
-        ("Theta_b1", None, 1, 1.5),
+        ("Delta_b1", 1, 1, 1.0),
+        ("Delta_b1", 1, 2, 3.0),
+        ("Theta_b1", 1, 1, 1.5),
     ]
     for family, beta, order, target in cases:
         oracle = make_oracle(family, beta=beta)

@@ -110,6 +110,7 @@ def test_unknown_config_key_is_named(tmp_path, capsys):
 @pytest.mark.parametrize("document, expr, key", [
     ({"run": {"beta": {"x": 3}}}, "run.beta.x=3", "run.beta.x"),
     ({"run": {"beta": {}}}, "beta={}", "run.beta"),
+    ({"run": {"x": {"y": 1}}}, "run.x.y=1", "run.x.y"),
 ])
 def test_config_objects_and_values_keep_their_places(tmp_path, capsys, document, expr, key):
     cfg = tmp_path / "conf.json"
@@ -118,6 +119,21 @@ def test_config_objects_and_values_keep_their_places(tmp_path, capsys, document,
     assert f"config key {key!r}" in capsys.readouterr().err
     assert main(["run", "--set", expr]) == 1
     assert f"config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config file"),
+    ("[1, 2]", "config file must contain a JSON object"),
+    ('{"run": 5}', "config key 'run' must be an object"),
+])
+def test_config_file_errors_exit_one(tmp_path, capsys, text, message):
+    cfg = tmp_path / "conf.json"
+    if text is not None:  # else the file is missing
+        cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_cli_defaults_are_the_library_defaults():
@@ -418,11 +434,19 @@ def test_integer_keys_reject_floats_and_bools(capsys, expr, key):
     assert "Traceback" not in err
 
 
-# r=1e-50: the path gain is finite, the rectifier polynomial overflows
-@pytest.mark.parametrize("expr", ["r=1e-300", "alpha=1e3", "r=1e-50"])
+#: each link with the check that refuses it: the path gain leaves float64;
+#: the weight c4 overflows (RunConfig's weight check); the weights are finite,
+#: but the run's mean and the closed form overflow (the estimate's own guard)
+_UNREPRESENTABLE = {"r=1e-300": "path gain", "alpha=1e3": "path gain",
+                    "r=1e-50": "harvest weights",
+                    "r=1e-38": "harvested DC is not representable"}
+
+
+@pytest.mark.parametrize("expr", list(_UNREPRESENTABLE))
 def test_unrepresentable_path_gain_exits_one(capsys, expr):
     assert main(["run", *FAST, "--set", expr]) == 1
     err = capsys.readouterr().err
+    assert _UNREPRESENTABLE[expr] in err
     assert "r=" in err and "alpha=" in err
     assert "Traceback" not in err
 

@@ -30,6 +30,7 @@ _MALFORMED = [
     (path_gain, (True, 4), "r"),
     (beta_crossover, ("x", 20, 4, 0.17, 957.25), "r_c"),
     (make_oracle, ("S_clt", 2.5), "beta"),
+    (make_oracle, ("Z_b1", None), "beta"),
     (oracle_moment, (make_oracle("Z_b1"), True), "order"),
     (oracle_moment, (make_oracle("Z_b1"), 2.0), "order"),
     (expected_moments, ("S_clt", 2.5), "beta"),
