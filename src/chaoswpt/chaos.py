@@ -44,8 +44,6 @@ subtraction rounds, so sums formed this way move in their last bits.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .harvester import _check
@@ -122,20 +120,16 @@ def chebyshev_step(y: np.ndarray, xi: int = 2, out=None, work=None) -> np.ndarra
 
 
 def map_fixed_points(xi: int = 2) -> np.ndarray:
-    """All fixed points of T_xi in [-1, 1].
+    """All fixed points of T_xi in [-1, 1], sorted and distinct.
 
     With x = cos(theta), T_xi(x) = x means xi*theta = +/-theta (mod 2*pi),
-    so theta = 2*pi*m/(xi -+ 1) for the integers m that keep theta in
-    [0, pi].
+    so theta = 2*pi*m/d for d = xi -+ 1 and the integers m = 0 ... d // 2
+    that keep theta in [0, pi]; a point both d give (x = 1 at least)
+    appears once.
     """
     _check("xi", xi)
-    thetas = set()
-    for denom in (xi - 1, xi + 1):
-        m = 0
-        while 2.0 * math.pi * m / denom <= math.pi + 1e-15:
-            thetas.add(2.0 * math.pi * m / denom)
-            m += 1
-    return np.unique(np.cos(sorted(thetas)))
+    return np.unique(np.cos(np.concatenate(
+        [2.0 * np.pi * np.arange(d // 2 + 1) / d for d in (xi - 1, xi + 1)])))
 
 
 def generate_sequence(x0: float, n: int, xi: int = 2) -> np.ndarray:

@@ -107,7 +107,10 @@ def ks_statistic(samples: np.ndarray, oracle: PdfOracle, n: int | None = None) -
     zero below a positive sample; at 0 the whole atom's count jumps at once,
     and the CDF's left limit there drops by the oracle's atom.  Equal
     nonzero samples take ranks one apart instead of one shared count, which
-    moves the supremum by at most a few ulp.
+    moves the supremum by at most a few ulp.  Each side takes two extremes,
+    max(r/n - F) and max(F - (r/n - 1/n)): the left ECDF's distance is
+    fl(r/n - 1/n) - F, at most r/n - F elementwise, since rounding is
+    monotone, so the other two can never be the largest.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1:
@@ -132,7 +135,7 @@ def ks_statistic(samples: np.ndarray, oracle: PdfOracle, n: int | None = None) -
             cdf = oracle_cdf(oracle, part)
             right -= cdf
             left -= cdf
-            extremes += [right.max(), -right.min(), left.max(), -left.min()]
+            extremes += [right.max(), -left.min()]
     if zeros:
         at_zero = oracle_cdf(oracle, 0.0)
         right = (below + zeros) / n

@@ -151,22 +151,20 @@ def rho_params(circuit: EhCircuit) -> tuple[float, float]:
 class DcAccumulator:
     """Streaming moments of an orbit run's rows, two per beta, and the harvests they weight.
 
-    Keeps the frame count, the 2B row sums and their (2B, 2B) Gram, sized by
-    the first batch added; the weights apply afterwards, so one run serves
-    every weighting.  Any grouping of the frames into batches gives the same
-    moments up to rounding; only the same grouping, merged in the same
-    order, keeps the last bit.
+    Keeps the frame count, the 2B row sums and their (2B, 2B) Gram, which
+    start at 0: the first batch's arrays replace them as new arrays (0 + x
+    is x exactly), and later batches add in place.  The weights apply
+    afterwards, so one run serves every weighting.  Any grouping of the
+    frames into batches gives the same moments up to rounding; only the
+    same grouping, merged in the same order, keeps the last bit.
     """
 
     def __init__(self) -> None:
-        self._n = 0
-        self._sums = self._gram = None
+        self._n, self._sums, self._gram = 0, 0.0, 0.0
 
     def add_moments(self, n: int, sums, gram) -> None:
         """Merge n frames' row sums (2B) and sums of row products ((2B, 2B))."""
         _check("n", n)
-        if self._sums is None:
-            self._sums, self._gram = np.zeros(np.shape(sums)), np.zeros(np.shape(gram))
         self._n += int(n)
         self._sums += sums
         self._gram += gram

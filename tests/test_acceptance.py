@@ -5,12 +5,14 @@ output of a failing test) and then asserts.  Tolerances and runtime budgets
 are part of the assertions.
 """
 
+import functools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
-from chaoswpt.analytic import beta_crossover, papr_analytic, z_with_correlator_exact
+from chaoswpt.analytic import _weights, beta_crossover, papr_analytic, z_with_correlator_exact
 from chaoswpt.chaos import draw_initial_state, generate_sequence
 from chaoswpt.distcheck import verify_distributions
 from chaoswpt.harvester import EhCircuit, rho_params
@@ -21,6 +23,7 @@ from chaoswpt.montecarlo import (
     run_once,
     sweep_beta,
 )
+from chip_moments import chip_sum_moment
 
 N_FULL = 1_000_000
 
@@ -109,18 +112,23 @@ def test_criterion_4_asymptotic_branch_within_five_percent():
     )
 
 
+@functools.cache
+def _exact_form_runs() -> dict:
+    """Criterion 4's runs at two map degrees, run once for both exact-form gates."""
+    return {(xi, beta): run_once(RunConfig(beta=beta, r=20.0, alpha=4.0, psi_mode="full",
+                                           n_frames=N_FULL, seed=42, xi=xi)).estimate
+            for xi in (2, 3) for beta in (2, 5, 10, 50, 100)}
+
+
 def test_exact_finite_beta_harvest_within_three_se():
     # criterion 4's runs, held to the exact form instead of the asymptotic
     # branch, at two map degrees: a gate that sees model error, not only noise
     t0 = time.perf_counter()
     rho1, rho2 = rho_params(EhCircuit())
     sigmas = {}
-    for xi in (2, 3):
-        for beta in (2, 5, 10, 50, 100):
-            est = run_once(RunConfig(beta=beta, r=20.0, alpha=4.0, psi_mode="full",
-                                     n_frames=N_FULL, seed=42, xi=xi)).estimate
-            z = z_with_correlator_exact(beta, 20.0, 4.0, rho1, rho2, xi)
-            sigmas[xi, beta] = (est.mean - z) / est.std_error
+    for (xi, beta), est in _exact_form_runs().items():
+        z = z_with_correlator_exact(beta, 20.0, 4.0, rho1, rho2, xi)
+        sigmas[xi, beta] = (est.mean - z) / est.std_error
     elapsed = time.perf_counter() - t0
     ok = elapsed < 300.0 and all(abs(s) <= 3.0 for s in sigmas.values())
     detail = ", ".join(f"xi={xi} beta={b}: {s:+.2f} SE" for (xi, b), s in sigmas.items())
@@ -129,6 +137,42 @@ def test_exact_finite_beta_harvest_within_three_se():
     assert elapsed < 300.0
     for cell, s in sigmas.items():
         assert abs(s) <= 3.0, (cell, s)
+
+
+def _exact_harvest_moments(beta: int, xi: int, c2: float, c4: float) -> list[Fraction]:
+    """E[w^j] for j = 1 ... 4, exactly, of one full-mode frame's harvest
+    w = c2 u + c4 u^2: u = 4 V^2 for the chip sum V when d = +1 (probability
+    1/2), and u = 0 otherwise."""
+    ev = {m: chip_sum_moment(m, beta, xi) for m in range(2, 17, 2)}
+    a, b = 4 * Fraction(c2), 16 * Fraction(c4)
+    # (a V^2 + b V^4)^j = sum_i C(j, i) a^(j - i) b^i V^(2j + 2i)
+    return [sum(math.comb(j, i) * a ** (j - i) * b ** i * ev[2 * j + 2 * i]
+                for i in range(j + 1)) / 2 for j in range(1, 5)]
+
+
+def test_exact_finite_beta_standard_errors_are_calibrated():
+    # a defect that inflates its own standard error passes every "within
+    # k SE" gate, so the run's SE is held to the exact one, sqrt(Var w / n),
+    # within 3 spreads of the sample SD's own relative error,
+    # sqrt((kappa - 1) / 4n) for the harvest's kurtosis kappa
+    rho = rho_params(EhCircuit())
+    c2, c4 = _weights(20.0, 4.0, *rho)
+    units, failed = {}, []
+    for (xi, beta), est in _exact_form_runs().items():
+        m1, m2, m3, m4 = _exact_harvest_moments(beta, xi, c2, c4)
+        z = z_with_correlator_exact(beta, 20.0, 4.0, *rho, xi)
+        assert math.isclose(m1, z, rel_tol=1e-12), (xi, beta, float(m1), z)
+        var = m2 - m1 * m1
+        kappa = (m4 - 4 * m1 * m3 + 6 * m1 * m1 * m2 - 3 * m1 ** 4) / var ** 2
+        n = est.n_frames
+        unit = math.sqrt((float(kappa) - 1.0) / (4 * n))
+        units[xi, beta] = (est.std_error / math.sqrt(float(var) / n) - 1.0) / unit
+        if abs(units[xi, beta]) > 3.0:
+            failed.append((xi, beta))
+    detail = ", ".join(f"xi={xi} beta={b}: {u:+.2f}" for (xi, b), u in units.items())
+    print(f"exact SE: {'FAIL' if failed else 'PASS'} — run's SE over the exact SE, "
+          f"in spreads of the sample SD ({detail})")
+    assert not failed, (failed, detail)
 
 
 def test_criterion_5_crossover_location():

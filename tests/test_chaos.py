@@ -74,6 +74,17 @@ def test_fixed_points_of_degree_two():
     assert chebyshev_step(2.0 * fps, 2) == pytest.approx(2.0 * fps, abs=2e-9)
 
 
+@pytest.mark.parametrize("xi", range(2, 41))
+def test_fixed_points_of_every_degree(xi):
+    # T_xi(x) - x has degree xi and xi distinct roots in [-1, 1]
+    fps = map_fixed_points(xi)
+    assert len(fps) == xi
+    assert np.all(np.diff(fps) > 0.0)
+    assert fps[0] >= -1.0 and fps[-1] == 1.0
+    for fp in fps:
+        assert _step_scalar(float(fp), xi) == pytest.approx(float(fp), abs=1e-9)
+
+
 @given(st.floats(-0.95, 0.95), st.integers(1, 50))
 @settings(max_examples=50)
 def test_sequence_deterministic_and_bounded(x0, n):

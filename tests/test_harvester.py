@@ -222,6 +222,22 @@ def test_accumulator_add_moments_equivalence():
         DcAccumulator().result([0], [[1.0, 0.0]], [0.0])
 
 
+def test_accumulator_keeps_no_alias_of_the_callers_buffers():
+    # _orbit_moments refills one row-sum buffer and one Gram buffer for every
+    # batch; the totals must be the batches' sums, not the buffer's last fill
+    batches = [np.array([[1.0, 2.0], [3.0, 5.0]]), np.array([[7.0], [11.0]])]
+    sums, gram = np.empty(2), np.empty((2, 2))
+    acc = DcAccumulator()
+    for rows in batches:
+        np.sum(rows, axis=1, out=sums)
+        np.matmul(rows, rows.T, out=gram)
+        acc.add_moments(rows.shape[1], sums, gram)
+    rows = np.hstack(batches)
+    got, cov = acc.result([0, 0], np.eye(2), [0.0, 0.0])
+    assert [est.mean for est in got] == list(rows.mean(axis=1))
+    np.testing.assert_allclose(cov, np.cov(rows) / 3, rtol=1e-14)
+
+
 def test_accumulator_edge_cases():
     acc = FrameAccumulator(EhCircuit())
     with pytest.raises(ValueError):
