@@ -146,11 +146,11 @@ def _orbit(y: np.ndarray, stop: int, xi: int, work: np.ndarray):
 def _correlator_drives(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray,
                        work: np.ndarray, peak: bool = False) -> float:
     """The full-mode kernel: betas[i]'s drives u = (2v)^2 and u^2, for the
-    chip sum v, in out[2i] and out[2i + 1], and the largest beta's peak u
-    (``peak`` set; 0.0 without), read at n = beta (``reads`` maps n to 2i).
-    The running sum y_1 + ... + y_n = 2v is kept in rows[0], except at a
-    largest beta of 1, whose sum is y itself: a copy would slow that run by
-    3-4%."""
+    chip sum v, in out[2i] and out[2i + 1], written at step n = beta
+    (``reads`` maps n to 2i), and the largest beta's peak u (``peak`` set;
+    0.0 without).  The running sum y_1 + ... + y_n = 2v is kept in rows[0],
+    except at a largest beta of 1, whose sum is y itself: a copy would slow
+    that run by 3-4%."""
     s = y if betas[-1] == 1 else rows[0]
     reads = {beta: 2 * i for i, beta in enumerate(betas)}
     for n in _orbit(y, betas[-1], xi, work):
