@@ -156,7 +156,7 @@ class DcAccumulator:
     is x exactly), and later batches add in place.  The weights apply
     afterwards, so one run serves every weighting.  Any grouping of the
     frames into batches gives the same moments up to rounding; only the
-    same grouping, merged in the same order, keeps the last bit.
+    same batches, merged in batch order, keep the last bit.
     """
 
     def __init__(self) -> None:

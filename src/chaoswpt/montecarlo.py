@@ -21,13 +21,14 @@ harvest exactly 0: each batch draws their count, then their seed states.
 A frame's expected harvest over its fading gain is the weighted sum of its
 drives (s2, s4), so an affine function of the kernel's raw rows
 (``_harvest_weights``).  One batch loop, ``_orbit_moments``, serves
-``run_once``, each mode of a sweep and ``measure_papr``: it opens the run's
-one stream, draws each batch, calls the kernel on each column block and
-adds each batch's moments of the raw rows to one accumulator, so memory
-stays flat however many frames are requested, and the weights apply
-afterwards, so one orbit run serves every distance too.  A sweep's rows in
-one mode thus share one stream, and the accumulator gives their covariance
-for the fit from the same formula as their standard errors.  Each run
+``run_once``, each mode of a sweep and ``measure_papr``: it opens each
+batch's own stream, keyed by the seed, the mode and the batch index, draws
+the batch, calls the kernel on each column block and adds each batch's
+moments of the raw rows to one accumulator, so memory stays flat however
+many frames are requested, and the weights apply afterwards, so one orbit
+run serves every distance too.  A sweep's rows in one mode thus share one
+orbit run, and the accumulator gives their covariance for the fit from the
+same formula as their standard errors.  Each run
 allocates one workspace, a batch-sized state row and rows one column block
 wide; every per-batch step writes into views of it, and the loop reduces
 each block itself, so no row of the workspace leaves it: one row sum and
@@ -39,7 +40,6 @@ thread count.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -260,10 +260,16 @@ def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray
 def _orbit_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str,
                    peak: bool = False) -> tuple[DcAccumulator, float]:
     """The run's one batch loop: the moments of the kernel's raw rows over
-    the n_frames frames of the orbit run that ``np.random.default_rng(seed)``
-    draws, read at each beta of ``betas`` (ascending, distinct), in one
-    accumulator, and the largest beta's largest peak power (0.0 without
-    ``peak``).
+    the n_frames frames of the orbit run at ``seed``, read at each beta of
+    ``betas`` (ascending, distinct), in one accumulator, and the largest
+    beta's largest peak power (0.0 without ``peak``).
+
+    Batch b draws from its own stream, ``SeedSequence(seed, spawn_key=(mode,
+    b))`` for the mode's index in PSI_MODES: a substream of the seed, so no
+    two (seed, mode, batch) keys share one, and no batch's draws depend on
+    another's.  The key is a spawn key, not a flat entropy list such as
+    [seed, mode, b]: numpy splits a seed of 2^32 or more into two words and
+    drops trailing zero words, so flat keys of different runs collide.
 
     The mode's kernel, picked once per run, is ``_correlator_drives`` or
     ``_power_sums``, called once per block.  Rows 2i and 2i + 1 are
@@ -296,7 +302,7 @@ def _orbit_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str,
     the block rows, which the kernel fills only after the draw.  Every batch
     step writes into it, and no row of it leaves.
     """
-    rng = np.random.default_rng(seed)
+    mode = PSI_MODES.index(psi_mode)
     acc, top = DcAccumulator(), 0.0
     size = min(n_frames, _BATCH)
     width = min(size, _BLOCK)
@@ -315,7 +321,8 @@ def _orbit_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str,
     sums, gram = np.empty(nd), np.empty((nd, nd))
     block_sums, block_gram = np.empty(nd), np.empty((nd, nd))
     kernel = _correlator_drives if psi_mode == "full" else _power_sums
-    for start in range(0, n_frames, _BATCH):
+    for b, start in enumerate(range(0, n_frames, _BATCH)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(mode, b)))
         m = min(_BATCH, n_frames - start)
         k = int(rng.binomial(m, 0.5)) if psi_mode == "full" else m
         y = draw_initial_state(rng, size=k, out=state[:k], work=rest[:2 * k].reshape(2, k))
@@ -415,44 +422,32 @@ class SweepResult:
         return out
 
 
-def _subseed(seed: int, psi_mode: str) -> int:
-    """Deterministic seed of a sweep's mode group, shared by its rows.
-
-    Hash-derived so every group gets a decorrelated stream regardless of
-    sweep ordering or which other groups are present.
-    """
-    tag = f"{seed}|{PSI_MODES.index(psi_mode)}"
-    return int(hashlib.sha256(tag.encode()).hexdigest()[:16], 16)
-
-
 def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
     """Cartesian sweep over spreading factors, distances and receiver modes.
 
     ``base`` supplies everything that is not swept (alpha, circuit, n_frames,
     seed, map degree); its own beta/r/psi_mode are ignored.  Each row is the
-    ``run_once`` result of its cell at its mode group's seed (``_subseed``):
+    ``run_once`` result of its cell at the sweep's own seed, bit for bit:
     each mode's orbit run is simulated once, stepped to the largest beta,
     and gives every beta's and every distance's row.  The modes run in
     parallel (see ``_parallel.fork_map``), so a one-mode sweep runs in the
-    caller.  The rows of one mode share one stream, and the result carries
-    each (distance, mode) series' covariance.  A base of fewer than 100
-    frames raises one UserWarning for the whole sweep.
+    caller.  The rows of one mode share one orbit run, and the result
+    carries each (distance, mode) series' covariance.  A base of fewer than
+    100 frames raises one UserWarning for the whole sweep.
     """
     betas, distances, modes = list(betas), list(distances), list(modes)
     for name, axis in (("betas", betas), ("distances", distances), ("modes", modes)):
         _check("axis", axis, name)
     _warn_if_noisy(base)
     # the raw values are validated (True is no beta, 2.7 is not 2), and only
-    # then normalized, so that rows and seeds see plain ints and floats
+    # then normalized, so that rows see plain ints and floats
     cells = [dataclasses.replace(base, beta=beta, r=r, psi_mode=mode)
              for beta in betas for r in distances for mode in modes]
-    cfgs = [dataclasses.replace(c, beta=int(c.beta), r=float(c.r),
-                                seed=_subseed(base.seed, c.psi_mode))
-            for c in cells]
+    cfgs = [dataclasses.replace(c, beta=int(c.beta), r=float(c.r)) for c in cells]
     grid = sorted({c.beta for c in cfgs})
-    groups = {c.psi_mode: c for c in cfgs}
-    runs = dict(zip(groups, fork_map(lambda c: _orbit_moments(
-        c.seed, c.n_frames, grid, c.xi, c.psi_mode)[0], groups.values())))
+    groups = list(dict.fromkeys(modes))
+    runs = dict(zip(groups, fork_map(lambda mode: _orbit_moments(
+        base.seed, base.n_frames, grid, base.xi, mode)[0], groups)))
     rows, covariance = [None] * len(cfgs), {}
     for key in dict.fromkeys((c.r, c.psi_mode) for c in cfgs):
         at = [i for i, c in enumerate(cfgs) if (c.r, c.psi_mode) == key]

@@ -6,7 +6,8 @@ instead.  ``transmit_frames`` draws what the kernel draws, steps each seed
 state's orbit chip by chip (``orbits``) and assembles the frames with
 ``modulate``; ``apply_channel`` scales each frame by the link's gain, the
 ``FrameAccumulator`` harvests it, and ``empirical_papr`` meters the stream.
-The tests hold the fast path to this chain at the same seeds.
+The tests hold the fast path to this chain on the same batch streams
+(``batch_rng``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ import numpy as np
 
 from chaoswpt.channel import path_gain
 from chaoswpt.chaos import _step_scalar, draw_initial_state
-from chaoswpt.harvester import DcEstimate, EhCircuit
+from chaoswpt.harvester import PSI_MODES, DcEstimate, EhCircuit
+
+
+def batch_rng(seed: int, mode: str, b: int = 0) -> np.random.Generator:
+    """The generator that batch b of a run at ``seed`` in ``mode`` draws
+    from, keyed as ``montecarlo._orbit_moments`` keys it: the one place the
+    tests state the kernel's seed rule."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(PSI_MODES.index(mode), b)))
 
 
 def orbits(x0, n: int, xi: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from ks_reference import ks_reference
 
+from chaoswpt import distcheck
 from chaoswpt.analytic import make_oracle
 from chaoswpt.distcheck import (
     DEFAULT_BATTERY,
@@ -120,9 +121,21 @@ def test_battery_with_no_or_only_off_atom_draws(n_samples):
                 "atom_mass", "norm_integral", "norm_target", "norm_abs_err",
                 "max_moment_rel_err", "ks_stat"))
             if report.atom_mass:
-                sizes.add(sample_family(family, n_samples, np.random.default_rng((seed, i)),
-                                        beta=beta).size)
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+                sizes.add(sample_family(family, n_samples, rng, beta=beta).size)
     assert sizes == {0, n_samples} | ({1} if n_samples == 2 else set())
+
+
+def test_no_two_battery_families_share_a_stream(monkeypatch):
+    # family i at seed s draws from the substream (s, spawn key (i,)); flat
+    # keys (s, i) collide, since numpy splits a seed of 2^32 or more into
+    # two words and drops trailing zero words: (2^32 + 5, 0) is (5, 1, 0),
+    # which draws as (5, 1), and (2^32, 0) draws as (0, 1)
+    monkeypatch.setattr(distcheck, "verify_family",
+                        lambda family, n, rng, beta: rng.bit_generator.state["state"]["state"])
+    states = [state for seed in (5, 2**32 + 5, 0, 2**32)
+              for state in verify_distributions(n_samples=1, seed=seed)]
+    assert len(set(states)) == len(states) == 4 * len(DEFAULT_BATTERY)
 
 
 def test_verify_family_report_fields():
@@ -165,16 +178,17 @@ def test_fourth_powers_square_the_second_powers_bit_for_bit():
     assert np.array_equal(draw("Theta_b1"), delta * delta / 2.0)
 
 
-#: the battery's KS distances at n = 20,000 and seed 0, bit for bit; the
-#: last bits of P_b1 and Theta_b1 samples may move, these may not
+#: the battery's KS distances at n = 20,000 and seed 0, family i drawn from
+#: SeedSequence(0, spawn_key=(i,)), bit for bit; the last bits of P_b1 and
+#: Theta_b1 samples may move, these may not
 _PINNED_KS = [
-    ("S_b1", 1, "0x1.d26ef9bb64280p-8"),
-    ("Z_b1", 1, "0x1.425cca7ef9680p-8"),
-    ("P_b1", 1, "0x1.27360294e4800p-8"),
-    ("S_clt", 4, "0x1.d13cd8cfafcc0p-9"),
-    ("S_clt", 25, "0x1.14855672e6b20p-8"),
-    ("Delta_b1", 1, "0x1.f9b646516cd80p-8"),
-    ("Theta_b1", 1, "0x1.1601ec72dc220p-7"),
+    ("S_b1", 1, "0x1.3dd7579068ee0p-8"),
+    ("Z_b1", 1, "0x1.5697fa2b9dac0p-8"),
+    ("P_b1", 1, "0x1.c9dd7972f8100p-9"),
+    ("S_clt", 4, "0x1.57127d22f51c0p-8"),
+    ("S_clt", 25, "0x1.4ac4b5da3cf00p-8"),
+    ("Delta_b1", 1, "0x1.d51c911172600p-8"),
+    ("Theta_b1", 1, "0x1.05b4274255aa0p-7"),
 ]
 
 

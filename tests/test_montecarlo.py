@@ -23,14 +23,13 @@ from chaoswpt.montecarlo import (
     SweepRow,
     _correlator_drives,
     _power_sums,
-    _subseed,
     fit_scaling,
     measure_papr,
     run_once,
     sweep_beta,
 )
-from frame_chain import (ChannelDraw, FrameAccumulator, apply_channel, empirical_papr,
-                         orbits, transmit_frames)
+from frame_chain import (ChannelDraw, FrameAccumulator, apply_channel, batch_rng,
+                         empirical_papr, orbits, transmit_frames)
 
 
 def test_run_config_validation():
@@ -156,13 +155,13 @@ def test_independent_seeds_agree_statistically():
 
 
 def _reference_path(cfg: RunConfig):
-    """Re-run one config through the composable per-frame pipeline.
+    """Re-run a one-batch config through the composable per-frame pipeline.
 
     The frames pass the link unfaded, and the accumulator integrates the
     Rayleigh gain out of each (E[|h|^4] = 2), as ``run_once`` does.
     """
-    rng = np.random.default_rng(cfg.seed)
-    frames = transmit_frames(rng, cfg.n_frames, cfg.beta, cfg.xi, cfg.psi_mode)
+    frames = transmit_frames(batch_rng(cfg.seed, cfg.psi_mode), cfg.n_frames, cfg.beta,
+                             cfg.xi, cfg.psi_mode)
     unfaded = ChannelDraw(h_mag=1.0, r=cfg.r, alpha=cfg.alpha)
     received = apply_channel(frames, unfaded, cfg.circuit.p_t)
     acc = FrameAccumulator(cfg.circuit, mean_h4=2.0)
@@ -228,7 +227,7 @@ def test_integrating_the_gain_out_gives_the_exact_conditional_variance():
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_measure_papr_matches_per_frame_chain(mode, beta, xi):
     n = 3000
-    frames = transmit_frames(np.random.default_rng(23), n, beta, xi, mode)
+    frames = transmit_frames(batch_rng(23, mode), n, beta, xi, mode)
     stream = frames.sum(axis=1) if mode == "full" else frames.ravel()
     got = measure_papr(beta, mode, n_frames=n, seed=23, xi=xi)
     assert got.plain == pytest.approx(empirical_papr(stream), rel=1e-12)
@@ -237,26 +236,26 @@ def test_measure_papr_matches_per_frame_chain(mode, beta, xi):
 
 
 @pytest.mark.parametrize("beta, n, seed", [(2, 1000, 31), (3, 1000, 31), (17, 1000, 31),
-                                           (100, 1000, 31), (2, 1, 2)],
-                         ids=["2", "3", "17", "100", "2-1-2"])
+                                           (100, 1000, 31), (2, 1, 3)],
+                         ids=["2", "3", "17", "100", "2-1-3"])
 def test_bypass_papr_from_orbit_sums_matches_per_frame_chain(beta, n, seed):
     # the orbit-sum kernel's peak is the largest chip power bit for bit; its
-    # mean power rounds in its own order; seed 2's one frame has y_2 and y_3
-    # both negative, so a peak that started at 0 rather than below every
-    # state would read 2/4 here
-    stream = transmit_frames(np.random.default_rng(seed), n, beta, 2, "bypass").ravel()
+    # mean power rounds in its own order; seed 3 is the first seed from 1 up
+    # whose one frame has y_2 and y_3 both negative, so a peak that started
+    # at 0 rather than below every state would read 2/4 here
+    stream = transmit_frames(batch_rng(seed, "bypass"), n, beta, 2, "bypass").ravel()
     got = measure_papr(beta, "bypass", n_frames=n, seed=seed)
     assert got.expectation_normalized == empirical_papr(stream, mean_power=0.5)
     assert got.plain == pytest.approx(empirical_papr(stream), rel=1e-12)
 
 
 def test_measure_papr_rejects_zero_mean_power():
-    # seed 3 is the first seed from 1 up whose count of d = +1 frames among 2
+    # seed 5 is the first seed from 1 up whose count of d = +1 frames among 2
     # is 0 (a chance of 1/4), so every full-mode symbol is erased
-    assert _plus_frames(2, seed=3) == [0]
+    assert _plus_frames(2, seed=5) == [0]
     with pytest.raises(ValueError, match="realized mean power is 0; PAPR undefined"):
-        measure_papr(2, "full", n_frames=2, seed=3)
-    assert measure_papr(2, "bypass", n_frames=2, seed=3).plain > 0.0
+        measure_papr(2, "full", n_frames=2, seed=5)
+    assert measure_papr(2, "bypass", n_frames=2, seed=5).plain > 0.0
 
 
 def _kernel_rows(xi, size):
@@ -389,7 +388,7 @@ def test_harvest_weights_give_the_chip_order_moments(xi, k4):
     base = RunConfig(beta=1, r=1.0, n_frames=n, seed=4, xi=xi, circuit=EhCircuit(k4=k4))
     res = sweep_beta(betas, [r], ["bypass"], base)
     c2, c4 = _weights(r, base.alpha, *rho_params(base.circuit))
-    x0 = draw_initial_state(np.random.default_rng(_subseed(4, "bypass")), size=n)
+    x0 = draw_initial_state(batch_rng(4, "bypass"), size=n)
     w = np.array([c2 * s2 + c4 * s4 for s2, s4, _ in
                   (_chip_order_stats(x0, beta, xi, "bypass") for beta in betas)])
     rows = res.select(r=r, psi_mode="bypass")
@@ -437,20 +436,16 @@ def test_kernel_steps_beta_minus_one_times_per_batch(monkeypatch, mode):
     monkeypatch.setattr(montecarlo, "chebyshev_step", counting)
     monkeypatch.setattr(montecarlo, "_orbit", orbit)
     n = montecarlo._BATCH + 10  # one full batch and a short one
-    # full mode steps only the states of a batch's d = +1 frames: the count
-    # of the mode group's stream in a sweep
-    drawn = {"full": _plus_frames(n, seed=1), "bypass": [montecarlo._BATCH, 10]}
+    # full mode steps only the states of a batch's d = +1 frames, and a
+    # sweep draws as a run at its seed does
+    counts = _plus_frames(n, seed=1) if mode == "full" else [montecarlo._BATCH, 10]
     base = RunConfig(beta=1, r=20.0, psi_mode=mode, n_frames=n, seed=1)
-    sweep = dataclasses.replace(base, seed=_subseed(1, mode))
-    drawn_sweep = {"full": _plus_frames(n, seed=sweep.seed), "bypass": drawn["bypass"]}
     for betas in ([1], [2], [5], [1, 2, 5], [5, 3]):
         sizes.clear()
         if len(betas) == 1:
             run_once(dataclasses.replace(base, beta=betas[0]))
-            counts = drawn[mode]
         else:
             sweep_beta(betas, [20.0], [mode], base)
-            counts = drawn_sweep[mode]
         top = max(betas)
         # at xi = 2 bypass mode steps past the last chip: beta + 1 steps
         steps = (top + 1 if top > 1 else 0) if mode == "bypass" else top - 1
@@ -466,15 +461,11 @@ def test_kernel_steps_beta_minus_one_times_per_batch(monkeypatch, mode):
 
 
 def _plus_frames(n_frames: int, seed: int) -> list[int]:
-    """Each full-mode batch's count k of d = +1 frames, from a replay of the
-    batch loop's draws: k, then k seed states."""
-    rng = np.random.default_rng(seed)
-    counts = []
-    for start in range(0, n_frames, montecarlo._BATCH):
-        k = int(rng.binomial(min(montecarlo._BATCH, n_frames - start), 0.5))
-        draw_initial_state(rng, size=k)
-        counts.append(k)
-    return counts
+    """Each full-mode batch's count k of d = +1 frames: the first draw of
+    the batch's own stream."""
+    sizes = [min(montecarlo._BATCH, n_frames - start)
+             for start in range(0, n_frames, montecarlo._BATCH)]
+    return [int(batch_rng(seed, "full", b).binomial(m, 0.5)) for b, m in enumerate(sizes)]
 
 
 @pytest.mark.parametrize("xi", [2, 3])
@@ -483,13 +474,13 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
     # over a batch's m frames the squared correlator output is ((1 + d) v)^2
     # with v the chip sum, half the Dickson sum: a batch's drives are it and
     # its square, and the run's five sums and peak are those over all its
-    # frames, whose frames with d = -1 are 0 whatever their states; seed 2's
+    # frames, whose frames with d = -1 are 0 whatever their states; seed 3's
     # one-frame batches have k = 0, and a one-frame run gives five zeros
     other = np.random.default_rng(99)
-    for n, seed in ((1, 2), (montecarlo._BATCH + 1, 2), (montecarlo._BATCH + 10, 3)):
-        replay = np.random.default_rng(seed)
+    for n, seed in ((1, 3), (montecarlo._BATCH + 1, 3), (montecarlo._BATCH + 10, 2)):
         counts, want, peak = [], np.zeros(5), 0.0
-        for start in range(0, n, montecarlo._BATCH):
+        for b, start in enumerate(range(0, n, montecarlo._BATCH)):
+            replay = batch_rng(seed, "full", b)
             m = min(montecarlo._BATCH, n - start)
             k = int(replay.binomial(m, 0.5))
             x0 = np.concatenate([draw_initial_state(replay, size=k),
@@ -507,7 +498,7 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
             assert _moments(acc) == [0.0] * 5 and top == 0.0
         else:
             np.testing.assert_allclose(_moments(acc), want, rtol=1e-12, atol=0)
-        if seed == 2:
+        if seed == 3:
             assert counts[-1] == (1, 0)
         else:
             assert all(0 < k < m for m, k in counts)
@@ -521,13 +512,13 @@ def _moments(acc) -> list[float]:
 
 #: full-mode results of a run whose last batch has no d = +1 frame: (beta,
 #: xi, run mean, run standard error, PAPR plain) at n_frames = _BATCH + 1 and
-#: seed 2, the first seed whose one-frame last batch has k = 0 (run_once and
+#: seed 3, the first seed whose one-frame last batch has k = 0 (run_once and
 #: measure_papr draw the same counts at every xi); named by (beta, xi)
 _PINNED_EMPTY_BATCH = [
-    (2, 2, '0x1.d3b3647d59994p-19', '0x1.01b2683203671p-25', '0x1.fe94102937d2ap+2'),
-    (2, 3, '0x1.fefcfa585bef0p-19', '0x1.2c141b872c290p-25', '0x1.fb94dba9b0af1p+2'),
-    (17, 2, '0x1.4b2ff09c13ca2p-13', '0x1.c6afb8b8bb4d8p-19', '0x1.5c13d2acbd989p+5'),
-    (17, 3, '0x1.38b500eb0ea1ap-13', '0x1.5b7c0a4caae4ap-19', '0x1.49ac7796c9772p+5'),
+    (2, 2, '0x1.cd7edde0960a3p-19', '0x1.fe44708609e4dp-26', '0x1.01df541854eb5p+3'),
+    (2, 3, '0x1.fdf54af61e0a6p-19', '0x1.2be1b0f26d612p-25', '0x1.fc69facf79f25p+2'),
+    (17, 2, '0x1.5082d5805fdf3p-13', '0x1.ef877e62d9f44p-19', '0x1.db217c91b547fp+5'),
+    (17, 3, '0x1.3e536b600049ep-13', '0x1.6a687d192519ep-19', '0x1.4c59099505577p+5'),
 ]
 
 
@@ -536,24 +527,25 @@ _PINNED_EMPTY_BATCH = [
 def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_error,
                                                             plain):
     n = montecarlo._BATCH + 1
-    assert _plus_frames(n, seed=2)[-1] == 0
+    assert _plus_frames(n, seed=3)[-1] == 0
     # the one-frame last batch adds a frame and five zeros to the run's sums
     (acc, top), (first, first_top) = (
-        montecarlo._orbit_moments(2, size, (beta,), xi, "full", peak=True) for size in (n, n - 1))
+        montecarlo._orbit_moments(3, size, (beta,), xi, "full", peak=True) for size in (n, n - 1))
     assert (acc._n, first._n) == (n, n - 1)
     assert _moments(acc) == _moments(first) and top == first_top
-    est = run_once(RunConfig(beta=beta, r=20.0, n_frames=n, seed=2, xi=xi)).estimate
+    est = run_once(RunConfig(beta=beta, r=20.0, n_frames=n, seed=3, xi=xi)).estimate
     assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
-    assert measure_papr(beta, "full", n_frames=n, seed=2, xi=xi).plain.hex() == plain
+    assert measure_papr(beta, "full", n_frames=n, seed=3, xi=xi).plain.hex() == plain
     # the first batch's draws are those of a one-batch run, and the empty
     # batch adds one frame of zero harvest
-    first = run_once(RunConfig(beta=beta, r=20.0, n_frames=n - 1, seed=2, xi=xi)).estimate
+    first = run_once(RunConfig(beta=beta, r=20.0, n_frames=n - 1, seed=3, xi=xi)).estimate
     assert est.n_frames == n
     assert est.mean == pytest.approx(first.mean * (n - 1) / n, rel=1e-14)
-    # a one-frame run at seed 2 is that empty batch alone
+    # a one-frame run at seed 3 is one empty batch too: its first batch
+    # has k = 0 as well
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a one-frame run's noise warning
-        one = run_once(RunConfig(beta=beta, r=20.0, n_frames=1, seed=2, xi=xi)).estimate
+        one = run_once(RunConfig(beta=beta, r=20.0, n_frames=1, seed=3, xi=xi)).estimate
     assert one.mean == 0.0 and math.isnan(one.std_error)
 
 
@@ -564,18 +556,18 @@ def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_
 #: and that of its weights on the raw rows);
 #: a row's test is named by its inputs, so a re-pinned row keeps its name
 _PINNED_BITS = [
-    (2, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb73p-28', '0x1.01be79f78bfdbp+2'),
-    (2, 'full', 2, '0x1.cd6c72469054ep-19', '0x1.fece5f508151bp-26', '0x1.02148e5cac993p+3'),
-    (2, 'full', 17, '0x1.506d78095473bp-13', '0x1.d0ed5d69d139fp-19', '0x1.6d9cbcaa32be5p+5'),
-    (2, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997ep-29', '0x1.000375ee993e8p+1'),
-    (2, 'bypass', 2, '0x1.2bc1a32caffc1p-19', '0x1.33885af421f2dp-28', '0x1.006d9c8f333b5p+1'),
-    (2, 'bypass', 17, '0x1.3f46ac2893150p-16', '0x1.c5a6dc846b89dp-27', '0x1.ffa086851c6f4p+0'),
-    (3, 'full', 1, '0x1.56fb5fb8946acp-20', '0x1.f5767342efb73p-28', '0x1.01be79f78bfdbp+2'),
-    (3, 'full', 2, '0x1.f2b6c67d34b5fp-19', '0x1.295e668182652p-25', '0x1.03be53000d1b1p+3'),
-    (3, 'full', 17, '0x1.32607c92fc026p-13', '0x1.4620e2dde356ap-19', '0x1.d5f04b54aa7b8p+4'),
-    (3, 'bypass', 1, '0x1.2c3c7dfc4c5d4p-20', '0x1.af0d58fe5997ep-29', '0x1.000375ee993e8p+1'),
-    (3, 'bypass', 2, '0x1.2c132cdb6ed3cp-19', '0x1.30e7d224f1a1cp-28', '0x1.00280c1d1389ep+1'),
-    (3, 'bypass', 17, '0x1.3f237a0a98736p-16', '0x1.bda9344d8c386p-27', '0x1.ffd36dd456d96p+0'),
+    (2, 'full', 1, '0x1.59ac48e8ed05ap-20', '0x1.f78a2e4a99f0ap-28', '0x1.ffaf23ff80bb1p+1'),
+    (2, 'full', 2, '0x1.d48612ef9eb1cp-19', '0x1.0233165be81cfp-25', '0x1.fe067a22a2c91p+2'),
+    (2, 'full', 17, '0x1.4c46aa65f1aa2p-13', '0x1.010d262c6c868p-18', '0x1.0cc694521c36ep+6'),
+    (2, 'bypass', 1, '0x1.2bb7bf8464b7cp-20', '0x1.b04665da59d08p-29', '0x1.007926dc4ec02p+1'),
+    (2, 'bypass', 2, '0x1.2c5a3896de0efp-19', '0x1.33426cb8662cap-28', '0x1.ffd9f0c134461p+0'),
+    (2, 'bypass', 17, '0x1.3efecf4b9fe6cp-16', '0x1.c3c50db0fea47p-27', '0x1.0007e869e63e5p+1'),
+    (3, 'full', 1, '0x1.59ac48e8ed05ap-20', '0x1.f78a2e4a99f0ap-28', '0x1.ffaf23ff80bb1p+1'),
+    (3, 'full', 2, '0x1.fb6e9cafe4291p-19', '0x1.2bb7c5c17de7fp-25', '0x1.fee8fb167475fp+2'),
+    (3, 'full', 17, '0x1.30f15e3b3cddfp-13', '0x1.4c26ea31b6af6p-19', '0x1.1d5b346631fe7p+5'),
+    (3, 'bypass', 1, '0x1.2bb7bf8464b7cp-20', '0x1.b04665da59d08p-29', '0x1.007926dc4ec02p+1'),
+    (3, 'bypass', 2, '0x1.2be6caa0c0184p-19', '0x1.311f3c7d943e9p-28', '0x1.00500550bb311p+1'),
+    (3, 'bypass', 17, '0x1.3f76d94966ac0p-16', '0x1.bb3af6953ba36p-27', '0x1.ff5315c943865p+0'),
 ]
 
 
@@ -737,7 +729,7 @@ def test_run_result_deviation_fields():
 
 def test_excess_sigma_of_a_zero_standard_error():
     # both frames carry bit -1, so both harvest exactly 0: mean 0, SE 0
-    cfg = RunConfig(beta=2, r=20.0, n_frames=2, seed=3)
+    cfg = RunConfig(beta=2, r=20.0, n_frames=2, seed=5)
     with pytest.warns(UserWarning):
         res = run_once(cfg)
     assert (res.estimate.mean, res.estimate.std_error) == (0.0, 0.0)
@@ -848,17 +840,17 @@ def test_sweep_keeps_integer_distances_as_floats():
     assert row == sweep_beta([2], [20.0], ["full"], base).rows[0]
 
 
-@pytest.mark.parametrize("mode", PSI_MODES)
-def test_sweep_cell_is_run_once_at_its_subseed(mode):
-    # one mode group's rows share its seed at every beta and distance, and
-    # each is the one-beta run at that seed, bit for bit
+@pytest.mark.parametrize("modes", [("full",), ("bypass",), PSI_MODES],
+                         ids=["full", "bypass", "both"])
+def test_sweep_cell_is_run_once_at_the_sweeps_own_seed(modes):
+    # every row, at every beta, distance and mode, is the one-beta run at
+    # the sweep's own seed, bit for bit, whichever other modes share the sweep
     betas, distances = [1, 2, 5, 17], [25.0, 40.0]
     for xi in (2, 3):
         base = RunConfig(beta=1, r=1.0, n_frames=3000, seed=23, xi=xi)
-        rows = sweep_beta(betas, distances, [mode], base).rows
-        assert rows == [run_once(dataclasses.replace(base, beta=beta, r=r, psi_mode=mode,
-                                                     seed=_subseed(23, mode)))
-                        for beta in betas for r in distances]
+        rows = sweep_beta(betas, distances, modes, base).rows
+        assert rows == [run_once(dataclasses.replace(base, beta=beta, r=r, psi_mode=mode))
+                        for beta in betas for r in distances for mode in modes]
 
 
 @pytest.mark.parametrize("mode", PSI_MODES)
@@ -886,18 +878,20 @@ def test_sweep_simulates_each_orbit_run_once(monkeypatch, mode):
 
 def test_one_batch_loop_owns_every_stream(monkeypatch):
     # every Monte-Carlo generator is opened inside the batch loop, one per
-    # orbit run at that run's seed, and each run adds one batch's moments per
-    # _BATCH frames (the count perfbench reads as harvester.add_moments_calls);
-    # the serial map keeps a sweep's mode jobs in this process
+    # batch of _BATCH frames, from the run's seed with the spawn key (mode
+    # index, b), and each batch adds its moments once (the count perfbench
+    # reads as harvester.add_moments_calls); the serial map keeps a sweep's
+    # mode jobs in this process
     monkeypatch.setattr(montecarlo, "fork_map", lambda fn, items: [fn(x) for x in items])
     real_rng, real_add = np.random.default_rng, DcAccumulator.add_moments
     real_loop = montecarlo._orbit_moments
     events, looping = [], [False]
 
-    def rng(seed):
+    def rng(seq):
         assert looping[0], "a generator was opened outside the batch loop"
-        events.append(("rng", seed))
-        return real_rng(seed)
+        assert isinstance(seq, np.random.SeedSequence)
+        events.append(("rng", seq.entropy, seq.spawn_key))
+        return real_rng(seq)
 
     def add(self, n, sums, gram):
         events.append(("add", n))
@@ -914,17 +908,22 @@ def test_one_batch_loop_owns_every_stream(monkeypatch):
     monkeypatch.setattr(DcAccumulator, "add_moments", add)
     monkeypatch.setattr(montecarlo, "_orbit_moments", loop)
     n = 2 * montecarlo._BATCH + 10
-    batches = [("add", montecarlo._BATCH)] * 2 + [("add", 10)]
+
+    def batches(seed, mode):
+        return [event for b, m in enumerate((montecarlo._BATCH, montecarlo._BATCH, 10))
+                for event in (("rng", seed, (mode, b)), ("add", m))]
+
+    # full mode is PSI_MODES[0], so its keys (0, b) differ from bypass's (1, b)
+    assert PSI_MODES == ("full", "bypass")
     base = RunConfig(beta=3, r=20.0, n_frames=n, seed=5)
     run_once(base)
-    assert events == [("rng", 5), *batches]
+    assert events == batches(5, 0)
     events.clear()
     sweep_beta([2, 3], [20.0, 30.0], ["full", "bypass"], base)
-    assert events == [event for mode in ("full", "bypass")
-                      for event in (("rng", _subseed(5, mode)), *batches)]
+    assert events == batches(5, 0) + batches(5, 1)
     events.clear()
     measure_papr(3, "bypass", n_frames=n, seed=8)
-    assert events == [("rng", 8), *batches]
+    assert events == batches(8, 1)
 
 
 @pytest.mark.parametrize("mode", PSI_MODES)
@@ -1034,10 +1033,10 @@ def test_fit_needs_five_distinct_betas(betas):
 
 def _frame_harvests(seed, n, betas, xi, mode, c2, c4):
     """Each frame's harvest w = c2*s2 + c4*s4 at every beta, one row per
-    frame, from drives built chip by chip over the draws of a mode group's
-    run at ``seed``: k and k seed states in full mode, whose other n - k
-    frames harvest 0, or n seed states in bypass mode."""
-    rng = np.random.default_rng(seed)
+    frame, from drives built chip by chip over the draws of a one-batch run
+    at ``seed``: k and k seed states in full mode, whose other n - k frames
+    harvest 0, or n seed states in bypass mode."""
+    rng = batch_rng(seed, mode)
     k = int(rng.binomial(n, 0.5)) if mode == "full" else n
     chips = orbits(draw_initial_state(rng, size=k), max(betas), xi)
     w = np.zeros((n, len(betas)))
@@ -1066,7 +1065,7 @@ def test_fit_carries_the_rows_covariance(mode):
     se = np.array([row.estimate.std_error for row in rows])
     np.testing.assert_allclose(np.diag(cov), se * se, rtol=1e-12, atol=0)
     c2, c4 = _weights(r, base.alpha, *rho_params(base.circuit))
-    w = _frame_harvests(_subseed(31, mode), n, betas, 2, mode, c2, c4)
+    w = _frame_harvests(31, n, betas, 2, mode, c2, c4)
     np.testing.assert_allclose([row.estimate.mean for row in rows], w.mean(axis=0),
                                rtol=1e-12)
     coef = w @ np.linalg.pinv(np.vander(np.array(betas, dtype=float), 3)).T
