@@ -25,17 +25,19 @@ drives (s2, s4), so an affine function of the kernel's raw rows
 batch's own stream, keyed by the seed, the mode and the batch index, draws
 the batch, calls the kernel on each column block and adds each batch's
 moments of the raw rows to one accumulator, so memory stays flat however
-many frames are requested, and the weights apply afterwards, so one orbit
-run serves every distance too.  A sweep's rows in one mode thus share one
+many frames are requested (but for the 2B + 4B^2 floats a batch that a
+later chunk keeps for the merge), and the weights apply afterwards, so one
+orbit run serves every distance too.  A long run's batches are spread over
+the usable CPUs in contiguous chunks and added in batch order, so its bits
+do not depend on the CPU count.  A sweep's rows in one mode thus share one
 orbit run, and the accumulator gives their covariance for the fit from the
-same formula as their standard errors.  Each run
-allocates one workspace, a batch-sized state row and rows one column block
-wide; every per-batch step writes into views of it, and the loop reduces
-each block itself, so no row of the workspace leaves it: one row sum and
-one Gram product of the block's rows give every beta's moments and the
-products across betas.  Means and PAPRs use no BLAS; a standard error comes
-through that product, so it depends on the BLAS build, but not on its
-thread count.
+same formula as their standard errors.  Each chunk of batches allocates one
+workspace, a batch-sized state row and rows one column block wide; every
+per-batch step writes into views of it, and the loop reduces each block
+itself, so no row of the workspace leaves it: one row sum and one Gram
+product of the block's rows give every beta's moments and the products
+across betas.  Means and PAPRs use no BLAS; a standard error comes through
+that product, so it depends on the BLAS build, but not on its thread count.
 """
 from __future__ import annotations
 
@@ -46,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _parallel
 from ._parallel import fork_map
 from .analytic import _weights, papr_analytic, z_with_correlator, z_without_correlator
 from .channel import sample_rayleigh
@@ -71,6 +74,10 @@ _BATCH = 1 << 16
 #: the kernel's column block: a fixed width, so that a beta's sums round the
 #: same whatever other betas share its orbit run
 _BLOCK = 1 << 14
+#: the fewest batches that get a job of their own: a fork, exit and wait
+#: costs 3-4 ms on a 2-CPU host, so a run of fewer than twice this many
+#: batches stays in the calling process
+_MIN_JOB_BATCHES = 4
 
 
 @dataclass(frozen=True)
@@ -257,12 +264,16 @@ def _power_sums(y: np.ndarray, betas, xi: int, out: np.ndarray, rows: np.ndarray
     return (top + 2.0) * 0.25 if peak else 0.0
 
 
-def _orbit_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str,
-                   peak: bool = False) -> tuple[DcAccumulator, float]:
-    """The run's one batch loop: the moments of the kernel's raw rows over
-    the n_frames frames of the orbit run at ``seed``, read at each beta of
-    ``betas`` (ascending, distinct), in one accumulator, and the largest
-    beta's largest peak power (0.0 without ``peak``).
+def _batch_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str, peak: bool,
+                   batches: range):
+    """One job: the moments of the batches b in ``batches``, a contiguous
+    range of the run's batch indices, and their largest peak power (0.0
+    without ``peak``).  Each batch's moments are its frame count m, the 2B
+    row sums of its kernel rows and the (2B, 2B) sums of their products.  A
+    range that starts the run adds each batch to a new accumulator as it is
+    drawn, and returns that accumulator; a later range returns a list of
+    each batch's (m, sums, gram), in batch order, for ``_orbit_moments`` to
+    add after the batches before it.
 
     Batch b draws from its own stream, ``SeedSequence(seed, spawn_key=(mode,
     b))`` for the mode's index in PSI_MODES: a substream of the seed, so no
@@ -271,12 +282,10 @@ def _orbit_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str,
     [seed, mode, b]: numpy splits a seed of 2^32 or more into two words and
     drops trailing zero words, so flat keys of different runs collide.
 
-    The mode's kernel, picked once per run, is ``_correlator_drives`` or
+    The mode's kernel, picked once, is ``_correlator_drives`` or
     ``_power_sums``, called once per block.  Rows 2i and 2i + 1 are
     betas[i]'s two kernel rows: its drives s2, s4 in full mode, its raw rows
-    in bypass mode.  Each batch of at most _BATCH frames adds its 2B row
-    sums and the (2B, 2B) sums of their products with one ``add_moments``
-    call.
+    in bypass mode.
 
     Each batch makes one ``draw_initial_state`` call for its seed states,
     doubles them into the Dickson states y = 2x in place (exact), and the
@@ -296,14 +305,14 @@ def _orbit_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str,
     a diagonal block of the product as the product of that beta's two rows
     alone and keeps the product exactly symmetric (properties of its kernel,
     which the sweep tests check), so a beta's sums keep their bits whatever
-    else is in ``betas``.  One workspace is allocated per run: the batch's
+    else is in ``betas``.  One workspace is allocated per call: the batch's
     state row, then 2B output rows, three kernel rows and the map step's
     rows (at xi >= 3), one block wide; the draw's two scratch rows overlap
     the block rows, which the kernel fills only after the draw.  Every batch
     step writes into it, and no row of it leaves.
     """
     mode = PSI_MODES.index(psi_mode)
-    acc, top = DcAccumulator(), 0.0
+    acc, kept, top = DcAccumulator(), [], 0.0
     size = min(n_frames, _BATCH)
     width = min(size, _BLOCK)
     nd = 2 * len(betas)
@@ -321,9 +330,9 @@ def _orbit_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str,
     sums, gram = np.empty(nd), np.empty((nd, nd))
     block_sums, block_gram = np.empty(nd), np.empty((nd, nd))
     kernel = _correlator_drives if psi_mode == "full" else _power_sums
-    for b, start in enumerate(range(0, n_frames, _BATCH)):
+    for b in batches:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(mode, b)))
-        m = min(_BATCH, n_frames - start)
+        m = min(_BATCH, n_frames - b * _BATCH)
         k = int(rng.binomial(m, 0.5)) if psi_mode == "full" else m
         y = draw_initial_state(rng, size=k, out=state[:k], work=rest[:2 * k].reshape(2, k))
         y *= 2.0
@@ -338,8 +347,59 @@ def _orbit_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str,
             np.matmul(block, block.T, out=block_gram)
             sums += block_sums
             gram += block_gram
-        acc.add_moments(m, sums, gram)
-    return acc, top
+        if batches.start == 0:
+            acc.add_moments(m, sums, gram)
+        else:
+            kept.append((m, sums.copy(), gram.copy()))
+    return (acc if batches.start == 0 else kept), top
+
+
+def _chunks(n_frames: int) -> list[range]:
+    """A run's batch indices in contiguous chunks, one job each: one chunk
+    per _MIN_JOB_BATCHES batches, at most one per usable CPU, and at least
+    one, so a run of fewer than 2 * _MIN_JOB_BATCHES batches is one job."""
+    n_batches = -(-n_frames // _BATCH)
+    n_jobs = max(1, min(_parallel._usable_cpus(), n_batches // _MIN_JOB_BATCHES))
+    cuts = [n_batches * j // n_jobs for j in range(n_jobs + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _orbit_moments(seed: int, n_frames: int, betas, xi: int, psi_mode,
+                   peak: bool = False):
+    """The one batch loop: the moments of the kernel's raw rows over the
+    n_frames frames of the orbit run at ``seed``, read at each beta of
+    ``betas`` (ascending, distinct), in one accumulator, and the largest
+    beta's largest peak power (0.0 without ``peak``).  ``psi_mode`` is one
+    receiver mode, which gives that (acc, peak) pair, or a sweep's tuple of
+    modes, which gives a list of them, one per mode.
+
+    Each batch of at most _BATCH frames is drawn, walked and reduced by
+    ``_batch_moments`` and adds its moments with one ``add_moments`` call.
+    Batches are independent jobs, so a run's batches are cut into contiguous
+    chunks (``_chunks``): one per _MIN_JOB_BATCHES batches and at most one
+    per usable CPU.  Every mode's chunks go out as one ``fork_map`` call, the
+    longest chunks first, and each chunk allocates its own workspace.  The
+    merge then adds every later chunk's batches, one by one and in batch
+    order, to the accumulator of the chunk that starts the run: the same
+    additions in the same order as one serial loop, so the result is the
+    same bits for any CPU count and any chunking.  A run of fewer than
+    2 * _MIN_JOB_BATCHES batches is one chunk and never forks.
+    """
+    modes = (psi_mode,) if isinstance(psi_mode, str) else tuple(psi_mode)
+    chunks = _chunks(n_frames)
+    jobs = sorted(((mode, chunk) for mode in modes for chunk in chunks),
+                  key=lambda job: -len(job[1]))
+    done = dict(zip(jobs, fork_map(lambda job: _batch_moments(
+        seed, n_frames, betas, xi, job[0], peak, job[1]), jobs)))
+    runs = []
+    for mode in modes:
+        (acc, top), *later = (done[mode, chunk] for chunk in chunks)
+        for kept, chunk_top in later:
+            for batch in kept:
+                acc.add_moments(*batch)
+            top = max(top, chunk_top)
+        runs.append((acc, top))
+    return runs[0] if isinstance(psi_mode, str) else runs
 
 
 def _rows(configs, betas, acc: DcAccumulator) -> tuple[list[RunResult], np.ndarray]:
@@ -386,7 +446,9 @@ def run_once(config: RunConfig) -> RunResult:
     weights c2 = rho1*g, c4 = 2*rho2*g^2 (g = r**-alpha) that the closed forms
     use too: the Rayleigh gain is integrated out (E[h^2] = 1, E[h^4] = 2),
     not drawn, and the standard error is that of this estimator.  A run of
-    fewer than 100 frames raises a UserWarning.
+    2 * _MIN_JOB_BATCHES batches of _BATCH frames or more spreads its
+    batches over the usable CPUs (``_orbit_moments``), with the same bits
+    for any CPU count.  A run of fewer than 100 frames raises a UserWarning.
     """
     _warn_if_noisy(config)
     betas = [config.beta]
@@ -429,9 +491,12 @@ def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
     seed, map degree); its own beta/r/psi_mode are ignored.  Each row is the
     ``run_once`` result of its cell at the sweep's own seed, bit for bit:
     each mode's orbit run is simulated once, stepped to the largest beta,
-    and gives every beta's and every distance's row.  The modes run in
-    parallel (see ``_parallel.fork_map``), so a one-mode sweep runs in the
-    caller.  The rows of one mode share one orbit run, and the result
+    and gives every beta's and every distance's row.  Each mode's run is cut
+    into chunks of batches as ``run_once``'s is, and every mode's chunks go
+    out as one ``fork_map`` call (``_orbit_moments``), so a one-mode sweep
+    of fewer than 2 * _MIN_JOB_BATCHES batches runs in the caller, and the
+    rows are the same bits for any CPU count.  The rows of one mode share one
+    orbit run, and the result
     carries each (distance, mode) series' covariance.  A base of fewer than
     100 frames raises one UserWarning for the whole sweep.
     """
@@ -446,8 +511,8 @@ def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
     cfgs = [dataclasses.replace(c, beta=int(c.beta), r=float(c.r)) for c in cells]
     grid = sorted({c.beta for c in cfgs})
     groups = list(dict.fromkeys(modes))
-    runs = dict(zip(groups, fork_map(lambda mode: _orbit_moments(
-        base.seed, base.n_frames, grid, base.xi, mode)[0], groups)))
+    runs = {mode: acc for mode, (acc, _) in
+            zip(groups, _orbit_moments(base.seed, base.n_frames, grid, base.xi, tuple(groups)))}
     rows, covariance = [None] * len(cfgs), {}
     for key in dict.fromkeys((c.r, c.psi_mode) for c in cfgs):
         at = [i for i, c in enumerate(cfgs) if (c.r, c.psi_mode) == key]

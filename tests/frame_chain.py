@@ -24,7 +24,7 @@ from chaoswpt.harvester import PSI_MODES, DcEstimate, EhCircuit
 
 def batch_rng(seed: int, mode: str, b: int = 0) -> np.random.Generator:
     """The generator that batch b of a run at ``seed`` in ``mode`` draws
-    from, keyed as ``montecarlo._orbit_moments`` keys it: the one place the
+    from, keyed as ``montecarlo._batch_moments`` keys it: the one place the
     tests state the kernel's seed rule."""
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(PSI_MODES.index(mode), b)))

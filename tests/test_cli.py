@@ -13,6 +13,8 @@ from chaoswpt.cli import DEFAULTS, SWEEP_HEADER, main
 from chaoswpt.harvester import EhCircuit
 from chaoswpt.montecarlo import RunConfig, measure_papr, run_once
 
+from frame_chain import batch_rng
+
 FAST = ["--set", "n_frames=2000"]
 
 
@@ -353,7 +355,9 @@ def test_crossover_overflowing_raw_link_exits_one(capsys, r_nc):
 
 def test_papr_with_zero_mean_power_exits_one(capsys):
     # seed 5 is the first seed from 1 up at which neither of the 2 frames
-    # carries bit +1 (a chance of 1/4): the full-mode symbols hold no power
+    # carries bit +1 (a chance of 1/4): the full-mode symbols hold no power;
+    # that count is the first draw of the run's one batch stream
+    assert batch_rng(5, "full").binomial(2, 0.5) == 0
     assert main(["papr", "--set", "beta=2", "--set", "n_frames=2",
                  "--set", "run.seed=5"]) == 1
     err = capsys.readouterr().err

@@ -223,7 +223,7 @@ def test_accumulator_add_moments_equivalence():
 
 
 def test_accumulator_keeps_no_alias_of_the_callers_buffers():
-    # _orbit_moments refills one row-sum buffer and one Gram buffer for every
+    # _batch_moments refills one row-sum buffer and one Gram buffer for every
     # batch; the totals must be the batches' sums, not the buffer's last fill
     batches = [np.array([[1.0, 2.0], [3.0, 5.0]]), np.array([[7.0], [11.0]])]
     sums, gram = np.empty(2), np.empty((2, 2))

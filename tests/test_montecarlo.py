@@ -243,6 +243,10 @@ def test_bypass_papr_from_orbit_sums_matches_per_frame_chain(beta, n, seed):
     # mean power rounds in its own order; seed 3 is the first seed from 1 up
     # whose one frame has y_2 and y_3 both negative, so a peak that started
     # at 0 rather than below every state would read 2/4 here
+    if n == 1:
+        y_1 = 2.0 * draw_initial_state(batch_rng(seed, "bypass"), size=1)[0]
+        y_2 = y_1 * y_1 - 2.0
+        assert y_2 < 0.0 and y_2 * y_2 - 2.0 < 0.0
     stream = transmit_frames(batch_rng(seed, "bypass"), n, beta, 2, "bypass").ravel()
     got = measure_papr(beta, "bypass", n_frames=n, seed=seed)
     assert got.expectation_normalized == empirical_papr(stream, mean_power=0.5)

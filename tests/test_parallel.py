@@ -3,13 +3,14 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from chaoswpt import _parallel
+from chaoswpt import _parallel, montecarlo
 from chaoswpt._parallel import fork_map
 from chaoswpt.distcheck import verify_distributions
 from chaoswpt.harvester import EhCircuit
-from chaoswpt.montecarlo import RunConfig, fit_scaling, sweep_beta
+from chaoswpt.montecarlo import RunConfig, fit_scaling, measure_papr, run_once, sweep_beta
 
 
 @pytest.fixture
@@ -129,3 +130,66 @@ def test_serial_when_another_thread_is_alive(pool):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert set(pids) == {os.getpid()}
+
+
+#: 12 full batches and a short one: three chunks of batches at three CPUs
+_LONG = 12 * montecarlo._BATCH + 123
+
+
+@pytest.mark.parametrize("xi", [2, 3])
+@pytest.mark.parametrize("mode", ["full", "bypass"])
+def test_run_pool_matches_serial(pool, monkeypatch, mode, xi):
+    config = RunConfig(beta=3, r=20.0, psi_mode=mode, n_frames=_LONG, seed=29, xi=xi)
+    assert len(montecarlo._chunks(_LONG)) == 3
+    pooled = run_once(config), measure_papr(3, mode, n_frames=_LONG, seed=29, xi=xi)
+    _force_serial(monkeypatch)
+    assert (run_once(config), measure_papr(3, mode, n_frames=_LONG, seed=29, xi=xi)) == pooled
+
+
+def test_chunked_sweep_matches_serial(pool, monkeypatch):
+    # nine batches a mode: two chunks each, four jobs over three processes
+    base = RunConfig(beta=1, r=20.0, n_frames=8 * montecarlo._BATCH + 10, seed=17)
+    grid = ([1, 2, 3, 5, 8], [20.0, 31.0], ["bypass", "full"])
+    pooled = sweep_beta(*grid, base)
+    _force_serial(monkeypatch)
+    serial = sweep_beta(*grid, base)
+    assert pooled.rows == serial.rows
+    assert pooled.covariance.keys() == serial.covariance.keys()
+    for key, cov in serial.covariance.items():
+        assert np.array_equal(pooled.covariance[key], cov)
+        assert fit_scaling(pooled, *key) == fit_scaling(serial, *key)
+
+
+@pytest.mark.parametrize("mode", ["full", "bypass"])
+def test_orbit_moments_keep_their_bits_at_any_cpu_count(pool, monkeypatch, mode):
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
+        assert len(montecarlo._chunks(_LONG)) == cpus
+        acc, top = montecarlo._orbit_moments(6, _LONG, (1, 4), 3, mode, peak=True)
+        runs.append((acc._n, acc._sums.tolist(), acc._gram.tolist(), top))
+    assert runs[0][0] == _LONG
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_small_runs_do_not_fork(pool, monkeypatch):
+    # a fork, exit and wait costs a few ms: perfbench's 2^17-frame sweep
+    # cells, a default run and its 1000-frame setup call stay one job a mode
+    jobs = []
+
+    def serial(fn, items):
+        items = list(items)
+        jobs.append(len(items))
+        return [fn(x) for x in items]
+
+    monkeypatch.setattr(montecarlo, "fork_map", serial)
+    sweep_beta([10, 20], [20.0], ["full"], RunConfig(beta=1, r=20.0, n_frames=1 << 17))
+    run_once(RunConfig(beta=1, r=20.0))
+    run_once(RunConfig(beta=2, r=20.0, n_frames=1000, seed=7))
+    sweep_beta([10, 20], [20.0], ["full", "bypass"],
+               RunConfig(beta=1, r=20.0, n_frames=1 << 17))
+    assert jobs == [1, 1, 1, 2]
+    # while a run of twice the job size is split
+    run_once(RunConfig(beta=1, r=20.0, n_frames=2 * montecarlo._MIN_JOB_BATCHES
+                       * montecarlo._BATCH))
+    assert jobs[-1] == 2
