@@ -45,20 +45,17 @@ def fork_map(fn, items) -> list:
     included: the caller runs the first job, then every process takes the
     next unclaimed job from a shared counter, so pass the costliest jobs
     first.  Falls back to the serial loop when there is one job or one
-    usable CPU, when ``fork`` is unavailable, or when another Python thread
-    is alive (forking a threaded process can copy a held lock).  A job's
+    usable CPU, when another Python thread is alive (forking a threaded
+    process can copy a held lock), or when ``os.fork`` is unavailable.  A job's
     exception re-raises here; a worker that dies without reporting raises
     RuntimeError.  No worker outlives the call.
     """
     items = list(items)
     n = len(items)
     n_procs = min(_usable_cpus(), n)
-    if n_procs <= 1 or threading.active_count() > 1:
+    if n_procs <= 1 or threading.active_count() > 1 or not hasattr(os, "fork"):
         return [fn(x) for x in items]
     import multiprocessing  # not paid for by serial callers
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(x) for x in items]
     ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("q", 1)  # job 0 is the caller's
     results: dict[int, object] = {}

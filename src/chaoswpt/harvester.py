@@ -158,8 +158,8 @@ class DcAccumulator:
     frames into batches gives the same moments up to rounding; only the
     same batches, merged in batch order, keep the last bit.  So a run spread
     over CPUs (``montecarlo._orbit_moments``) merges no two accumulators'
-    totals: the chunk that starts the run adds into one, and every later
-    chunk's batches are added to it one by one, in batch order.
+    totals: every chunk's batches are added to the one accumulator one by
+    one, in batch order.
     """
 
     def __init__(self) -> None:

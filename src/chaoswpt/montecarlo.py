@@ -23,21 +23,22 @@ drives (s2, s4), so an affine function of the kernel's raw rows
 (``_harvest_weights``).  One batch loop, ``_orbit_moments``, serves
 ``run_once``, each mode of a sweep and ``measure_papr``: it opens each
 batch's own stream, keyed by the seed, the mode and the batch index, draws
-the batch, calls the kernel on each column block and adds each batch's
-moments of the raw rows to one accumulator, so memory stays flat however
-many frames are requested (but for the 2B + 4B^2 floats a batch that a
-later chunk keeps for the merge), and the weights apply afterwards, so one
-orbit run serves every distance too.  A long run's batches are spread over
-the usable CPUs in contiguous chunks and added in batch order, so its bits
-do not depend on the CPU count.  A sweep's rows in one mode thus share one
-orbit run, and the accumulator gives their covariance for the fit from the
-same formula as their standard errors.  Each chunk of batches allocates one
-workspace, a batch-sized state row and rows one column block wide; every
-per-batch step writes into views of it, and the loop reduces each block
-itself, so no row of the workspace leaves it: one row sum and one Gram
-product of the block's rows give every beta's moments and the products
-across betas.  Means and PAPRs use no BLAS; a standard error comes through
-that product, so it depends on the BLAS build, but not on its thread count.
+the batch, calls the kernel on each column block and keeps each batch's
+moments of the raw rows, which one merge adds to one accumulator, so memory
+stays flat however many frames are requested (but for the 2B + 4B^2 floats
+a batch that every chunk keeps until the merge, on one CPU too), and the
+weights apply afterwards, so one orbit run serves every distance too.  A
+long run's batches are spread over the usable CPUs in contiguous chunks and
+added in batch order, so its bits do not depend on the CPU count.  A sweep's
+rows in one mode thus share one orbit run, and the accumulator gives their
+covariance for the fit from the same formula as their standard errors.
+Each chunk of batches allocates one workspace, a batch-sized state row and
+rows one column block wide; every per-batch step writes into views of it,
+and the loop reduces each block itself, so no row of the workspace leaves
+it: one row sum and one Gram product of the block's rows give every beta's
+moments and the products across betas.  Means and PAPRs use no BLAS; a
+standard error comes through that product, so it depends on the BLAS
+build, but not on its thread count.
 """
 from __future__ import annotations
 
@@ -269,11 +270,11 @@ def _batch_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str, peak
     """One job: the moments of the batches b in ``batches``, a contiguous
     range of the run's batch indices, and their largest peak power (0.0
     without ``peak``).  Each batch's moments are its frame count m, the 2B
-    row sums of its kernel rows and the (2B, 2B) sums of their products.  A
-    range that starts the run adds each batch to a new accumulator as it is
-    drawn, and returns that accumulator; a later range returns a list of
-    each batch's (m, sums, gram), in batch order, for ``_orbit_moments`` to
-    add after the batches before it.
+    row sums of its kernel rows and the (2B, 2B) sums of their products.
+    Every job returns the same shape: the list of the counts, a
+    (len(batches), 2B) array of the sums and a (len(batches), 2B, 2B) array
+    of the products, in batch order, and the peak; ``_orbit_moments`` adds
+    them.
 
     Batch b draws from its own stream, ``SeedSequence(seed, spawn_key=(mode,
     b))`` for the mode's index in PSI_MODES: a substream of the seed, so no
@@ -309,10 +310,12 @@ def _batch_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str, peak
     state row, then 2B output rows, three kernel rows and the map step's
     rows (at xi >= 3), one block wide; the draw's two scratch rows overlap
     the block rows, which the kernel fills only after the draw.  Every batch
-    step writes into it, and no row of it leaves.
+    step writes into it, and no row of it leaves.  The returned arrays are
+    allocated beside it, zero-filled, and each batch adds its blocks' sums
+    and products into its own row of them, so no batch allocates.
     """
     mode = PSI_MODES.index(psi_mode)
-    acc, kept, top = DcAccumulator(), [], 0.0
+    top = 0.0
     size = min(n_frames, _BATCH)
     width = min(size, _BLOCK)
     nd = 2 * len(betas)
@@ -326,18 +329,16 @@ def _batch_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str, peak
     state, rest = space[:size], space[size:]
     rows = rest[:n_rows * width].reshape(n_rows, width)
     kernel_rows, work = rows[nd:nd + 3], rows[nd + 3:]
-    # a batch's and one block's row sums and Gram product
-    sums, gram = np.empty(nd), np.empty((nd, nd))
+    # each batch's frame count, row sums and Gram product, and one block's
+    counts = [min(_BATCH, n_frames - b * _BATCH) for b in batches]
+    sums, grams = np.zeros((len(batches), nd)), np.zeros((len(batches), nd, nd))
     block_sums, block_gram = np.empty(nd), np.empty((nd, nd))
     kernel = _correlator_drives if psi_mode == "full" else _power_sums
-    for b in batches:
+    for b, m, batch_sums, gram in zip(batches, counts, sums, grams):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(mode, b)))
-        m = min(_BATCH, n_frames - b * _BATCH)
         k = int(rng.binomial(m, 0.5)) if psi_mode == "full" else m
         y = draw_initial_state(rng, size=k, out=state[:k], work=rest[:2 * k].reshape(2, k))
         y *= 2.0
-        sums.fill(0.0)
-        gram.fill(0.0)
         for j in range(0, k, _BLOCK):
             w = min(_BLOCK, k - j)
             block = rows[:nd, :w]
@@ -345,13 +346,9 @@ def _batch_moments(seed: int, n_frames: int, betas, xi: int, psi_mode: str, peak
                                   work=work[:, :w], peak=peak))
             block.sum(axis=1, out=block_sums)
             np.matmul(block, block.T, out=block_gram)
-            sums += block_sums
+            batch_sums += block_sums
             gram += block_gram
-        if batches.start == 0:
-            acc.add_moments(m, sums, gram)
-        else:
-            kept.append((m, sums.copy(), gram.copy()))
-    return (acc if batches.start == 0 else kept), top
+    return counts, sums, grams, top
 
 
 def _chunks(n_frames: int) -> list[range]:
@@ -364,28 +361,26 @@ def _chunks(n_frames: int) -> list[range]:
     return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _orbit_moments(seed: int, n_frames: int, betas, xi: int, psi_mode,
-                   peak: bool = False):
-    """The one batch loop: the moments of the kernel's raw rows over the
-    n_frames frames of the orbit run at ``seed``, read at each beta of
-    ``betas`` (ascending, distinct), in one accumulator, and the largest
-    beta's largest peak power (0.0 without ``peak``).  ``psi_mode`` is one
-    receiver mode, which gives that (acc, peak) pair, or a sweep's tuple of
-    modes, which gives a list of them, one per mode.
+def _orbit_moments(seed: int, n_frames: int, betas, xi: int, modes, peak: bool = False):
+    """The one batch loop: for each receiver mode of the sequence
+    ``modes``, in order, the pair of one accumulator of the moments of the
+    kernel's raw rows over the n_frames frames of the orbit run at
+    ``seed``, read at each beta of ``betas`` (ascending, distinct), and the
+    largest beta's largest peak power (0.0 without ``peak``).
 
     Each batch of at most _BATCH frames is drawn, walked and reduced by
-    ``_batch_moments`` and adds its moments with one ``add_moments`` call.
-    Batches are independent jobs, so a run's batches are cut into contiguous
-    chunks (``_chunks``): one per _MIN_JOB_BATCHES batches and at most one
-    per usable CPU.  Every mode's chunks go out as one ``fork_map`` call, the
-    longest chunks first, and each chunk allocates its own workspace.  The
-    merge then adds every later chunk's batches, one by one and in batch
-    order, to the accumulator of the chunk that starts the run: the same
-    additions in the same order as one serial loop, so the result is the
-    same bits for any CPU count and any chunking.  A run of fewer than
+    ``_batch_moments``.  Batches are independent jobs, so a run's batches
+    are cut into contiguous chunks (``_chunks``): one per _MIN_JOB_BATCHES
+    batches and at most one per usable CPU.  Every mode's chunks go out as
+    one ``fork_map`` call, the longest chunks first, and each chunk
+    allocates its own workspace and returns its batches' moments.  The merge
+    is the one place that adds them: each mode's one accumulator takes every
+    batch with one ``add_moments`` call, in batch order, so it makes the
+    same additions in the same order as one serial loop, and the result is
+    the same bits for any CPU count and any chunking.  Every batch's moments,
+    2B + 4B^2 floats, are held until the merge.  A run of fewer than
     2 * _MIN_JOB_BATCHES batches is one chunk and never forks.
     """
-    modes = (psi_mode,) if isinstance(psi_mode, str) else tuple(psi_mode)
     chunks = _chunks(n_frames)
     jobs = sorted(((mode, chunk) for mode in modes for chunk in chunks),
                   key=lambda job: -len(job[1]))
@@ -393,13 +388,14 @@ def _orbit_moments(seed: int, n_frames: int, betas, xi: int, psi_mode,
         seed, n_frames, betas, xi, job[0], peak, job[1]), jobs)))
     runs = []
     for mode in modes:
-        (acc, top), *later = (done[mode, chunk] for chunk in chunks)
-        for kept, chunk_top in later:
-            for batch in kept:
+        acc, top = DcAccumulator(), 0.0
+        for chunk in chunks:
+            counts, sums, grams, chunk_top = done[mode, chunk]
+            for batch in zip(counts, sums, grams):
                 acc.add_moments(*batch)
             top = max(top, chunk_top)
         runs.append((acc, top))
-    return runs[0] if isinstance(psi_mode, str) else runs
+    return runs
 
 
 def _rows(configs, betas, acc: DcAccumulator) -> tuple[list[RunResult], np.ndarray]:
@@ -452,7 +448,8 @@ def run_once(config: RunConfig) -> RunResult:
     """
     _warn_if_noisy(config)
     betas = [config.beta]
-    acc, _ = _orbit_moments(config.seed, config.n_frames, betas, config.xi, config.psi_mode)
+    ((acc, _),) = _orbit_moments(config.seed, config.n_frames, betas, config.xi,
+                                 (config.psi_mode,))
     (row,), _ = _rows([config], betas, acc)
     return row
 
@@ -512,7 +509,7 @@ def sweep_beta(betas, distances, modes, base: RunConfig) -> SweepResult:
     grid = sorted({c.beta for c in cfgs})
     groups = list(dict.fromkeys(modes))
     runs = {mode: acc for mode, (acc, _) in
-            zip(groups, _orbit_moments(base.seed, base.n_frames, grid, base.xi, tuple(groups)))}
+            zip(groups, _orbit_moments(base.seed, base.n_frames, grid, base.xi, groups))}
     rows, covariance = [None] * len(cfgs), {}
     for key in dict.fromkeys((c.r, c.psi_mode) for c in cfgs):
         at = [i for i, c in enumerate(cfgs) if (c.r, c.psi_mode) == key]
@@ -590,7 +587,7 @@ def measure_papr(beta: int, psi_mode: str, n_frames: int = RunConfig.n_frames,
     bound = papr_analytic(psi_mode, beta)  # checks psi_mode and beta
     for name, value in (("n_frames", n_frames), ("seed", seed), ("xi", xi)):
         _check(name, value)
-    acc, peak = _orbit_moments(seed, n_frames, (beta,), xi, psi_mode, peak=True)
+    ((acc, peak),) = _orbit_moments(seed, n_frames, (beta,), xi, (psi_mode,), peak=True)
     # each frame's power is its drive s2, weights (c2, c4) = (1, 0): u in full
     # mode (0 where d = -1), the sum of its 2*beta chip powers in bypass mode
     (power,), _ = acc.result([0], *_harvest_weights((beta,), xi, psi_mode, 1.0, 0.0))

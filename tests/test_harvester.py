@@ -223,8 +223,10 @@ def test_accumulator_add_moments_equivalence():
 
 
 def test_accumulator_keeps_no_alias_of_the_callers_buffers():
-    # _batch_moments refills one row-sum buffer and one Gram buffer for every
-    # batch; the totals must be the batches' sums, not the buffer's last fill
+    # the accumulator copies the first batch it is given and adds later ones
+    # into that copy, so a caller may refill one buffer for every batch (the
+    # merge in _orbit_moments passes rows of each chunk's arrays): the totals
+    # must be the batches' sums, not the buffer's last fill
     batches = [np.array([[1.0, 2.0], [3.0, 5.0]]), np.array([[7.0], [11.0]])]
     sums, gram = np.empty(2), np.empty((2, 2))
     acc = DcAccumulator()

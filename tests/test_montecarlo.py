@@ -496,7 +496,7 @@ def test_full_mode_symbols_are_the_all_frame_formula(xi, beta):
             want += [s2.sum(), s4.sum(), (s2 * s2).sum(), (s2 * s4).sum(), (s4 * s4).sum()]
             peak = max(peak, float(np.max(s2)))
             counts.append((m, k))
-        acc, top = montecarlo._orbit_moments(seed, n, (beta,), xi, "full", peak=True)
+        ((acc, top),) = montecarlo._orbit_moments(seed, n, (beta,), xi, ("full",), peak=True)
         assert acc._n == n and top == peak
         if n == 1:
             assert _moments(acc) == [0.0] * 5 and top == 0.0
@@ -533,8 +533,9 @@ def test_full_mode_batch_without_plus_frames_keeps_the_bits(beta, xi, mean, std_
     n = montecarlo._BATCH + 1
     assert _plus_frames(n, seed=3)[-1] == 0
     # the one-frame last batch adds a frame and five zeros to the run's sums
-    (acc, top), (first, first_top) = (
-        montecarlo._orbit_moments(3, size, (beta,), xi, "full", peak=True) for size in (n, n - 1))
+    ((acc, top),), ((first, first_top),) = (
+        montecarlo._orbit_moments(3, size, (beta,), xi, ("full",), peak=True)
+        for size in (n, n - 1))
     assert (acc._n, first._n) == (n, n - 1)
     assert _moments(acc) == _moments(first) and top == first_top
     est = run_once(RunConfig(beta=beta, r=20.0, n_frames=n, seed=3, xi=xi)).estimate
@@ -621,7 +622,7 @@ def test_frame_batches_write_into_one_workspace(mode):
     def traced(n, betas, peak):
         tracemalloc.start()
         try:
-            run = montecarlo._orbit_moments(1, n, betas, 2, mode, peak=peak)
+            (run,) = montecarlo._orbit_moments(1, n, betas, 2, (mode,), peak=peak)
             return run, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -670,7 +671,7 @@ def test_workspace_rows_start_on_a_cache_line(monkeypatch, mode):
         spy(name, ("out", "rows", "work"))
     n = montecarlo._BATCH + (1 << 14) + 10
     for xi in (2, 3):
-        montecarlo._orbit_moments(1, n, (1, 2, 5), xi, mode)
+        montecarlo._orbit_moments(1, n, (1, 2, 5), xi, (mode,))
     assert len(seen) > 20 and set(seen) == {0}
 
 
@@ -883,22 +884,23 @@ def test_sweep_simulates_each_orbit_run_once(monkeypatch, mode):
 def test_one_batch_loop_owns_every_stream(monkeypatch):
     # every Monte-Carlo generator is opened inside the batch loop, one per
     # batch of _BATCH frames, from the run's seed with the spawn key (mode
-    # index, b), and each batch adds its moments once (the count perfbench
-    # reads as harvester.add_moments_calls); the serial map keeps a sweep's
-    # mode jobs in this process
+    # index, b), in the order the jobs run; the merge then adds each batch's
+    # moments once, in batch order, per mode (the count perfbench reads as
+    # harvester.add_moments_calls); the serial map keeps a sweep's mode jobs
+    # in this process
     monkeypatch.setattr(montecarlo, "fork_map", lambda fn, items: [fn(x) for x in items])
     real_rng, real_add = np.random.default_rng, DcAccumulator.add_moments
     real_loop = montecarlo._orbit_moments
-    events, looping = [], [False]
+    opened, added, looping = [], [], [False]
 
     def rng(seq):
         assert looping[0], "a generator was opened outside the batch loop"
         assert isinstance(seq, np.random.SeedSequence)
-        events.append(("rng", seq.entropy, seq.spawn_key))
+        opened.append((seq.entropy, seq.spawn_key))
         return real_rng(seq)
 
     def add(self, n, sums, gram):
-        events.append(("add", n))
+        added.append(n)
         return real_add(self, n, sums, gram)
 
     def loop(*args, **kw):
@@ -912,22 +914,26 @@ def test_one_batch_loop_owns_every_stream(monkeypatch):
     monkeypatch.setattr(DcAccumulator, "add_moments", add)
     monkeypatch.setattr(montecarlo, "_orbit_moments", loop)
     n = 2 * montecarlo._BATCH + 10
+    sizes = [montecarlo._BATCH, montecarlo._BATCH, 10]
 
-    def batches(seed, mode):
-        return [event for b, m in enumerate((montecarlo._BATCH, montecarlo._BATCH, 10))
-                for event in (("rng", seed, (mode, b)), ("add", m))]
+    def keys(seed, mode):
+        return [(seed, (mode, b)) for b in range(len(sizes))]
+
+    def events():
+        seen = opened.copy(), added.copy()
+        opened.clear()
+        added.clear()
+        return seen
 
     # full mode is PSI_MODES[0], so its keys (0, b) differ from bypass's (1, b)
     assert PSI_MODES == ("full", "bypass")
     base = RunConfig(beta=3, r=20.0, n_frames=n, seed=5)
     run_once(base)
-    assert events == batches(5, 0)
-    events.clear()
+    assert events() == (keys(5, 0), sizes)
     sweep_beta([2, 3], [20.0, 30.0], ["full", "bypass"], base)
-    assert events == batches(5, 0) + batches(5, 1)
-    events.clear()
+    assert events() == (keys(5, 0) + keys(5, 1), sizes + sizes)
     measure_papr(3, "bypass", n_frames=n, seed=8)
-    assert events == batches(8, 1)
+    assert events() == (keys(8, 1), sizes)
 
 
 @pytest.mark.parametrize("mode", PSI_MODES)

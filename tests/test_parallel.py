@@ -132,6 +132,11 @@ def test_serial_when_another_thread_is_alive(pool):
     assert set(pids) == {os.getpid()}
 
 
+def test_serial_when_fork_is_unavailable(pool, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert fork_map(lambda x: (x, os.getpid()), range(6)) == [(x, os.getpid()) for x in range(6)]
+
+
 #: 12 full batches and a short one: three chunks of batches at three CPUs
 _LONG = 12 * montecarlo._BATCH + 123
 
@@ -160,14 +165,21 @@ def test_chunked_sweep_matches_serial(pool, monkeypatch):
         assert fit_scaling(pooled, *key) == fit_scaling(serial, *key)
 
 
+def _bits(acc, top):
+    return acc._n, acc._sums.tolist(), acc._gram.tolist(), top
+
+
 @pytest.mark.parametrize("mode", ["full", "bypass"])
 def test_orbit_moments_keep_their_bits_at_any_cpu_count(pool, monkeypatch, mode):
     runs = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
         assert len(montecarlo._chunks(_LONG)) == cpus
-        acc, top = montecarlo._orbit_moments(6, _LONG, (1, 4), 3, mode, peak=True)
-        runs.append((acc._n, acc._sums.tolist(), acc._gram.tolist(), top))
+        ((acc, top),) = montecarlo._orbit_moments(6, _LONG, (1, 4), 3, (mode,), peak=True)
+        runs.append(_bits(acc, top))
+        # a two-mode call's merge gives each mode the batches of its own call
+        both = montecarlo._orbit_moments(6, _LONG, (1, 4), 3, ("full", "bypass"), peak=True)
+        assert _bits(*both[("full", "bypass").index(mode)]) == runs[-1]
     assert runs[0][0] == _LONG
     assert runs[1] == runs[0] and runs[2] == runs[0]
 

@@ -46,7 +46,7 @@ def test_fig2_sweep_writes_an_erased_cell(tmp_path):
     # seed 9 is the first seed from 7 up at which the full-mode run's one
     # batch of two frames draws no frame whose bit is +1: both are erased,
     # so the cell reads mean 0, standard error 0
-    acc, _ = montecarlo._orbit_moments(9, 2, (2,), 2, "full")
+    ((acc, _),) = montecarlo._orbit_moments(9, 2, (2,), 2, ("full",))
     assert acc._n == 2 and not acc._sums.any() and not acc._gram.any()
     out = tmp_path / "sweep.csv"
     proc = _script("fig2_sweep.py", "--betas", "2", "--distances", "20",
